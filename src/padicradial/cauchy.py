@@ -13,12 +13,12 @@ in three stages:
    differences obey the a-priori bound C^(k+1) M F^k p^(N (k+1)(a - g)),
    which is checked on every sweep and doubles as a stopping rule.
 
-2. *Continuation* (:func:`extend_step`).  Each level above N satisfies a
-   scalar fixed-point equation x = u0 + v0 + p^(a l) ftilde(p^(l+1), x),
-   where v0 (:func:`extension_constant`) integrates the already-known
-   part.  The step is accepted only when its contraction factor
-   kappa_l = p^(a l) Lip(ftilde(p^(l+1), .)) is below 1, and the measured
-   step ratios are checked against kappa_l.
+2. *Continuation* (:func:`solve_problem`; one level: :func:`extend_step`).
+   Each level above N satisfies a scalar fixed-point equation
+   x = u0 + v0 + p^(a l) ftilde(p^(l+1), x), where v0 integrates the
+   already-known part, read in O(1) from one running I^alpha sum.  A step
+   is accepted only when its contraction factor kappa_l = p^(a l)
+   Lip(ftilde(p^(l+1), .)) is below 1; measured steps are checked against it.
 
 3. *Residual verification* (:func:`residual`).  The differential form is
    checked directly: p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)), with an
@@ -47,13 +47,15 @@ from .errors import (
     DomainError,
     IndeterminateResidualError,
     InfeasibleRadiusError,
+    MagnitudeError,
     MetadataError,
     NonConvergenceError,
+    require_finite,
 )
-from .haar import Prime, p_pow
-from .radial import RadialFunction, TailModel
-from .fracint import _interior_prefactor, bound_constants
-from .vladimirov import DalphaCoefficients, _centered_left, _centered_right
+from .haar import OVERFLOW_GUARD, Prime, p_pow
+from .radial import RadialFunction, TailModel, _geom_left, _geom_left_level
+from .fracint import _IalphaSweep, _interior_prefactor, bound_constants
+from .vladimirov import DalphaCoefficients, apply_dalpha
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,14 @@ class Nonlinearity:
     name: str = "custom"
 
     def __post_init__(self):
+        require_finite(bound_M=self.bound_M, lipschitz_F=self.lipschitz_F)
         if not self.bound_M > 0:
             raise DomainError(f"bound_M must be positive, got {self.bound_M}")
         if self.lipschitz_F < 0:
             raise DomainError(f"lipschitz_F must be >= 0, got {self.lipschitz_F}")
         if self.decay is not None:
             a, beta = self.decay
+            require_finite(decay_amplitude=a, decay_beta=beta)
             if not a > 0:
                 raise DomainError(f"decay amplitude must be positive, got {a}")
             object.__setattr__(self, "decay", (float(a), float(beta)))
@@ -140,6 +144,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Prime(self.p))
+        require_finite(alpha=self.alpha, gamma=self.gamma, u0=self.u0)
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.gamma < 0 or self.gamma >= min(1.0, self.alpha):
@@ -147,8 +152,6 @@ class ProblemSpec:
                 "weak degeneration requires 0 <= gamma < min(1, alpha) = "
                 f"{min(1.0, self.alpha)}, got gamma = {self.gamma}"
             )
-        if not math.isfinite(self.u0):
-            raise DomainError("u0 must be finite")
         self.rhs.spot_check(self.p)
 
 
@@ -254,75 +257,61 @@ def choose_local_radius(problem: ProblemSpec, n_floor: int = -60, n_cap: int = 8
                                   problem.alpha - problem.gamma, n_floor, n_cap)
 
 
-def _interior_truncation_bound(problem: ProblemSpec, k_cut: int, n: int) -> float:
-    """Certified bound on the neglected sub-window part of (I^a ftilde)(p^n).
+def _interior_truncation_bound(problem: ProblemSpec, k_cut: int, lo: int, hi: int) -> float:
+    """Certified bound on the neglected sub-window part of (I^a ftilde)(p^n),
+    summed over the levels n in [lo, hi].
 
     Bounds the integral over levels k <= k_cut - 1 using
     |ftilde(p^k, .)| <= M p^(-gamma k) and the triangle inequality on the
     kernel; every piece is a convergent geometric series because
-    gamma < min(1, alpha).
+    gamma < min(1, alpha).  Per level the bound is affine in n for
+    alpha = 1 and in p^((alpha - 1) n) otherwise, so the sum over n is an
+    arithmetic or a geometric series and costs O(1).
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     m = problem.rhs.bound_M
     j = k_cut - 1
-    frac = 1.0 - 1.0 / p
+    count = hi - lo + 1
     x1 = p_pow(p, 1.0 - gamma)
-    g1 = p_pow(x1, j) * x1 / (x1 - 1.0)  # sum_{k<=j} p^((1-gamma) k)
     if alpha == 1.0:
-        r = x1 / (x1 - 1.0)
-        gk = p_pow(x1, j) * (j * r - r / (x1 - 1.0))  # sum k p^((1-gamma) k)
-        return ((p - 1.0) ** 2 / (p * p)) * m * (n * g1 - gk)
-    xa = p_pow(p, alpha - gamma)
-    ga = p_pow(xa, j) * xa / (xa - 1.0)
+        coef = (p - 1.0) ** 2 / (p * p)
+        return coef * m * count * (0.5 * (lo + hi) * _geom_left(x1, j) - _geom_left_level(x1, j))
+    # sum_n p^((alpha-1) n) p^((1-gamma) j), anchored at its largest term
+    t = abs(alpha - 1.0) * math.log(p)
+    top = hi if alpha > 1.0 else lo
+    geo = p_pow(p, (1.0 - gamma) * j + (alpha - 1.0) * top) \
+        * math.expm1(-t * count) / math.expm1(-t)
     pref = abs(_interior_prefactor(p, alpha))
-    return pref * frac * m * (p_pow(p, (alpha - 1.0) * n) * g1 + ga)
+    return pref * (1.0 - 1.0 / p) * m * (geo * x1 / (x1 - 1.0)
+                                         + count * _geom_left(p_pow(p, alpha - gamma), j))
 
 
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
-    """Lower window edge K_min with total certified truncation <= tol / 10."""
+    """Lower window edge K_min with total certified truncation <= tol / 10.
+
+    K_min steps down 4 levels at a time.  Below level -OVERFLOW_GUARD /
+    (m ln p), m = max(gamma, 1 - alpha), the weights p^(-gamma k) of
+    ftilde and p^((alpha - 1) k) of the I^alpha sweep leave the double
+    range, so passing it is a BudgetError.  The budget decays like
+    p^((alpha - gamma) K_min) with alpha - gamma >= 1 - 2 m, so either
+    way the search ends within about a thousand steps.
+    """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     k_min = min(n_top, 0) - 8
     while True:
-        budget = sum(_interior_truncation_bound(problem, k_min, n)
-                     for n in range(k_min, n_top + 1))
+        budget = _interior_truncation_bound(problem, k_min, k_min, n_top)
         if budget <= tol / 10.0:
             return k_min, budget
-        if k_min <= n_top - 400:
+        k_min -= 4
+        # the same exponent * ln p that p_pow compares with its guard
+        if max(-gamma * k_min, (alpha - 1.0) * k_min) * math.log(p) > OVERFLOW_GUARD:
             raise BudgetError(
                 f"cannot certify the sub-window truncation below tol/10 = {tol / 10.0} "
-                f"within 400 levels (reached K_min = {k_min}, bound {budget})"
+                f"before the window weights leave the double range at level {k_min} "
+                f"(bound {budget} at K_min = {k_min + 4})"
             )
-        k_min -= 4
-
-
-def _ialpha_window(problem: ProblemSpec, phi: list, k_min: int, n_top: int) -> list:
-    """(I^a phi)(p^n) for every window level, interior sums truncated at k_min.
-
-    phi[i] is the integrand at level k_min + i.  Running prefix sums keep
-    the whole sweep O(window) with a fixed ascending summation order.
-    """
-    p, alpha = problem.p, problem.alpha
-    frac = 1.0 - 1.0 / p
-    out = []
-    s1 = 0.0
-    if alpha == 1.0:
-        sk = 0.0
-        coef = (p - 1.0) ** 2 / (p * p)
-        for i, n in enumerate(range(k_min, n_top + 1)):
-            val = p_pow(p, n - 1.0) * phi[i] - coef * (n * s1 - sk)
-            out.append(val)
-            w = p_pow(p, n)
-            s1 += w * phi[i]
-            sk += n * w * phi[i]
-        return out
-    pref = _interior_prefactor(p, alpha)
-    sa = 0.0
-    for i, n in enumerate(range(k_min, n_top + 1)):
-        val = p_pow(p, alpha * (n - 1.0)) * phi[i] \
-            + pref * frac * (p_pow(p, (alpha - 1.0) * n) * s1 - sa)
-        out.append(val)
-        s1 += p_pow(p, n) * phi[i]
-        sa += p_pow(p, alpha * n) * phi[i]
-    return out
 
 
 def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
@@ -365,9 +354,12 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
 
     diffs = []
     for it in range(max_iter):
-        phi = [ft(k, cur[i]) for i, k in enumerate(levels)]
-        integ = _ialpha_window(problem, phi, k_min, N)
-        new = [u0 + v for v in integ]
+        sweep = _IalphaSweep(p, alpha)
+        new = []
+        for k, x in zip(levels, cur):
+            phi = ft(k, x)
+            new.append(u0 + sweep.value(k, phi))
+            sweep.push(k, phi)
         diff = max(abs(a - b) for a, b in zip(new, cur))
         diffs.append(diff)
         cur = new
@@ -398,25 +390,13 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     )
 
 
-def _extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int) -> tuple:
-    """Known-part constant v0 for the level-(ell+1) equation, plus the
-    certified bound on its neglected sub-window remainder."""
-    p, alpha = problem.p, problem.alpha
+def _sweep_through(problem: ProblemSpec, u: RadialFunction, top: int) -> _IalphaSweep:
+    """An I^alpha sweep holding ftilde(., u(.)) on the levels u.k_min .. top."""
     ft = make_ftilde(problem)
-    frac = 1.0 - 1.0 / p
-    phi = [ft(k, u.value_at(k)) for k in range(u.k_min, ell + 1)]
-    if alpha == 1.0:
-        total = sum((ell + 1 - k) * p_pow(p, k) * phi[k - u.k_min]
-                    for k in range(u.k_min, ell + 1))
-        v0 = -((p - 1.0) ** 2 / (p * p)) * total
-    else:
-        pref = _interior_prefactor(p, alpha)
-        top = p_pow(p, (ell + 1.0) * (alpha - 1.0))
-        total = sum(p_pow(p, k) * (top - p_pow(p, k * (alpha - 1.0))) * phi[k - u.k_min]
-                    for k in range(u.k_min, ell + 1))
-        v0 = pref * frac * total
-    rem = _interior_truncation_bound(problem, u.k_min, ell + 1)
-    return v0, rem
+    sweep = _IalphaSweep(problem.p, problem.alpha)
+    for k in range(u.k_min, top + 1):
+        sweep.push(k, ft(k, u.value_at(k)))
+    return sweep
 
 
 def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
@@ -429,13 +409,58 @@ def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
     """
     if ell < u.k_min:
         raise DomainError(f"extension level {ell} is below the window floor {u.k_min}")
-    v0, rem = _extension_constant(u, problem, ell)
+    rem = _interior_truncation_bound(problem, u.k_min, ell + 1, ell + 1)
     if rem > budget:
         raise BudgetError(
             f"neglected sub-window remainder bound {rem} exceeds the budget "
             f"{budget}; rebuild the solution with a lower K_min"
         )
-    return v0
+    return _sweep_through(problem, u, ell).value(ell + 1, 0.0)
+
+
+def _extension_kappa(problem: ProblemSpec, ell: int) -> float:
+    """Contraction factor of the level-(ell+1) equation; ContractionError if >= 1."""
+    p, alpha = problem.p, problem.alpha
+    kappa = p_pow(p, alpha * ell) * make_ftilde(problem).lipschitz_at(ell + 1)
+    if kappa >= 1.0:
+        raise ContractionError(
+            f"extension to level {ell + 1} is not a contraction: kappa = {kappa} >= 1 "
+            f"(per-level Lipschitz bound {problem.rhs.level_lipschitz(ell + 1)} "
+            f"is not below p^(-alpha ell) p^(gamma (ell+1)) = "
+            f"{p_pow(p, -alpha * ell + problem.gamma * (ell + 1.0))})"
+        )
+    return kappa
+
+
+def _fixed_point(problem: ProblemSpec, ell: int, v0: float, x: float, kappa: float,
+                 tol: float, max_iter: int) -> tuple:
+    """Iterate x -> u0 + v0 + p^(a ell) ftilde(p^(ell+1), x) from x; (value, iterations)."""
+    ft = make_ftilde(problem)
+    coef = p_pow(problem.p, problem.alpha * ell)
+
+    def step(x: float) -> float:
+        return problem.u0 + v0 + coef * ft(ell + 1, x)
+
+    if kappa == 0.0:
+        return step(x), 1
+    prev_step = None
+    for j in range(1, max_iter + 1):
+        x_new = step(x)
+        d = abs(x_new - x)
+        if d <= tol * max(1.0, abs(x_new)):
+            return x_new, j
+        # a few ulps of slack cover the rounding of the two step evaluations
+        slack = 4.0 * math.ulp(max(1.0, abs(x_new)))
+        if prev_step is not None and d > kappa * prev_step + slack:
+            raise MetadataError(
+                f"measured contraction ratio {d / prev_step} exceeds kappa = {kappa} "
+                f"at level {ell + 1}: declared per-level Lipschitz metadata is wrong"
+            )
+        prev_step = d
+        x = x_new
+    raise NonConvergenceError(
+        f"fixed point at level {ell + 1} did not converge in {max_iter} steps",
+        diffs=[prev_step])
 
 
 def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
@@ -444,47 +469,15 @@ def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
     """Solve the scalar fixed-point equation for u(p^(ell+1)).
 
     Returns (value, kappa, iterations).  Requires the contraction factor
-    kappa = p^(a ell) * Lip(ftilde(p^(ell+1), .)) to be below 1; measured
-    step ratios above kappa + 1e-12 indicate wrong declared metadata.
+    kappa = p^(a ell) * Lip(ftilde(p^(ell+1), .)) to be below 1; a step
+    longer than kappa times the previous one (plus a few ulps of rounding)
+    indicates wrong declared metadata.
     """
-    p, alpha, u0 = problem.p, problem.alpha, problem.u0
-    ft = make_ftilde(problem)
-    kappa = p_pow(p, alpha * ell) * ft.lipschitz_at(ell + 1)
-    if kappa >= 1.0:
-        raise ContractionError(
-            f"extension to level {ell + 1} is not a contraction: kappa = {kappa} >= 1 "
-            f"(per-level Lipschitz bound {problem.rhs.level_lipschitz(ell + 1)} "
-            f"is not below p^(-alpha ell) p^(gamma (ell+1)) = "
-            f"{p_pow(p, -alpha * ell + problem.gamma * (ell + 1.0))})"
-        )
+    kappa = _extension_kappa(problem, ell)
     if v0 is None:
         v0 = extension_constant(u, problem, ell)
-    coef = p_pow(p, alpha * ell)
-
-    def step(x: float) -> float:
-        return u0 + v0 + coef * ft(ell + 1, x)
-
-    x = u.value_at(ell)
-    if kappa == 0.0:
-        return step(x), kappa, 1
-    prev_step = None
-    for j in range(1, max_iter + 1):
-        x_new = step(x)
-        d = abs(x_new - x)
-        if d <= tol * max(1.0, abs(x_new)):
-            return x_new, kappa, j
-        if prev_step is not None and prev_step > 0.0:
-            ratio = d / prev_step
-            if ratio > kappa + 1e-12:
-                raise MetadataError(
-                    f"measured contraction ratio {ratio} exceeds kappa = {kappa} "
-                    f"at level {ell + 1}: declared per-level Lipschitz metadata is wrong"
-                )
-        prev_step = d
-        x = x_new
-    raise NonConvergenceError(
-        f"fixed point at level {ell + 1} did not converge in {max_iter} steps",
-        diffs=[prev_step])
+    value, iters = _fixed_point(problem, ell, v0, u.value_at(ell), kappa, tol, max_iter)
+    return value, kappa, iters
 
 
 @dataclass(frozen=True)
@@ -562,12 +555,15 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
             f"level {n} is within {buffer} levels of the window edge k_max = {u.k_max}; "
             "extend the solution further"
         )
+    try:
+        dalpha_val = apply_dalpha(u, alpha, n)
+    except MagnitudeError as err:
+        raise IndeterminateResidualError(
+            f"level {n} is too deep for the D^alpha series in double precision: {err}"
+        ) from err
     coeffs = DalphaCoefficients.create(p, alpha)
     frac = 1.0 - 1.0 / p
     c = u.value_at(n)
-    left = _centered_left(u, n - 1, 1.0, c)
-    right = _centered_right(u, n + 1, -alpha, c)
-    dalpha_val = coeffs.d_alpha * frac * (p_pow(p, -(alpha + 1.0) * n) * left + right)
 
     # envelope for |u| above the window
     env = max(abs(u.value_at(k)) for k in range(u.k_max - 2, u.k_max + 1))
@@ -615,23 +611,27 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
         raise DomainError(f"extension target {target} is below the local radius {N}")
     report = picard_solve(problem, N, tol=tol, max_iter=max_iter, reserve_top=target + 1)
     u = report.solution
+    ft = make_ftilde(problem)
+    sweep = _sweep_through(problem, u, N)
     budget = report.truncation_budget
     diags = {}
+    values = []
+    x = u.value_at(N)
     for ell in range(N, target):
-        v0, rem = _extension_constant(u, problem, ell)
+        v0 = sweep.value(ell + 1, 0.0)  # the known part: levels <= ell only
+        rem = _interior_truncation_bound(problem, u.k_min, ell + 1, ell + 1)
         if rem > tol / 10.0:
             raise BudgetError(
                 f"neglected sub-window remainder bound {rem} at extension level {ell} "
                 f"exceeds tol/10; rebuild with a smaller tol or lower K_min"
             )
-        value, kappa, iters = extend_step(u, problem, ell, tol=tol / 100.0, v0=v0)
+        kappa = _extension_kappa(problem, ell)
+        x, iters = _fixed_point(problem, ell, v0, x, kappa, tol / 100.0, 1000)
         budget += rem
         diags[ell + 1] = ExtensionDiagnostic(v0=v0, kappa=kappa, iterations=iters)
-        u = RadialFunction(
-            u.p, u.k_min, u.k_max + 1, u.values + (value,),
-            left_tail=u.left_tail, right_tail=u.right_tail,
-            value_at_zero=u.value_at_zero,
-        )
+        values.append(x)
+        sweep.push(ell + 1, ft(ell + 1, x))
+    u = replace(u, k_max=target, values=u.values + tuple(values))
     return replace(report, solution=u, extension_diagnostics=diags,
                    truncation_budget=budget)
 

@@ -443,7 +443,7 @@ def cmd_sweep(args) -> int:
                 row += (f",{report.local_radius_N},{report.k_min},{u.k_max},"
                         f"{report.picard_iterations},{max_resid},{count},"
                         f"{_fmt(report.truncation_budget)},ok")
-            except (DomainError, MetadataError) as err:
+            except (DomainError, MetadataError, MagnitudeError) as err:
                 row += f",,,,,,,,precondition: {type(err).__name__}"
             except (NonConvergenceError, BudgetError) as err:
                 row += f",,,,,,,,failure: {type(err).__name__}"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and a finiteness check.
 
 The CLI maps these onto its exit codes: everything rooted at
 :class:`DomainError` is a precondition violation (exit 2), while
@@ -6,9 +6,18 @@ The CLI maps these onto its exit codes: everything rooted at
 :class:`IndeterminateResidualError` are runtime failures (exit 3).
 """
 
+import math
+
 
 class DomainError(ValueError):
     """A parameter lies outside the mathematical domain of an operation."""
+
+
+def require_finite(**values) -> None:
+    """Raise :class:`DomainError` naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class DivergenceError(DomainError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import DegenerationError, DivergenceError
+from .errors import DegenerationError, DivergenceError, require_finite
 from .haar import Prime, DEFAULT_DEPTH, p_pow
 from .radial import (
     RadialFunction,
@@ -115,6 +115,7 @@ def _kernel_constant_cached(p: int, alpha: float, sigma: float) -> KernelConstan
 
 def kernel_constant(p: int, alpha: float, sigma: float) -> KernelConstants:
     """Closed-form kernel constants; memoized per (p, alpha, sigma)."""
+    require_finite(alpha=alpha, sigma=sigma)
     if alpha <= 0:
         raise DivergenceError(f"alpha must be positive, got {alpha}")
     return _kernel_constant_cached(int(Prime(p)), float(alpha), float(sigma))
@@ -164,6 +165,55 @@ def power_image_coefficient(p: int, alpha: float, rho: float) -> float:
     return p_pow(p, -alpha) + _interior_prefactor(p, alpha) * kc.s_signed
 
 
+class _IalphaSweep:
+    """Running sums of the interior I^alpha integral over ascending levels.
+
+    After levels k < n have been pushed it holds s1 = sum p^k phi_k and
+    s2 = sum p^(alpha k) phi_k (s2 = sum k p^k phi_k on the alpha = 1 log
+    branch), so the value at level n costs O(1) and a whole window one
+    O(W) pass in a fixed ascending summation order.
+    """
+
+    __slots__ = ("p", "alpha", "pref", "frac", "coef", "s1", "s2")
+
+    def __init__(self, p: int, alpha: float, s1: float = 0.0, s2: float = 0.0):
+        self.p = p
+        self.alpha = alpha
+        self.s1 = s1
+        self.s2 = s2
+        self.pref = _interior_prefactor(p, alpha)
+        self.frac = 1.0 - 1.0 / p
+        self.coef = (p - 1.0) ** 2 / (p * p)
+
+    def value(self, n: int, phi: float) -> float:
+        """(I^a phi)(p^n) given phi_n; phi = 0 leaves the interior part alone."""
+        p, alpha = self.p, self.alpha
+        if alpha == 1.0:
+            return p_pow(p, n - 1.0) * phi - self.coef * (n * self.s1 - self.s2)
+        interior = self.frac * (p_pow(p, (alpha - 1.0) * n) * self.s1 - self.s2)
+        return p_pow(p, alpha * (n - 1.0)) * phi + self.pref * interior
+
+    def push(self, k: int, phi: float) -> None:
+        """Add level k, which must be the level after the last one pushed."""
+        w = p_pow(self.p, k)
+        self.s1 += w * phi
+        if self.alpha == 1.0:
+            self.s2 += k * w * phi
+        else:
+            self.s2 += p_pow(self.p, self.alpha * k) * phi
+
+
+def _sweep_below(u: RadialFunction, alpha: float, n: int) -> _IalphaSweep:
+    """A sweep holding u on every level k <= n - 1, its tails in closed form."""
+    try:
+        s1 = weighted_sum_left(u, n - 1, 1.0)
+        if alpha == 1.0:
+            return _IalphaSweep(u.p, alpha, s1, level_weighted_sum_left(u, n - 1, 1.0))
+        return _IalphaSweep(u.p, alpha, s1, weighted_sum_left(u, n - 1, alpha))
+    except DivergenceError as err:
+        raise DivergenceError(f"I^alpha at level {n}: {err}") from err
+
+
 def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     """(I^alpha u)(p^n) via the diagonal term plus the interior stratified sum.
 
@@ -173,23 +223,10 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     interior sums is exactly the max(p^k, p^(alpha k)) condition for
     alpha != 1 and the |k| p^k condition for alpha = 1.
     """
-    p = u.p
+    require_finite(alpha=alpha)
     if alpha <= 0:
         raise DivergenceError(f"alpha must be positive, got {alpha}")
-    try:
-        if alpha == 1.0:
-            s1 = weighted_sum_left(u, n - 1, 1.0)
-            sk = level_weighted_sum_left(u, n - 1, 1.0)
-            coef = (p - 1.0) ** 2 / (p * p)
-            return p_pow(p, n - 1.0) * u.value_at(n) - coef * (n * s1 - sk)
-        s1 = weighted_sum_left(u, n - 1, 1.0)
-        sa = weighted_sum_left(u, n - 1, alpha)
-        frac = 1.0 - 1.0 / p
-        interior = frac * (p_pow(p, (alpha - 1.0) * n) * s1 - sa)
-        return p_pow(p, alpha * (n - 1.0)) * u.value_at(n) \
-            + _interior_prefactor(p, alpha) * interior
-    except DivergenceError as err:
-        raise DivergenceError(f"I^alpha at level {n}: {err}") from err
+    return _sweep_below(u, alpha, n).value(n, u.value_at(n))
 
 
 @dataclass(frozen=True)
@@ -208,6 +245,7 @@ class BoundConstants:
 def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
     """Constants c_0, c_n, c_uniform for the weak-degeneration regime."""
     p = Prime(p)
+    require_finite(alpha=alpha, gamma=gamma)
     if alpha <= 0:
         raise DivergenceError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= gamma < min(1.0, alpha):
@@ -253,7 +291,13 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
             f"assembly window must start at or below v's window (k_lo = {k_lo} "
             f"> k_min = {v.k_min}), or the exact left tail is unavailable"
         )
-    values = tuple(apply_ialpha(v, alpha, n) for n in range(k_lo, k_hi + 1))
+    # closed form below v's window, then one sweep in _sum_left's order
+    values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
+    sweep = _sweep_below(v, alpha, v.k_min)
+    for n in range(v.k_min, k_hi + 1):
+        phi = v.value_at(n)
+        values.append(sweep.value(n, phi))
+        sweep.push(n, phi)
     tail = v.left_tail
     if tail.kind in ("zero", "const"):
         left = TailModel.zero()

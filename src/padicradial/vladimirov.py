@@ -15,7 +15,8 @@ D^a u = D^a (u - u(p^n)) with the diagonal term contributing exactly
 zero) but it is essential numerically: evaluated literally, the three
 series terms reach magnitude ~p^(a |n|) * |u| and cancel to a result
 that can be arbitrarily smaller, destroying up to a |n| log10(p) digits.
-The centered sums carry no such cancellation.
+The sums centered on c = u(p^n) (``c`` of the weighted sums in
+:mod:`padicradial.radial`) carry no such cancellation.
 
 :func:`apply_dalpha` evaluates the series with closed-form tails;
 :func:`apply_dalpha_oracle` sums the strata of the defining integral one
@@ -23,20 +24,16 @@ by one (the equal-norm sphere |y| = |x| is split by |x - y| = p^j into
 masses (1 - 1/p) p^j for j < n and p^n (1 - 2/p) for j = n, the latter
 multiplying a zero bracket) and completes the truncated ends in closed
 form where the tail model permits.  The two routes share only the
-geometric-series primitives, which the Haar module validates separately.
+centered weighted sums, which the oracle uses for its closed-form ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivergenceError
+from .errors import DivergenceError, require_finite
 from .haar import DEFAULT_DEPTH, Prime, p_pow
-from .radial import (
-    RadialFunction,
-    _geom_left,
-    _geom_right,
-)
+from .radial import RadialFunction, _sum_left, _sum_right
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,7 @@ class DalphaCoefficients:
     @staticmethod
     def create(p: int, alpha: float) -> "DalphaCoefficients":
         p = Prime(p)
+        require_finite(alpha=alpha)
         if alpha <= 0:
             raise DivergenceError(f"alpha must be positive, got {alpha}")
         denom = 1.0 - p_pow(p, -alpha - 1.0)
@@ -63,58 +61,6 @@ class DalphaCoefficients:
             d_alpha=(1.0 - p_pow(p, alpha)) / denom,
             diag_coef=(p_pow(p, alpha) + p - 2.0) / denom,
         )
-
-
-def _centered_left(u: RadialFunction, m: int, e: float, c: float) -> float:
-    """sum_{k <= m} p^(e k) (u(p^k) - c) with closed-form tails; e > 0."""
-    p = u.p
-    j = min(m, u.k_min - 1)
-    tail = u.left_tail
-    total = 0.0
-    if tail.kind == "power":
-        rate = e + tail.rho
-        if rate <= 0.0:
-            raise DivergenceError(
-                f"left series diverges: power-law tail requires e + rho > 0, got {rate}"
-            )
-        total += tail.c * _geom_left(p_pow(p, rate), j)
-        base = 0.0
-    else:
-        base = tail.c  # zero tail has c == 0
-    shift = base - c
-    if shift != 0.0:
-        total += shift * _geom_left(p_pow(p, e), j)
-    for k in range(max(u.k_min, j + 1), min(m, u.k_max) + 1):
-        total += p_pow(p, e * k) * (u.values[k - u.k_min] - c)
-    for k in range(u.k_max + 1, m + 1):
-        total += p_pow(p, e * k) * (u.right_tail.value_at(p, k) - c)
-    return total
-
-
-def _centered_right(u: RadialFunction, m: int, e: float, c: float) -> float:
-    """sum_{l >= m} p^(e l) (u(p^l) - c) with closed-form tails; e < 0."""
-    p = u.p
-    j = max(m, u.k_max + 1)
-    total = 0.0
-    for k in range(m, min(u.k_min - 1, j - 1) + 1):
-        total += p_pow(p, e * k) * (u.left_tail.value_at(p, k) - c)
-    for k in range(max(m, u.k_min), u.k_max + 1):
-        total += p_pow(p, e * k) * (u.values[k - u.k_min] - c)
-    tail = u.right_tail
-    if tail.kind == "power":
-        rate = e + tail.rho
-        if rate >= 0.0:
-            raise DivergenceError(
-                f"right series diverges: power-law tail requires e + rho < 0, got {rate}"
-            )
-        total += tail.c * _geom_right(p_pow(p, rate), j)
-        base = 0.0
-    else:
-        base = tail.c
-    shift = base - c
-    if shift != 0.0:
-        total += shift * _geom_right(p_pow(p, e), j)
-    return total
 
 
 def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
@@ -127,11 +73,11 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     coeffs = DalphaCoefficients.create(u.p, alpha)
     c = u.value_at(n)
     try:
-        left = _centered_left(u, n - 1, 1.0, c)
+        left = _sum_left(u, n - 1, 1.0, c=c)
     except DivergenceError as err:
         raise DivergenceError(f"D^alpha at level {n}: {err}") from err
     try:
-        right = _centered_right(u, n + 1, -alpha, c)
+        right = _sum_right(u, n + 1, -alpha, c=c)
     except DivergenceError as err:
         raise DivergenceError(f"D^alpha at level {n}: {err}") from err
     frac = 1.0 - 1.0 / u.p
@@ -158,12 +104,12 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     for i in range(n - depth, n):
         diag += frac * p_pow(p, i) * (u.value_at(i) - c)
     # |x - y| = p^n stratum has mass p^n (1 - 2/p) but a zero bracket.
-    diag += frac * _centered_left(u, n - depth - 1, 1.0, c)
+    diag += frac * _sum_left(u, n - depth - 1, 1.0, c=c)
     diag *= p_pow(p, -(alpha + 1.0) * n)
 
     right = 0.0
     for l in range(n + 1, n + depth + 1):
         right += frac * p_pow(p, -alpha * l) * (u.value_at(l) - c)
-    right += frac * _centered_right(u, n + depth + 1, -alpha, c)
+    right += frac * _sum_right(u, n + depth + 1, -alpha, c=c)
 
     return coeffs.d_alpha * (diag + right)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from padicradial.errors import (
     DomainError,
     IndeterminateResidualError,
     InfeasibleRadiusError,
+    MagnitudeError,
     MetadataError,
 )
 from padicradial.haar import p_pow
@@ -18,6 +20,8 @@ from padicradial.fracint import power_image_coefficient
 from padicradial.cauchy import (
     Nonlinearity,
     ProblemSpec,
+    _choose_window_floor,
+    _interior_truncation_bound,
     _radius_from_constants,
     catalog_nonlinearity,
     check_global_hypotheses,
@@ -76,6 +80,20 @@ def test_degeneration_gate(alpha):
     assert ok.gamma == edge - 1e-6
 
 
+def test_non_finite_parameters_rejected():
+    rhs = catalog_nonlinearity("zero", 2)
+    for bad in ({"gamma": math.nan}, {"alpha": math.nan}, {"alpha": math.inf},
+                {"u0": math.nan}, {"u0": -math.inf}):
+        args = {"p": 2, "alpha": 1.5, "gamma": 0.25, "u0": 1.0, **bad}
+        with pytest.raises(DomainError, match="finite"):
+            ProblemSpec(rhs=rhs, **args)
+    for bad in ({"bound_M": math.inf}, {"lipschitz_F": math.nan},
+                {"decay": (math.nan, 2.0)}, {"decay": (1.0, math.inf)}):
+        args = {"bound_M": 1.0, "lipschitz_F": 0.0, **bad}
+        with pytest.raises(DomainError, match="finite"):
+            Nonlinearity(eval=lambda k, x: 0.0, **args)
+
+
 # -- scaled right-hand side ----------------------------------------------------
 
 def test_make_ftilde_scaling():
@@ -118,6 +136,67 @@ def test_radius_zero_lipschitz_hits_cap():
 def test_radius_infeasible():
     with pytest.raises(InfeasibleRadiusError):
         _radius_from_constants(1e9, 1e9, 2, 0.5, n_floor=-10)
+
+
+# -- window floor ------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, alpha, gamma", [(2, 0.5, 0.2), (2, 1.0, 0.3), (3, 1.5, 0.3),
+                                             (7, 1.0, 0.3), (5, 2.5, 0.6)])
+def test_window_budget_closed_form_matches_level_sum(p, alpha, gamma):
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1, beta=2.5))
+    for n_top in (0, 40, 251):
+        if (p, alpha, n_top) == (5, 2.5, 251):
+            # the kernel factor p^(1.5 * 251) needs K_min near -980, below
+            # level -725 where p^(-gamma k) overflows: not certifiable
+            with pytest.raises(BudgetError, match="double range at level -728 "):
+                _choose_window_floor(prob, n_top, 1e-10)
+            continue
+        k_min, budget = _choose_window_floor(prob, n_top, 1e-10)
+        assert budget <= 1e-11
+        levels = sum(_interior_truncation_bound(prob, k_min, n, n) for n in range(k_min, n_top + 1))
+        assert budget == pytest.approx(levels, rel=1e-13)
+        # the candidate before K_min does not certify
+        assert _interior_truncation_bound(prob, k_min + 4, k_min + 4, n_top) > 1e-11 \
+            or k_min + 4 > min(n_top, 0) - 8
+
+
+@pytest.mark.parametrize("p, alpha, gamma, extend_to, k_min", [
+    (3, 0.5, 0.2, 392, -92),
+    (2, 1.5, 0.25, 250, -216),
+    (2, 0.3, 0.18, None, -364),
+])
+def test_deep_targets_certify_without_a_level_cap(p, alpha, gamma, extend_to, k_min):
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1, beta=2.0))
+    rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
+    assert rep.k_min == k_min
+    assert rep.solution.k_max == (extend_to if extend_to is not None else rep.local_radius_N + 35)
+    assert rep.truncation_budget <= 1e-10
+
+
+@pytest.mark.parametrize("rhs, alpha, gamma, stop", [
+    ("zero", 0.5, 0.5 - 1e-9, -2020),
+    ("const", 0.5, 0.5 - 1e-3, -2020),
+    ("const", 1e-6, 0.0, -1012),
+])
+def test_window_floor_stops_where_the_weights_leave_the_double_range(rhs, alpha, gamma, stop):
+    # near degeneration (or for tiny alpha) the certified budget would need a
+    # floor between -6e4 and -7e10; the search stops at the first candidate
+    # whose ftilde or I^alpha weights overflow instead of running on
+    prob = ProblemSpec(p=2, alpha=alpha, gamma=gamma, u0=1.0,
+                       rhs=catalog_nonlinearity(rhs, 2))
+    with pytest.raises(BudgetError, match=f"double range at level {stop} "):
+        solve_problem(prob, tol=1e-10)
+    with pytest.raises(MagnitudeError):
+        p_pow(2, max(-gamma * stop, (alpha - 1.0) * stop))
+    p_pow(2, max(-gamma * (stop + 4), (alpha - 1.0) * (stop + 4)))
+
+
+def test_window_floor_rejects_non_positive_tol():
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(DomainError, match="tol"):
+            _choose_window_floor(catalog_problem(), 10, tol)
 
 
 # -- local iteration -------------------------------------------------------------
@@ -249,6 +328,38 @@ def test_extend_step_detects_wrong_metadata():
         extend_step(rep.solution, prob_lying, -2, tol=1e-15, v0=0.5)
 
 
+@pytest.mark.parametrize("p, alpha, gamma, u0, amplitude, beta", [
+    (2, 2.5, 0.0, 1.0, 0.05, 3.0),
+    (2, 1.0, 0.6, 0.5, 0.2, 2.5),
+])
+def test_rounding_near_convergence_is_not_wrong_metadata(p, alpha, gamma, u0, amplitude, beta):
+    # step differences near convergence are a few ulps; their rounding once
+    # pushed a measured ratio just past kappa and raised MetadataError
+    rhs = catalog_nonlinearity("cos-decay", p, amplitude=amplitude, beta=beta)
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=u0, rhs=rhs)
+    rep = solve_problem(prob, tol=1e-10)
+    assert rep.solution.k_max == rep.local_radius_N + 35
+
+
+@pytest.mark.parametrize("extend_to", (100, 200))
+def test_continuation_evaluates_f_a_linear_number_of_times(extend_to):
+    rhs = catalog_nonlinearity("cos-decay", 2, amplitude=0.1, beta=2.0)
+    calls = [0]
+
+    def counted(k, x):
+        calls[0] += 1
+        return rhs.eval(k, x)
+
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=replace(rhs, eval=counted))
+    calls[0] = 0
+    rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
+    width = len(rep.solution.values)
+    picard = (rep.local_radius_N - rep.k_min + 1) * rep.picard_iterations
+    extension = sum(d.iterations for d in rep.extension_diagnostics.values())
+    assert width > extend_to
+    assert calls[0] - picard <= width + extension + 2
+
+
 # -- global hypotheses -----------------------------------------------------------
 
 def test_hypotheses_pass():
@@ -310,6 +421,15 @@ def test_residual_buffer_gate():
     rep = solve_problem(prob, tol=1e-10, extend_to=20)
     with pytest.raises(IndeterminateResidualError, match="window edge"):
         residual(rep.solution, prob, rep.solution.k_max)
+
+
+def test_residual_refuses_levels_beyond_double_range():
+    # p^(-(alpha + 1) n) at the deepest window levels exceeds the overflow guard
+    prob = ProblemSpec(p=5, alpha=2.0, gamma=0.6, u0=1.0,
+                       rhs=catalog_nonlinearity("zero", 5))
+    u = solve_problem(prob, tol=1e-10).solution
+    with pytest.raises(IndeterminateResidualError, match="double precision"):
+        residual(u, prob, u.k_min + 1)
 
 
 def test_solved_residuals_small():

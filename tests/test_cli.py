@@ -133,6 +133,15 @@ def test_solve_gamma_gate_exit_2(tmp_path, capsys):
     assert "gamma" in err
 
 
+def test_solve_uncertifiable_window_floor_exit_3(capsys):
+    # gamma close to alpha: the truncation budget cannot be met above the
+    # level where the window weights overflow, a runtime failure
+    code, _, err = run(capsys, "solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.499",
+                       "--u0", "1", "--rhs", "zero")
+    assert code == 3
+    assert "double range" in err
+
+
 def test_solve_flag_overrides_config(tmp_path, capsys):
     cfg = solve_config(tmp_path, rhs="zero", u0=2.0, extend_to="5")
     csv = tmp_path / "sol.csv"
@@ -209,3 +218,12 @@ def test_sweep_rows(tmp_path, capsys):
     assert len(lines) == 3
     for line in lines[1:]:
         assert line.endswith(",ok")
+
+
+def test_sweep_keeps_good_rows_when_a_cell_overflows(capsys):
+    code, out, _ = run(capsys, "sweep", "--p-list", "2,1000003", "--alpha-list", "1.5")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("2,1.5,") and lines[1].endswith(",ok")
+    assert lines[2].startswith("1000003,") and lines[2].endswith("precondition: MagnitudeError")

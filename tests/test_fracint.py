@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from padicradial.errors import DegenerationError, DivergenceError
+from padicradial.errors import DegenerationError, DivergenceError, DomainError
 from padicradial.haar import p_pow
 from padicradial.radial import RadialFunction, TailModel
 from padicradial.vladimirov import apply_dalpha
@@ -175,3 +175,27 @@ def test_assembly_rejects_window_above_v():
     v = RadialFunction.indicator_unit_ball(2)
     with pytest.raises(DivergenceError):
         assemble_fractional_integral(v, 1.0, k_lo=5, k_hi=20)
+
+
+def test_kernel_constant_rejects_nan():
+    with pytest.raises(DomainError, match="finite"):
+        kernel_constant(2, math.nan, 0)
+    with pytest.raises(DomainError, match="finite"):
+        bound_constants(2, 1.5, math.inf)
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5, 2.5))
+def test_assembly_is_bit_identical_to_per_level_ialpha(alpha):
+    # the one-pass assembly sums in the same order as apply_ialpha, level by level
+    p = 3
+    funcs = [
+        RadialFunction.indicator_unit_ball(p),
+        RadialFunction.split_power(p, 0.5, -1.0, c=-0.7),
+        RadialFunction(p, -6, 4, tuple(math.sin(1.3 * k) for k in range(11)),
+                       left_tail=TailModel.constant(0.25), right_tail=TailModel.power_law(0.5, -1.5)),
+        RadialFunction(p, -3, 5, tuple(0.1 * k for k in range(9))),
+    ]
+    for v in funcs:
+        for k_lo, k_hi in ((v.k_min - 7, v.k_max + 9), (v.k_min, v.k_max), (v.k_min - 4, v.k_min - 1)):
+            iv = assemble_fractional_integral(v, alpha, k_lo=k_lo, k_hi=k_hi)
+            assert iv.values == tuple(apply_ialpha(v, alpha, n) for n in range(k_lo, k_hi + 1))
