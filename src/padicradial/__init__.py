@@ -47,11 +47,10 @@ from .radial import (
     level_weighted_sum_left,
     level_weighted_sum_right,
     load_radial,
-    radial_eval,
     weighted_sum_left,
     weighted_sum_right,
 )
-from .vladimirov import DalphaCoefficients, apply_dalpha, apply_dalpha_oracle
+from .vladimirov import DalphaCoefficients, apply_dalpha, apply_dalpha_oracle, dalpha_window
 from .fracint import (
     BoundConstants,
     KernelConstants,

@@ -47,7 +47,6 @@ from .errors import (
     DomainError,
     IndeterminateResidualError,
     InfeasibleRadiusError,
-    MagnitudeError,
     MetadataError,
     NonConvergenceError,
     require_finite,
@@ -55,7 +54,7 @@ from .errors import (
 from .haar import OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel, _geom_left, _geom_left_level
 from .fracint import _IalphaSweep, _interior_prefactor, bound_constants
-from .vladimirov import DalphaCoefficients, apply_dalpha
+from .vladimirov import dalpha_window
 
 
 @dataclass(frozen=True)
@@ -543,11 +542,14 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     u is trusted as declared on and below its window; above k_max its
     unknown continuation is bounded by an envelope fitted from the last
     window values (growth exponent log_p of the last ratio, with the
-    decay-driven kernel growth max(alpha - 1, 0) as a fallback), and a
-    floating-point noise estimate for the centered series is added.  A
-    level closer than ``buffer`` to the window edge, a fitted growth at or
-    above alpha, or an uncertainty above tol is refused rather than
-    reported.
+    decay-driven kernel growth max(alpha - 1, 0) as a fallback); the
+    rounding of D^alpha (the window's bound) and that of the stored values
+    (1e-15 relative each, as D^alpha amplifies it) are added.  A level
+    outside the window or closer than ``buffer`` to its top, a level whose
+    p^(-alpha n) leaves the double range, a fitted growth at or above
+    alpha, or an uncertainty above tol is refused rather than reported.
+    D^alpha is read from :func:`dalpha_window`, so every level of one
+    solution costs O(W) in total.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     if n > u.k_max - buffer:
@@ -555,13 +557,17 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
             f"level {n} is within {buffer} levels of the window edge k_max = {u.k_max}; "
             "extend the solution further"
         )
-    try:
-        dalpha_val = apply_dalpha(u, alpha, n)
-    except MagnitudeError as err:
+    if n < u.k_min:
         raise IndeterminateResidualError(
-            f"level {n} is too deep for the D^alpha series in double precision: {err}"
-        ) from err
-    coeffs = DalphaCoefficients.create(p, alpha)
+            f"level {n} is below the window floor k_min = {u.k_min}, where u is its tail model"
+        )
+    coeffs, window, rounding = dalpha_window(u, alpha)
+    dalpha_val = window[n - u.k_min]
+    if dalpha_val is None:
+        raise IndeterminateResidualError(
+            f"level {n} is too deep for the D^alpha series in double precision: "
+            f"p^(-alpha n) = {p}**{-alpha * n} exceeds the overflow guard"
+        )
     frac = 1.0 - 1.0 / p
     c = u.value_at(n)
 
@@ -582,19 +588,23 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
         * p_pow(x, u.k_max + 1) / (1.0 - x)
     tail_bound = abs(coeffs.d_alpha) * frac * tail_sum
 
-    # floating-point cancellation estimate for the centered sums
-    u_scale = max(1.0, env, abs(c), u.sup_window())
-    noise = 1e-15 * u_scale * abs(coeffs.d_alpha) * frac * (
-        p_pow(p, -(alpha + 1.0) * n) * p_pow(p, n) * p / (p - 1.0)
-        + p_pow(p, -alpha * (n + 1.0)) / (1.0 - p_pow(p, -alpha))
-    )
-    uncertainty = p_pow(p, gamma * n) * (tail_bound + noise)
+    # rounding: the window's bound for D^alpha, plus the stored values being
+    # rounded themselves, by 1e-15 max(1, |u|) each, which D^alpha amplifies by
+    # at most |d_a| (1 - 1/p) p^(-a n) (p/(p-1) + 1/(p^a - 1)); p^(g n) and
+    # the product add 2 + 3 g |n| ln p units
+    lnp = math.log(p)
+    data = 1e-15 * max(1.0, u.sup_window()) * abs(coeffs.d_alpha) * frac \
+        * p_pow(p, -alpha * n) * (p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp))
+    weight = p_pow(p, gamma * n)
+    noise = weight * (data + rounding[n - u.k_min]) \
+        + 2.0 ** -53 * (2.0 + 3.0 * gamma * abs(n) * lnp) * weight * abs(dalpha_val)
+    uncertainty = weight * tail_bound + noise
     if uncertainty > tol:
         raise IndeterminateResidualError(
             f"residual uncertainty {uncertainty} at level {n} exceeds tol = {tol}; "
             "extend the solution to higher levels"
         )
-    value = p_pow(p, gamma * n) * dalpha_val - problem.rhs.eval(n, c)
+    value = weight * dalpha_val - problem.rhs.eval(n, c)
     return ResidualEstimate(value=value, uncertainty=uncertainty)
 
 

@@ -13,19 +13,13 @@ Numbers are printed with 12 significant digits; summation orders are
 fixed, so repeated runs with the same configuration are bit-identical.
 Exit codes: 0 success, 2 precondition violation, 3 convergence or
 verification failure.
-
-The environment variable PADIC_RADIAL_MAX_THREADS caps the number of
-worker threads `verify` may use (default 1, i.e. serial); results are
-canonically ordered before printing either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 
 from .errors import (
@@ -71,14 +65,6 @@ EXIT_FAILURE = 3
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _max_threads() -> int:
-    raw = os.environ.get("PADIC_RADIAL_MAX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- run configuration ---------------------------------------------------------
@@ -386,17 +372,9 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in _SUITES:
             raise DomainError(f"unknown suite {name!r}; options: {sorted(_SUITES)} or all")
-    workers = min(_max_threads(), len(names))
-    results = []
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_SUITES[nm], args.depth, args.family): nm for nm in names}
-            for fut, nm in futs.items():
-                results.extend((nm, cell, ok, detail) for cell, ok, detail in fut.result())
-    else:
-        for nm in names:
-            results.extend((nm, cell, ok, detail) for cell, ok, detail in _SUITES[nm](args.depth, args.family))
-    results.sort(key=lambda r: (r[0], r[1]))
+    results = sorted(((nm, cell, ok, detail) for nm in names
+                      for cell, ok, detail in _SUITES[nm](args.depth, args.family)),
+                     key=lambda r: (r[0], r[1]))
     failures = 0
     for suite, cell, ok, detail in results:
         status = "pass" if ok else "FAIL"

@@ -177,10 +177,10 @@ class RadialFunction:
     def _sup_window(self) -> float:
         return max(abs(v) for v in self.values)
 
-
-def radial_eval(u: RadialFunction, k: int) -> float:
-    """u(p^k): window lookup inside [k_min, k_max], tail model outside."""
-    return u.value_at(k)
+    @cached_property
+    def _dalpha_memo(self) -> dict:
+        """alpha -> :func:`padicradial.vladimirov.dalpha_window` of this function."""
+        return {}
 
 
 # -- geometric primitives ---------------------------------------------------
@@ -210,13 +210,15 @@ def _geom_right_level(x: float, j: int) -> float:
 
 
 def _tail_sum(total: float, tail: TailModel, p: int, j: int, e: float, c: float,
-              geom, side: str) -> float:
-    """total + sum [k] p^(e k) (tail(k) - c) over the levels beyond j, in closed form.
+              geom, side: str, origin: int = 0) -> float:
+    """total + sum [k - s] p^(e (k - s)) (tail(k) - c) over the levels beyond j, in closed form.
 
     ``side`` is "left" (levels k <= j, ``geom`` a _geom_left primitive,
     rates must be > 0) or "right" (k >= j, _geom_right, rates < 0); a
     divergent series raises.  Adding to the caller's running total keeps
-    one summation order for the plain and the centered sums.
+    one summation order for the plain and the centered sums.  Levels are
+    counted from s = ``origin``, so a sum scaled to its own level stays in
+    the double range however far that level lies from 0.
     """
     sign, rel = (1.0, ">") if side == "left" else (-1.0, "<")
     shift = tail.c - c
@@ -225,13 +227,13 @@ def _tail_sum(total: float, tail: TailModel, p: int, j: int, e: float, c: float,
         if sign * rate <= 0.0:
             raise DivergenceError(f"{side} series sum p^(e k) u(p^k) diverges: power-law "
                                   f"{side} tail requires e + rho {rel} 0, got e + rho = {rate}")
-        total += tail.c * geom(p_pow(p, rate), j)
+        total += tail.value_at(p, origin) * geom(p_pow(p, rate), j - origin)
         shift = -c
     if (tail.kind == "const" or shift != 0.0) and sign * e <= 0.0:
         raise DivergenceError(f"{side} series sum p^(e k) u(p^k) diverges: constant "
                               f"{side} tail requires e {rel} 0, got e = {e}")
     if shift != 0.0:
-        total += shift * geom(p_pow(p, e), j)
+        total += shift * geom(p_pow(p, e), j - origin)
     return total
 
 

@@ -7,33 +7,47 @@ For a radial u and |x|_p = p^n the hypersingular integral
 
 depends only on n and reduces to an explicit series: a left sum of
 p^k u(p^k) over k < n, a diagonal coefficient acting on u(p^n), and a
-right sum of p^(-a l) u(p^l) over l > n.
+right sum of p^(-a l) u(p^l) over l > n.  The operator annihilates
+constants, so every route here subtracts u(p^n) first: evaluated
+literally, the series terms reach ~p^(a |n|) |u| and cancel, destroying
+up to a |n| log10(p) digits.
 
-Both entry points here subtract u(p^n) before summing.  That changes
-nothing analytically (the operator annihilates constants, so
-D^a u = D^a (u - u(p^n)) with the diagonal term contributing exactly
-zero) but it is essential numerically: evaluated literally, the three
-series terms reach magnitude ~p^(a |n|) * |u| and cancel to a result
-that can be arbitrarily smaller, destroying up to a |n| log10(p) digits.
-The sums centered on c = u(p^n) (``c`` of the weighted sums in
-:mod:`padicradial.radial`) carry no such cancellation.
+:func:`apply_dalpha` and :func:`dalpha_window` walk the centered sums
+scaled to their own level, Lhat(n) = p^(-n) sum_{k<n} p^k (u_k - u_n)
+and Rhat(n) = p^(a n) sum_{l>n} p^(-a l) (u_l - u_n), through
 
-:func:`apply_dalpha` evaluates the series with closed-form tails;
+    Lhat(n+1) = Lhat(n) / p + (u_n - u_{n+1}) / (p - 1),
+    Rhat(n-1) = p^(-a) Rhat(n) + (u_n - u_{n-1}) / (p^a - 1),
+    D^a u(p^n) = d_a (1 - 1/p) p^(-a n) (Lhat(n) + Rhat(n)),
+
+each seeded at its end of the range with the centered tail beyond it in
+closed form, so a whole window costs O(W).  Scaled, the intermediates
+stay near |u| / (p - 1) and |u| / (p^a - 1) at any level, where the
+unscaled sums leave the double range with p^(-(a+1) n) or p^(-a l).
+Centering survives: the walks step by differences of neighbouring values,
+never by an uncentered sum, and damp by 1/p and p^(-a) < 1, so rounding
+decays along them.  The window pass bounds each value's rounding to
+first order in 2^-53 by walking the per-step bounds the same way from a
+bound on the seed, then adding the relative error of d_a, of p^(-a n)
+(1 + 3 a |n| ln p units: exp of a rounded exponent) and of the products.
+
 :func:`apply_dalpha_oracle` sums the strata of the defining integral one
 by one (the equal-norm sphere |y| = |x| is split by |x - y| = p^j into
 masses (1 - 1/p) p^j for j < n and p^n (1 - 2/p) for j = n, the latter
 multiplying a zero bracket) and completes the truncated ends in closed
-form where the tail model permits.  The two routes share only the
-centered weighted sums, which the oracle uses for its closed-form ends.
+form with the centered weighted sums of :mod:`padicradial.radial`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import DivergenceError, require_finite
+from .errors import DivergenceError, MagnitudeError, require_finite
 from .haar import DEFAULT_DEPTH, Prime, p_pow
-from .radial import RadialFunction, _sum_left, _sum_right
+from .radial import RadialFunction, _geom_left, _geom_right, _sum_left, _sum_right, _tail_sum
+
+_UNIT = 2.0 ** -53  # unit roundoff of a double
 
 
 @dataclass(frozen=True)
@@ -63,25 +77,111 @@ class DalphaCoefficients:
         )
 
 
+def _damped(x: float, ratio: float, terms) -> list:
+    """[x, then x = x * ratio + t for each t]: one walk of the recurrences."""
+    out = [x]
+    for t in terms:
+        x = x * ratio + t
+        out.append(x)
+    return out
+
+
+def _seed_rounding(tail, origin: int, e: float, seed: float, c: float, g: float,
+                   lnp: float) -> float:
+    """Rounding bound of a closed-form seed with weights summing to g: its tail
+    part is at most |seed| + |c| g, its centering part |c| g, each off by a
+    few units plus 3 |exponent ln p| per power of p, times 1 / (1 - p^-r)
+    for a geometric sum of ratio p^-r."""
+    rates = (e, e + tail.rho) if tail.kind == "power" else (e,)
+    damp = max(-1.0 / math.expm1(-abs(r) * lnp) for r in rates)
+    rho = abs(tail.rho)
+    units = 10.0 + 4.0 * (1.0 + rho + abs(e)) * lnp + 3.0 * rho * abs(origin) * lnp
+    return _UNIT * units * damp * (abs(seed) + 2.0 * abs(c) * g)
+
+
+def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
+                   rounding: bool = False) -> tuple:
+    """((D^alpha u)(p^n) for n = lo .. hi, their rounding bounds or None).
+
+    Lhat walks up from a = min(lo, k_min), Rhat down from b = max(hi, k_max).
+    A value is None where p^(-alpha n) leaves the double range.  The
+    ``rounding`` bounds take tail values beyond the window as exact.
+    """
+    coef = DalphaCoefficients.create(u.p, alpha).d_alpha * (1.0 - 1.0 / u.p)
+    p, lnp = u.p, math.log(u.p)
+    a, b = min(lo, u.k_min), max(hi, u.k_max)
+    vals = ([u.left_tail.value_at(p, k) for k in range(a, u.k_min)] + list(u.values)
+            + [u.right_tail.value_at(p, k) for k in range(u.k_max + 1, b + 1)])
+    try:
+        seed_l = _tail_sum(0.0, u.left_tail, p, a - 1, 1.0, vals[0], _geom_left, "left", a)
+        seed_r = _tail_sum(0.0, u.right_tail, p, b + 1, -alpha, vals[-1], _geom_right,
+                           "right", b)
+    except DivergenceError as err:
+        raise DivergenceError(f"D^alpha at levels [{lo}, {hi}]: {err}") from err
+    x, q, pm1 = alpha * lnp, p_pow(p, -alpha), p - 1.0
+    qm1 = math.expm1(x)
+    left, lefts = seed_l, [seed_l]  # Lhat(a .. hi)
+    for v, w in zip(vals, vals[1:hi - a + 1]):
+        left = left / p + (v - w) / pm1
+        lefts.append(left)
+    down = vals[lo - a:][::-1]  # u at levels b, b - 1, .., lo
+    right, rights = seed_r, [seed_r]  # Rhat(b), .., Rhat(lo)
+    for v, w in zip(down, down[1:]):
+        right = q * right + (v - w) / qm1
+        rights.append(right)
+    values = []
+    for n in range(lo, hi + 1):
+        try:
+            values.append(coef * p_pow(p, -alpha * n) * (lefts[n - a] + rights[b - n]))
+        except MagnitudeError:
+            values.append(None)
+    if not rounding:
+        return values, None
+    # per step: the rounding of each operation on the magnitudes at hand,
+    # with q and 1/(p^a - 1) themselves off by 1 + 3x and 1 + 2x/(1-q) units
+    err_l = _damped(_seed_rounding(u.left_tail, a, 1.0, seed_l, vals[0], 1.0 / pm1, lnp),
+                    1.0 / p, [_UNIT * (2.0 * abs(l0) / p + 2.0 * abs(v - w) / pm1 + abs(l1))
+                              for l0, l1, v, w in zip(lefts, lefts[1:], vals, vals[1:])])
+    c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
+    err_r = _damped(_seed_rounding(u.right_tail, b, -alpha, seed_r, vals[-1], 1.0 / qm1, lnp),
+                    q, [_UNIT * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
+                        for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
+    # d_a loses 1/(1-q) units where 1 - p^a cancels
+    c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
+    return values, [None if v is None else abs(coef) * p_pow(p, -alpha * n)
+                    * (err_l[n - a] + err_r[b - n]) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)
+                    for n, v in zip(range(lo, hi + 1), values)]
+
+
 def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
-    """(D^alpha u)(p^n) via the explicit radial series.
+    """(D^alpha u)(p^n) via the explicit radial series, in O(W + |n - window|).
 
     Requires the left series sum p^k |u(p^k)| and the right series
     sum p^(-alpha l) |u(p^l)| to converge; a violated tail raises
-    :class:`DivergenceError` naming the failed inequality.
+    :class:`DivergenceError` naming the failed inequality, and a level
+    whose p^(-alpha n) exceeds the double range :class:`MagnitudeError`.
+    Neither reads nor fills the cache of :func:`dalpha_window`.
     """
-    coeffs = DalphaCoefficients.create(u.p, alpha)
-    c = u.value_at(n)
-    try:
-        left = _sum_left(u, n - 1, 1.0, c=c)
-    except DivergenceError as err:
-        raise DivergenceError(f"D^alpha at level {n}: {err}") from err
-    try:
-        right = _sum_right(u, n + 1, -alpha, c=c)
-    except DivergenceError as err:
-        raise DivergenceError(f"D^alpha at level {n}: {err}") from err
-    frac = 1.0 - 1.0 / u.p
-    return coeffs.d_alpha * frac * (p_pow(u.p, -(alpha + 1.0) * n) * left + right)
+    value = _dalpha_levels(u, alpha, n, n)[0][0]
+    if value is None:
+        raise MagnitudeError(f"D^alpha at level {n}: p^(-alpha n) = {u.p}**{-alpha * n} "
+                             "exceeds the overflow guard")
+    return value
+
+
+def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
+    """(coefficients, values, rounding) of D^alpha u on the window in one O(W) pass.
+
+    ``values[i]`` is :func:`apply_dalpha` at level k_min + i, bit for bit,
+    or None where that raises :class:`MagnitudeError`; ``rounding[i]``
+    bounds its error to first order.  Cached per function and alpha.
+    """
+    memo = u._dalpha_memo
+    if alpha not in memo:
+        coeffs = DalphaCoefficients.create(u.p, alpha)
+        values, bounds = _dalpha_levels(u, alpha, u.k_min, u.k_max, rounding=True)
+        memo[alpha] = (coeffs, tuple(values), tuple(bounds))
+    return memo[alpha]
 
 
 def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,

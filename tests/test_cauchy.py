@@ -424,12 +424,27 @@ def test_residual_buffer_gate():
 
 
 def test_residual_refuses_levels_beyond_double_range():
-    # p^(-(alpha + 1) n) at the deepest window levels exceeds the overflow guard
+    # at the deepest window levels the rounding bound, which grows like
+    # p^(-alpha n), exceeds tol; it is computed without overflow
     prob = ProblemSpec(p=5, alpha=2.0, gamma=0.6, u0=1.0,
                        rhs=catalog_nonlinearity("zero", 5))
     u = solve_problem(prob, tol=1e-10).solution
-    with pytest.raises(IndeterminateResidualError, match="double precision"):
+    with pytest.raises(IndeterminateResidualError, match="uncertainty .* exceeds tol"):
         residual(u, prob, u.k_min + 1)
+    # where p^(-alpha n) itself leaves the double range the level is refused as such
+    deep = RadialFunction.constant(2, 1.0, k_min=-1100, k_max=5)
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
+                       rhs=catalog_nonlinearity("zero", 2))
+    with pytest.raises(IndeterminateResidualError, match="double precision"):
+        residual(deep, prob, -1000)
+
+
+def test_residual_refuses_levels_below_the_window():
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
+                       rhs=catalog_nonlinearity("zero", 2))
+    u = RadialFunction.constant(2, 1.0, k_min=-10, k_max=45)
+    with pytest.raises(IndeterminateResidualError, match="below the window floor"):
+        residual(u, prob, -11)
 
 
 def test_solved_residuals_small():

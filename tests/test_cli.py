@@ -200,14 +200,6 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
-def test_verify_threaded_output_matches_serial(capsys, monkeypatch):
-    code, serial, _ = run(capsys, "verify", "--depth", "120")
-    monkeypatch.setenv("PADIC_RADIAL_MAX_THREADS", "4")
-    code2, threaded, _ = run(capsys, "verify", "--depth", "120")
-    assert code == code2 == 0
-    assert serial == threaded
-
-
 def test_sweep_rows(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--p-list", "2", "--alpha-list", "1,1.5",

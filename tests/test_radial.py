@@ -13,7 +13,6 @@ from padicradial.radial import (
     level_weighted_sum_left,
     level_weighted_sum_right,
     load_radial,
-    radial_eval,
     weighted_sum_left,
     weighted_sum_right,
 )
@@ -30,9 +29,9 @@ def three_values(p=2):
 
 def test_eval_window_and_tails():
     u = three_values()
-    assert radial_eval(u, 0) == 2.0
-    assert radial_eval(u, -5) == 1.0
-    assert radial_eval(u, 3) == pytest.approx(3.0 * 2 ** -3, rel=1e-13)
+    assert u.value_at(0) == 2.0
+    assert u.value_at(-5) == 1.0
+    assert u.value_at(3) == pytest.approx(3.0 * 2 ** -3, rel=1e-13)
 
 
 def test_power_tail_with_zero_coefficient_normalizes():

@@ -1,10 +1,20 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicradial.errors import DivergenceError
-from padicradial.haar import ball_power_integral
+import padicradial.vladimirov as vladimirov
+from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
+from padicradial.errors import DivergenceError, IndeterminateResidualError, MagnitudeError
+from padicradial.haar import ball_power_integral, p_pow
 from padicradial.radial import RadialFunction, TailModel
-from padicradial.vladimirov import DalphaCoefficients, apply_dalpha, apply_dalpha_oracle
+from padicradial.vladimirov import (
+    DalphaCoefficients,
+    apply_dalpha,
+    apply_dalpha_oracle,
+    dalpha_window,
+)
 
 PRIMES = (2, 3, 5)
 ALPHAS = (0.5, 1.0, 2.0)
@@ -123,3 +133,157 @@ def test_adding_constants_changes_nothing(p, alpha, n, c):
     a = apply_dalpha(base, alpha, n)
     b = apply_dalpha(shifted, alpha, n)
     assert b == pytest.approx(a, rel=1e-11, abs=1e-11)
+
+
+# -- the window pass and the residual that reads it ------------------------------
+
+def _exact_dalpha_window(u, alpha):
+    """D^alpha u at every window level from the uncentered series in mpmath,
+    with enough digits to absorb its (alpha + 1) |n| log10 p digits of cancellation."""
+    from mpmath import mp, mpf
+
+    reach = max(abs(u.k_min), abs(u.k_max), 1)
+    with mp.workdps(60 + int((alpha + 1.0) * reach * math.log10(u.p))):
+        p, a = mpf(u.p), mpf(alpha)
+        lt, rt = u.left_tail, u.right_tail
+        lrate = 1 + (lt.rho if lt.kind == "power" else 0)
+        rrate = (rt.rho if rt.kind == "power" else 0) - a
+        # sum_{k < k_min} p^k u_k and sum_{l > k_max} p^(-a l) u_l in closed form
+        left = mpf(lt.c) * p ** (lrate * u.k_min) / (p ** lrate - 1)
+        right = mpf(rt.c) * p ** (rrate * (u.k_max + 1)) / (1 - p ** rrate)
+        vals = [mpf(v) for v in u.values]
+        lefts, rights = [], [None] * len(vals)
+        for i, v in enumerate(vals):
+            lefts.append(left)
+            left += p ** (u.k_min + i) * v
+        for i in reversed(range(len(vals))):
+            rights[i] = right
+            right += p ** (-a * (u.k_min + i)) * vals[i]
+        coef = (1 - p ** a) / (1 - p ** (-a - 1)) * (1 - 1 / p)
+        out = []
+        for i, c in enumerate(vals):
+            n = u.k_min + i
+            centered_left = lefts[i] - c * p ** n / (p - 1)
+            centered_right = rights[i] - c * p ** (-a * (n + 1)) / (1 - p ** -a)
+            out.append(coef * (p ** (-(a + 1) * n) * centered_left + centered_right))
+        return out
+
+
+def _rough_function(p, alpha, k_min, width, seed):
+    """Values drawn in [-1, 1] with a constant left and a power-law right tail."""
+    rng = random.Random(seed)
+    values = [rng.uniform(-1.0, 1.0) for _ in range(width)]
+    rho = -0.5 * alpha
+    return RadialFunction(p, k_min, k_min + width - 1, values,
+                          left_tail=TailModel.constant(rng.uniform(-1.0, 1.0)),
+                          right_tail=TailModel.power_law(p_pow(p, -rho * (k_min + width)), rho))
+
+
+@pytest.mark.parametrize("n", (-200, 200))
+def test_dalpha_of_a_power_far_from_its_window(n):
+    # D^a |x|^s = Gamma_p(s + 1) / Gamma_p(s + 1 - a) |x|^(s - a); at n = 200 the
+    # unscaled left sum used to be dropped where p^(-(a+1) n) underflows, and at
+    # n = -200 p^(-(a+1) n) overflowed
+    p, s, alpha = 7, -0.5, 1.0
+
+    def gamma_p(z):
+        return (1.0 - p ** (z - 1.0)) / (1.0 - p ** -z)
+
+    want = gamma_p(s + 1.0) / gamma_p(s + 1.0 - alpha) * float(p) ** ((s - alpha) * n)
+    got = apply_dalpha(RadialFunction.power(p, s), alpha, n)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    if n == 200:
+        assert abs(got + 5.1411318157623e-254) <= 1e-12 * 5.1411318157623e-254
+
+
+@pytest.mark.parametrize("p,alpha,k_min", [(2, 0.5, -30), (3, 1.0, -12), (5, 2.5, 4), (7, 0.05, -3)])
+def test_window_pass_matches_apply_dalpha_and_the_oracle(p, alpha, k_min):
+    u = _rough_function(p, alpha, k_min, 25, seed=p)
+    coeffs, values, rounding = dalpha_window(u, alpha)
+    assert coeffs == DalphaCoefficients.create(p, alpha)
+    assert len(values) == len(rounding) == len(u.values)
+    for n, value in zip(range(u.k_min, u.k_max + 1), values):
+        assert value == apply_dalpha(u, alpha, n)  # bit for bit
+        oracle = apply_dalpha_oracle(u, alpha, n)
+        assert abs(value - oracle) <= 1e-10 * (1 + abs(value))
+
+
+@pytest.mark.parametrize("p,alpha,k_min", [(2, 0.5, -120), (3, 1.0, -60), (7, 0.05, -3),
+                                           (11, 2.5, -40), (101, 0.2, -100)])
+def test_window_rounding_bound_covers_the_error(p, alpha, k_min):
+    from mpmath import mpf
+
+    u = _rough_function(p, alpha, k_min, 60, seed=k_min)
+    _, values, rounding = dalpha_window(u, alpha)
+    exact = _exact_dalpha_window(u, alpha)
+    for value, bound, want in zip(values, rounding, exact):
+        assert float(abs(mpf(value) - want)) <= bound
+
+
+def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
+    u = _rough_function(3, 1.5, -10, 20, seed=1)
+    assert apply_dalpha(u, 1.5, 0) == apply_dalpha(u, 1.5, 0)
+    assert "_dalpha_memo" not in vars(u)  # apply_dalpha writes nothing
+    first = dalpha_window(u, 1.5)
+    assert dalpha_window(u, 1.5) is first
+    assert dalpha_window(u, 0.5) is not first
+    coeffs, values, rounding = first
+    u._dalpha_memo[1.5] = (coeffs, tuple(v + 1.0 for v in values), rounding)
+    assert apply_dalpha(u, 1.5, 0) == values[10]  # and reads nothing
+
+
+def test_apply_dalpha_refuses_levels_beyond_double_range():
+    with pytest.raises(MagnitudeError, match="p\\^\\(-alpha n\\)"):
+        apply_dalpha(RadialFunction.constant(2, 1.0), 1.5, -1000)
+
+
+def _deep_problem():
+    rhs = catalog_nonlinearity("cos-decay", 7, amplitude=0.075, beta=2.5)
+    return ProblemSpec(p=7, alpha=1.0, gamma=0.3, u0=1.25, rhs=rhs)
+
+
+def test_residual_profile_sums_the_seeds_once(monkeypatch):
+    calls = {"seeds": 0, "sums": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vladimirov, "_tail_sum", counted(vladimirov._tail_sum, "seeds"))
+    monkeypatch.setattr(vladimirov, "_sum_left", counted(vladimirov._sum_left, "sums"))
+    monkeypatch.setattr(vladimirov, "_sum_right", counted(vladimirov._sum_right, "sums"))
+    prob = _deep_problem()
+    u = solve_problem(prob, tol=1e-10, extend_to=250).solution
+    assert len(u.values) >= 270
+    reported = 0
+    for n in range(u.k_min, u.k_max + 1):
+        try:
+            residual(u, prob, n)
+            reported += 1
+        except IndeterminateResidualError:
+            pass
+    assert reported >= 250
+    assert calls == {"seeds": 2, "sums": 0}  # one closed-form seed per walk
+
+
+def test_residual_uncertainty_covers_the_dalpha_error():
+    # p = 7, alpha = 1, gamma = 0.3: at levels 186-246 the unscaled left sum
+    # underflowed, and the error of D^alpha exceeded the reported uncertainty
+    from mpmath import mpf
+
+    prob = _deep_problem()
+    u = solve_problem(prob, tol=1e-10, extend_to=250).solution
+    exact = _exact_dalpha_window(u, prob.alpha)
+    reported = 0
+    for n in range(u.k_min, u.k_max + 1):
+        try:
+            est = residual(u, prob, n)
+        except IndeterminateResidualError:
+            continue
+        reported += 1
+        weight = mpf(7) ** (mpf(prob.gamma) * n)
+        want = weight * exact[n - u.k_min] - mpf(prob.rhs.eval(n, u.value_at(n)))
+        assert float(abs(mpf(est.value) - want)) <= est.uncertainty, n
+    assert reported >= 250
