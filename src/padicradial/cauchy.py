@@ -51,7 +51,7 @@ from .errors import (
     NonConvergenceError,
     require_finite,
 )
-from .haar import OVERFLOW_GUARD, Prime, p_pow
+from .haar import OVERFLOW_GUARD, Prime, _Powers, p_pow
 from .radial import RadialFunction, TailModel, _geom_left, _geom_left_level
 from .fracint import _IalphaSweep, _interior_prefactor, bound_constants
 from .vladimirov import dalpha_window
@@ -101,31 +101,33 @@ class Nonlinearity:
         if xs is None:
             xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
         slack = tol * max(1.0, self.bound_M)
+        f = self.eval
+        bound = self.bound_M + slack
+        samples = xs[::8]
+        dx = xs[1] - xs[0] if len(xs) > 1 else 0.0
         for k in levels:
             f_prev = None
-            fk = self.level_lipschitz(k)
+            step = (min(self.lipschitz_F, self.level_lipschitz(k)) + tol) * dx + tol
             for x in xs:
-                val = self.eval(k, x)
+                val = f(k, x)
                 if not math.isfinite(val):
                     raise MetadataError(f"f(p^{k}, {x}) is not finite")
-                if abs(val) > self.bound_M + slack:
+                if abs(val) > bound:
                     raise MetadataError(
                         f"declared bound_M = {self.bound_M} violated: "
                         f"|f(p^{k}, {x})| = {abs(val)}"
                     )
-                if f_prev is not None:
-                    dx = xs[1] - xs[0]
-                    if abs(val - f_prev) > (min(self.lipschitz_F, fk) + tol) * dx + tol:
-                        raise MetadataError(
-                            f"declared Lipschitz bound violated near (p^{k}, {x}): "
-                            f"|df| = {abs(val - f_prev)} over dx = {dx}"
-                        )
+                if f_prev is not None and abs(val - f_prev) > step:
+                    raise MetadataError(
+                        f"declared Lipschitz bound violated near (p^{k}, {x}): "
+                        f"|df| = {abs(val - f_prev)} over dx = {dx}"
+                    )
                 f_prev = val
             if self.decay is not None and k >= 1:
                 a, beta = self.decay
                 envelope = a * p_pow(p, -beta * k) + slack
-                for x in xs[::8]:
-                    if abs(self.eval(k, x)) > envelope:
+                for x in samples:
+                    if abs(f(k, x)) > envelope:
                         raise MetadataError(
                             f"declared decay (A={a}, beta={beta}) violated at level {k}"
                         )
@@ -256,9 +258,10 @@ def choose_local_radius(problem: ProblemSpec, n_floor: int = -60, n_cap: int = 8
                                   problem.alpha - problem.gamma, n_floor, n_cap)
 
 
-def _interior_truncation_bound(problem: ProblemSpec, k_cut: int, lo: int, hi: int) -> float:
-    """Certified bound on the neglected sub-window part of (I^a ftilde)(p^n),
-    summed over the levels n in [lo, hi].
+def _truncation_bound(problem: ProblemSpec, k_cut: int) -> Callable[[int, int], float]:
+    """(lo, hi) -> certified bound on the neglected sub-window part of
+    (I^a ftilde)(p^n), summed over the levels n in [lo, hi]; every factor
+    that does not depend on [lo, hi] is computed once.
 
     Bounds the integral over levels k <= k_cut - 1 using
     |ftilde(p^k, .)| <= M p^(-gamma k) and the triangle inequality on the
@@ -268,21 +271,26 @@ def _interior_truncation_bound(problem: ProblemSpec, k_cut: int, lo: int, hi: in
     arithmetic or a geometric series and costs O(1).
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    m = problem.rhs.bound_M
     j = k_cut - 1
-    count = hi - lo + 1
     x1 = p_pow(p, 1.0 - gamma)
     if alpha == 1.0:
-        coef = (p - 1.0) ** 2 / (p * p)
-        return coef * m * count * (0.5 * (lo + hi) * _geom_left(x1, j) - _geom_left_level(x1, j))
+        cm = (p - 1.0) ** 2 / (p * p) * problem.rhs.bound_M
+        g, g_level = _geom_left(x1, j), _geom_left_level(x1, j)
+        return lambda lo, hi: cm * (hi - lo + 1) * (0.5 * (lo + hi) * g - g_level)
     # sum_n p^((alpha-1) n) p^((1-gamma) j), anchored at its largest term
     t = abs(alpha - 1.0) * math.log(p)
-    top = hi if alpha > 1.0 else lo
-    geo = p_pow(p, (1.0 - gamma) * j + (alpha - 1.0) * top) \
-        * math.expm1(-t * count) / math.expm1(-t)
-    pref = abs(_interior_prefactor(p, alpha))
-    return pref * (1.0 - 1.0 / p) * m * (geo * x1 / (x1 - 1.0)
-                                         + count * _geom_left(p_pow(p, alpha - gamma), j))
+    e_j = (1.0 - gamma) * j
+    x1m1 = x1 - 1.0
+    em1 = math.expm1(-t)
+    cm = abs(_interior_prefactor(p, alpha)) * (1.0 - 1.0 / p) * problem.rhs.bound_M
+    g = _geom_left(p_pow(p, alpha - gamma), j)
+
+    def bound(lo: int, hi: int) -> float:
+        count = hi - lo + 1
+        top = hi if alpha > 1.0 else lo
+        geo = p_pow(p, e_j + (alpha - 1.0) * top) * math.expm1(-t * count) / em1
+        return cm * (geo * x1 / x1m1 + count * g)
+    return bound
 
 
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
@@ -295,12 +303,12 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     p^((alpha - gamma) K_min) with alpha - gamma >= 1 - 2 m, so either
     way the search ends within about a thousand steps.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     k_min = min(n_top, 0) - 8
     while True:
-        budget = _interior_truncation_bound(problem, k_min, k_min, n_top)
+        budget = _truncation_bound(problem, k_min)(k_min, n_top)
         if budget <= tol / 10.0:
             return k_min, budget
         k_min -= 4
@@ -340,11 +348,14 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
             "choose a more negative local radius"
         )
     k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol)
-    ft = make_ftilde(problem)
+    f = problem.rhs.eval
     enforce = start_value is None
     start = u0 if start_value is None else float(start_value)
-    levels = list(range(k_min, N + 1))
+    levels = range(k_min, N + 1)
     cur = [start] * len(levels)
+    # the powers of p are the same on every sweep: ftilde's p^(-gamma k) and the sweep's
+    weights = _Powers(p, -gamma, levels)
+    sweep = _IalphaSweep(p, alpha, levels)
 
     def apriori(j: int) -> float:
         # bound for |u_{j+1} - u_j|, valid on the whole ball |t| <= p^N
@@ -353,10 +364,10 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
 
     diffs = []
     for it in range(max_iter):
-        sweep = _IalphaSweep(p, alpha)
+        sweep.s1 = sweep.s2 = 0.0
         new = []
         for k, x in zip(levels, cur):
-            phi = ft(k, x)
+            phi = weights[k] * f(k, x)
             new.append(u0 + sweep.value(k, phi))
             sweep.push(k, phi)
         diff = max(abs(a - b) for a, b in zip(new, cur))
@@ -389,13 +400,15 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     )
 
 
-def _sweep_through(problem: ProblemSpec, u: RadialFunction, top: int) -> _IalphaSweep:
-    """An I^alpha sweep holding ftilde(., u(.)) on the levels u.k_min .. top."""
-    ft = make_ftilde(problem)
-    sweep = _IalphaSweep(problem.p, problem.alpha)
+def _sweep_through(problem: ProblemSpec, u: RadialFunction, top: int, hi: int) -> tuple:
+    """(sweep, weights): an I^alpha sweep holding ftilde(., u(.)) on the levels
+    u.k_min .. top that serves the levels up to hi, and p^(-gamma k) from u.k_min to hi."""
+    weights = _Powers(problem.p, -problem.gamma, range(u.k_min, hi + 1))
+    sweep = _IalphaSweep(problem.p, problem.alpha, range(u.k_min, hi + 1))
+    f = problem.rhs.eval
     for k in range(u.k_min, top + 1):
-        sweep.push(k, ft(k, u.value_at(k)))
-    return sweep
+        sweep.push(k, weights[k] * f(k, u.value_at(k)))
+    return sweep, weights
 
 
 def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
@@ -408,19 +421,20 @@ def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
     """
     if ell < u.k_min:
         raise DomainError(f"extension level {ell} is below the window floor {u.k_min}")
-    rem = _interior_truncation_bound(problem, u.k_min, ell + 1, ell + 1)
+    rem = _truncation_bound(problem, u.k_min)(ell + 1, ell + 1)
     if rem > budget:
         raise BudgetError(
             f"neglected sub-window remainder bound {rem} exceeds the budget "
             f"{budget}; rebuild the solution with a lower K_min"
         )
-    return _sweep_through(problem, u, ell).value(ell + 1, 0.0)
+    return _sweep_through(problem, u, ell, ell + 1)[0].value(ell + 1, 0.0)
 
 
-def _extension_kappa(problem: ProblemSpec, ell: int) -> float:
-    """Contraction factor of the level-(ell+1) equation; ContractionError if >= 1."""
+def _extension_kappa(problem: ProblemSpec, ell: int, coef: float, weight: float) -> float:
+    """Contraction factor of the level-(ell+1) equation, given coef = p^(a ell) and
+    weight = p^(-g (ell+1)); ContractionError if >= 1."""
     p, alpha = problem.p, problem.alpha
-    kappa = p_pow(p, alpha * ell) * make_ftilde(problem).lipschitz_at(ell + 1)
+    kappa = coef * (problem.rhs.level_lipschitz(ell + 1) * weight)
     if kappa >= 1.0:
         raise ContractionError(
             f"extension to level {ell + 1} is not a contraction: kappa = {kappa} >= 1 "
@@ -432,13 +446,14 @@ def _extension_kappa(problem: ProblemSpec, ell: int) -> float:
 
 
 def _fixed_point(problem: ProblemSpec, ell: int, v0: float, x: float, kappa: float,
-                 tol: float, max_iter: int) -> tuple:
-    """Iterate x -> u0 + v0 + p^(a ell) ftilde(p^(ell+1), x) from x; (value, iterations)."""
-    ft = make_ftilde(problem)
-    coef = p_pow(problem.p, problem.alpha * ell)
+                 tol: float, max_iter: int, coef: float, weight: float) -> tuple:
+    """Iterate x -> u0 + v0 + coef weight f(p^(ell+1), x) from x, with coef = p^(a ell)
+    and weight = p^(-g (ell+1)); (value, iterations)."""
+    f = problem.rhs.eval
+    u0 = problem.u0
 
     def step(x: float) -> float:
-        return problem.u0 + v0 + coef * ft(ell + 1, x)
+        return u0 + v0 + coef * (weight * f(ell + 1, x))
 
     if kappa == 0.0:
         return step(x), 1
@@ -472,10 +487,15 @@ def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
     longer than kappa times the previous one (plus a few ulps of rounding)
     indicates wrong declared metadata.
     """
-    kappa = _extension_kappa(problem, ell)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    coef = p_pow(problem.p, problem.alpha * ell)
+    weight = p_pow(problem.p, -problem.gamma * (ell + 1))
+    kappa = _extension_kappa(problem, ell, coef, weight)
     if v0 is None:
         v0 = extension_constant(u, problem, ell)
-    value, iters = _fixed_point(problem, ell, v0, u.value_at(ell), kappa, tol, max_iter)
+    value, iters = _fixed_point(problem, ell, v0, u.value_at(ell), kappa, tol, max_iter,
+                                coef, weight)
     return value, kappa, iters
 
 
@@ -502,11 +522,8 @@ class GlobalHypothesesReport:
 def check_global_hypotheses(problem: ProblemSpec, levels=range(-10, 31)) -> GlobalHypothesesReport:
     """Check F_l < p^(-alpha l) on a level range and beta + gamma > alpha."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    witness = None
-    for l in levels:
-        if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l):
-            witness = l
-            break
+    witness = next((l for l in levels
+                    if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l)), None)
     per_level_ok = witness is None
     decay_ok = None
     detail = ""
@@ -535,6 +552,32 @@ class ResidualEstimate:
     uncertainty: float
 
 
+def _residual_fit(u: RadialFunction, alpha: float, coeffs, window) -> tuple:
+    """What :func:`residual` needs of (u, alpha) at every level, once per pair: the
+    envelope above the window, rho_hat, the tail factors (None if rho_hat >= alpha)
+    and the rounding constants."""
+    p = u.p
+    env = max(abs(u.value_at(k)) for k in range(u.k_max - 2, u.k_max + 1))
+    rho_candidates = [max(alpha - 1.0, 0.0) + 0.05]
+    a_last, b_last = abs(u.value_at(u.k_max)), abs(u.value_at(u.k_max - 1))
+    if a_last > 1e-300 and b_last > 1e-300:
+        rho_candidates.append(math.log(a_last / b_last) / math.log(p))
+    rho_hat = max(rho_candidates)
+    tail = None
+    if rho_hat < alpha:
+        x = p_pow(p, rho_hat - alpha)
+        tail = (p_pow(p, -rho_hat * u.k_max), p_pow(x, u.k_max + 1), 1.0 - x)
+    # rounding: the window's bound for D^alpha, plus the stored values being
+    # rounded themselves, by 1e-15 max(1, |u|) each, which D^alpha amplifies by
+    # at most |d_a| (1 - 1/p) p^(-a n) (p/(p-1) + 1/(p^a - 1)); p^(g n) and
+    # the product add 2 + 3 g |n| ln p units
+    frac = 1.0 - 1.0 / p
+    lnp = math.log(p)
+    data = 1e-15 * max(1.0, u.sup_window()) * abs(coeffs.d_alpha) * frac
+    amp = p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp)
+    return env, rho_hat, tail, abs(coeffs.d_alpha) * frac, data, amp, lnp
+
+
 def residual(u: RadialFunction, problem: ProblemSpec, n: int,
              tol: float = 1e-8, buffer: int = 3) -> ResidualEstimate:
     """p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)) with a certified-ish uncertainty.
@@ -548,10 +591,13 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     outside the window or closer than ``buffer`` to its top, a level whose
     p^(-alpha n) leaves the double range, a fitted growth at or above
     alpha, or an uncertainty above tol is refused rather than reported.
-    D^alpha is read from :func:`dalpha_window`, so every level of one
-    solution costs O(W) in total.
+    D^alpha is read from :func:`dalpha_window` and the rest of what does not
+    depend on n from :func:`_residual_fit`, so every level of one solution
+    costs O(W) in total.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if n > u.k_max - buffer:
         raise IndeterminateResidualError(
             f"level {n} is within {buffer} levels of the window edge k_max = {u.k_max}; "
@@ -568,35 +614,20 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
             f"level {n} is too deep for the D^alpha series in double precision: "
             f"p^(-alpha n) = {p}**{-alpha * n} exceeds the overflow guard"
         )
-    frac = 1.0 - 1.0 / p
-    c = u.value_at(n)
-
-    # envelope for |u| above the window
-    env = max(abs(u.value_at(k)) for k in range(u.k_max - 2, u.k_max + 1))
-    rho_candidates = [max(alpha - 1.0, 0.0) + 0.05]
-    a_last, b_last = abs(u.value_at(u.k_max)), abs(u.value_at(u.k_max - 1))
-    if a_last > 1e-300 and b_last > 1e-300:
-        rho_candidates.append(math.log(a_last / b_last) / math.log(p))
-    rho_hat = max(rho_candidates)
-    if rho_hat >= alpha:
+    memo = u._dalpha_memo
+    key = ("residual", alpha)
+    if key not in memo:
+        memo[key] = _residual_fit(u, alpha, coeffs, window)
+    env, rho_hat, tail, d_frac, data, amp, lnp = memo[key]
+    if tail is None:
         raise IndeterminateResidualError(
             f"fitted tail growth exponent {rho_hat} is not below alpha = {alpha}; "
             "the discarded right-tail contribution cannot be bounded"
         )
-    x = p_pow(p, rho_hat - alpha)
-    tail_sum = (env + abs(c)) * p_pow(p, -rho_hat * u.k_max) \
-        * p_pow(x, u.k_max + 1) / (1.0 - x)
-    tail_bound = abs(coeffs.d_alpha) * frac * tail_sum
-
-    # rounding: the window's bound for D^alpha, plus the stored values being
-    # rounded themselves, by 1e-15 max(1, |u|) each, which D^alpha amplifies by
-    # at most |d_a| (1 - 1/p) p^(-a n) (p/(p-1) + 1/(p^a - 1)); p^(g n) and
-    # the product add 2 + 3 g |n| ln p units
-    lnp = math.log(p)
-    data = 1e-15 * max(1.0, u.sup_window()) * abs(coeffs.d_alpha) * frac \
-        * p_pow(p, -alpha * n) * (p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp))
+    c = u.value_at(n)
+    tail_bound = d_frac * ((env + abs(c)) * tail[0] * tail[1] / tail[2])
     weight = p_pow(p, gamma * n)
-    noise = weight * (data + rounding[n - u.k_min]) \
+    noise = weight * (data * p_pow(p, -alpha * n) * amp + rounding[n - u.k_min]) \
         + 2.0 ** -53 * (2.0 + 3.0 * gamma * abs(n) * lnp) * weight * abs(dalpha_val)
     uncertainty = weight * tail_bound + noise
     if uncertainty > tol:
@@ -621,26 +652,28 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
         raise DomainError(f"extension target {target} is below the local radius {N}")
     report = picard_solve(problem, N, tol=tol, max_iter=max_iter, reserve_top=target + 1)
     u = report.solution
-    ft = make_ftilde(problem)
-    sweep = _sweep_through(problem, u, N)
+    f = problem.rhs.eval
+    sweep, weights = _sweep_through(problem, u, N, target)
+    truncation = _truncation_bound(problem, u.k_min)
     budget = report.truncation_budget
     diags = {}
     values = []
     x = u.value_at(N)
     for ell in range(N, target):
         v0 = sweep.value(ell + 1, 0.0)  # the known part: levels <= ell only
-        rem = _interior_truncation_bound(problem, u.k_min, ell + 1, ell + 1)
+        rem = truncation(ell + 1, ell + 1)
         if rem > tol / 10.0:
             raise BudgetError(
                 f"neglected sub-window remainder bound {rem} at extension level {ell} "
                 f"exceeds tol/10; rebuild with a smaller tol or lower K_min"
             )
-        kappa = _extension_kappa(problem, ell)
-        x, iters = _fixed_point(problem, ell, v0, x, kappa, tol / 100.0, 1000)
+        coef, weight = sweep.pa[ell], weights[ell + 1]
+        kappa = _extension_kappa(problem, ell, coef, weight)
+        x, iters = _fixed_point(problem, ell, v0, x, kappa, tol / 100.0, 1000, coef, weight)
         budget += rem
         diags[ell + 1] = ExtensionDiagnostic(v0=v0, kappa=kappa, iterations=iters)
         values.append(x)
-        sweep.push(ell + 1, ft(ell + 1, x))
+        sweep.push(ell + 1, weight * f(ell + 1, x))
     u = replace(u, k_max=target, values=u.values + tuple(values))
     return replace(report, solution=u, extension_diagnostics=diags,
                    truncation_budget=budget)
@@ -668,11 +701,11 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
     if name == "cos-decay":
         a = amplitude
 
-        def f(k: int, x: float) -> float:
-            return a * p_pow(p, -beta * max(k, 0)) * math.cos(x)
+        def f(k: int, x: float) -> float:  # p^(-beta max(k, 0)) is 1 at k <= 0
+            return (a * p_pow(p, -beta * k) if k > 0 else a) * math.cos(x)
 
         return Nonlinearity(eval=f, bound_M=a, lipschitz_F=a,
-                            per_level_F=lambda k: a * p_pow(p, -beta * max(k, 0)),
+                            per_level_F=lambda k: a * p_pow(p, -beta * k) if k > 0 else a,
                             decay=(a, beta), name="cos-decay")
     if name == "bounded-sigmoid":
         a = amplitude

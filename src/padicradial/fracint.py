@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import DegenerationError, DivergenceError, require_finite
-from .haar import Prime, DEFAULT_DEPTH, p_pow
+from .haar import Prime, DEFAULT_DEPTH, _Powers, p_pow, p_pow_levels
 from .radial import (
     RadialFunction,
     TailModel,
@@ -131,6 +131,7 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
     p^(-(alpha sigma + min(alpha, 1))) below the deepest retained stratum.
     """
     p = Prime(p)
+    require_finite(alpha=alpha, sigma=sigma)
     if alpha <= 0:
         raise DivergenceError(f"alpha must be positive, got {alpha}")
     if depth < 1:
@@ -142,9 +143,10 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
         return frac * lp * sum(nu * p_pow(p, -nu * (sigma + 1.0))
                                for nu in range(depth, 0, -1))
     total = 0.0
-    for k in range(-depth, 0):
-        kernel = abs(1.0 - p_pow(p, k * (alpha - 1.0)))
-        total += kernel * p_pow(p, alpha * sigma * k) * frac * p_pow(p, k)
+    for kernel, weight, w in zip(p_pow_levels(p, alpha - 1.0, -depth, -1),
+                                 p_pow_levels(p, alpha * sigma, -depth, -1),
+                                 p_pow_levels(p, 1, -depth, -1)):
+        total += abs(1.0 - kernel) * weight * frac * w
     return total
 
 
@@ -171,45 +173,52 @@ class _IalphaSweep:
     After levels k < n have been pushed it holds s1 = sum p^k phi_k and
     s2 = sum p^(alpha k) phi_k (s2 = sum k p^k phi_k on the alpha = 1 log
     branch), so the value at level n costs O(1) and a whole window one
-    O(W) pass in a fixed ascending summation order.
+    O(W) pass in a fixed ascending summation order.  The powers of p that
+    weight ``levels`` are built once, for every pass over them.
     """
 
-    __slots__ = ("p", "alpha", "pref", "frac", "coef", "s1", "s2")
+    __slots__ = ("alpha", "pref", "frac", "coef", "s1", "s2", "pk", "pa", "pm")
 
-    def __init__(self, p: int, alpha: float, s1: float = 0.0, s2: float = 0.0):
-        self.p = p
+    def __init__(self, p: int, alpha: float, levels: range = range(0),
+                 s1: float = 0.0, s2: float = 0.0):
         self.alpha = alpha
         self.s1 = s1
         self.s2 = s2
         self.pref = _interior_prefactor(p, alpha)
         self.frac = 1.0 - 1.0 / p
         self.coef = (p - 1.0) ** 2 / (p * p)
+        below = range(levels.start - 1, levels.stop) if levels else levels
+        # p^k: e = 1 as an int names a level past the guard as p_pow(p, k) does
+        self.pk = _Powers(p, 1, below)
+        self.pa = self.pk if alpha == 1.0 else _Powers(p, alpha, below)  # p^(alpha k)
+        if alpha != 1.0:
+            self.pm = _Powers(p, alpha - 1.0, levels)
 
     def value(self, n: int, phi: float) -> float:
         """(I^a phi)(p^n) given phi_n; phi = 0 leaves the interior part alone."""
-        p, alpha = self.p, self.alpha
-        if alpha == 1.0:
-            return p_pow(p, n - 1.0) * phi - self.coef * (n * self.s1 - self.s2)
-        interior = self.frac * (p_pow(p, (alpha - 1.0) * n) * self.s1 - self.s2)
-        return p_pow(p, alpha * (n - 1.0)) * phi + self.pref * interior
+        if self.alpha == 1.0:
+            return self.pk[n - 1] * phi - self.coef * (n * self.s1 - self.s2)
+        interior = self.frac * (self.pm[n] * self.s1 - self.s2)
+        return self.pa[n - 1] * phi + self.pref * interior
 
     def push(self, k: int, phi: float) -> None:
         """Add level k, which must be the level after the last one pushed."""
-        w = p_pow(self.p, k)
+        w = self.pk[k]
         self.s1 += w * phi
         if self.alpha == 1.0:
             self.s2 += k * w * phi
         else:
-            self.s2 += p_pow(self.p, self.alpha * k) * phi
+            self.s2 += self.pa[k] * phi
 
 
-def _sweep_below(u: RadialFunction, alpha: float, n: int) -> _IalphaSweep:
-    """A sweep holding u on every level k <= n - 1, its tails in closed form."""
+def _sweep_below(u: RadialFunction, alpha: float, n: int,
+                 levels: range = range(0)) -> _IalphaSweep:
+    """A sweep over ``levels`` holding u on every level k <= n - 1, its tails in closed form."""
     try:
         s1 = weighted_sum_left(u, n - 1, 1.0)
         if alpha == 1.0:
-            return _IalphaSweep(u.p, alpha, s1, level_weighted_sum_left(u, n - 1, 1.0))
-        return _IalphaSweep(u.p, alpha, s1, weighted_sum_left(u, n - 1, alpha))
+            return _IalphaSweep(u.p, alpha, levels, s1, level_weighted_sum_left(u, n - 1, 1.0))
+        return _IalphaSweep(u.p, alpha, levels, s1, weighted_sum_left(u, n - 1, alpha))
     except DivergenceError as err:
         raise DivergenceError(f"I^alpha at level {n}: {err}") from err
 
@@ -293,7 +302,7 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
         )
     # closed form below v's window, then one sweep in _sum_left's order
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
-    sweep = _sweep_below(v, alpha, v.k_min)
+    sweep = _sweep_below(v, alpha, v.k_min, range(v.k_min, k_hi + 1))
     for n in range(v.k_min, k_hi + 1):
         phi = v.value_at(n)
         values.append(sweep.value(n, phi))

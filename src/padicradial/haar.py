@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DivergenceError, DomainError, MagnitudeError
+from .errors import DivergenceError, DomainError, MagnitudeError, require_finite
 
 # |exponent * ln p| above this would leave the double range; hard error
 # rather than a silent inf/0.
@@ -55,10 +55,12 @@ def p_pow(base: float, exponent: float) -> float:
     Exceeding the guard upward is a hard error rather than an infinity.
     Underflow (exponent * ln base far below -700) is benign and rounds to
     subnormals or zero, so deep strata of the series oracles vanish
-    instead of erroring out.
+    instead of erroring out.  A NaN exponent is a :class:`DomainError`.
     """
     t = exponent * math.log(base)
-    if t > OVERFLOW_GUARD:
+    if not t <= OVERFLOW_GUARD:
+        if t != t:
+            raise DomainError(f"power {base}**{exponent} is not a number")
         raise MagnitudeError(
             f"power {base}**{exponent} exceeds the overflow guard "
             f"(exponent * ln base = {t:.1f} > {OVERFLOW_GUARD})"
@@ -66,6 +68,48 @@ def p_pow(base: float, exponent: float) -> float:
     if t < -745.0:
         return 0.0
     return math.exp(t)
+
+
+def p_pow_levels(base: float, e: float, lo: int, hi: int) -> list:
+    """``[p_pow(base, e * k) for k in lo .. hi]`` bit for bit, with one log and one guard
+    test at the two ends (e k is monotone in k); past the guard the levels go through
+    :func:`p_pow` in order, and the first one out of range raises as it would."""
+    if hi < lo:
+        return []
+    lb = math.log(base)
+    if not (e * lo * lb <= OVERFLOW_GUARD and e * hi * lb <= OVERFLOW_GUARD):
+        for k in range(lo, hi + 1):
+            p_pow(base, e * k)
+    exp = math.exp
+    out = []
+    for k in range(lo, hi + 1):
+        t = e * k * lb
+        out.append(exp(t) if t >= -745.0 else 0.0)
+    return out
+
+
+class _Powers(dict):
+    """p^(e k) by level k: :func:`p_pow_levels` over ``levels`` if all are in range, else
+    p_pow per level asked for, so a level past the guard raises only when reached."""
+
+    __slots__ = ("p", "e")
+
+    def __init__(self, p: int, e: float, levels: range):
+        self.p, self.e = p, e
+        if levels:
+            try:
+                self.update(zip(levels, p_pow_levels(p, e, levels[0], levels[-1])))
+            except MagnitudeError:
+                pass
+
+    def __missing__(self, k: int) -> float:
+        return p_pow(self.p, self.e * k)
+
+
+def _require_convergent(what: str, a: float) -> None:
+    require_finite(a=a)
+    if a <= 0:
+        raise DivergenceError(f"{what} diverges: requires exponent a > 0, got a = {a}")
 
 
 def haar_volume(p: int, n: int, region: str = "ball") -> float:
@@ -86,22 +130,16 @@ def ball_power_integral(p: int, a: float, n: int) -> float:
     exactly when a > 0.
     """
     p = Prime(p)
-    if a <= 0:
-        raise DivergenceError(
-            f"ball power integral diverges: requires exponent a > 0, got a = {a}"
-        )
+    _require_convergent("ball power integral", a)
     return (1.0 - 1.0 / p) / (1.0 - p_pow(p, -a)) * p_pow(p, a * n)
 
 
 def ball_power_integral_oracle(p: int, a: float, n: int, depth: int = DEFAULT_DEPTH) -> float:
     """Truncated stratum sum for :func:`ball_power_integral` (``depth + 1`` spheres)."""
     p = Prime(p)
-    if a <= 0:
-        raise DivergenceError(
-            f"ball power integral diverges: requires exponent a > 0, got a = {a}"
-        )
+    _require_convergent("ball power integral", a)
     frac = 1.0 - 1.0 / p
-    return sum(frac * p_pow(p, a * k) for k in range(n - depth, n + 1))
+    return sum(frac * w for w in p_pow_levels(p, a, n - depth, n))
 
 
 def sphere_power_integral(p: int, a: float, n: int) -> float:
@@ -118,10 +156,7 @@ def sphere_shifted_power_integral(p: int, a: float, n: int) -> float:
     (p - 2 + p^-a) / (p (1 - p^-a)) * p^(a n), finite exactly when a > 0.
     """
     p = Prime(p)
-    if a <= 0:
-        raise DivergenceError(
-            f"shifted sphere power integral diverges: requires exponent a > 0, got a = {a}"
-        )
+    _require_convergent("shifted sphere power integral", a)
     return (p - 2.0 + p_pow(p, -a)) / (p * (1.0 - p_pow(p, -a))) * p_pow(p, a * n)
 
 
@@ -130,12 +165,9 @@ def sphere_shifted_power_integral_oracle(
 ) -> float:
     """Truncated distance-stratum sum for :func:`sphere_shifted_power_integral`."""
     p = Prime(p)
-    if a <= 0:
-        raise DivergenceError(
-            f"shifted sphere power integral diverges: requires exponent a > 0, got a = {a}"
-        )
+    _require_convergent("shifted sphere power integral", a)
     frac = 1.0 - 1.0 / p
-    total = sum(frac * p_pow(p, a * j) for j in range(n - depth, n))
+    total = sum(frac * w for w in p_pow_levels(p, a, n - depth, n - 1))
     total += p_pow(p, n) * (1.0 - 2.0 / p) * p_pow(p, (a - 1.0) * n)
     return total
 
@@ -151,7 +183,8 @@ def ball_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPTH) -> floa
     p = Prime(p)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
-    return sum(frac * p_pow(p, k) * k * lp for k in range(n - depth, n + 1))
+    weights = p_pow_levels(p, 1, n - depth, n)
+    return sum(frac * w * k * lp for k, w in zip(range(n - depth, n + 1), weights))
 
 
 def sphere_log_integral(p: int, n: int) -> float:
@@ -179,6 +212,7 @@ def sphere_shifted_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPT
     p = Prime(p)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
-    total = sum(frac * p_pow(p, j) * j * lp for j in range(n - depth, n))
+    weights = p_pow_levels(p, 1, n - depth, n - 1)
+    total = sum(frac * w * j * lp for j, w in zip(range(n - depth, n), weights))
     total += p_pow(p, n) * (1.0 - 2.0 / p) * n * lp
     return total

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DivergenceError, DomainError
-from .haar import Prime, p_pow
+from .errors import DivergenceError, DomainError, require_finite
+from .haar import Prime, p_pow, p_pow_levels
 
 _TAIL_KINDS = ("zero", "const", "power")
 
@@ -179,7 +179,8 @@ class RadialFunction:
 
     @cached_property
     def _dalpha_memo(self) -> dict:
-        """alpha -> :func:`padicradial.vladimirov.dalpha_window` of this function."""
+        """alpha -> :func:`padicradial.vladimirov.dalpha_window` of this function,
+        ("residual", alpha) -> :func:`padicradial.cauchy._residual_fit`."""
         return {}
 
 
@@ -238,21 +239,21 @@ def _tail_sum(total: float, tail: TailModel, p: int, j: int, e: float, c: float,
 
 
 def _sum_left(u: RadialFunction, m: int, e: float, level_weight: bool = False,
-              c: float = 0.0) -> float:
-    """sum_{k <= m} [k] p^(e k) (u(p^k) - c); c = 0 gives the plain weighted sums."""
+              c: float = 0.0, origin: int = 0) -> float:
+    """sum_{k <= m} [k - s] p^(e (k - s)) (u(p^k) - c), s = ``origin``; c = s = 0 gives
+    the plain weighted sums, and s near m keeps a sum far from level 0 in range."""
     # locals: attribute lookups in these loops cost a fifth of a solve's residual profile
-    p = u.p
     values = u.values
     k_min = u.k_min
     j = min(m, k_min - 1)
     geom = _geom_left_level if level_weight else _geom_left
-    total = _tail_sum(0.0, u.left_tail, p, j, e, c, geom, "left")
-    for k in range(max(k_min, j + 1), min(m, u.k_max) + 1):
-        w = p_pow(p, e * k)
-        total += (k * w if level_weight else w) * (values[k - k_min] - c)
+    total = _tail_sum(0.0, u.left_tail, u.p, j, e, c, geom, "left", origin)
+    lo, hi = max(k_min, j + 1), min(m, u.k_max)
+    for k, w in zip(range(lo, hi + 1), p_pow_levels(u.p, e, lo - origin, hi - origin)):
+        total += ((k - origin) * w if level_weight else w) * (values[k - k_min] - c)
     for k in range(u.k_max + 1, m + 1):
-        w = p_pow(p, e * k)
-        total += (k * w if level_weight else w) * (u.right_tail.value_at(p, k) - c)
+        w = p_pow(u.p, e * (k - origin))
+        total += ((k - origin) * w if level_weight else w) * (u.right_tail.value_at(u.p, k) - c)
     return total
 
 
@@ -267,8 +268,8 @@ def _sum_right(u: RadialFunction, m: int, e: float, level_weight: bool = False,
     for k in range(m, min(k_min - 1, j - 1) + 1):
         w = p_pow(p, e * k)
         total += (k * w if level_weight else w) * (u.left_tail.value_at(p, k) - c)
-    for k in range(max(m, k_min), u.k_max + 1):
-        w = p_pow(p, e * k)
+    lo = max(m, k_min)
+    for k, w in zip(range(lo, u.k_max + 1), p_pow_levels(p, e, lo, u.k_max)):
         total += (k * w if level_weight else w) * (values[k - k_min] - c)
     geom = _geom_right_level if level_weight else _geom_right
     return _tail_sum(total, u.right_tail, p, j, e, c, geom, "right")
@@ -380,6 +381,7 @@ def _abs_level_sum_right(au: RadialFunction, m: int) -> float:
 
 def check_summability(u: RadialFunction, alpha: float, m: int) -> SummabilityReport:
     """Evaluate the convergence conditions for u at split level m."""
+    require_finite(alpha=alpha)
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     au = u.absolute()

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError, MagnitudeError, require_finite
-from .haar import DEFAULT_DEPTH, Prime, p_pow
+from .haar import DEFAULT_DEPTH, Prime, p_pow, p_pow_levels
 from .radial import RadialFunction, _geom_left, _geom_right, _sum_left, _sum_right, _tail_sum
 
 _UNIT = 2.0 ** -53  # unit roundoff of a double
@@ -129,11 +129,13 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
     for v, w in zip(down, down[1:]):
         right = q * right + (v - w) / qm1
         rights.append(right)
-    values = []
+    values, scale = [], []  # scale: p^(-alpha n), for the values and their bounds
     for n in range(lo, hi + 1):
         try:
-            values.append(coef * p_pow(p, -alpha * n) * (lefts[n - a] + rights[b - n]))
+            scale.append(p_pow(p, -alpha * n))
+            values.append(coef * scale[-1] * (lefts[n - a] + rights[b - n]))
         except MagnitudeError:
+            scale.append(None)
             values.append(None)
     if not rounding:
         return values, None
@@ -148,9 +150,9 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
                         for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
     # d_a loses 1/(1-q) units where 1 - p^a cancels
     c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
-    return values, [None if v is None else abs(coef) * p_pow(p, -alpha * n)
+    return values, [None if v is None else abs(coef) * w
                     * (err_l[n - a] + err_r[b - n]) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)
-                    for n, v in zip(range(lo, hi + 1), values)]
+                    for n, v, w in zip(range(lo, hi + 1), values, scale)]
 
 
 def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
@@ -200,16 +202,18 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     frac = 1.0 - 1.0 / p
     c = u.value_at(n)
 
+    # each stratum's p^i p^(-(alpha+1) n) as one power, and the completion summed
+    # relative to level n, so that the left part stays in range at any level
+    e_n = -(alpha + 1.0) * n
     diag = 0.0
     for i in range(n - depth, n):
-        diag += frac * p_pow(p, i) * (u.value_at(i) - c)
+        diag += frac * p_pow(p, i + e_n) * (u.value_at(i) - c)
     # |x - y| = p^n stratum has mass p^n (1 - 2/p) but a zero bracket.
-    diag += frac * _sum_left(u, n - depth - 1, 1.0, c=c)
-    diag *= p_pow(p, -(alpha + 1.0) * n)
+    diag += frac * p_pow(p, -alpha * n) * _sum_left(u, n - depth - 1, 1.0, c=c, origin=n)
 
     right = 0.0
-    for l in range(n + 1, n + depth + 1):
-        right += frac * p_pow(p, -alpha * l) * (u.value_at(l) - c)
+    for l, w in zip(range(n + 1, n + depth + 1), p_pow_levels(p, -alpha, n + 1, n + depth)):
+        right += frac * w * (u.value_at(l) - c)
     right += frac * _sum_right(u, n + depth + 1, -alpha, c=c)
 
     return coeffs.d_alpha * (diag + right)

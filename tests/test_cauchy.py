@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -14,15 +16,17 @@ from padicradial.errors import (
     MagnitudeError,
     MetadataError,
 )
-from padicradial.haar import p_pow
-from padicradial.radial import RadialFunction, TailModel
-from padicradial.fracint import power_image_coefficient
+import padicradial.cauchy as cauchy
+from padicradial import haar
+from padicradial.haar import ball_power_integral, p_pow, p_pow_levels
+from padicradial.radial import RadialFunction, TailModel, check_summability, weighted_sum_left
+from padicradial.fracint import kernel_constant_oracle, power_image_coefficient
 from padicradial.cauchy import (
     Nonlinearity,
     ProblemSpec,
     _choose_window_floor,
-    _interior_truncation_bound,
     _radius_from_constants,
+    _truncation_bound,
     catalog_nonlinearity,
     check_global_hypotheses,
     choose_local_radius,
@@ -154,10 +158,10 @@ def test_window_budget_closed_form_matches_level_sum(p, alpha, gamma):
             continue
         k_min, budget = _choose_window_floor(prob, n_top, 1e-10)
         assert budget <= 1e-11
-        levels = sum(_interior_truncation_bound(prob, k_min, n, n) for n in range(k_min, n_top + 1))
+        levels = sum(_truncation_bound(prob, k_min)(n, n) for n in range(k_min, n_top + 1))
         assert budget == pytest.approx(levels, rel=1e-13)
         # the candidate before K_min does not certify
-        assert _interior_truncation_bound(prob, k_min + 4, k_min + 4, n_top) > 1e-11 \
+        assert _truncation_bound(prob, k_min + 4)(k_min + 4, n_top) > 1e-11 \
             or k_min + 4 > min(n_top, 0) - 8
 
 
@@ -514,3 +518,93 @@ def test_bounded_sigmoid_solves():
     assert all(d <= b + 1e-12 for d, b in zip(rep.picard_diffs, rep.apriori_bounds))
     with pytest.raises(ContractionError):
         solve_problem(prob, tol=1e-10, extend_to=8)
+
+
+# -- powers computed once per solve ------------------------------------------------
+
+def _guarded_powers(fn):
+    """(fn(), the number of p_pow and p_pow_levels calls it made)."""
+    codes = {haar.p_pow.__code__, haar.p_pow_levels.__code__}
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
+    prob = catalog_problem()
+    per_level = {}
+    for tol in (1e-6, 1e-13):
+        rep, calls = _guarded_powers(lambda: solve_problem(prob, tol=tol))
+        per_level[rep.picard_iterations] = calls / len(rep.solution.values)
+    (few, a), (many, b) = sorted(per_level.items())
+    assert many >= 2 * few  # 4 and 9 sweeps
+    # every Picard sweep used to take five powers per level (27 and 50 per level here)
+    assert a <= 6.0 and b <= 6.0 and abs(a - b) <= 0.5
+
+
+def test_residual_profile_fits_the_envelope_once(monkeypatch):
+    calls = []
+    fit = cauchy._residual_fit
+    monkeypatch.setattr(cauchy, "_residual_fit", lambda *args: calls.append(1) or fit(*args))
+    rhs = catalog_nonlinearity("cos-decay", 7, amplitude=0.075, beta=2.5)
+    prob = ProblemSpec(p=7, alpha=1.0, gamma=0.3, u0=1.25, rhs=rhs)
+    u = solve_problem(prob, tol=1e-10, extend_to=250).solution
+    assert 270 <= len(u.values) <= 280
+    reported = 0
+    for n in range(u.k_min, u.k_max + 1):
+        try:
+            residual(u, prob, n)
+            reported += 1
+        except IndeterminateResidualError:
+            pass
+    assert reported >= 250 and len(calls) == 1
+
+
+@pytest.mark.parametrize("p,alpha,gamma,rhs,extend_to,error,message", [
+    (1000003, 1.5, 0.4, "cos-decay", None, MagnitudeError,
+     "power 1000003**51.0 exceeds the overflow guard (exponent * ln base = 704.6 > 700.0)"),
+    (7, 1.5, 0.3, "bounded-sigmoid", 400, ContractionError,
+     "extension to level 3 is not a contraction: kappa = 1.4881472039478567 >= 1 "
+     "(per-level Lipschitz bound 0.025 is not below p^(-alpha ell) p^(gamma (ell+1)) "
+     "= 0.016799413346796823)"),
+    (7, 1.5, 0.3, "cos-decay", 400, MagnitudeError,
+     "power 7**360.0 exceeds the overflow guard (exponent * ln base = 700.5 > 700.0)"),
+])
+def test_failing_solves_raise_where_they_did_before_the_tables(p, alpha, gamma, rhs, extend_to,
+                                                                error, message):
+    # a table of the powers up to extend_to would overflow before these levels
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0, rhs=catalog_nonlinearity(rhs, p))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        solve_problem(prob, tol=1e-10, extend_to=extend_to)
+
+
+def _with_solution(call, tol):
+    prob = catalog_problem()
+    return call(solve_problem(prob, tol=1e-10).solution, prob, 10, tol=tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: p_pow(2, math.nan),
+    lambda: p_pow_levels(2, math.nan, 0, 3),
+    lambda: weighted_sum_left(RadialFunction.constant(2, 1.0), 0, math.nan),
+    lambda: ball_power_integral(2, math.nan, 0),
+    lambda: kernel_constant_oracle(2, math.nan, 0),
+    lambda: check_summability(RadialFunction.constant(2, 1.0), math.nan, 0),
+    lambda: _with_solution(residual, math.nan),
+    lambda: _with_solution(residual, math.inf),
+    lambda: _with_solution(extend_step, math.nan),
+])
+def test_nan_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

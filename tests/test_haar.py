@@ -1,17 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicradial.errors import DivergenceError, DomainError, MagnitudeError
 from padicradial.haar import (
     Prime,
+    _Powers,
     ball_log_integral,
     ball_log_integral_oracle,
     ball_power_integral,
     ball_power_integral_oracle,
     haar_volume,
     p_pow,
+    p_pow_levels,
     sphere_log_integral,
     sphere_power_integral,
     sphere_shifted_log_integral,
@@ -38,6 +40,36 @@ def test_prime_rejects_composites(bad):
 def test_p_pow_overflow_guard():
     with pytest.raises(MagnitudeError):
         p_pow(2, 2000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 7, 101, 65537, 1000003)), e=st.floats(-3.0, 3.0),
+       lo=st.integers(-1100, 1100), width=st.integers(0, 40))
+@example(p=2, e=1.0, lo=1000, width=20)       # crosses the overflow guard at k = 1010
+@example(p=2, e=-1.0, lo=1065, width=20)      # crosses the underflow edge at k = 1075
+@example(p=1000003, e=3.0, lo=10, width=10)   # guard at k = 16.9
+@example(p=1000003, e=-3.0, lo=-20, width=10)
+def test_power_table_is_p_pow_level_by_level(p, e, lo, width):
+    hi = lo + width
+    try:
+        want = [p_pow(p, e * k) for k in range(lo, hi + 1)]
+    except MagnitudeError as err:
+        with pytest.raises(MagnitudeError) as got:
+            p_pow_levels(p, e, lo, hi)
+        assert str(got.value) == str(err)
+        return
+    assert [x.hex() for x in p_pow_levels(p, e, lo, hi)] == [x.hex() for x in want]
+
+
+def test_power_dict_defers_out_of_range_levels_to_p_pow():
+    table = _Powers(2, 1.0, range(0, 2000))  # passes the guard at k = 1010: no table
+    assert len(table) == 0 and table[5] == p_pow(2, 5.0)
+    with pytest.raises(MagnitudeError, match="2\\*\\*1500"):
+        table[1500]
+    table = _Powers(2, 1.5, range(-3, 4))
+    assert sorted(table) == list(range(-3, 4))
+    assert [table[k] for k in range(-3, 4)] == [p_pow(2, 1.5 * k) for k in range(-3, 4)]
+    assert table[9] == p_pow(2, 13.5)  # outside the table: computed when asked for
 
 
 def test_p_pow_underflow_is_zero():

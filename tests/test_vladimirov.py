@@ -196,6 +196,20 @@ def test_dalpha_of_a_power_far_from_its_window(n):
         assert abs(got + 5.1411318157623e-254) <= 1e-12 * 5.1411318157623e-254
 
 
+@pytest.mark.parametrize("n", (-200, 200))
+def test_dalpha_oracle_of_a_power_far_from_its_window(n):
+    # the oracle used to return +1.70e-254 at n = 200, where its unscaled
+    # p^(-(a+1) n) underflowed, and to raise MagnitudeError at n = -200
+    p, s, alpha = 7, -0.5, 1.0
+
+    def gamma_p(z):
+        return (1.0 - p ** (z - 1.0)) / (1.0 - p ** -z)
+
+    want = gamma_p(s + 1.0) / gamma_p(s + 1.0 - alpha) * float(p) ** ((s - alpha) * n)
+    got = apply_dalpha_oracle(RadialFunction.power(p, s), alpha, n)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("p,alpha,k_min", [(2, 0.5, -30), (3, 1.0, -12), (5, 2.5, 4), (7, 0.05, -3)])
 def test_window_pass_matches_apply_dalpha_and_the_oracle(p, alpha, k_min):
     u = _rough_function(p, alpha, k_min, 25, seed=p)

@@ -1,0 +1,71 @@
+"""One SHA-256 per `padic-radial` invocation, over everything it prints and writes.
+
+    python3 tools/output_digest.py [--src PATH]
+
+Runs a fixed list of invocations in-process against the package in PATH
+(default: this checkout's ``src/``): the default ``sweep``, ``solve`` with
+``--solution-out`` and ``--report-out`` on three problems, ``apply`` of
+``dalpha`` and ``ialpha`` to a fixed radial function, and ``verify``.  Each
+line is the digest of the exit code, stdout, stderr and written files,
+then the arguments.  Two versions of the package whose outputs are bit
+for bit the same print the same lines; run it once with ``--src`` pointing
+at the other version's ``src/`` to compare.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SOLVES = (
+    "--p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs cos-decay",
+    "--p 3 --alpha 1 --gamma 0.3 --u0 0.5 --rhs cos-decay --rhs-amplitude 0.075 "
+    "--rhs-beta 2.5 --extend-to 120",
+    "--p 7 --alpha 0.5 --gamma 0.2 --u0 1.25 --rhs bounded-sigmoid --rhs-amplitude 0.05 "
+    "--extend-to 2",
+)
+# u(p^k) on [-12, 12] between a constant left tail and a decaying power law
+FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
+    f"{k} {0.75 + 0.1 * ((7 * k) % 11 - 5) / (1 + abs(k))!r}\n" for k in range(-12, 13))
+
+
+def invocations(tmp: Path) -> list:
+    (tmp / "u.txt").write_text(FUNCTION)
+    runs = [["sweep"]]
+    for i, line in enumerate(SOLVES):
+        runs.append(["solve", *line.split(), "--solution-out", str(tmp / f"sol{i}.txt"),
+                     "--report-out", str(tmp / f"rep{i}.json")])
+    for op, alpha in (("dalpha", "1.5"), ("dalpha", "0.5"), ("ialpha", "1.5"), ("ialpha", "1")):
+        runs.append(["apply", "--op", op, "--alpha", alpha, "--input", str(tmp / "u.txt"),
+                     "--levels=-30:30"])
+    return runs + [["verify"]]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, parser.parse_args().src)
+    from padicradial import cli
+
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for argv in invocations(tmp):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            digest = hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+            for path in sorted(tmp.glob("*")):
+                if path.name != "u.txt":
+                    digest.update(path.name.encode() + b"\n" + path.read_bytes())
+                    path.unlink()
+            shown = " ".join(a.replace(name, "$TMP") for a in argv)
+            print(digest.hexdigest(), shown)
+
+
+if __name__ == "__main__":
+    main()
