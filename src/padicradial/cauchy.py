@@ -50,6 +50,7 @@ from .errors import (
     MetadataError,
     NonConvergenceError,
     require_finite,
+    require_tol,
 )
 from .haar import OVERFLOW_GUARD, Prime, _Powers, p_pow
 from .radial import RadialFunction, TailModel, _geom_left, _geom_left_level
@@ -158,25 +159,30 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ScaledRhs:
-    """ftilde(p^k, x) = p^(-gamma k) f(p^k, x) with its derived bounds."""
+    """ftilde(p^k, x) = p^(-gamma k) f(p^k, x) with its derived bounds; the
+    weights p^(-gamma k) of ``levels`` are computed once (:class:`haar._Powers`)."""
 
     p: int
     gamma: float
     rhs: Nonlinearity
+    levels: range = range(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", _Powers(self.p, -self.gamma, self.levels))
 
     def __call__(self, k: int, x: float) -> float:
-        return p_pow(self.p, -self.gamma * k) * self.rhs.eval(k, x)
+        return self.weight[k] * self.rhs.eval(k, x)
 
     def bound_at(self, k: int) -> float:
-        return self.rhs.bound_M * p_pow(self.p, -self.gamma * k)
+        return self.rhs.bound_M * self.weight[k]
 
     def lipschitz_at(self, k: int) -> float:
-        return self.rhs.level_lipschitz(k) * p_pow(self.p, -self.gamma * k)
+        return self.rhs.level_lipschitz(k) * self.weight[k]
 
 
-def make_ftilde(problem: ProblemSpec) -> ScaledRhs:
-    """The degeneration-absorbed right-hand side |t|^(-gamma) f."""
-    return ScaledRhs(p=problem.p, gamma=problem.gamma, rhs=problem.rhs)
+def make_ftilde(problem: ProblemSpec, levels: range = range(0)) -> ScaledRhs:
+    """The degeneration-absorbed right-hand side |t|^(-gamma) f, weighted once over ``levels``."""
+    return ScaledRhs(p=problem.p, gamma=problem.gamma, rhs=problem.rhs, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -303,8 +309,7 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     p^((alpha - gamma) K_min) with alpha - gamma >= 1 - 2 m, so either
     way the search ends within about a thousand steps.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    require_tol(tol)
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     k_min = min(n_top, 0) - 8
     while True:
@@ -348,13 +353,12 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
             "choose a more negative local radius"
         )
     k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol)
-    f = problem.rhs.eval
     enforce = start_value is None
     start = u0 if start_value is None else float(start_value)
     levels = range(k_min, N + 1)
     cur = [start] * len(levels)
     # the powers of p are the same on every sweep: ftilde's p^(-gamma k) and the sweep's
-    weights = _Powers(p, -gamma, levels)
+    ft = make_ftilde(problem, levels)
     sweep = _IalphaSweep(p, alpha, levels)
 
     def apriori(j: int) -> float:
@@ -367,7 +371,7 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
         sweep.s1 = sweep.s2 = 0.0
         new = []
         for k, x in zip(levels, cur):
-            phi = weights[k] * f(k, x)
+            phi = ft(k, x)
             new.append(u0 + sweep.value(k, phi))
             sweep.push(k, phi)
         diff = max(abs(a - b) for a, b in zip(new, cur))
@@ -401,14 +405,13 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
 
 
 def _sweep_through(problem: ProblemSpec, u: RadialFunction, top: int, hi: int) -> tuple:
-    """(sweep, weights): an I^alpha sweep holding ftilde(., u(.)) on the levels
-    u.k_min .. top that serves the levels up to hi, and p^(-gamma k) from u.k_min to hi."""
-    weights = _Powers(problem.p, -problem.gamma, range(u.k_min, hi + 1))
+    """(sweep, ft): an I^alpha sweep holding ftilde(., u(.)) on the levels u.k_min .. top,
+    and ftilde, both with their powers of p built for the levels up to hi."""
+    ft = make_ftilde(problem, range(u.k_min, hi + 1))
     sweep = _IalphaSweep(problem.p, problem.alpha, range(u.k_min, hi + 1))
-    f = problem.rhs.eval
     for k in range(u.k_min, top + 1):
-        sweep.push(k, weights[k] * f(k, u.value_at(k)))
-    return sweep, weights
+        sweep.push(k, ft(k, u.value_at(k)))
+    return sweep, ft
 
 
 def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
@@ -430,11 +433,10 @@ def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
     return _sweep_through(problem, u, ell, ell + 1)[0].value(ell + 1, 0.0)
 
 
-def _extension_kappa(problem: ProblemSpec, ell: int, coef: float, weight: float) -> float:
-    """Contraction factor of the level-(ell+1) equation, given coef = p^(a ell) and
-    weight = p^(-g (ell+1)); ContractionError if >= 1."""
+def _extension_kappa(problem: ProblemSpec, ell: int, ft: ScaledRhs, coef: float) -> float:
+    """Contraction factor of the level-(ell+1) equation, coef = p^(a ell); ContractionError if >= 1."""
     p, alpha = problem.p, problem.alpha
-    kappa = coef * (problem.rhs.level_lipschitz(ell + 1) * weight)
+    kappa = coef * ft.lipschitz_at(ell + 1)
     if kappa >= 1.0:
         raise ContractionError(
             f"extension to level {ell + 1} is not a contraction: kappa = {kappa} >= 1 "
@@ -446,14 +448,12 @@ def _extension_kappa(problem: ProblemSpec, ell: int, coef: float, weight: float)
 
 
 def _fixed_point(problem: ProblemSpec, ell: int, v0: float, x: float, kappa: float,
-                 tol: float, max_iter: int, coef: float, weight: float) -> tuple:
-    """Iterate x -> u0 + v0 + coef weight f(p^(ell+1), x) from x, with coef = p^(a ell)
-    and weight = p^(-g (ell+1)); (value, iterations)."""
-    f = problem.rhs.eval
-    u0 = problem.u0
+                 tol: float, max_iter: int, ft: ScaledRhs, coef: float) -> tuple:
+    """Iterate x -> u0 + v0 + coef ftilde(p^(ell+1), x) from x, coef = p^(a ell);
+    (value, iterations)."""
 
     def step(x: float) -> float:
-        return u0 + v0 + coef * (weight * f(ell + 1, x))
+        return problem.u0 + v0 + coef * ft(ell + 1, x)
 
     if kappa == 0.0:
         return step(x), 1
@@ -487,15 +487,14 @@ def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
     longer than kappa times the previous one (plus a few ulps of rounding)
     indicates wrong declared metadata.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    require_tol(tol)
+    ft = make_ftilde(problem)
     coef = p_pow(problem.p, problem.alpha * ell)
-    weight = p_pow(problem.p, -problem.gamma * (ell + 1))
-    kappa = _extension_kappa(problem, ell, coef, weight)
+    kappa = _extension_kappa(problem, ell, ft, coef)
     if v0 is None:
         v0 = extension_constant(u, problem, ell)
     value, iters = _fixed_point(problem, ell, v0, u.value_at(ell), kappa, tol, max_iter,
-                                coef, weight)
+                                ft, coef)
     return value, kappa, iters
 
 
@@ -522,8 +521,11 @@ class GlobalHypothesesReport:
 def check_global_hypotheses(problem: ProblemSpec, levels=range(-10, 31)) -> GlobalHypothesesReport:
     """Check F_l < p^(-alpha l) on a level range and beta + gamma > alpha."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    witness = next((l for l in levels
-                    if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l)), None)
+    witness = None
+    for l in levels:
+        if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l):
+            witness = l
+            break
     per_level_ok = witness is None
     decay_ok = None
     detail = ""
@@ -552,7 +554,7 @@ class ResidualEstimate:
     uncertainty: float
 
 
-def _residual_fit(u: RadialFunction, alpha: float, coeffs, window) -> tuple:
+def _residual_fit(u: RadialFunction, alpha: float, coeffs) -> tuple:
     """What :func:`residual` needs of (u, alpha) at every level, once per pair: the
     envelope above the window, rho_hat, the tail factors (None if rho_hat >= alpha)
     and the rounding constants."""
@@ -596,8 +598,7 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     costs O(W) in total.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    require_tol(tol)
     if n > u.k_max - buffer:
         raise IndeterminateResidualError(
             f"level {n} is within {buffer} levels of the window edge k_max = {u.k_max}; "
@@ -614,11 +615,10 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
             f"level {n} is too deep for the D^alpha series in double precision: "
             f"p^(-alpha n) = {p}**{-alpha * n} exceeds the overflow guard"
         )
-    memo = u._dalpha_memo
-    key = ("residual", alpha)
-    if key not in memo:
-        memo[key] = _residual_fit(u, alpha, coeffs, window)
-    env, rho_hat, tail, d_frac, data, amp, lnp = memo[key]
+    memo = u._residual_memo
+    if alpha not in memo:
+        memo[alpha] = _residual_fit(u, alpha, coeffs)
+    env, rho_hat, tail, d_frac, data, amp, lnp = memo[alpha]
     if tail is None:
         raise IndeterminateResidualError(
             f"fitted tail growth exponent {rho_hat} is not below alpha = {alpha}; "
@@ -652,8 +652,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
         raise DomainError(f"extension target {target} is below the local radius {N}")
     report = picard_solve(problem, N, tol=tol, max_iter=max_iter, reserve_top=target + 1)
     u = report.solution
-    f = problem.rhs.eval
-    sweep, weights = _sweep_through(problem, u, N, target)
+    sweep, ft = _sweep_through(problem, u, N, target)
     truncation = _truncation_bound(problem, u.k_min)
     budget = report.truncation_budget
     diags = {}
@@ -667,13 +666,13 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
                 f"neglected sub-window remainder bound {rem} at extension level {ell} "
                 f"exceeds tol/10; rebuild with a smaller tol or lower K_min"
             )
-        coef, weight = sweep.pa[ell], weights[ell + 1]
-        kappa = _extension_kappa(problem, ell, coef, weight)
-        x, iters = _fixed_point(problem, ell, v0, x, kappa, tol / 100.0, 1000, coef, weight)
+        coef = sweep.pa(ell)
+        kappa = _extension_kappa(problem, ell, ft, coef)
+        x, iters = _fixed_point(problem, ell, v0, x, kappa, tol / 100.0, 1000, ft, coef)
         budget += rem
         diags[ell + 1] = ExtensionDiagnostic(v0=v0, kappa=kappa, iterations=iters)
         values.append(x)
-        sweep.push(ell + 1, weight * f(ell + 1, x))
+        sweep.push(ell + 1, ft(ell + 1, x))
     u = replace(u, k_max=target, values=u.values + tuple(values))
     return replace(report, solution=u, extension_diagnostics=diags,
                    truncation_budget=budget)

@@ -18,7 +18,6 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -215,7 +214,13 @@ def cmd_solve(args) -> int:
     report_out = cfg.get("report_out")
     if report_out:
         payload = report.to_dict()
-        payload["hypotheses"] = dataclasses.asdict(hyp)
+        payload["hypotheses"] = {
+            "per_level_ok": hyp.per_level_ok,
+            "witness_level": hyp.witness_level,
+            "decay_ok": hyp.decay_ok,
+            "residual_verifiable": hyp.residual_verifiable,
+            "detail": hyp.detail,
+        }
         with open(report_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -454,8 +459,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve a degenerate Cauchy problem")
     s.add_argument("--config", default=None)
-    for key, kind in _CONFIG_KEYS.items():  # every config key is also a flag
-        s.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
+    s.add_argument("--p", type=int, default=None)
+    s.add_argument("--alpha", type=float, default=None)
+    s.add_argument("--gamma", type=float, default=None)
+    s.add_argument("--u0", type=float, default=None)
+    s.add_argument("--rhs", default=None)
+    s.add_argument("--rhs-amplitude", dest="rhs_amplitude", type=float, default=None)
+    s.add_argument("--rhs-beta", dest="rhs_beta", type=float, default=None)
+    s.add_argument("--tol", type=float, default=None)
+    s.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    s.add_argument("--n-override", dest="n_override", type=int, default=None)
+    s.add_argument("--extend-to", dest="extend_to", type=int, default=None)
+    s.add_argument("--buffer", type=int, default=None)
+    s.add_argument("--csv-out", dest="csv_out", default=None)
+    s.add_argument("--report-out", dest="report_out", default=None)
+    s.add_argument("--solution-out", dest="solution_out", default=None)
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="run the verification suites")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and a finiteness check.
+"""Exception types shared across the package, and finiteness checks.
 
 The CLI maps these onto its exit codes: everything rooted at
 :class:`DomainError` is a precondition violation (exit 2), while
@@ -18,6 +18,12 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_tol(tol: float) -> None:
+    """Raise :class:`DomainError` unless the tolerance is finite and positive."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
 
 
 class DivergenceError(DomainError):

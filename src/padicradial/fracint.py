@@ -174,41 +174,49 @@ class _IalphaSweep:
     s2 = sum p^(alpha k) phi_k (s2 = sum k p^k phi_k on the alpha = 1 log
     branch), so the value at level n costs O(1) and a whole window one
     O(W) pass in a fixed ascending summation order.  The powers of p that
-    weight ``levels`` are built once, for every pass over them.
+    weight ``levels`` are built once, for every pass over them; without
+    levels (one value) the methods pk, pa and pm call :func:`p_pow`.
     """
-
-    __slots__ = ("alpha", "pref", "frac", "coef", "s1", "s2", "pk", "pa", "pm")
 
     def __init__(self, p: int, alpha: float, levels: range = range(0),
                  s1: float = 0.0, s2: float = 0.0):
+        self.p = p
         self.alpha = alpha
         self.s1 = s1
         self.s2 = s2
         self.pref = _interior_prefactor(p, alpha)
         self.frac = 1.0 - 1.0 / p
         self.coef = (p - 1.0) ** 2 / (p * p)
-        below = range(levels.start - 1, levels.stop) if levels else levels
-        # p^k: e = 1 as an int names a level past the guard as p_pow(p, k) does
-        self.pk = _Powers(p, 1, below)
-        self.pa = self.pk if alpha == 1.0 else _Powers(p, alpha, below)  # p^(alpha k)
-        if alpha != 1.0:
-            self.pm = _Powers(p, alpha - 1.0, levels)
+        if levels:  # tables, in place of the methods below
+            below = range(levels.start - 1, levels.stop)
+            self.pk = _Powers(p, 1, below).__getitem__
+            self.pa = self.pk if alpha == 1.0 else _Powers(p, alpha, below).__getitem__
+            self.pm = _Powers(p, alpha - 1.0, levels).__getitem__
+
+    def pk(self, k: float) -> float:  # p^k
+        return p_pow(self.p, k)
+
+    def pa(self, k: float) -> float:  # p^(alpha k)
+        return p_pow(self.p, self.alpha * k)
+
+    def pm(self, n: int) -> float:  # p^((alpha-1) n)
+        return p_pow(self.p, (self.alpha - 1.0) * n)
 
     def value(self, n: int, phi: float) -> float:
         """(I^a phi)(p^n) given phi_n; phi = 0 leaves the interior part alone."""
         if self.alpha == 1.0:
-            return self.pk[n - 1] * phi - self.coef * (n * self.s1 - self.s2)
-        interior = self.frac * (self.pm[n] * self.s1 - self.s2)
-        return self.pa[n - 1] * phi + self.pref * interior
+            return self.pk(n - 1.0) * phi - self.coef * (n * self.s1 - self.s2)
+        interior = self.frac * (self.pm(n) * self.s1 - self.s2)
+        return self.pa(n - 1.0) * phi + self.pref * interior
 
     def push(self, k: int, phi: float) -> None:
         """Add level k, which must be the level after the last one pushed."""
-        w = self.pk[k]
+        w = self.pk(k)
         self.s1 += w * phi
         if self.alpha == 1.0:
             self.s2 += k * w * phi
         else:
-            self.s2 += self.pa[k] * phi
+            self.s2 += self.pa(k) * phi
 
 
 def _sweep_below(u: RadialFunction, alpha: float, n: int,

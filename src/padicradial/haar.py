@@ -71,38 +71,34 @@ def p_pow(base: float, exponent: float) -> float:
 
 
 def p_pow_levels(base: float, e: float, lo: int, hi: int) -> list:
-    """``[p_pow(base, e * k) for k in lo .. hi]`` bit for bit, with one log and one guard
-    test at the two ends (e k is monotone in k); past the guard the levels go through
-    :func:`p_pow` in order, and the first one out of range raises as it would."""
+    """``[p_pow(base, e * k) for k in lo .. hi]`` bit for bit, with one log and the guard
+    tested at the two ends (e k is monotone in k); past it, :func:`p_pow` level by level."""
     if hi < lo:
         return []
     lb = math.log(base)
     if not (e * lo * lb <= OVERFLOW_GUARD and e * hi * lb <= OVERFLOW_GUARD):
-        for k in range(lo, hi + 1):
-            p_pow(base, e * k)
+        return [p_pow(base, e * k) for k in range(lo, hi + 1)]
     exp = math.exp
     out = []
-    for k in range(lo, hi + 1):
+    for k in range(lo, hi + 1):  # a loop: short ranges cost less than in a comprehension
         t = e * k * lb
         out.append(exp(t) if t >= -745.0 else 0.0)
     return out
 
 
 class _Powers(dict):
-    """p^(e k) by level k: :func:`p_pow_levels` over ``levels`` if all are in range, else
-    p_pow per level asked for, so a level past the guard raises only when reached."""
-
-    __slots__ = ("p", "e")
+    """p_pow(p, e * k) by level k: one :func:`p_pow_levels` table of ``levels`` if they
+    are all in range; p_pow for any other level, or for every level if some is out of
+    range, so that a level past the guard raises only when it is reached."""
 
     def __init__(self, p: int, e: float, levels: range):
         self.p, self.e = p, e
-        if levels:
-            try:
-                self.update(zip(levels, p_pow_levels(p, e, levels[0], levels[-1])))
-            except MagnitudeError:
-                pass
+        try:
+            self.update(zip(levels, p_pow_levels(p, e, levels.start, levels.stop - 1)))
+        except MagnitudeError:
+            pass
 
-    def __missing__(self, k: int) -> float:
+    def __missing__(self, k: float) -> float:
         return p_pow(self.p, self.e * k)
 
 

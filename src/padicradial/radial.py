@@ -179,8 +179,12 @@ class RadialFunction:
 
     @cached_property
     def _dalpha_memo(self) -> dict:
-        """alpha -> :func:`padicradial.vladimirov.dalpha_window` of this function,
-        ("residual", alpha) -> :func:`padicradial.cauchy._residual_fit`."""
+        """alpha -> :func:`padicradial.vladimirov.dalpha_window` of this function."""
+        return {}
+
+    @cached_property
+    def _residual_memo(self) -> dict:
+        """alpha -> :func:`padicradial.cauchy._residual_fit` of this function."""
         return {}
 
 

@@ -69,7 +69,9 @@ def test_power_dict_defers_out_of_range_levels_to_p_pow():
     table = _Powers(2, 1.5, range(-3, 4))
     assert sorted(table) == list(range(-3, 4))
     assert [table[k] for k in range(-3, 4)] == [p_pow(2, 1.5 * k) for k in range(-3, 4)]
+    assert table[-2.0] == p_pow(2, -3.0)  # a level given as a float reads the same entry
     assert table[9] == p_pow(2, 13.5)  # outside the table: computed when asked for
+    assert len(_Powers(2, 1.5, range(0))) == 0
 
 
 def test_p_pow_underflow_is_zero():
