@@ -9,16 +9,16 @@ in three stages:
 
 1. *Local solve* (:func:`picard_solve`).  On levels k <= N, with N chosen
    so that the contraction factor q_N = C F p^(N (a - g)) is at most 1/2,
-   the integral map is iterated from the constant u0.  Successive
-   differences obey the a-priori bound C^(k+1) M F^k p^(N (k+1)(a - g)),
-   which is checked on every sweep and doubles as a stopping rule.
+   the integral map is iterated from the constant u0, each sweep in one
+   ascending pass.  Differences obey the a-priori bound C^(k+1) M F^k
+   p^(N (k+1)(a - g)), checked on every sweep and doubling as a stopping rule.
 
 2. *Continuation* (:func:`solve_problem`; one level: :func:`extend_step`).
    Each level above N satisfies a scalar fixed-point equation
-   x = u0 + v0 + p^(a l) ftilde(p^(l+1), x), where v0 integrates the
-   already-known part, read in O(1) from one running I^alpha sum.  A step
-   is accepted only when its contraction factor kappa_l = p^(a l)
-   Lip(ftilde(p^(l+1), .)) is below 1; measured steps are checked against it.
+   x = u0 + v0 + p^(a l) ftilde(p^(l+1), x), where v0 integrates the known
+   part in O(1) from one running I^alpha sum over Picard's powers of p.
+   A step is accepted only when kappa_l = p^(a l) Lip(ftilde(p^(l+1), .))
+   is below 1; measured steps are checked against it.
 
 3. *Residual verification* (:func:`residual`).  The differential form is
    checked directly: p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)), with an
@@ -104,13 +104,14 @@ class Nonlinearity:
         slack = tol * max(1.0, self.bound_M)
         f = self.eval
         bound = self.bound_M + slack
-        samples = xs[::8]
         dx = xs[1] - xs[0] if len(xs) > 1 else 0.0
         for k in levels:
             f_prev = None
+            vals = []  # the decay envelope is checked at every 8th of them
             step = (min(self.lipschitz_F, self.level_lipschitz(k)) + tol) * dx + tol
             for x in xs:
                 val = f(k, x)
+                vals.append(val)
                 if not math.isfinite(val):
                     raise MetadataError(f"f(p^{k}, {x}) is not finite")
                 if abs(val) > bound:
@@ -127,8 +128,8 @@ class Nonlinearity:
             if self.decay is not None and k >= 1:
                 a, beta = self.decay
                 envelope = a * p_pow(p, -beta * k) + slack
-                for x in samples:
-                    if abs(f(k, x)) > envelope:
+                for val in vals[::8]:
+                    if abs(val) > envelope:
                         raise MetadataError(
                             f"declared decay (A={a}, beta={beta}) violated at level {k}"
                         )
@@ -342,6 +343,12 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     level for alpha > 1, so the window floor must be chosen for the
     highest level that will ever integrate over it.
     """
+    return _picard(problem, N, tol, max_iter, start_value, reserve_top)[0]
+
+
+def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
+            start_value: Optional[float], reserve_top: Optional[int]) -> tuple:
+    """:func:`picard_solve`'s (report, ftilde, sweep), with powers of p up to reserve_top - 1."""
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
     m_bound = problem.rhs.bound_M
     f_lip = problem.rhs.lipschitz_F
@@ -354,12 +361,12 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
         )
     k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol)
     enforce = start_value is None
-    start = u0 if start_value is None else float(start_value)
-    levels = range(k_min, N + 1)
-    cur = [start] * len(levels)
-    # the powers of p are the same on every sweep: ftilde's p^(-gamma k) and the sweep's
-    ft = make_ftilde(problem, levels)
-    sweep = _IalphaSweep(p, alpha, levels)
+    cur = [u0 if start_value is None else float(start_value)] * (N + 1 - k_min)
+    tabled = range(k_min, N + 1 if reserve_top is None else max(N, reserve_top - 1) + 1)
+    ft = make_ftilde(problem, tabled)  # the powers of p of every sweep and the continuation
+    sweep = _IalphaSweep(p, alpha, tabled)
+    if sweep.lists is None:  # the guard is passed below the top: tables for Picard's levels
+        sweep = _IalphaSweep(p, alpha, range(k_min, N + 1))
 
     def apriori(j: int) -> float:
         # bound for |u_{j+1} - u_j|, valid on the whole ball |t| <= p^N
@@ -368,12 +375,7 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
 
     diffs = []
     for it in range(max_iter):
-        sweep.s1 = sweep.s2 = 0.0
-        new = []
-        for k, x in zip(levels, cur):
-            phi = ft(k, x)
-            new.append(u0 + sweep.value(k, phi))
-            sweep.push(k, phi)
+        new = [u0 + v for v in _integrate(sweep, ft, cur)]
         diff = max(abs(a - b) for a, b in zip(new, cur))
         diffs.append(diff)
         cur = new
@@ -401,17 +403,16 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
         picard_diffs=tuple(diffs), apriori_bounds=bounds,
         extension_diagnostics={}, truncation_budget=budget / (1.0 - q),
         k_min=k_min, q_contraction=q, c_uniform=c_uni, apriori_enforced=enforce,
-    )
+    ), ft, sweep
 
 
-def _sweep_through(problem: ProblemSpec, u: RadialFunction, top: int, hi: int) -> tuple:
-    """(sweep, ft): an I^alpha sweep holding ftilde(., u(.)) on the levels u.k_min .. top,
-    and ftilde, both with their powers of p built for the levels up to hi."""
-    ft = make_ftilde(problem, range(u.k_min, hi + 1))
-    sweep = _IalphaSweep(problem.p, problem.alpha, range(u.k_min, hi + 1))
-    for k in range(u.k_min, top + 1):
-        sweep.push(k, ft(k, u.value_at(k)))
-    return sweep, ft
+def _integrate(sweep: _IalphaSweep, ft: ScaledRhs, xs) -> list:
+    """I^alpha ftilde(., x) for x over xs, without u0, at the levels of ``sweep`` and ``ft``
+    (which start at the same level): one comprehension, then one window pass from zero sums."""
+    f = ft.rhs.eval
+    weights = ft.weight.table or map(ft.weight.__getitem__, ft.levels)  # lazy past the guard
+    sweep.s1 = sweep.s2 = 0.0
+    return sweep.window([w * f(k, x) for k, w, x in zip(ft.levels, weights, xs)])
 
 
 def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
@@ -430,36 +431,34 @@ def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
             f"neglected sub-window remainder bound {rem} exceeds the budget "
             f"{budget}; rebuild the solution with a lower K_min"
         )
-    return _sweep_through(problem, u, ell, ell + 1)[0].value(ell + 1, 0.0)
+    levels = range(u.k_min, ell + 2)
+    sweep = _IalphaSweep(problem.p, problem.alpha, levels)
+    _integrate(sweep, make_ftilde(problem, levels), map(u.value_at, levels[:-1]))
+    return sweep.value(ell + 1, 0.0)
 
 
-def _extension_kappa(problem: ProblemSpec, ell: int, ft: ScaledRhs, coef: float) -> float:
-    """Contraction factor of the level-(ell+1) equation, coef = p^(a ell); ContractionError if >= 1."""
-    p, alpha = problem.p, problem.alpha
-    kappa = coef * ft.lipschitz_at(ell + 1)
+def _extension_kappa(problem: ProblemSpec, ell: int, coef: float, w: float) -> float:
+    """kappa of the level-(ell+1) equation, coef = p^(a ell), w = p^(-g (ell+1)); >= 1 raises."""
+    lip = problem.rhs.level_lipschitz(ell + 1)
+    kappa = coef * (lip * w)
     if kappa >= 1.0:
         raise ContractionError(
             f"extension to level {ell + 1} is not a contraction: kappa = {kappa} >= 1 "
-            f"(per-level Lipschitz bound {problem.rhs.level_lipschitz(ell + 1)} "
-            f"is not below p^(-alpha ell) p^(gamma (ell+1)) = "
-            f"{p_pow(p, -alpha * ell + problem.gamma * (ell + 1.0))})"
+            f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) = "
+            f"{p_pow(problem.p, -problem.alpha * ell + problem.gamma * (ell + 1.0))})"
         )
     return kappa
 
 
-def _fixed_point(problem: ProblemSpec, ell: int, v0: float, x: float, kappa: float,
-                 tol: float, max_iter: int, ft: ScaledRhs, coef: float) -> tuple:
-    """Iterate x -> u0 + v0 + coef ftilde(p^(ell+1), x) from x, coef = p^(a ell);
-    (value, iterations)."""
-
-    def step(x: float) -> float:
-        return problem.u0 + v0 + coef * ft(ell + 1, x)
-
+def _fixed_point(n: int, base: float, x: float, kappa: float, tol: float, max_iter: int,
+                 f: Callable, w: float, coef: float) -> tuple:
+    """Iterate x -> base + coef w f(p^n, x) from x, where base = u0 + v0,
+    coef = p^(a (n-1)) and w = p^(-g n); (value, iterations)."""
     if kappa == 0.0:
-        return step(x), 1
+        return base + coef * (w * f(n, x)), 1
     prev_step = None
     for j in range(1, max_iter + 1):
-        x_new = step(x)
+        x_new = base + coef * (w * f(n, x))
         d = abs(x_new - x)
         if d <= tol * max(1.0, abs(x_new)):
             return x_new, j
@@ -468,12 +467,12 @@ def _fixed_point(problem: ProblemSpec, ell: int, v0: float, x: float, kappa: flo
         if prev_step is not None and d > kappa * prev_step + slack:
             raise MetadataError(
                 f"measured contraction ratio {d / prev_step} exceeds kappa = {kappa} "
-                f"at level {ell + 1}: declared per-level Lipschitz metadata is wrong"
+                f"at level {n}: declared per-level Lipschitz metadata is wrong"
             )
         prev_step = d
         x = x_new
     raise NonConvergenceError(
-        f"fixed point at level {ell + 1} did not converge in {max_iter} steps",
+        f"fixed point at level {n} did not converge in {max_iter} steps",
         diffs=[prev_step])
 
 
@@ -488,13 +487,13 @@ def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
     indicates wrong declared metadata.
     """
     require_tol(tol)
-    ft = make_ftilde(problem)
     coef = p_pow(problem.p, problem.alpha * ell)
-    kappa = _extension_kappa(problem, ell, ft, coef)
+    w = p_pow(problem.p, -problem.gamma * (ell + 1))
+    kappa = _extension_kappa(problem, ell, coef, w)
     if v0 is None:
         v0 = extension_constant(u, problem, ell)
-    value, iters = _fixed_point(problem, ell, v0, u.value_at(ell), kappa, tol, max_iter,
-                                ft, coef)
+    value, iters = _fixed_point(ell + 1, problem.u0 + v0, u.value_at(ell), kappa, tol, max_iter,
+                                problem.rhs.eval, w, coef)
     return value, kappa, iters
 
 
@@ -592,13 +591,15 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     (1e-15 relative each, as D^alpha amplifies it) are added.  A level
     outside the window or closer than ``buffer`` to its top, a level whose
     p^(-alpha n) leaves the double range, a fitted growth at or above
-    alpha, or an uncertainty above tol is refused rather than reported.
-    D^alpha is read from :func:`dalpha_window` and the rest of what does not
-    depend on n from :func:`_residual_fit`, so every level of one solution
-    costs O(W) in total.
+    alpha, or an uncertainty above tol is refused rather than reported; a
+    negative ``buffer`` is a DomainError.  D^alpha is read from
+    :func:`dalpha_window`, the rest of what does not depend on n from
+    :func:`_residual_fit`, so every level of one solution costs O(W) in total.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     require_tol(tol)
+    if not buffer >= 0:
+        raise DomainError(f"buffer must be >= 0, got {buffer}")
     if n > u.k_max - buffer:
         raise IndeterminateResidualError(
             f"level {n} is within {buffer} levels of the window edge k_max = {u.k_max}; "
@@ -650,29 +651,32 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     target = extend_to if extend_to is not None else N + 35
     if target < N:
         raise DomainError(f"extension target {target} is below the local radius {N}")
-    report = picard_solve(problem, N, tol=tol, max_iter=max_iter, reserve_top=target + 1)
+    report, ft, sweep = _picard(problem, N, tol, max_iter, None, target + 1)
     u = report.solution
-    sweep, ft = _sweep_through(problem, u, N, target)
+    _integrate(sweep, ft, u.values)  # Picard's tables and sweep, now holding u's ftilde
     truncation = _truncation_bound(problem, u.k_min)
     budget = report.truncation_budget
     diags = {}
     values = []
     x = u.value_at(N)
+    f = problem.rhs.eval
     for ell in range(N, target):
-        v0 = sweep.value(ell + 1, 0.0)  # the known part: levels <= ell only
-        rem = truncation(ell + 1, ell + 1)
+        n = ell + 1
+        v0 = sweep.value(n, 0.0)  # the known part: levels <= ell only
+        rem = truncation(n, n)
         if rem > tol / 10.0:
             raise BudgetError(
                 f"neglected sub-window remainder bound {rem} at extension level {ell} "
                 f"exceeds tol/10; rebuild with a smaller tol or lower K_min"
             )
         coef = sweep.pa(ell)
-        kappa = _extension_kappa(problem, ell, ft, coef)
-        x, iters = _fixed_point(problem, ell, v0, x, kappa, tol / 100.0, 1000, ft, coef)
+        w = ft.weight[n]
+        kappa = _extension_kappa(problem, ell, coef, w)
+        x, iters = _fixed_point(n, problem.u0 + v0, x, kappa, tol / 100.0, 1000, f, w, coef)
         budget += rem
-        diags[ell + 1] = ExtensionDiagnostic(v0=v0, kappa=kappa, iterations=iters)
+        diags[n] = ExtensionDiagnostic(v0=v0, kappa=kappa, iterations=iters)
         values.append(x)
-        sweep.push(ell + 1, ft(ell + 1, x))
+        sweep.push(n, w * f(n, x))
     u = replace(u, k_max=target, values=u.values + tuple(values))
     return replace(report, solution=u, extension_diagnostics=diags,
                    truncation_budget=budget)

@@ -178,10 +178,13 @@ class _IalphaSweep:
     levels (one value) the methods pk, pa and pm call :func:`p_pow`.
     """
 
+    lists = None  # (p^k, p^(alpha (k-1)), p^(alpha k), p^((alpha-1) k)) over levels
+
     def __init__(self, p: int, alpha: float, levels: range = range(0),
                  s1: float = 0.0, s2: float = 0.0):
         self.p = p
         self.alpha = alpha
+        self.levels = levels
         self.s1 = s1
         self.s2 = s2
         self.pref = _interior_prefactor(p, alpha)
@@ -189,9 +192,12 @@ class _IalphaSweep:
         self.coef = (p - 1.0) ** 2 / (p * p)
         if levels:  # tables, in place of the methods below
             below = range(levels.start - 1, levels.stop)
-            self.pk = _Powers(p, 1, below).__getitem__
-            self.pa = self.pk if alpha == 1.0 else _Powers(p, alpha, below).__getitem__
-            self.pm = _Powers(p, alpha - 1.0, levels).__getitem__
+            pk = _Powers(p, 1, below)
+            pa = pk if alpha == 1.0 else _Powers(p, alpha, below)
+            pm = _Powers(p, alpha - 1.0, levels)
+            self.pk, self.pa, self.pm = pk.__getitem__, pa.__getitem__, pm.__getitem__
+            if pk.table and pa.table and pm.table:
+                self.lists = (pk.table[1:], pa.table, pa.table[1:], pm.table)
 
     def pk(self, k: float) -> float:  # p^k
         return p_pow(self.p, k)
@@ -217,6 +223,30 @@ class _IalphaSweep:
             self.s2 += k * w * phi
         else:
             self.s2 += self.pa(k) * phi
+
+    def window(self, phis) -> list:
+        """value(n, phi) then push(n, phi) for n over ``levels`` and phi over phis, in one loop."""
+        out = []
+        if self.lists is None:  # no tables: level by level, raising where value and push do
+            for n, phi in zip(self.levels, phis):
+                out.append(self.value(n, phi))
+                self.push(n, phi)
+            return out
+        pk, pa_prev, pa, pm = self.lists
+        s1, s2 = self.s1, self.s2
+        frac, pref, coef = self.frac, self.pref, self.coef
+        if self.alpha == 1.0:
+            for n, phi, w_prev, w in zip(self.levels, phis, pa_prev, pk):
+                out.append(w_prev * phi - coef * (n * s1 - s2))
+                s1 += w * phi
+                s2 += n * w * phi
+        else:
+            for phi, a_prev, m, w, a in zip(phis, pa_prev, pm, pk, pa):
+                out.append(a_prev * phi + pref * (frac * (m * s1 - s2)))
+                s1 += w * phi
+                s2 += a * phi
+        self.s1, self.s2 = s1, s2
+        return out
 
 
 def _sweep_below(u: RadialFunction, alpha: float, n: int,
@@ -310,11 +340,8 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
         )
     # closed form below v's window, then one sweep in _sum_left's order
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
-    sweep = _sweep_below(v, alpha, v.k_min, range(v.k_min, k_hi + 1))
-    for n in range(v.k_min, k_hi + 1):
-        phi = v.value_at(n)
-        values.append(sweep.value(n, phi))
-        sweep.push(n, phi)
+    levels = range(v.k_min, k_hi + 1)
+    values += _sweep_below(v, alpha, v.k_min, levels).window(v.value_at(n) for n in levels)
     tail = v.left_tail
     if tail.kind in ("zero", "const"):
         left = TailModel.zero()

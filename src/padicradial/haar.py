@@ -87,16 +87,17 @@ def p_pow_levels(base: float, e: float, lo: int, hi: int) -> list:
 
 
 class _Powers(dict):
-    """p_pow(p, e * k) by level k: one :func:`p_pow_levels` table of ``levels`` if they
-    are all in range; p_pow for any other level, or for every level if some is out of
-    range, so that a level past the guard raises only when it is reached."""
+    """p_pow(p, e * k) by level k: one :func:`p_pow_levels` table (also the list ``table``) of
+    ``levels`` if all are in range; p_pow for any other level, or for every level (``table``
+    None) if some is out of range, so that a level past the guard raises only when reached."""
 
     def __init__(self, p: int, e: float, levels: range):
         self.p, self.e = p, e
         try:
-            self.update(zip(levels, p_pow_levels(p, e, levels.start, levels.stop - 1)))
+            self.table = p_pow_levels(p, e, levels.start, levels.stop - 1)
+            self.update(zip(levels, self.table))
         except MagnitudeError:
-            pass
+            self.table = None
 
     def __missing__(self, k: float) -> float:
         return p_pow(self.p, self.e * k)

@@ -72,6 +72,30 @@ def test_spot_check_rejects_wrong_decay():
         bad.spot_check(2)
 
 
+def _counted(eval_):
+    calls = []
+
+    def counted(k, x):
+        calls.append((k, x))
+        return eval_(k, x)
+    return counted, calls
+
+
+def test_spot_check_reads_the_decay_samples_from_the_grid():
+    # 25 levels of 41 points; the decay samples at levels 1..12 are evaluated once
+    counted, calls = _counted(catalog_nonlinearity("cos-decay", 3).eval)
+    Nonlinearity(eval=counted, bound_M=0.1, lipschitz_F=0.1, decay=(0.1, 2.0)).spot_check(3)
+    assert len(calls) == 25 * 41 and len(set(calls)) == len(calls)
+    # the same decision and message at the same level as with the samples evaluated again
+    for k_bad in (1, 7, 12):
+        counted, calls = _counted(lambda k, x: 0.5 if k == k_bad else 0.0)
+        bad = Nonlinearity(eval=counted, bound_M=1.0, lipschitz_F=0.0, decay=(0.5, 2.0))
+        with pytest.raises(MetadataError, match=f"^declared decay \\(A=0.5, beta=2.0\\) "
+                                                f"violated at level {k_bad}$"):
+            bad.spot_check(2, levels=range(-12, 13), xs=[-8.0 + 16.0 * i / 40.0 for i in range(41)])
+        assert len(calls) == (k_bad + 13) * 41
+
+
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
 def test_degeneration_gate(alpha):
     rhs = catalog_nonlinearity("zero", 2)
@@ -427,6 +451,17 @@ def test_residual_buffer_gate():
         residual(rep.solution, prob, rep.solution.k_max)
 
 
+def test_residual_rejects_a_negative_buffer():
+    rhs = catalog_nonlinearity("cos-decay", 2)
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+    u = solve_problem(prob, tol=1e-10).solution
+    with pytest.raises(DomainError, match="buffer must be >= 0, got -2"):
+        residual(u, prob, u.k_max + 1, buffer=-2)  # an IndexError before
+    with pytest.raises(DomainError, match="buffer"):
+        residual(u, prob, u.k_max - 5, buffer=-1)
+    residual(u, prob, u.k_max, buffer=0)
+
+
 def test_residual_refuses_levels_beyond_double_range():
     # at the deepest window levels the rounding bound, which grows like
     # p^(-alpha n), exceeds tol; it is computed without overflow
@@ -522,9 +557,9 @@ def test_bounded_sigmoid_solves():
 
 # -- powers computed once per solve ------------------------------------------------
 
-def _guarded_powers(fn):
-    """(fn(), the number of p_pow and p_pow_levels calls it made)."""
-    codes = {haar.p_pow.__code__, haar.p_pow_levels.__code__}
+def _guarded_powers(fn, funcs=(haar.p_pow, haar.p_pow_levels)):
+    """(fn(), the number of calls of funcs, by default p_pow and p_pow_levels, it made)."""
+    codes = {func.__code__ for func in funcs}
     calls = 0
 
     def hook(frame, event, arg):
@@ -551,6 +586,30 @@ def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
     assert many >= 2 * few  # 4 and 9 sweeps
     # every Picard sweep used to take five powers per level (27 and 50 per level here)
     assert a <= 6.0 and b <= 6.0 and abs(a - b) <= 0.5
+
+
+@pytest.mark.parametrize("alpha,tables", [(1.5, 4), (1.0, 3), (0.5, 4)])
+def test_continuation_reuses_picards_power_tables(alpha, tables):
+    # ftilde's p^(-gamma k) and the sweep's p^k, p^(alpha k) (not for alpha = 1) and
+    # p^((alpha-1) k), each built once over [K_min, target]; none again for the continuation
+    rhs = catalog_nonlinearity("cos-decay", 3, amplitude=0.075, beta=2.5)
+    prob = ProblemSpec(p=3, alpha=alpha, gamma=0.3, u0=1.0, rhs=rhs)
+    rep, calls = _guarded_powers(lambda: solve_problem(prob, tol=1e-10, extend_to=60),
+                                 funcs=(haar.p_pow_levels,))
+    assert rep.solution.k_max == 60 and len(rep.extension_diagnostics) > 50
+    assert calls == tables
+
+
+def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
+    # 7^(1.5 k) leaves the double range at k = 240, below extend_to = 400
+    prob = ProblemSpec(p=7, alpha=1.5, gamma=0.3, u0=1.0,
+                       rhs=catalog_nonlinearity("bounded-sigmoid", 7))
+    report, ft, sweep = cauchy._picard(prob, 0, 1e-10, 200, None, 401)
+    assert sweep.lists is not None and sweep.levels == range(report.k_min, 1)
+    assert ft.weight.table is not None and len(ft.weight.table) == 401 - report.k_min
+    assert sweep.pa(239) == p_pow(7, 1.5 * 239)  # past Picard's levels, level by level
+    with pytest.raises(MagnitudeError, match="7\\*\\*360"):
+        sweep.pa(240)
 
 
 def test_residual_profile_fits_the_envelope_once(monkeypatch):

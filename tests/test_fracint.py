@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from padicradial.errors import DegenerationError, DivergenceError, DomainError
+from padicradial.errors import DegenerationError, DivergenceError, DomainError, MagnitudeError
 from padicradial.haar import p_pow
 from padicradial.radial import RadialFunction, TailModel
 from padicradial.vladimirov import apply_dalpha
 from padicradial.fracint import (
+    _IalphaSweep,
+    _sweep_below,
     apply_ialpha,
     assemble_fractional_integral,
     bound_constants,
@@ -199,3 +201,51 @@ def test_assembly_is_bit_identical_to_per_level_ialpha(alpha):
         for k_lo, k_hi in ((v.k_min - 7, v.k_max + 9), (v.k_min, v.k_max), (v.k_min - 4, v.k_min - 1)):
             iv = assemble_fractional_integral(v, alpha, k_lo=k_lo, k_hi=k_hi)
             assert iv.values == tuple(apply_ialpha(v, alpha, n) for n in range(k_lo, k_hi + 1))
+
+
+def _per_level(sweep, phis):
+    out = []
+    for n, phi in zip(sweep.levels, phis):
+        out.append(sweep.value(n, phi))
+        sweep.push(n, phi)
+    return out
+
+
+def _pass_outcome(run, sweep, phis):
+    """(values or the error's type and text, the sums left behind)."""
+    try:
+        got = [x.hex() for x in run(sweep, phis)]
+    except MagnitudeError as err:
+        got = (type(err), str(err))
+    return got, sweep.s1.hex(), sweep.s2.hex()
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+def test_window_pass_matches_value_then_push(alpha):
+    # seeded as _sweep_below seeds it, over levels that cross 0
+    v = RadialFunction(3, -9, 12, tuple(math.sin(1.3 * k) for k in range(22)),
+                       left_tail=TailModel.constant(0.25), right_tail=TailModel.power_law(0.5, -1.5))
+    levels = range(-9, 13)
+    phis = [v.value_at(n) for n in levels]
+    seeded = [_sweep_below(v, alpha, -9, levels) for _ in range(2)]
+    assert seeded[0].lists is not None and seeded[0].s1 != 0.0 and seeded[0].s2 != 0.0
+    assert _pass_outcome(_IalphaSweep.window, seeded[0], phis) \
+        == _pass_outcome(_per_level, seeded[1], phis)
+    # shorter inputs stop the pass early, as zip stops the loop
+    short = [_sweep_below(v, alpha, -9, levels) for _ in range(2)]
+    assert _pass_outcome(_IalphaSweep.window, short[0], phis[:5]) \
+        == _pass_outcome(_per_level, short[1], phis[:5])
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+def test_window_pass_past_the_guard_raises_at_the_same_level(alpha):
+    # p^(max(1, alpha) k) leaves the double range 20 levels up: no tables, level by level
+    v = RadialFunction.constant(2, 1.0)
+    top = math.floor(700.0 / (max(1.0, alpha) * math.log(2.0)))
+    levels = range(top - 20, top + 20)
+    phis = [2.0 ** -k for k in levels]
+    sweeps = [_sweep_below(v, alpha, levels.start, levels) for _ in range(2)]
+    assert sweeps[0].lists is None
+    got = _pass_outcome(_IalphaSweep.window, sweeps[0], phis)
+    assert got == _pass_outcome(_per_level, sweeps[1], phis)
+    assert got[0][0] is MagnitudeError

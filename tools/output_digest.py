@@ -5,7 +5,8 @@
 Runs a fixed list of invocations in-process against the package in PATH
 (default: this checkout's ``src/``): the default ``sweep``, ``solve`` with
 ``--solution-out`` and ``--report-out`` on three problems, ``apply`` of
-``dalpha`` and ``ialpha`` to a fixed radial function, and ``verify``.  Each
+``dalpha`` and ``ialpha`` to a fixed radial function, a ``sweep`` with an
+error row and a ``solve`` that exits 2, and ``verify``.  Each
 line is the digest of the exit code, stdout, stderr and written files,
 then the arguments.  Two versions of the package whose outputs are bit
 for bit the same print the same lines; run it once with ``--src`` pointing
@@ -29,6 +30,11 @@ SOLVES = (
     "--p 7 --alpha 0.5 --gamma 0.2 --u0 1.25 --rhs bounded-sigmoid --rhs-amplitude 0.05 "
     "--extend-to 2",
 )
+# invocations that fail: an error row of sweep, and exit code 2 at a continuation level
+FAILING = (
+    "sweep --p-list 2,1000003 --alpha-list 1.5",
+    "solve --p 7 --alpha 1.5 --gamma 0.3 --u0 1 --rhs bounded-sigmoid --extend-to 400",
+)
 # u(p^k) on [-12, 12] between a constant left tail and a decaying power law
 FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
     f"{k} {0.75 + 0.1 * ((7 * k) % 11 - 5) / (1 + abs(k))!r}\n" for k in range(-12, 13))
@@ -43,7 +49,7 @@ def invocations(tmp: Path) -> list:
     for op, alpha in (("dalpha", "1.5"), ("dalpha", "0.5"), ("ialpha", "1.5"), ("ialpha", "1")):
         runs.append(["apply", "--op", op, "--alpha", alpha, "--input", str(tmp / "u.txt"),
                      "--levels=-30:30"])
-    return runs + [["verify"]]
+    return runs + [line.split() for line in FAILING] + [["verify"]]
 
 
 def main() -> None:
