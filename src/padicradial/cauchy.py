@@ -14,11 +14,11 @@ in three stages:
    p^(N (k+1)(a - g)), checked on every sweep and doubling as a stopping rule.
 
 2. *Continuation* (:func:`solve_problem`; one level: :func:`extend_step`).
-   Each level above N satisfies a scalar fixed-point equation
-   x = u0 + v0 + p^(a l) ftilde(p^(l+1), x), where v0 integrates the known
-   part in O(1) from one running I^alpha sum over Picard's powers of p.
-   A step is accepted only when kappa_l = p^(a l) Lip(ftilde(p^(l+1), .))
-   is below 1; measured steps are checked against it.
+   Each level n = l + 1 above N solves x = u0 + K + c (f(p^n, x) - p^g f_l),
+   c = p^((a - g) n - a), centered on the last known level, with K in O(1)
+   from the state of Picard's I^alpha sweep; for a constant f and g = 0
+   the correction is exactly 0.  A step is accepted only when
+   kappa_l = c Lip(f(p^n, .)) is below 1; measured steps are checked against it.
 
 3. *Residual verification* (:func:`residual`).  The differential form is
    checked directly: p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)), with an
@@ -52,7 +52,7 @@ from .errors import (
     require_finite,
     require_tol,
 )
-from .haar import OVERFLOW_GUARD, Prime, _Powers, p_pow
+from .haar import OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel, _geom_left, _geom_left_level
 from .fracint import _IalphaSweep, _interior_prefactor, bound_constants
 from .vladimirov import dalpha_window
@@ -160,30 +160,25 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ScaledRhs:
-    """ftilde(p^k, x) = p^(-gamma k) f(p^k, x) with its derived bounds; the
-    weights p^(-gamma k) of ``levels`` are computed once (:class:`haar._Powers`)."""
+    """ftilde(p^k, x) = p^(-gamma k) f(p^k, x) with its derived bounds."""
 
     p: int
     gamma: float
     rhs: Nonlinearity
-    levels: range = range(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _Powers(self.p, -self.gamma, self.levels))
 
     def __call__(self, k: int, x: float) -> float:
-        return self.weight[k] * self.rhs.eval(k, x)
+        return p_pow(self.p, -self.gamma * k) * self.rhs.eval(k, x)
 
     def bound_at(self, k: int) -> float:
-        return self.rhs.bound_M * self.weight[k]
+        return self.rhs.bound_M * p_pow(self.p, -self.gamma * k)
 
     def lipschitz_at(self, k: int) -> float:
-        return self.rhs.level_lipschitz(k) * self.weight[k]
+        return self.rhs.level_lipschitz(k) * p_pow(self.p, -self.gamma * k)
 
 
-def make_ftilde(problem: ProblemSpec, levels: range = range(0)) -> ScaledRhs:
-    """The degeneration-absorbed right-hand side |t|^(-gamma) f, weighted once over ``levels``."""
-    return ScaledRhs(p=problem.p, gamma=problem.gamma, rhs=problem.rhs, levels=levels)
+def make_ftilde(problem: ProblemSpec) -> ScaledRhs:
+    """The degeneration-absorbed right-hand side |t|^(-gamma) f."""
+    return ScaledRhs(p=problem.p, gamma=problem.gamma, rhs=problem.rhs)
 
 
 @dataclass(frozen=True)
@@ -303,12 +298,13 @@ def _truncation_bound(problem: ProblemSpec, k_cut: int) -> Callable[[int, int], 
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     """Lower window edge K_min with total certified truncation <= tol / 10.
 
-    K_min steps down 4 levels at a time.  Below level -OVERFLOW_GUARD /
-    (m ln p), m = max(gamma, 1 - alpha), the weights p^(-gamma k) of
-    ftilde and p^((alpha - 1) k) of the I^alpha sweep leave the double
-    range, so passing it is a BudgetError.  The budget decays like
-    p^((alpha - gamma) K_min) with alpha - gamma >= 1 - 2 m, so either
-    way the search ends within about a thousand steps.
+    K_min steps down 4 levels at a time.  Passing level -OVERFLOW_GUARD /
+    (m ln p), m = max(gamma, 1 - alpha), where p^(-gamma k) and p^((alpha-1) k)
+    leave the double range, is a BudgetError.  The level-scaled sweep forms
+    neither power, but the stop bounds the window's depth: the budget decays
+    like p^((alpha - gamma) K_min) with alpha - gamma >= 1 - 2 m, so the search
+    ends within about a thousand steps, where gamma near alpha or a tiny alpha
+    (``const`` at 1e-6: about 1e8 levels) would ask for a window 1e4 to 1e10 deep.
     """
     require_tol(tol)
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
@@ -348,7 +344,7 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
 
 def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
             start_value: Optional[float], reserve_top: Optional[int]) -> tuple:
-    """:func:`picard_solve`'s (report, ftilde, sweep), with powers of p up to reserve_top - 1."""
+    """:func:`picard_solve`'s (report, sweep), the sweep's scale reaching reserve_top - 1."""
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
     m_bound = problem.rhs.bound_M
     f_lip = problem.rhs.lipschitz_F
@@ -362,11 +358,8 @@ def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
     k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol)
     enforce = start_value is None
     cur = [u0 if start_value is None else float(start_value)] * (N + 1 - k_min)
-    tabled = range(k_min, N + 1 if reserve_top is None else max(N, reserve_top - 1) + 1)
-    ft = make_ftilde(problem, tabled)  # the powers of p of every sweep and the continuation
-    sweep = _IalphaSweep(p, alpha, tabled)
-    if sweep.lists is None:  # the guard is passed below the top: tables for Picard's levels
-        sweep = _IalphaSweep(p, alpha, range(k_min, N + 1))
+    top = N if reserve_top is None else max(N, reserve_top - 1)
+    sweep = _IalphaSweep(p, alpha, gamma, range(k_min, top + 1))  # also the continuation's
 
     def apriori(j: int) -> float:
         # bound for |u_{j+1} - u_j|, valid on the whole ball |t| <= p^N
@@ -375,7 +368,7 @@ def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
 
     diffs = []
     for it in range(max_iter):
-        new = [u0 + v for v in _integrate(sweep, ft, cur)]
+        new = [u0 + v for v in _integrate(sweep, problem.rhs.eval, cur)]
         diff = max(abs(a - b) for a, b in zip(new, cur))
         diffs.append(diff)
         cur = new
@@ -403,26 +396,19 @@ def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
         picard_diffs=tuple(diffs), apriori_bounds=bounds,
         extension_diagnostics={}, truncation_budget=budget / (1.0 - q),
         k_min=k_min, q_contraction=q, c_uniform=c_uni, apriori_enforced=enforce,
-    ), ft, sweep
+    ), sweep
 
 
-def _integrate(sweep: _IalphaSweep, ft: ScaledRhs, xs) -> list:
-    """I^alpha ftilde(., x) for x over xs, without u0, at the levels of ``sweep`` and ``ft``
-    (which start at the same level): one comprehension, then one window pass from zero sums."""
-    f = ft.rhs.eval
-    weights = ft.weight.table or map(ft.weight.__getitem__, ft.levels)  # lazy past the guard
-    sweep.s1 = sweep.s2 = 0.0
-    return sweep.window([w * f(k, x) for k, w, x in zip(ft.levels, weights, xs)])
+def _integrate(sweep: _IalphaSweep, f: Callable, xs) -> list:
+    """I^alpha ftilde(., x) for x over xs, without u0, at the sweep's levels, ftilde taken as 0
+    below them (the truncation budget bounds that): f at every level, then one window pass."""
+    sweep.seed()
+    return sweep.window([f(k, x) for k, x in enumerate(xs, sweep.lo)])
 
 
-def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
-                       budget: float = 1e-11) -> float:
-    """v0 for extending the solution from level ell to ell + 1.
-
-    Integrates the kernel against ftilde(., u(.)) over levels <= ell;
-    the part below u's window is not computed but bounded, and a bound
-    above ``budget`` is an error advising a lower window edge.
-    """
+def _known_part(u: RadialFunction, problem: ProblemSpec, ell: int, budget: float) -> tuple:
+    """:meth:`_IalphaSweep.ahead` at ell + 1 for ftilde(., u(.)) on u's window up to ell; the part
+    below the window is bounded, and a bound above ``budget`` is an error."""
     if ell < u.k_min:
         raise DomainError(f"extension level {ell} is below the window floor {u.k_min}")
     rem = _truncation_bound(problem, u.k_min)(ell + 1, ell + 1)
@@ -431,16 +417,23 @@ def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
             f"neglected sub-window remainder bound {rem} exceeds the budget "
             f"{budget}; rebuild the solution with a lower K_min"
         )
-    levels = range(u.k_min, ell + 2)
-    sweep = _IalphaSweep(problem.p, problem.alpha, levels)
-    _integrate(sweep, make_ftilde(problem, levels), map(u.value_at, levels[:-1]))
-    return sweep.value(ell + 1, 0.0)
+    sweep = _IalphaSweep(problem.p, problem.alpha, problem.gamma, range(u.k_min, ell + 2))
+    _integrate(sweep, problem.rhs.eval, map(u.value_at, range(u.k_min, ell + 1)))
+    return sweep.ahead()
 
 
-def _extension_kappa(problem: ProblemSpec, ell: int, coef: float, w: float) -> float:
-    """kappa of the level-(ell+1) equation, coef = p^(a ell), w = p^(-g (ell+1)); >= 1 raises."""
+def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
+                       budget: float = 1e-11) -> float:
+    """v0 for extending the solution from level ell to ell + 1: the kernel integrated
+    against ftilde(., u(.)) over levels <= ell, within ``budget`` of :func:`_known_part`."""
+    known, c, shift = _known_part(u, problem, ell, budget)
+    return known - c * shift
+
+
+def _extension_kappa(problem: ProblemSpec, ell: int, c: float) -> float:
+    """kappa of the level-(ell+1) equation, c = p^((a - g)(ell+1) - a); >= 1 raises."""
     lip = problem.rhs.level_lipschitz(ell + 1)
-    kappa = coef * (lip * w)
+    kappa = c * lip
     if kappa >= 1.0:
         raise ContractionError(
             f"extension to level {ell + 1} is not a contraction: kappa = {kappa} >= 1 "
@@ -451,14 +444,14 @@ def _extension_kappa(problem: ProblemSpec, ell: int, coef: float, w: float) -> f
 
 
 def _fixed_point(n: int, base: float, x: float, kappa: float, tol: float, max_iter: int,
-                 f: Callable, w: float, coef: float) -> tuple:
-    """Iterate x -> base + coef w f(p^n, x) from x, where base = u0 + v0,
-    coef = p^(a (n-1)) and w = p^(-g n); (value, iterations)."""
+                 f: Callable, c: float, shift: float) -> tuple:
+    """Iterate x -> base + c (f(p^n, x) - shift) from x, where base = u0 plus the known
+    part and c = p^((a - g) n - a); (value, iterations)."""
     if kappa == 0.0:
-        return base + coef * (w * f(n, x)), 1
+        return base + c * (f(n, x) - shift), 1
     prev_step = None
     for j in range(1, max_iter + 1):
-        x_new = base + coef * (w * f(n, x))
+        x_new = base + c * (f(n, x) - shift)
         d = abs(x_new - x)
         if d <= tol * max(1.0, abs(x_new)):
             return x_new, j
@@ -484,16 +477,15 @@ def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
     Returns (value, kappa, iterations).  Requires the contraction factor
     kappa = p^(a ell) * Lip(ftilde(p^(ell+1), .)) to be below 1; a step
     longer than kappa times the previous one (plus a few ulps of rounding)
-    indicates wrong declared metadata.
+    indicates wrong declared metadata.  A given ``v0`` replaces the known part.
     """
     require_tol(tol)
-    coef = p_pow(problem.p, problem.alpha * ell)
-    w = p_pow(problem.p, -problem.gamma * (ell + 1))
-    kappa = _extension_kappa(problem, ell, coef, w)
-    if v0 is None:
-        v0 = extension_constant(u, problem, ell)
-    value, iters = _fixed_point(ell + 1, problem.u0 + v0, u.value_at(ell), kappa, tol, max_iter,
-                                problem.rhs.eval, w, coef)
+    known, c, shift = _known_part(u, problem, ell, 1e-11)
+    kappa = _extension_kappa(problem, ell, c)
+    if v0 is not None:
+        known = v0 + c * shift
+    value, iters = _fixed_point(ell + 1, problem.u0 + known, u.value_at(ell), kappa, tol, max_iter,
+                                problem.rhs.eval, c, shift)
     return value, kappa, iters
 
 
@@ -520,11 +512,8 @@ class GlobalHypothesesReport:
 def check_global_hypotheses(problem: ProblemSpec, levels=range(-10, 31)) -> GlobalHypothesesReport:
     """Check F_l < p^(-alpha l) on a level range and beta + gamma > alpha."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    witness = None
-    for l in levels:
-        if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l):
-            witness = l
-            break
+    witness = next((l for l in levels
+                    if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l)), None)
     per_level_ok = witness is None
     decay_ok = None
     detail = ""
@@ -651,32 +640,31 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     target = extend_to if extend_to is not None else N + 35
     if target < N:
         raise DomainError(f"extension target {target} is below the local radius {N}")
-    report, ft, sweep = _picard(problem, N, tol, max_iter, None, target + 1)
+    report, sweep = _picard(problem, N, tol, max_iter, None, target + 1)
     u = report.solution
-    _integrate(sweep, ft, u.values)  # Picard's tables and sweep, now holding u's ftilde
+    f = problem.rhs.eval
+    _integrate(sweep, f, u.values)  # Picard's sweep, now holding u's f
     truncation = _truncation_bound(problem, u.k_min)
     budget = report.truncation_budget
     diags = {}
     values = []
     x = u.value_at(N)
-    f = problem.rhs.eval
     for ell in range(N, target):
         n = ell + 1
-        v0 = sweep.value(n, 0.0)  # the known part: levels <= ell only
+        known, c, shift = sweep.ahead()
         rem = truncation(n, n)
         if rem > tol / 10.0:
             raise BudgetError(
                 f"neglected sub-window remainder bound {rem} at extension level {ell} "
                 f"exceeds tol/10; rebuild with a smaller tol or lower K_min"
             )
-        coef = sweep.pa(ell)
-        w = ft.weight[n]
-        kappa = _extension_kappa(problem, ell, coef, w)
-        x, iters = _fixed_point(n, problem.u0 + v0, x, kappa, tol / 100.0, 1000, f, w, coef)
+        kappa = _extension_kappa(problem, ell, c)
+        x, iters = _fixed_point(n, problem.u0 + known, x, kappa, tol / 100.0, 1000, f, c, shift)
         budget += rem
-        diags[n] = ExtensionDiagnostic(v0=v0, kappa=kappa, iterations=iters)
+        # v0: I^alpha at level n of the levels <= ell alone
+        diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)
         values.append(x)
-        sweep.push(n, w * f(n, x))
+        sweep.window([f(n, x)])
     u = replace(u, k_max=target, values=u.values + tuple(values))
     return replace(report, solution=u, extension_diagnostics=diags,
                    truncation_budget=budget)

@@ -18,6 +18,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -150,12 +151,20 @@ def cmd_constants(args) -> int:
 
 # -- apply --------------------------------------------------------------------
 
-def _parse_levels(text: str):
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return range(int(lo), int(hi) + 1)
-    n = int(text)
-    return range(n, n + 1)
+def _parse(flag: str, text: str, convert):
+    """convert(text), a malformed value being a precondition violation that names the flag."""
+    try:
+        return convert(text)
+    except ValueError as err:
+        raise DomainError(f"malformed {flag} {text!r}: {err}") from err
+
+
+def _levels(text: str) -> range:
+    lo, sep, hi = text.partition(":")
+    levels = range(int(lo), int(hi if sep else lo) + 1)
+    if not levels:
+        raise ValueError("lo must not exceed hi")
+    return levels
 
 
 def cmd_apply(args) -> int:
@@ -164,7 +173,7 @@ def cmd_apply(args) -> int:
     op = {"dalpha": apply_dalpha, "ialpha": apply_ialpha}.get(args.op)
     if op is None:
         raise DomainError(f"--op must be dalpha or ialpha, got {args.op!r}")
-    for k in _parse_levels(args.levels):
+    for k in _parse("--levels", args.levels, _levels):
         print(f"{k} {_fmt(op(u, args.alpha, k))}")
     return EXIT_OK
 
@@ -214,13 +223,7 @@ def cmd_solve(args) -> int:
     report_out = cfg.get("report_out")
     if report_out:
         payload = report.to_dict()
-        payload["hypotheses"] = {
-            "per_level_ok": hyp.per_level_ok,
-            "witness_level": hyp.witness_level,
-            "decay_ok": hyp.decay_ok,
-            "residual_verifiable": hyp.residual_verifiable,
-            "detail": hyp.detail,
-        }
+        payload["hypotheses"] = dataclasses.asdict(hyp)
         with open(report_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -390,8 +393,8 @@ def cmd_verify(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    ps = [int(x) for x in args.p_list.split(",")]
-    alphas = [float(x) for x in args.alpha_list.split(",")]
+    ps = _parse("--p-list", args.p_list, lambda t: [int(x) for x in t.split(",")])
+    alphas = _parse("--alpha-list", args.alpha_list, lambda t: [float(x) for x in t.split(",")])
     header = ("p,alpha,gamma,N,k_min,k_max,picard_iterations,"
               "max_abs_residual,residual_levels,truncation_budget,status")
     lines = [header]
@@ -459,21 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve a degenerate Cauchy problem")
     s.add_argument("--config", default=None)
-    s.add_argument("--p", type=int, default=None)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--gamma", type=float, default=None)
-    s.add_argument("--u0", type=float, default=None)
-    s.add_argument("--rhs", default=None)
-    s.add_argument("--rhs-amplitude", dest="rhs_amplitude", type=float, default=None)
-    s.add_argument("--rhs-beta", dest="rhs_beta", type=float, default=None)
-    s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    s.add_argument("--n-override", dest="n_override", type=int, default=None)
-    s.add_argument("--extend-to", dest="extend_to", type=int, default=None)
-    s.add_argument("--buffer", type=int, default=None)
-    s.add_argument("--csv-out", dest="csv_out", default=None)
-    s.add_argument("--report-out", dest="report_out", default=None)
-    s.add_argument("--solution-out", dest="solution_out", default=None)
+    for key, kind in _CONFIG_KEYS.items():
+        s.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="run the verification suites")

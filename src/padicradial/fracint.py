@@ -1,25 +1,45 @@
 """The p-adic fractional integral I^alpha and its kernel constants.
 
-On radial functions the integral reduces, for |x|_p = p^n, to a diagonal
-term plus a strictly interior ball integral:
+On radial functions, for |x|_p = p^n, the integral is a diagonal term plus
+a strictly interior ball integral,
 
-    (I^a u)(p^n) = p^(-a) p^(a n) u(p^n)
-                   + (1 - p^-a)/(1 - p^(a-1)) *
-                     integral_{|y| < |x|} (|x|^(a-1) - |y|^(a-1)) u(|y|) dy
+    (I^a u)(p^n) = p^(-a) p^(a n) u(p^n) + (1 - p^-a)/(1 - p^(a-1)) *
+                   integral_{|y| < |x|} (|x|^(a-1) - |y|^(a-1)) u(|y|) dy,
 
-for a != 1, and with the kernel log|x| - log|y| and the prefactor
-(1 - p)/(p ln p) for a = 1.  The interior integral is a stratified sum
-over levels k <= n - 1 whose infinite part collapses to geometric series
-through the weighted sums of :mod:`padicradial.radial`.
+with the kernel log|x| - log|y| and the prefactor (1 - p)/(p ln p) at
+a = 1.  Over the strata k < n both are one sum, with no branch at a = 1:
+
+    (I^a u)(p^n) = p^(a n) [p^(-a) u_n + (1 - p^-a)(1 - 1/p) sum_{k<n} g(n - k) u_k],
+    g(j) = -sum_{i=1..j} p^(-(j-i)) p^(-a i)    (-j p^-j at a = 1).
+
+I^a annihilates constants, so :class:`_IalphaSweep` walks the centered
+sums scaled to their own level, Bc(n) = sum_{k<n} p^(a (k-n)) (u_k - u_n)
+and Gc(n) = sum_{k<n} g(n - k) (u_k - u_n), through
+
+    Bc(n+1) = p^(-a) Bc(n) + (u_n - u_{n+1}) / (p^a - 1),
+    Gc(n+1) = Gc(n) / p - (u_n - u_{n+1}) / ((p^a - 1)(p - 1)) - Bc(n+1),
+    (I^a u)(p^n) = p^(a n) (1 - p^-a)(1 - 1/p) Gc(n),
+
+in O(1) per level, with no 1 - p^(a-1) division and exactly 0 for a
+constant.  The walks damp by p^(-a) and 1/p and step by differences of
+neighbouring values, so rounding decays along them.  Their seed is the
+left tail in closed form: sum_j g(j) z^j = -z p^-a / ((1 - z/p)(1 - z p^-a))
+is a product of two geometric series, so a tail part c p^(rho k) adds
+c p^(rho n) b to Bc(n) and c p^(rho n) b / (p^(-1-rho) - 1) to Gc(n),
+b = 1 / (p^(a+rho) - 1); the centering -u_n is the part with rho = 0, and
+both converge iff rho > -min(1, a).  For the solver's ftilde_k =
+p^(-g k) f_k the walks, scaled by p^(g n) too, take f itself, with ratios
+p^(g-a) and p^(g-1) and differences p^g f_n - f_{n+1}; the one power of p
+left is the output scale p^((a-g) n), tabled once per solve.
 
 Applied to a pure power |y|^(a sigma) the interior kernel integral is
 homogeneous of degree a (sigma + 1) in |t|, with a t-independent
 constant d_{a,sigma}; :func:`kernel_constant` evaluates its closed form
 and :func:`kernel_constant_oracle` rebuilds it stratum by stratum.  Both
-the absolute constant (used for bounds) and the signed one (used when
-evaluating I^alpha itself) are carried, because for a < 1 the kernel and
-the prefactor flip sign together - dropping one of the two flips is the
-classic sign error in this computation.
+the absolute constant (used for bounds) and the signed one are carried,
+because for a < 1 the kernel and the prefactor flip sign together -
+dropping one of the two flips is the classic sign error in this
+computation.
 
 :func:`bound_constants` packages the growth constants for powers of the
 integral operator: c_n bounds |I^a phi| / (mu |t|^((n+1)(a-g))) over the
@@ -35,13 +55,8 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import DegenerationError, DivergenceError, require_finite
-from .haar import Prime, DEFAULT_DEPTH, _Powers, p_pow, p_pow_levels
-from .radial import (
-    RadialFunction,
-    TailModel,
-    level_weighted_sum_left,
-    weighted_sum_left,
-)
+from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow, p_pow_levels
+from .radial import RadialFunction, TailModel
 
 # Floor for the slack used when building the sigma-uniform envelope bound.
 _EPS_FLOOR = 1e-6
@@ -158,122 +173,98 @@ def _interior_prefactor(p: int, alpha: float) -> float:
 
 
 def power_image_coefficient(p: int, alpha: float, rho: float) -> float:
-    """Coefficient of I^alpha on the pure power |y|^rho.
-
-    (I^a |.|^rho)(|t|) = coefficient * |t|^(alpha + rho); requires
-    rho/alpha above the kernel domain boundary.
-    """
-    kc = kernel_constant(p, alpha, rho / alpha)
-    return p_pow(p, -alpha) + _interior_prefactor(p, alpha) * kc.s_signed
+    """c in (I^a |.|^rho)(|t|) = c |t|^(alpha + rho): the value at |t| = 1, rho > -min(1, a)."""
+    return apply_ialpha(RadialFunction.power(p, rho), alpha, 0)
 
 
 class _IalphaSweep:
-    """Running sums of the interior I^alpha integral over ascending levels.
+    """Bc and Gc of ftilde = p^(-gamma k) f over ascending levels, scaled by p^(gamma n).
 
-    After levels k < n have been pushed it holds s1 = sum p^k phi_k and
-    s2 = sum p^(alpha k) phi_k (s2 = sum k p^k phi_k on the alpha = 1 log
-    branch), so the value at level n costs O(1) and a whole window one
-    O(W) pass in a fixed ascending summation order.  The powers of p that
-    weight ``levels`` are built once, for every pass over them; without
-    levels (one value) the methods pk, pa and pm call :func:`p_pow`.
+    ``state`` is (Bc, Gc, f) at ``level``.  ``scale`` holds p^((alpha - gamma) k)
+    for ``levels`` up to the overflow guard; a level past it raises
+    :class:`MagnitudeError` when a pass reaches it, not before.
     """
 
-    lists = None  # (p^k, p^(alpha (k-1)), p^(alpha k), p^((alpha-1) k)) over levels
-
-    def __init__(self, p: int, alpha: float, levels: range = range(0),
-                 s1: float = 0.0, s2: float = 0.0):
+    def __init__(self, p: int, alpha: float, gamma: float, levels: range,
+                 state: tuple = (0.0, 0.0, 0.0)):
+        lnp = math.log(p)
+        e = alpha - gamma
+        top = min(levels.stop - 1, math.floor(OVERFLOW_GUARD / (e * lnp)) + 1)
+        while e * top * lnp > OVERFLOW_GUARD:  # the test p_pow makes
+            top -= 1
         self.p = p
-        self.alpha = alpha
-        self.levels = levels
-        self.s1 = s1
-        self.s2 = s2
-        self.pref = _interior_prefactor(p, alpha)
-        self.frac = 1.0 - 1.0 / p
-        self.coef = (p - 1.0) ** 2 / (p * p)
-        if levels:  # tables, in place of the methods below
-            below = range(levels.start - 1, levels.stop)
-            pk = _Powers(p, 1, below)
-            pa = pk if alpha == 1.0 else _Powers(p, alpha, below)
-            pm = _Powers(p, alpha - 1.0, levels)
-            self.pk, self.pa, self.pm = pk.__getitem__, pa.__getitem__, pm.__getitem__
-            if pk.table and pa.table and pm.table:
-                self.lists = (pk.table[1:], pa.table, pa.table[1:], pm.table)
+        self.e = e
+        self.lo = levels.start
+        step = p_pow(p, e)  # integer powers of one rounded p^e: smooth from level to level
+        self.scale = [step ** k for k in range(levels.start, top + 1)]
+        self.q = p_pow(p, -alpha)
+        ib = 1.0 / math.expm1(alpha * lnp)
+        # the ratios of Bc and Gc, p^gamma, their step weights and (1 - p^-a)(1 - 1/p)
+        self.consts = (p_pow(p, gamma - alpha), p_pow(p, gamma - 1.0), p_pow(p, gamma),
+                       ib, ib / (p - 1.0), -math.expm1(-alpha * lnp) * (1.0 - 1.0 / p))
+        self.seed(state)
 
-    def pk(self, k: float) -> float:  # p^k
-        return p_pow(self.p, k)
+    def seed(self, state: tuple = (0.0, 0.0, 0.0)) -> None:
+        """Stand just below the first level, with ``state`` that of what lies below it."""
+        self.level = self.lo - 1
+        self.state = state
 
-    def pa(self, k: float) -> float:  # p^(alpha k)
-        return p_pow(self.p, self.alpha * k)
+    def ahead(self) -> tuple:
+        """(known, c, shift) of the next level n: I^alpha there is known + c (f_n - shift),
+        with c = p^((alpha - gamma) n - alpha) and shift = p^gamma f_(n-1)."""
+        rb, rg, pg, _, _, coef = self.consts
+        bc, gc, last = self.state
+        i = self.level + 1 - self.lo  # past the table only past the guard, where p_pow raises
+        s = self.scale[i] if i < len(self.scale) else p_pow(self.p, self.e * (self.level + 1))
+        return s * (coef * (rg * gc - rb * bc)), s * self.q, pg * last
 
-    def pm(self, n: int) -> float:  # p^((alpha-1) n)
-        return p_pow(self.p, (self.alpha - 1.0) * n)
-
-    def value(self, n: int, phi: float) -> float:
-        """(I^a phi)(p^n) given phi_n; phi = 0 leaves the interior part alone."""
-        if self.alpha == 1.0:
-            return self.pk(n - 1.0) * phi - self.coef * (n * self.s1 - self.s2)
-        interior = self.frac * (self.pm(n) * self.s1 - self.s2)
-        return self.pa(n - 1.0) * phi + self.pref * interior
-
-    def push(self, k: int, phi: float) -> None:
-        """Add level k, which must be the level after the last one pushed."""
-        w = self.pk(k)
-        self.s1 += w * phi
-        if self.alpha == 1.0:
-            self.s2 += k * w * phi
-        else:
-            self.s2 += self.pa(k) * phi
-
-    def window(self, phis) -> list:
-        """value(n, phi) then push(n, phi) for n over ``levels`` and phi over phis, in one loop."""
+    def window(self, fs: list) -> list:
+        """Step to each next level of ``levels`` with its f, returning I^alpha ftilde at each."""
+        rb, rg, pg, ib, ig, coef = self.consts
+        bc, gc, last = self.state
+        i = self.level + 1 - self.lo
         out = []
-        if self.lists is None:  # no tables: level by level, raising where value and push do
-            for n, phi in zip(self.levels, phis):
-                out.append(self.value(n, phi))
-                self.push(n, phi)
-            return out
-        pk, pa_prev, pa, pm = self.lists
-        s1, s2 = self.s1, self.s2
-        frac, pref, coef = self.frac, self.pref, self.coef
-        if self.alpha == 1.0:
-            for n, phi, w_prev, w in zip(self.levels, phis, pa_prev, pk):
-                out.append(w_prev * phi - coef * (n * s1 - s2))
-                s1 += w * phi
-                s2 += n * w * phi
-        else:
-            for phi, a_prev, m, w, a in zip(phis, pa_prev, pm, pk, pa):
-                out.append(a_prev * phi + pref * (frac * (m * s1 - s2)))
-                s1 += w * phi
-                s2 += a * phi
-        self.s1, self.s2 = s1, s2
+        for f, s in zip(fs, self.scale[i:i + len(fs)]):
+            d = pg * last - f
+            bc = rb * bc + d * ib
+            gc = rg * gc - d * ig - bc
+            out.append(s * (coef * gc))
+            last = f
+        self.level += len(out)
+        self.state = (bc, gc, last)
+        if len(out) < len(fs):
+            self.ahead()  # the next level is past the guard: raises
         return out
 
 
-def _sweep_below(u: RadialFunction, alpha: float, n: int,
-                 levels: range = range(0)) -> _IalphaSweep:
-    """A sweep over ``levels`` holding u on every level k <= n - 1, its tails in closed form."""
-    try:
-        s1 = weighted_sum_left(u, n - 1, 1.0)
-        if alpha == 1.0:
-            return _IalphaSweep(u.p, alpha, levels, s1, level_weighted_sum_left(u, n - 1, 1.0))
-        return _IalphaSweep(u.p, alpha, levels, s1, weighted_sum_left(u, n - 1, alpha))
-    except DivergenceError as err:
-        raise DivergenceError(f"I^alpha at level {n}: {err}") from err
-
-
-def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
-    """(I^alpha u)(p^n) via the diagonal term plus the interior stratified sum.
-
-    The interior integral runs over levels k <= n - 1 only (strict
-    inequality |y| < |x|); the level-n sphere enters solely through the
-    diagonal term p^(-alpha) |x|^alpha u(|x|).  Convergence of the
-    interior sums is exactly the max(p^k, p^(alpha k)) condition for
-    alpha != 1 and the |k| p^k condition for alpha = 1.
-    """
+def _sweep_below(u: RadialFunction, alpha: float, levels: range) -> _IalphaSweep:
+    """A sweep over ``levels``, which start at or below u's window, seeded with u's left tail."""
     require_finite(alpha=alpha)
     if alpha <= 0:
         raise DivergenceError(f"alpha must be positive, got {alpha}")
-    return _sweep_below(u, alpha, n).value(n, u.value_at(n))
+    c = u.value_at(levels.start - 1)  # in the left tail
+    rho = u.left_tail.rho
+    bc = gc = 0.0
+    if u.left_tail.kind == "power":  # a zero or constant tail is 0 once centered
+        if not rho > -min(1.0, alpha):
+            raise DivergenceError(f"I^alpha of a left tail p^(rho k) diverges: requires "
+                                  f"rho > -min(1, alpha) = {-min(1.0, alpha)}, got {rho}")
+        lnp = math.log(u.p)
+        for x, r in ((c, rho), (-c, 0.0)):  # the tail part, then the centering
+            b = x / math.expm1((alpha + r) * lnp)
+            bc += b
+            gc += b / math.expm1(-(1.0 + r) * lnp)
+    return _IalphaSweep(u.p, alpha, 0.0, levels, (bc, gc, c))
+
+
+def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
+    """(I^alpha u)(p^n): the sweep seeded below min(n, k_min), walked up to n.
+
+    The left tail must obey the convergence condition rho > -min(1, alpha).
+    O(1) below u's window, O(n - k_min) above its start.
+    """
+    levels = range(min(n, u.k_min), n + 1)
+    return _sweep_below(u, alpha, levels).window([u.value_at(k) for k in levels])[-1]
 
 
 @dataclass(frozen=True)
@@ -338,10 +329,10 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
             f"assembly window must start at or below v's window (k_lo = {k_lo} "
             f"> k_min = {v.k_min}), or the exact left tail is unavailable"
         )
-    # closed form below v's window, then one sweep in _sum_left's order
+    # O(1) per level below v's window, then one pass: the same steps as apply_ialpha's
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
     levels = range(v.k_min, k_hi + 1)
-    values += _sweep_below(v, alpha, v.k_min, levels).window(v.value_at(n) for n in levels)
+    values += _sweep_below(v, alpha, levels).window([v.value_at(n) for n in levels])
     tail = v.left_tail
     if tail.kind in ("zero", "const"):
         left = TailModel.zero()

@@ -86,23 +86,6 @@ def p_pow_levels(base: float, e: float, lo: int, hi: int) -> list:
     return out
 
 
-class _Powers(dict):
-    """p_pow(p, e * k) by level k: one :func:`p_pow_levels` table (also the list ``table``) of
-    ``levels`` if all are in range; p_pow for any other level, or for every level (``table``
-    None) if some is out of range, so that a level past the guard raises only when reached."""
-
-    def __init__(self, p: int, e: float, levels: range):
-        self.p, self.e = p, e
-        try:
-            self.table = p_pow_levels(p, e, levels.start, levels.stop - 1)
-            self.update(zip(levels, self.table))
-        except MagnitudeError:
-            self.table = None
-
-    def __missing__(self, k: float) -> float:
-        return p_pow(self.p, self.e * k)
-
-
 def _require_convergent(what: str, a: float) -> None:
     require_finite(a=a)
     if a <= 0:

@@ -9,8 +9,8 @@ series with a closed form, so there is no truncation error at infinity.
 
 The weighted sums computed here are the raw material for the fractional
 operators: ``sum_{k<=m} p^(e k) u(p^k)`` and its mirror image, plus the
-level-weighted variants ``sum k p^(e k) u(p^k)`` that the logarithmic
-(alpha = 1) kernels require; the private forms also center u on a constant c.
+level-weighted variants ``sum k p^(e k) u(p^k)`` of the alpha = 1
+summability conditions; the private forms also center u on a constant c.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def weighted_sum_right(u: RadialFunction, m: int, e: float) -> float:
 
 
 def level_weighted_sum_left(u: RadialFunction, m: int, e: float) -> float:
-    """sum_{k <= m} k p^(e k) u(p^k); needed by the logarithmic kernels."""
+    """sum_{k <= m} k p^(e k) u(p^k); used by the alpha = 1 summability conditions."""
     return _sum_left(u, m, e, level_weight=True)
 
 

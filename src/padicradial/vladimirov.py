@@ -72,7 +72,7 @@ class DalphaCoefficients:
         denom = 1.0 - p_pow(p, -alpha - 1.0)
         return DalphaCoefficients(
             p=p, alpha=alpha,
-            d_alpha=(1.0 - p_pow(p, alpha)) / denom,
+            d_alpha=-math.expm1(alpha * math.log(p)) / denom,
             diag_coef=(p_pow(p, alpha) + p - 2.0) / denom,
         )
 
@@ -148,7 +148,7 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
     err_r = _damped(_seed_rounding(u.right_tail, b, -alpha, seed_r, vals[-1], 1.0 / qm1, lnp),
                     q, [_UNIT * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
                         for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
-    # d_a loses 1/(1-q) units where 1 - p^a cancels
+    # d_a: a few units from expm1; the 1/(1-q) units are kept as margin
     c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
     return values, [None if v is None else abs(coef) * w
                     * (err_l[n - a] + err_r[b - n]) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)

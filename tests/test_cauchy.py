@@ -20,7 +20,7 @@ import padicradial.cauchy as cauchy
 from padicradial import haar
 from padicradial.haar import ball_power_integral, p_pow, p_pow_levels
 from padicradial.radial import RadialFunction, TailModel, check_summability, weighted_sum_left
-from padicradial.fracint import kernel_constant_oracle, power_image_coefficient
+from padicradial.fracint import _IalphaSweep, kernel_constant_oracle, power_image_coefficient
 from padicradial.cauchy import (
     Nonlinearity,
     ProblemSpec,
@@ -588,28 +588,31 @@ def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
     assert a <= 6.0 and b <= 6.0 and abs(a - b) <= 0.5
 
 
-@pytest.mark.parametrize("alpha,tables", [(1.5, 4), (1.0, 3), (0.5, 4)])
-def test_continuation_reuses_picards_power_tables(alpha, tables):
-    # ftilde's p^(-gamma k) and the sweep's p^k, p^(alpha k) (not for alpha = 1) and
-    # p^((alpha-1) k), each built once over [K_min, target]; none again for the continuation
+@pytest.mark.parametrize("alpha", (1.5, 1.0, 0.5))
+def test_continuation_reuses_picards_power_tables(alpha):
+    # the sweep's output scale p^((alpha-gamma) k), the one table of a solve, is built
+    # once over [K_min, target]; none again for the continuation
     rhs = catalog_nonlinearity("cos-decay", 3, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=3, alpha=alpha, gamma=0.3, u0=1.0, rhs=rhs)
     rep, calls = _guarded_powers(lambda: solve_problem(prob, tol=1e-10, extend_to=60),
-                                 funcs=(haar.p_pow_levels,))
+                                 funcs=(_IalphaSweep.__init__, haar.p_pow_levels))
     assert rep.solution.k_max == 60 and len(rep.extension_diagnostics) > 50
-    assert calls == tables
+    assert calls == 1
 
 
 def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
-    # 7^(1.5 k) leaves the double range at k = 240, below extend_to = 400
+    # 7^(1.2 k) leaves the double range at k = 300, below extend_to = 400: the scale is
+    # tabled up to 299, and level 300 raises when a pass reaches it, not before
     prob = ProblemSpec(p=7, alpha=1.5, gamma=0.3, u0=1.0,
                        rhs=catalog_nonlinearity("bounded-sigmoid", 7))
-    report, ft, sweep = cauchy._picard(prob, 0, 1e-10, 200, None, 401)
-    assert sweep.lists is not None and sweep.levels == range(report.k_min, 1)
-    assert ft.weight.table is not None and len(ft.weight.table) == 401 - report.k_min
-    assert sweep.pa(239) == p_pow(7, 1.5 * 239)  # past Picard's levels, level by level
+    report, sweep = cauchy._picard(prob, 0, 1e-10, 200, None, 401)
+    assert sweep.lo == report.k_min and sweep.level == 0
+    assert sweep.scale == [p_pow(7, 1.5 - 0.3) ** k for k in range(report.k_min, 300)]
+    assert len(sweep.window([0.0] * 299)) == 299
     with pytest.raises(MagnitudeError, match="7\\*\\*360"):
-        sweep.pa(240)
+        sweep.window([0.0])
+    with pytest.raises(MagnitudeError, match="7\\*\\*360"):
+        sweep.ahead()
 
 
 def test_residual_profile_fits_the_envelope_once(monkeypatch):
@@ -631,10 +634,9 @@ def test_residual_profile_fits_the_envelope_once(monkeypatch):
 
 
 @pytest.mark.parametrize("p,alpha,gamma,rhs,extend_to,error,message", [
-    (1000003, 1.5, 0.4, "cos-decay", None, MagnitudeError,
-     "power 1000003**51.0 exceeds the overflow guard (exponent * ln base = 704.6 > 700.0)"),
+    (1000003, 1.5, 0.4, "cos-decay", None, None, None),  # solves: no unscaled power of p is left
     (7, 1.5, 0.3, "bounded-sigmoid", 400, ContractionError,
-     "extension to level 3 is not a contraction: kappa = 1.4881472039478567 >= 1 "
+     "extension to level 3 is not a contraction: kappa = 1.4881472039478574 >= 1 "
      "(per-level Lipschitz bound 0.025 is not below p^(-alpha ell) p^(gamma (ell+1)) "
      "= 0.016799413346796823)"),
     (7, 1.5, 0.3, "cos-decay", 400, MagnitudeError,
@@ -642,10 +644,46 @@ def test_residual_profile_fits_the_envelope_once(monkeypatch):
 ])
 def test_failing_solves_raise_where_they_did_before_the_tables(p, alpha, gamma, rhs, extend_to,
                                                                 error, message):
-    # a table of the powers up to extend_to would overflow before these levels
+    # a table of the powers up to extend_to would overflow before these levels; the
+    # cos-decay one fails at level 300, where the output scale 7^(1.2 n) leaves the double range
     prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0, rhs=catalog_nonlinearity(rhs, p))
+    if error is None:
+        rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
+        assert rep.solution.k_max == rep.local_radius_N + 35
+        return
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         solve_problem(prob, tol=1e-10, extend_to=extend_to)
+
+
+def test_cancelling_const_solve_stays_within_its_budget():
+    # I^1 of a constant vanishes, so u = 1 up to the sub-window truncation at every level
+    prob = ProblemSpec(p=2, alpha=1.0, gamma=0.0, u0=1.0,
+                       rhs=catalog_nonlinearity("const", 2, amplitude=0.2, beta=2.5))
+    rep = solve_problem(prob, tol=1e-10)
+    assert rep.solution.k_max == rep.local_radius_N + 35
+    assert max(abs(x - 1.0) for x in rep.solution.values) <= rep.truncation_budget + 1e-10
+
+
+def test_large_p_solves_at_the_default_extension_and_matches_mpmath():
+    # p = 1000003: p^(alpha n) alone leaves the double range at level 34, the solution does not
+    from mpmath import mp, mpf
+    p, alpha, gamma = 1000003, 1.5, 0.4
+    rhs = catalog_nonlinearity("cos-decay", p)
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0, rhs=rhs)
+    rep = solve_problem(prob, tol=1e-10)
+    u = rep.solution
+    assert u.k_max == rep.local_radius_N + 35 == 36
+    with mp.workdps(50 + int((alpha + 1) * 40 * math.log10(p))):
+        # u0 + I^alpha[p^(-gamma k) f(p^k, u)] from the kernel form, ftilde = 0 below k_min
+        P, a, g = mpf(p), mpf(alpha), mpf(gamma)
+        pref = (1 - P ** -a) / (1 - P ** (a - 1)) * (1 - 1 / P)
+        phi = [P ** (-g * k) * mpf(rhs.eval(k, x)) for k, x in enumerate(u.values, u.k_min)]
+        for n, x in enumerate(u.values, u.k_min):
+            terms = [P ** (a * (n - 1)) * phi[n - u.k_min]]
+            terms += [pref * P ** k * (P ** ((a - 1) * n) - P ** ((a - 1) * k)) * phi[k - u.k_min]
+                      for k in range(u.k_min, n)]
+            scale = sum(abs(t) for t in terms)
+            assert abs(mpf(x) - 1 - sum(terms)) <= 1e-10 * max(1.0, abs(x)) + 1e-13 * scale, n
 
 
 def _with_solution(call, tol):

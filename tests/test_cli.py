@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from padicradial.cli import main
 from padicradial.radial import RadialFunction, dump_radial, load_radial
 
@@ -69,6 +71,24 @@ def test_apply_unknown_op(tmp_path, capsys):
     code, _, err = run(capsys, "apply", "--op", "grad", "--alpha", "1",
                        "--input", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("levels", ["x", "3:1", "1:", "0.5"])
+def test_apply_bad_levels_exit_2(tmp_path, capsys, levels):
+    path = tmp_path / "omega.txt"
+    path.write_text(dump_radial(RadialFunction.indicator_unit_ball(2)))
+    code, out, err = run(capsys, "apply", "--op", "ialpha", "--alpha", "1",
+                         "--input", str(path), f"--levels={levels}")
+    assert code == 2 and out == ""
+    assert "--levels" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--p-list", "2,x"), ("--p-list", "2,3.5"),
+                                        ("--alpha-list", "1,x")])
+def test_sweep_bad_list_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "sweep", flag, value)
+    assert code == 2 and out == ""
+    assert flag in err
 
 
 def solve_config(tmp_path, **overrides):
@@ -213,9 +233,10 @@ def test_sweep_rows(tmp_path, capsys):
 
 
 def test_sweep_keeps_good_rows_when_a_cell_overflows(capsys):
-    code, out, _ = run(capsys, "sweep", "--p-list", "2,1000003", "--alpha-list", "1.5")
+    # p^((alpha - gamma) n) = 100000007^38.5 leaves the double range at level 35
+    code, out, _ = run(capsys, "sweep", "--p-list", "2,100000007", "--alpha-list", "1.5")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("2,1.5,") and lines[1].endswith(",ok")
-    assert lines[2].startswith("1000003,") and lines[2].endswith("precondition: MagnitudeError")
+    assert lines[2].startswith("100000007,") and lines[2].endswith("precondition: MagnitudeError")

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from padicradial.errors import DegenerationError, DivergenceError, DomainError, MagnitudeError
 from padicradial.haar import p_pow
@@ -90,6 +91,47 @@ def test_ialpha_constants_cancel(p, alpha, n):
     val = apply_ialpha(RadialFunction.constant(p, c), alpha, n)
     scale = p_pow(p, alpha * (n - 1)) * c
     assert abs(val) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+def test_ialpha_of_a_constant_is_exactly_zero(p, alpha):
+    u = RadialFunction.constant(p, 2.0, -4, 3)
+    assert [apply_ialpha(u, alpha, n) for n in (-40, -5, 0, 2, 7, 40)] == [0.0] * 6
+    assert assemble_fractional_integral(u, alpha, -8, 12).values == (0.0,) * 21
+
+
+def _ialpha_mpmath(u, alpha, n, depth=300):
+    """(I^alpha u)(p^n) from the kernel form of the integral, at 50 digits: the diagonal
+    term plus the interior strata k = n - depth .. n - 1 (log kernel at alpha = 1), and
+    the sum of the terms' magnitudes."""
+    from mpmath import mp, mpf
+    with mp.workdps(50):
+        p, a = mpf(u.p), mpf(alpha)
+        diag = p ** (a * (n - 1)) * mpf(u.value_at(n))
+        terms = []
+        for k in range(n - depth, n):
+            if alpha == 1.0:
+                kernel = (1 - p) / p * (n - k)
+            else:
+                kernel = (1 - p ** -a) / (1 - p ** (a - 1)) * (p ** ((a - 1) * n) - p ** ((a - 1) * k))
+            terms.append((1 - 1 / p) * p ** k * kernel * mpf(u.value_at(k)))
+        return diag + sum(terms), float(abs(diag) + sum(abs(t) for t in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), delta=st.floats(-1e-6, 1e-6),
+       k_min=st.integers(-5, 5), values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=10),
+       c=st.floats(-2.0, 2.0), rho=st.one_of(st.just(0.0), st.floats(-0.4, 0.8)),
+       offset=st.integers(-3, 13))
+@example(p=2, delta=1e-13, k_min=0, values=[1.0], c=1.0, rho=0.5, offset=0)
+def test_ialpha_next_to_alpha_one_matches_mpmath(p, delta, k_min, values, c, rho, offset):
+    # the kernel's 1 - p^(alpha - 1) division cancels next to alpha = 1; the walk has none
+    left = TailModel.constant(c) if rho == 0.0 else TailModel.power_law(c, rho)
+    u = RadialFunction(p, k_min, k_min + len(values) - 1, values, left_tail=left)
+    n = k_min - 3 + offset
+    want, scale = _ialpha_mpmath(u, 1.0 + delta, n)
+    assert abs(apply_ialpha(u, 1.0 + delta, n) - want) <= 1e-14 * scale
 
 
 def test_ialpha_power_law_golden():
@@ -204,48 +246,46 @@ def test_assembly_is_bit_identical_to_per_level_ialpha(alpha):
 
 
 def _per_level(sweep, phis):
-    out = []
-    for n, phi in zip(sweep.levels, phis):
-        out.append(sweep.value(n, phi))
-        sweep.push(n, phi)
-    return out
+    return [sweep.window([phi])[0] for phi in phis]
 
 
 def _pass_outcome(run, sweep, phis):
-    """(values or the error's type and text, the sums left behind)."""
+    """(values or the error's type and text, the level and state left behind)."""
     try:
         got = [x.hex() for x in run(sweep, phis)]
     except MagnitudeError as err:
         got = (type(err), str(err))
-    return got, sweep.s1.hex(), sweep.s2.hex()
+    return got, sweep.level, [x.hex() for x in sweep.state]
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 def test_window_pass_matches_value_then_push(alpha):
-    # seeded as _sweep_below seeds it, over levels that cross 0
+    # seeded as apply_ialpha seeds it, over levels that cross 0: one pass equals one
+    # step at a time, bit for bit
     v = RadialFunction(3, -9, 12, tuple(math.sin(1.3 * k) for k in range(22)),
-                       left_tail=TailModel.constant(0.25), right_tail=TailModel.power_law(0.5, -1.5))
+                       left_tail=TailModel.power_law(0.25, 0.3), right_tail=TailModel.power_law(0.5, -1.5))
     levels = range(-9, 13)
     phis = [v.value_at(n) for n in levels]
-    seeded = [_sweep_below(v, alpha, -9, levels) for _ in range(2)]
-    assert seeded[0].lists is not None and seeded[0].s1 != 0.0 and seeded[0].s2 != 0.0
+    seeded = [_sweep_below(v, alpha, levels) for _ in range(2)]
+    assert seeded[0].level == -10 and 0.0 not in seeded[0].state
     assert _pass_outcome(_IalphaSweep.window, seeded[0], phis) \
         == _pass_outcome(_per_level, seeded[1], phis)
     # shorter inputs stop the pass early, as zip stops the loop
-    short = [_sweep_below(v, alpha, -9, levels) for _ in range(2)]
+    short = [_sweep_below(v, alpha, levels) for _ in range(2)]
     assert _pass_outcome(_IalphaSweep.window, short[0], phis[:5]) \
         == _pass_outcome(_per_level, short[1], phis[:5])
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 def test_window_pass_past_the_guard_raises_at_the_same_level(alpha):
-    # p^(max(1, alpha) k) leaves the double range 20 levels up: no tables, level by level
+    # p^(alpha k) leaves the double range 20 levels up: tabled below, raising at the first level
+    # past it, with the state of the level before
     v = RadialFunction.constant(2, 1.0)
-    top = math.floor(700.0 / (max(1.0, alpha) * math.log(2.0)))
+    top = math.floor(700.0 / (alpha * math.log(2.0)))
     levels = range(top - 20, top + 20)
     phis = [2.0 ** -k for k in levels]
-    sweeps = [_sweep_below(v, alpha, levels.start, levels) for _ in range(2)]
-    assert sweeps[0].lists is None
+    sweeps = [_sweep_below(v, alpha, levels) for _ in range(2)]
+    assert len(sweeps[0].scale) == 21
     got = _pass_outcome(_IalphaSweep.window, sweeps[0], phis)
     assert got == _pass_outcome(_per_level, sweeps[1], phis)
-    assert got[0][0] is MagnitudeError
+    assert got[0][0] is MagnitudeError and got[1] == top

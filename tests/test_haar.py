@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from padicradial.errors import DivergenceError, DomainError, MagnitudeError
 from padicradial.haar import (
     Prime,
-    _Powers,
     ball_log_integral,
     ball_log_integral_oracle,
     ball_power_integral,
@@ -59,19 +58,6 @@ def test_power_table_is_p_pow_level_by_level(p, e, lo, width):
         assert str(got.value) == str(err)
         return
     assert [x.hex() for x in p_pow_levels(p, e, lo, hi)] == [x.hex() for x in want]
-
-
-def test_power_dict_defers_out_of_range_levels_to_p_pow():
-    table = _Powers(2, 1.0, range(0, 2000))  # passes the guard at k = 1010: no table
-    assert len(table) == 0 and table[5] == p_pow(2, 5.0)
-    with pytest.raises(MagnitudeError, match="2\\*\\*1500"):
-        table[1500]
-    table = _Powers(2, 1.5, range(-3, 4))
-    assert sorted(table) == list(range(-3, 4))
-    assert [table[k] for k in range(-3, 4)] == [p_pow(2, 1.5 * k) for k in range(-3, 4)]
-    assert table[-2.0] == p_pow(2, -3.0)  # a level given as a float reads the same entry
-    assert table[9] == p_pow(2, 13.5)  # outside the table: computed when asked for
-    assert len(_Powers(2, 1.5, range(0))) == 0
 
 
 def test_p_pow_underflow_is_zero():

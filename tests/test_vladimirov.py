@@ -20,6 +20,17 @@ PRIMES = (2, 3, 5)
 ALPHAS = (0.5, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("alpha", (1e-3, 1e-6, 1e-9))
+def test_d_alpha_keeps_its_digits_for_small_alpha(alpha):
+    # 1 - p^alpha cancels as alpha -> 0; against 50 digits d_alpha is off by a few ulps
+    from mpmath import mp, mpf
+    with mp.workdps(50):
+        p, a = mpf(2), mpf(alpha)
+        want = (1 - p ** a) / (1 - p ** (-a - 1))
+    got = DalphaCoefficients.create(2, alpha).d_alpha
+    assert abs(got - want) <= 4 * math.ulp(got)
+
+
 def family(p):
     """Indicator, shifted indicator, and mixed power-law tails."""
     return [

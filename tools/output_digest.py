@@ -4,10 +4,11 @@
 
 Runs a fixed list of invocations in-process against the package in PATH
 (default: this checkout's ``src/``): the default ``sweep``, ``solve`` with
-``--solution-out`` and ``--report-out`` on three problems, ``apply`` of
-``dalpha`` and ``ialpha`` to a fixed radial function, a ``sweep`` with an
-error row and a ``solve`` that exits 2, and ``verify``.  Each
-line is the digest of the exit code, stdout, stderr and written files,
+``--solution-out`` and ``--report-out`` on five problems (one whose exact
+solution is u0 because I^1 of a constant vanishes, one at p = 1000003),
+``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function, a
+``sweep`` with an error row and a ``solve`` that exits 2, and ``verify``.
+Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments.  Two versions of the package whose outputs are bit
 for bit the same print the same lines; run it once with ``--src`` pointing
 at the other version's ``src/`` to compare.  Standard library only.
@@ -29,10 +30,12 @@ SOLVES = (
     "--rhs-beta 2.5 --extend-to 120",
     "--p 7 --alpha 0.5 --gamma 0.2 --u0 1.25 --rhs bounded-sigmoid --rhs-amplitude 0.05 "
     "--extend-to 2",
+    "--p 2 --alpha 1 --gamma 0 --u0 1 --rhs const --rhs-amplitude 0.2 --rhs-beta 2.5",
+    "--p 1000003 --alpha 1.5 --gamma 0.4 --u0 1 --rhs cos-decay",
 )
 # invocations that fail: an error row of sweep, and exit code 2 at a continuation level
 FAILING = (
-    "sweep --p-list 2,1000003 --alpha-list 1.5",
+    "sweep --p-list 2,100000007 --alpha-list 1.5",
     "solve --p 7 --alpha 1.5 --gamma 0.3 --u0 1 --rhs bounded-sigmoid --extend-to 400",
 )
 # u(p^k) on [-12, 12] between a constant left tail and a decaying power law
