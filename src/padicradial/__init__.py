@@ -68,14 +68,12 @@ from .cauchy import (
     Nonlinearity,
     ProblemSpec,
     ResidualEstimate,
-    ScaledRhs,
     SolveReport,
     catalog_nonlinearity,
     check_global_hypotheses,
     choose_local_radius,
     extend_step,
     extension_constant,
-    make_ftilde,
     picard_solve,
     residual,
     solve_problem,

@@ -26,18 +26,20 @@ in three stages:
    the computed window and for floating-point cancellation.
 
 Truncation policy: the integrals extend to level -infinity, but the
-iteration only stores a window [K_min, N].  K_min is lowered until the
-certified bound on every neglected sub-window contribution (from
-|ftilde| <= M p^(-g k) and the kernel's geometric decay) is below
-tol / 10 in total; the accumulated bound is reported as
-``truncation_budget`` rather than silently dropped.
+iteration only stores a window [K_min, N].  The kernel has one sign on
+|y| < |x|, so the sup of a neglected sub-window contribution over
+|ftilde| <= M p^(-g k) is the kernel's own sum, two damped geometric
+walks with no branch at a = 1 (:func:`_truncation_terms`).  K_min is
+lowered until that is below tol / 10 in total; the accumulated bound is
+reported as ``truncation_budget`` rather than silently dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 from .errors import (
     BudgetError,
@@ -53,8 +55,8 @@ from .errors import (
     require_tol,
 )
 from .haar import OVERFLOW_GUARD, Prime, p_pow
-from .radial import RadialFunction, TailModel, _geom_left, _geom_left_level
-from .fracint import _IalphaSweep, _interior_prefactor, bound_constants
+from .radial import RadialFunction, TailModel
+from .fracint import _IalphaSweep, bound_constants
 from .vladimirov import dalpha_window
 
 
@@ -159,29 +161,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class ScaledRhs:
-    """ftilde(p^k, x) = p^(-gamma k) f(p^k, x) with its derived bounds."""
-
-    p: int
-    gamma: float
-    rhs: Nonlinearity
-
-    def __call__(self, k: int, x: float) -> float:
-        return p_pow(self.p, -self.gamma * k) * self.rhs.eval(k, x)
-
-    def bound_at(self, k: int) -> float:
-        return self.rhs.bound_M * p_pow(self.p, -self.gamma * k)
-
-    def lipschitz_at(self, k: int) -> float:
-        return self.rhs.level_lipschitz(k) * p_pow(self.p, -self.gamma * k)
-
-
-def make_ftilde(problem: ProblemSpec) -> ScaledRhs:
-    """The degeneration-absorbed right-hand side |t|^(-gamma) f."""
-    return ScaledRhs(p=problem.p, gamma=problem.gamma, rhs=problem.rhs)
-
-
-@dataclass(frozen=True)
 class ExtensionDiagnostic:
     v0: float
     kappa: float
@@ -260,45 +239,50 @@ def choose_local_radius(problem: ProblemSpec, n_floor: int = -60, n_cap: int = 8
                                   problem.alpha - problem.gamma, n_floor, n_cap)
 
 
-def _truncation_bound(problem: ProblemSpec, k_cut: int) -> Callable[[int, int], float]:
-    """(lo, hi) -> certified bound on the neglected sub-window part of
-    (I^a ftilde)(p^n), summed over the levels n in [lo, hi]; every factor
-    that does not depend on [lo, hi] is computed once.
+def _kernel_walk(p: int, alpha: float) -> Iterator[tuple]:
+    """(S_m, D_m) for m = 1, 2, ..., scaled by p^(-h m), h = max(alpha - 1, 0):
+    S_m = 1 + w + ... + w^(m-1), w = p^(alpha - 1), and D_m = S_1 + ... + S_m.
+    Both walks damp by p^(-|alpha - 1|) or p^(-h), and give m and m (m + 1) / 2
+    at alpha = 1 with no test on alpha."""
+    r, d = p_pow(p, -abs(alpha - 1.0)), p_pow(p, -max(alpha - 1.0, 0.0))
+    s = total = 0.0
+    while True:
+        s = r * s + d
+        total = d * total + s
+        yield s, total
 
-    Bounds the integral over levels k <= k_cut - 1 using
-    |ftilde(p^k, .)| <= M p^(-gamma k) and the triangle inequality on the
-    kernel; every piece is a convergent geometric series because
-    gamma < min(1, alpha).  Per level the bound is affine in n for
-    alpha = 1 and in p^((alpha - 1) n) otherwise, so the sum over n is an
-    arithmetic or a geometric series and costs O(1).
-    """
+
+def _truncation_terms(problem: ProblemSpec, k_cut: int) -> tuple:
+    """(C, e, h, flat) with rem(n) = C p^(e + h m) S_m + flat, m = n - k_cut + 1, S_m as
+    :func:`_kernel_walk` scales it: the exact sup of the part of (I^a ftilde)(p^n) that
+    lies below k_cut, over |ftilde_k| <= M p^(-g k).  The kernel g(n - k) has one sign,
+    so summing |g(j)| p^(g j) over j > n - k_cut splits into two geometric series:
+    C = M (1 - p^-a)(1 - 1/p) / (1 - p^(g-1)), e = (a - g)(k_cut - 1), h = max(a - 1, 0)
+    and flat = C p^e y / (1 - y), y = p^(g - a)."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    j = k_cut - 1
-    x1 = p_pow(p, 1.0 - gamma)
-    if alpha == 1.0:
-        cm = (p - 1.0) ** 2 / (p * p) * problem.rhs.bound_M
-        g, g_level = _geom_left(x1, j), _geom_left_level(x1, j)
-        return lambda lo, hi: cm * (hi - lo + 1) * (0.5 * (lo + hi) * g - g_level)
-    # sum_n p^((alpha-1) n) p^((1-gamma) j), anchored at its largest term
-    t = abs(alpha - 1.0) * math.log(p)
-    e_j = (1.0 - gamma) * j
-    x1m1 = x1 - 1.0
-    em1 = math.expm1(-t)
-    cm = abs(_interior_prefactor(p, alpha)) * (1.0 - 1.0 / p) * problem.rhs.bound_M
-    g = _geom_left(p_pow(p, alpha - gamma), j)
+    lnp = math.log(p)
+    c = problem.rhs.bound_M * math.expm1(-alpha * lnp) * (1.0 - 1.0 / p) \
+        / math.expm1((gamma - 1.0) * lnp)
+    e = (alpha - gamma) * (k_cut - 1)
+    return c, e, max(alpha - 1.0, 0.0), c * p_pow(p, e) / math.expm1((alpha - gamma) * lnp)
 
-    def bound(lo: int, hi: int) -> float:
-        count = hi - lo + 1
-        top = hi if alpha > 1.0 else lo
-        geo = p_pow(p, e_j + (alpha - 1.0) * top) * math.expm1(-t * count) / em1
-        return cm * (geo * x1 / x1m1 + count * g)
-    return bound
+
+def _truncation_bound(problem: ProblemSpec, k_cut: int, start: int) -> Iterator[float]:
+    """rem(n) of :func:`_truncation_terms` for n = start, start + 1, ..., one step each;
+    the walk up to start forms no power."""
+    c, e, h, flat = _truncation_terms(problem, k_cut)
+    walk = islice(_kernel_walk(problem.p, problem.alpha), start - k_cut, None)
+    for m, (s, _) in enumerate(walk, start - k_cut + 1):
+        yield c * p_pow(problem.p, e + h * m) * s + flat
 
 
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     """Lower window edge K_min with total certified truncation <= tol / 10.
 
-    K_min steps down 4 levels at a time.  Passing level -OVERFLOW_GUARD /
+    The budget of a candidate K is rem(n) of :func:`_truncation_terms` summed
+    over [K, n_top], C p^(e + h W) D_W + W flat with W = n_top - K + 1, read
+    from :func:`_kernel_walk`.  K_min steps down 4 levels at a time, so each
+    candidate costs 4 steps of the walk.  Passing level -OVERFLOW_GUARD /
     (m ln p), m = max(gamma, 1 - alpha), where p^(-gamma k) and p^((alpha-1) k)
     leave the double range, is a BudgetError.  The level-scaled sweep forms
     neither power, but the stop bounds the window's depth: the budget decays
@@ -309,11 +293,17 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     require_tol(tol)
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     k_min = min(n_top, 0) - 8
+    width = n_top - k_min + 1
+    walk = _kernel_walk(p, alpha)
+    _, total = next(islice(walk, width - 1, None))
     while True:
-        budget = _truncation_bound(problem, k_min)(k_min, n_top)
+        c, e, h, flat = _truncation_terms(problem, k_min)
+        budget = c * p_pow(p, e + h * width) * total + width * flat
         if budget <= tol / 10.0:
             return k_min, budget
         k_min -= 4
+        width += 4
+        _, total = next(islice(walk, 3, None))
         # the same exponent * ln p that p_pow compares with its guard
         if max(-gamma * k_min, (alpha - 1.0) * k_min) * math.log(p) > OVERFLOW_GUARD:
             raise BudgetError(
@@ -335,9 +325,9 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     difference bounds are only enforced for the canonical start.
 
     ``reserve_top`` sizes the truncation budget for a later continuation
-    up to that level: the kernel factor p^((l+1)(alpha-1)) grows with the
-    level for alpha > 1, so the window floor must be chosen for the
-    highest level that will ever integrate over it.
+    up to that level: the part below the floor grows like p^((alpha-1) n)
+    with the level n for alpha above 1, so the window floor must be chosen
+    for the highest level that will ever integrate over it.
     """
     return _picard(problem, N, tol, max_iter, start_value, reserve_top)[0]
 
@@ -406,27 +396,26 @@ def _integrate(sweep: _IalphaSweep, f: Callable, xs) -> list:
     return sweep.window([f(k, x) for k, x in enumerate(xs, sweep.lo)])
 
 
-def _known_part(u: RadialFunction, problem: ProblemSpec, ell: int, budget: float) -> tuple:
+def _known_part(u: RadialFunction, problem: ProblemSpec, ell: int) -> tuple:
     """:meth:`_IalphaSweep.ahead` at ell + 1 for ftilde(., u(.)) on u's window up to ell; the part
-    below the window is bounded, and a bound above ``budget`` is an error."""
+    below the window is bounded, and a bound above 1e-11 is an error."""
     if ell < u.k_min:
         raise DomainError(f"extension level {ell} is below the window floor {u.k_min}")
-    rem = _truncation_bound(problem, u.k_min)(ell + 1, ell + 1)
-    if rem > budget:
+    rem = next(_truncation_bound(problem, u.k_min, ell + 1))
+    if rem > 1e-11:
         raise BudgetError(
             f"neglected sub-window remainder bound {rem} exceeds the budget "
-            f"{budget}; rebuild the solution with a lower K_min"
+            f"1e-11; rebuild the solution with a lower K_min"
         )
     sweep = _IalphaSweep(problem.p, problem.alpha, problem.gamma, range(u.k_min, ell + 2))
     _integrate(sweep, problem.rhs.eval, map(u.value_at, range(u.k_min, ell + 1)))
     return sweep.ahead()
 
 
-def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int,
-                       budget: float = 1e-11) -> float:
+def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int) -> float:
     """v0 for extending the solution from level ell to ell + 1: the kernel integrated
-    against ftilde(., u(.)) over levels <= ell, within ``budget`` of :func:`_known_part`."""
-    known, c, shift = _known_part(u, problem, ell, budget)
+    against ftilde(., u(.)) over levels <= ell, within 1e-11 of :func:`_known_part`."""
+    known, c, shift = _known_part(u, problem, ell)
     return known - c * shift
 
 
@@ -480,7 +469,7 @@ def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
     indicates wrong declared metadata.  A given ``v0`` replaces the known part.
     """
     require_tol(tol)
-    known, c, shift = _known_part(u, problem, ell, 1e-11)
+    known, c, shift = _known_part(u, problem, ell)
     kappa = _extension_kappa(problem, ell, c)
     if v0 is not None:
         known = v0 + c * shift
@@ -509,10 +498,10 @@ class GlobalHypothesesReport:
     detail: str = ""
 
 
-def check_global_hypotheses(problem: ProblemSpec, levels=range(-10, 31)) -> GlobalHypothesesReport:
-    """Check F_l < p^(-alpha l) on a level range and beta + gamma > alpha."""
+def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
+    """Check F_l < p^(-alpha l) on levels -10..30 and beta + gamma > alpha."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    witness = next((l for l in levels
+    witness = next((l for l in range(-10, 31)
                     if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l)), None)
     per_level_ok = witness is None
     decay_ok = None
@@ -630,13 +619,12 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
 
 
 def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
-                  n_override: Optional[int] = None, extend_to: Optional[int] = None,
-                  n_floor: int = -60, n_cap: int = 8) -> SolveReport:
+                  n_override: Optional[int] = None,
+                  extend_to: Optional[int] = None) -> SolveReport:
     """Full pipeline: choose N, run the local iteration, continue level by level."""
-    if n_override is None and extend_to is not None:
-        # never pick a local radius beyond the requested window top
-        n_cap = min(n_cap, extend_to)
-    N = n_override if n_override is not None else choose_local_radius(problem, n_floor, n_cap)
+    # never pick a local radius beyond the requested window top
+    n_cap = 8 if extend_to is None else min(8, extend_to)
+    N = n_override if n_override is not None else choose_local_radius(problem, n_cap=n_cap)
     target = extend_to if extend_to is not None else N + 35
     if target < N:
         raise DomainError(f"extension target {target} is below the local radius {N}")
@@ -644,7 +632,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     u = report.solution
     f = problem.rhs.eval
     _integrate(sweep, f, u.values)  # Picard's sweep, now holding u's f
-    truncation = _truncation_bound(problem, u.k_min)
+    truncation = _truncation_bound(problem, u.k_min, N + 1)
     budget = report.truncation_budget
     diags = {}
     values = []
@@ -652,7 +640,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     for ell in range(N, target):
         n = ell + 1
         known, c, shift = sweep.ahead()
-        rem = truncation(n, n)
+        rem = next(truncation)
         if rem > tol / 10.0:
             raise BudgetError(
                 f"neglected sub-window remainder bound {rem} at extension level {ell} "

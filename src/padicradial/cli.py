@@ -62,6 +62,9 @@ from .cauchy import (
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_FAILURE = 3
+# what exits 2 and what exits 3, and what a sweep row reports as precondition or failure
+PRECONDITION_ERRORS = (DomainError, MetadataError, MagnitudeError)
+FAILURE_ERRORS = (NonConvergenceError, BudgetError, IndeterminateResidualError)
 
 
 def _fmt(x: float) -> str:
@@ -424,9 +427,9 @@ def cmd_sweep(args) -> int:
                 row += (f",{report.local_radius_N},{report.k_min},{u.k_max},"
                         f"{report.picard_iterations},{max_resid},{count},"
                         f"{_fmt(report.truncation_budget)},ok")
-            except (DomainError, MetadataError, MagnitudeError) as err:
+            except PRECONDITION_ERRORS as err:
                 row += f",,,,,,,,precondition: {type(err).__name__}"
-            except (NonConvergenceError, BudgetError) as err:
+            except FAILURE_ERRORS as err:
                 row += f",,,,,,,,failure: {type(err).__name__}"
             lines.append(row)
     if args.out:
@@ -490,10 +493,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, MetadataError, MagnitudeError) as err:
+    except PRECONDITION_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NonConvergenceError, BudgetError, IndeterminateResidualError) as err:
+    except FAILURE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as err:

@@ -1,9 +1,10 @@
 """Exception types shared across the package, and finiteness checks.
 
 The CLI maps these onto its exit codes: everything rooted at
-:class:`DomainError` is a precondition violation (exit 2), while
-:class:`NonConvergenceError`, :class:`BudgetError` and
-:class:`IndeterminateResidualError` are runtime failures (exit 3).
+:class:`DomainError`, :class:`MetadataError` and :class:`MagnitudeError`
+is a precondition violation (exit 2), while :class:`NonConvergenceError`,
+:class:`BudgetError` and :class:`IndeterminateResidualError` are runtime
+failures (exit 3).
 """
 
 import math

@@ -165,13 +165,6 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
     return total
 
 
-def _interior_prefactor(p: int, alpha: float) -> float:
-    """The signed coefficient multiplying the interior kernel integral."""
-    if alpha == 1.0:
-        return (1.0 - p) / (p * math.log(p))
-    return (1.0 - p_pow(p, -alpha)) / (1.0 - p_pow(p, alpha - 1.0))
-
-
 def power_image_coefficient(p: int, alpha: float, rho: float) -> float:
     """c in (I^a |.|^rho)(|t|) = c |t|^(alpha + rho): the value at |t| = 1, rho > -min(1, a)."""
     return apply_ialpha(RadialFunction.power(p, rho), alpha, 0)
@@ -291,7 +284,13 @@ def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
             f"weak degeneration requires 0 <= gamma < min(1, alpha) "
             f"= {min(1.0, alpha)}, got gamma = {gamma}"
         )
-    abs_pref = abs(_interior_prefactor(p, alpha))
+    q = p_pow(p, -alpha)
+    frac = (1.0 - q) * (1.0 - 1.0 / p)
+
+    def interior(s: float) -> float:
+        # |prefactor| * _kernel_envelope(s): the 1 - p^(alpha-1) of both cancels
+        den = (1.0 - p_pow(p, -alpha * s - 1.0)) * (p_pow(p, alpha) - p_pow(p, -alpha * s))
+        return frac / den
 
     def sigma_n(n: int) -> float:
         return (n * alpha - (n + 1) * gamma) / alpha
@@ -299,11 +298,11 @@ def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
     def c_n(n: int) -> float:
         if n < 0:
             raise DivergenceError(f"bound constant index must be >= 0, got {n}")
-        return p_pow(p, -alpha) + abs_pref * kernel_constant(p, alpha, sigma_n(n)).d_abs
+        s = sigma_n(n)
+        return q + interior(s) * p_pow(p, -alpha * s)
 
     c0 = c_n(0)
-    a_bound = kernel_constant(p, alpha, sigma_n(0)).a_bound
-    c_uniform = p_pow(p, -alpha) + abs_pref * a_bound * p_pow(p, gamma)
+    c_uniform = q + interior(kernel_constant(p, alpha, sigma_n(0)).theta) * p_pow(p, gamma)
     return BoundConstants(c0=c0, c_n=c_n, c_uniform=c_uniform)
 
 

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -32,7 +33,6 @@ from padicradial.cauchy import (
     choose_local_radius,
     extend_step,
     extension_constant,
-    make_ftilde,
     picard_solve,
     residual,
     solve_problem,
@@ -122,31 +122,6 @@ def test_non_finite_parameters_rejected():
             Nonlinearity(eval=lambda k, x: 0.0, **args)
 
 
-# -- scaled right-hand side ----------------------------------------------------
-
-def test_make_ftilde_scaling():
-    rhs = catalog_nonlinearity("const", 2, amplitude=3.0)
-    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.5, u0=0.0, rhs=rhs)
-    ft = make_ftilde(prob)
-    assert ft(2, 0.0) == pytest.approx(1.5, rel=1e-13)  # 3 * 2^(-0.5*2)
-    assert ft(0, 5.0) == pytest.approx(3.0, rel=1e-13)
-
-
-def test_make_ftilde_gamma_zero_is_identity():
-    rhs = catalog_nonlinearity("cos-decay", 2, amplitude=0.2)
-    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=0.0, rhs=rhs)
-    ft = make_ftilde(prob)
-    for k in (-3, 0, 4):
-        assert ft(k, 0.7) == rhs.eval(k, 0.7)
-
-
-def test_ftilde_derived_bounds():
-    prob = catalog_problem()
-    ft = make_ftilde(prob)
-    assert ft.bound_at(4) == pytest.approx(0.1 * 2 ** -1.0, rel=1e-13)
-    assert ft.lipschitz_at(2) == pytest.approx(0.1 * 2 ** -4.0 * 2 ** -0.5, rel=1e-13)
-
-
 # -- local radius ---------------------------------------------------------------
 
 def test_radius_from_constants_exact_boundary():
@@ -182,10 +157,11 @@ def test_window_budget_closed_form_matches_level_sum(p, alpha, gamma):
             continue
         k_min, budget = _choose_window_floor(prob, n_top, 1e-10)
         assert budget <= 1e-11
-        levels = sum(_truncation_bound(prob, k_min)(n, n) for n in range(k_min, n_top + 1))
+        levels = sum(islice(_truncation_bound(prob, k_min, k_min), n_top - k_min + 1))
         assert budget == pytest.approx(levels, rel=1e-13)
         # the candidate before K_min does not certify
-        assert _truncation_bound(prob, k_min + 4)(k_min + 4, n_top) > 1e-11 \
+        before = _truncation_bound(prob, k_min + 4, k_min + 4)
+        assert sum(islice(before, n_top - k_min - 3)) > 1e-11 \
             or k_min + 4 > min(n_top, 0) - 8
 
 
@@ -219,6 +195,35 @@ def test_window_floor_stops_where_the_weights_leave_the_double_range(rhs, alpha,
     with pytest.raises(MagnitudeError):
         p_pow(2, max(-gamma * stop, (alpha - 1.0) * stop))
     p_pow(2, max(-gamma * (stop + 4), (alpha - 1.0) * (stop + 4)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.5])
+@pytest.mark.parametrize("p", [2, 7])
+def test_truncation_bound_is_the_exact_sum_below_the_floor(p, alpha):
+    # sum_{k < K} |kernel(n, k)| M p^(-gamma k) in 50 digits, with the log kernel at alpha = 1
+    from mpmath import mp, mpf
+    gamma, k_cut = 0.3, -20
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1))
+    got = list(islice(_truncation_bound(prob, k_cut, k_cut), 31))
+    with mp.workdps(50):
+        P, a, g, m = mpf(p), mpf(alpha), mpf(gamma), mpf("0.1")
+        ks = range(k_cut - 400, k_cut)  # the rest is below 1e-24 of the sum
+        pref = (1 - 1 / P) if alpha == 1.0 else (1 - P ** -a) / (1 - P ** (a - 1)) * (1 - 1 / P)
+        for n in (k_cut, k_cut + 1, k_cut + 5, k_cut + 30):
+            kernel = ((1 - 1 / P) * (n - k) if alpha == 1.0
+                      else P ** ((a - 1) * n) - P ** ((a - 1) * k) for k in ks)
+            want = sum(abs(pref * t) * P ** k * m * P ** (-g * k) for t, k in zip(kernel, ks))
+            assert abs(got[n - k_cut] - want) <= 1e-13 * want, n
+
+
+@pytest.mark.parametrize("p, k_min", [(2, -76), (7, -28)])
+def test_window_floor_is_continuous_through_alpha_one(p, k_min):
+    # the budget is continuous in alpha, with no 1 / |alpha - 1| next to alpha = 1
+    for alpha in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+        prob = ProblemSpec(p=p, alpha=alpha, gamma=0.4, u0=1.0,
+                           rhs=catalog_nonlinearity("cos-decay", p))
+        assert _choose_window_floor(prob, choose_local_radius(prob) + 36, 1e-10)[0] == k_min
 
 
 def test_window_floor_rejects_non_positive_tol():

@@ -3,7 +3,8 @@
     python3 tools/output_digest.py [--src PATH]
 
 Runs a fixed list of invocations in-process against the package in PATH
-(default: this checkout's ``src/``): the default ``sweep``, ``solve`` with
+(default: this checkout's ``src/``): the default ``sweep``, a ``sweep`` at
+p = 2, 7 with alpha at 1 and 1e-9 either side of it, ``solve`` with
 ``--solution-out`` and ``--report-out`` on five problems (one whose exact
 solution is u0 because I^1 of a constant vanishes, one at p = 1000003),
 ``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function, a
@@ -45,7 +46,7 @@ FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
 
 def invocations(tmp: Path) -> list:
     (tmp / "u.txt").write_text(FUNCTION)
-    runs = [["sweep"]]
+    runs = [["sweep"], ["sweep", "--p-list", "2,7", "--alpha-list", "0.999999999,1,1.000000001"]]
     for i, line in enumerate(SOLVES):
         runs.append(["solve", *line.split(), "--solution-out", str(tmp / f"sol{i}.txt"),
                      "--report-out", str(tmp / f"rep{i}.json")])
