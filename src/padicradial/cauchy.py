@@ -29,7 +29,7 @@ Truncation policy: the integrals extend to level -infinity, but the
 iteration only stores a window [K_min, N].  The kernel has one sign on
 |y| < |x|, so the sup of a neglected sub-window contribution over
 |ftilde| <= M p^(-g k) is the kernel's own sum, two damped geometric
-walks with no branch at a = 1 (:func:`_truncation_terms`).  K_min is
+walks with no branch at a = 1 (:func:`_truncation_constants`).  K_min is
 lowered until that is below tol / 10 in total; the accumulated bound is
 reported as ``truncation_budget`` rather than silently dropped.
 """
@@ -252,25 +252,26 @@ def _kernel_walk(p: int, alpha: float) -> Iterator[tuple]:
         yield s, total
 
 
-def _truncation_terms(problem: ProblemSpec, k_cut: int) -> tuple:
-    """(C, e, h, flat) with rem(n) = C p^(e + h m) S_m + flat, m = n - k_cut + 1, S_m as
-    :func:`_kernel_walk` scales it: the exact sup of the part of (I^a ftilde)(p^n) that
-    lies below k_cut, over |ftilde_k| <= M p^(-g k).  The kernel g(n - k) has one sign,
-    so summing |g(j)| p^(g j) over j > n - k_cut splits into two geometric series:
-    C = M (1 - p^-a)(1 - 1/p) / (1 - p^(g-1)), e = (a - g)(k_cut - 1), h = max(a - 1, 0)
-    and flat = C p^e y / (1 - y), y = p^(g - a)."""
+def _truncation_constants(problem: ProblemSpec) -> tuple:
+    """(C, h, r) with rem(n) = C p^(e + h m) S_m + C p^e / r, e = (a - g)(k_cut - 1),
+    m = n - k_cut + 1, S_m as :func:`_kernel_walk` scales it: the exact sup of the part
+    of (I^a ftilde)(p^n) that lies below k_cut, over |ftilde_k| <= M p^(-g k).  The
+    kernel g(n - k) has one sign, so summing |g(j)| p^(g j) over j > n - k_cut splits
+    into two geometric series: C = M (1 - p^-a)(1 - 1/p) / (1 - p^(g-1)),
+    h = max(a - 1, 0) and r = p^(a - g) - 1.  None of them depends on k_cut."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     lnp = math.log(p)
     c = problem.rhs.bound_M * math.expm1(-alpha * lnp) * (1.0 - 1.0 / p) \
         / math.expm1((gamma - 1.0) * lnp)
-    e = (alpha - gamma) * (k_cut - 1)
-    return c, e, max(alpha - 1.0, 0.0), c * p_pow(p, e) / math.expm1((alpha - gamma) * lnp)
+    return c, max(alpha - 1.0, 0.0), math.expm1((alpha - gamma) * lnp)
 
 
 def _truncation_bound(problem: ProblemSpec, k_cut: int, start: int) -> Iterator[float]:
-    """rem(n) of :func:`_truncation_terms` for n = start, start + 1, ..., one step each;
-    the walk up to start forms no power."""
-    c, e, h, flat = _truncation_terms(problem, k_cut)
+    """rem(n) of :func:`_truncation_constants` for n = start, start + 1, ..., one step
+    each; the walk up to start forms no power."""
+    c, h, r = _truncation_constants(problem)
+    e = (problem.alpha - problem.gamma) * (k_cut - 1)
+    flat = c * p_pow(problem.p, e) / r
     walk = islice(_kernel_walk(problem.p, problem.alpha), start - k_cut, None)
     for m, (s, _) in enumerate(walk, start - k_cut + 1):
         yield c * p_pow(problem.p, e + h * m) * s + flat
@@ -279,8 +280,8 @@ def _truncation_bound(problem: ProblemSpec, k_cut: int, start: int) -> Iterator[
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     """Lower window edge K_min with total certified truncation <= tol / 10.
 
-    The budget of a candidate K is rem(n) of :func:`_truncation_terms` summed
-    over [K, n_top], C p^(e + h W) D_W + W flat with W = n_top - K + 1, read
+    The budget of a candidate K is rem(n) of :func:`_truncation_constants` summed
+    over [K, n_top], C p^(e + h W) D_W + W C p^e / r with W = n_top - K + 1, read
     from :func:`_kernel_walk`.  K_min steps down 4 levels at a time, so each
     candidate costs 4 steps of the walk.  Passing level -OVERFLOW_GUARD /
     (m ln p), m = max(gamma, 1 - alpha), where p^(-gamma k) and p^((alpha-1) k)
@@ -294,11 +295,12 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     k_min = min(n_top, 0) - 8
     width = n_top - k_min + 1
+    c, h, r = _truncation_constants(problem)
     walk = _kernel_walk(p, alpha)
     _, total = next(islice(walk, width - 1, None))
     while True:
-        c, e, h, flat = _truncation_terms(problem, k_min)
-        budget = c * p_pow(p, e + h * width) * total + width * flat
+        e = (alpha - gamma) * (k_min - 1)
+        budget = c * p_pow(p, e + h * width) * total + width * (c * p_pow(p, e) / r)
         if budget <= tol / 10.0:
             return k_min, budget
         k_min -= 4

@@ -111,8 +111,13 @@ def _kernel_envelope(p: int, alpha: float, s: float) -> float:
     if alpha == 1.0:
         return (1.0 - 1.0 / p) * math.log(p) * (1.0 / p) / (1.0 - p_pow(p, -s - 1.0)) ** 2
     num = abs(p_pow(p, alpha - 1.0) - 1.0)
-    den = (1.0 - p_pow(p, -alpha * s - 1.0)) * (p_pow(p, alpha) - p_pow(p, -alpha * s))
-    return (1.0 - 1.0 / p) * num / den
+    return (1.0 - 1.0 / p) * num / _envelope_denominator(p, alpha, s)
+
+
+def _envelope_denominator(p: int, alpha: float, s: float) -> float:
+    """(1 - p^(-alpha s - 1)) (p^alpha - p^(-alpha s)), shared by the kernel envelope and
+    the branch-free bound constants."""
+    return (1.0 - p_pow(p, -alpha * s - 1.0)) * (p_pow(p, alpha) - p_pow(p, -alpha * s))
 
 
 @lru_cache(maxsize=4096)
@@ -289,8 +294,7 @@ def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
 
     def interior(s: float) -> float:
         # |prefactor| * _kernel_envelope(s): the 1 - p^(alpha-1) of both cancels
-        den = (1.0 - p_pow(p, -alpha * s - 1.0)) * (p_pow(p, alpha) - p_pow(p, -alpha * s))
-        return frac / den
+        return frac / _envelope_denominator(p, alpha, s)
 
     def sigma_n(n: int) -> float:
         return (n * alpha - (n + 1) * gamma) / alpha
@@ -302,7 +306,10 @@ def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
         return q + interior(s) * p_pow(p, -alpha * s)
 
     c0 = c_n(0)
-    c_uniform = q + interior(kernel_constant(p, alpha, sigma_n(0)).theta) * p_pow(p, gamma)
+    # kernel_constant's theta at sigma_0 = -gamma / alpha, which lies above the boundary
+    boundary = _domain_boundary(alpha)
+    theta = boundary + max(sigma_n(0) - boundary, _EPS_FLOOR)
+    c_uniform = q + interior(theta) * p_pow(p, gamma)
     return BoundConstants(c0=c0, c_n=c_n, c_uniform=c_uniform)
 
 
