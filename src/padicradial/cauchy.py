@@ -44,15 +44,15 @@ from typing import Callable, Iterator, Optional
 from .errors import (
     BudgetError,
     ContractionError,
-    DegenerationError,
-    DivergenceError,
     DomainError,
     IndeterminateResidualError,
     InfeasibleRadiusError,
     MetadataError,
     NonConvergenceError,
+    require_alpha,
     require_finite,
     require_tol,
+    require_weak_degeneration,
 )
 from .haar import OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel
@@ -97,17 +97,17 @@ class Nonlinearity:
     def level_lipschitz(self, k: int) -> float:
         return self.per_level_F(k) if self.per_level_F is not None else self.lipschitz_F
 
-    def spot_check(self, p: int, tol: float = 1e-9, levels=range(-12, 13),
-                   xs=None) -> None:
-        """Sample eval on a grid and reject blatantly violated metadata."""
+    def spot_check(self, p: int) -> None:
+        """Sample eval at 41 points of [-8, 8] on levels -12..12 and reject metadata
+        that the samples violate by more than 1e-9."""
         p = Prime(p)
-        if xs is None:
-            xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
+        tol = 1e-9
+        xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
         slack = tol * max(1.0, self.bound_M)
         f = self.eval
         bound = self.bound_M + slack
-        dx = xs[1] - xs[0] if len(xs) > 1 else 0.0
-        for k in levels:
+        dx = xs[1] - xs[0]
+        for k in range(-12, 13):
             f_prev = None
             vals = []  # the decay envelope is checked at every 8th of them
             step = (min(self.lipschitz_F, self.level_lipschitz(k)) + tol) * dx + tol
@@ -149,14 +149,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Prime(self.p))
-        require_finite(alpha=self.alpha, gamma=self.gamma, u0=self.u0)
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.gamma < 0 or self.gamma >= min(1.0, self.alpha):
-            raise DegenerationError(
-                "weak degeneration requires 0 <= gamma < min(1, alpha) = "
-                f"{min(1.0, self.alpha)}, got gamma = {self.gamma}"
-            )
+        require_alpha(self.alpha)
+        require_finite(gamma=self.gamma, u0=self.u0)
+        require_weak_degeneration(self.alpha, self.gamma)
         self.rhs.spot_check(self.p)
 
 
@@ -211,9 +206,9 @@ class SolveReport:
 
 
 def _radius_from_constants(c_uniform: float, lipschitz: float, p: int,
-                           alpha_minus_gamma: float,
-                           n_floor: int = -60, n_cap: int = 8) -> int:
-    """Largest N with c_uniform * lipschitz * p^(N (alpha - gamma)) <= 1/2."""
+                           alpha_minus_gamma: float, n_cap: int = 8) -> int:
+    """Largest N <= n_cap with c_uniform * lipschitz * p^(N (alpha - gamma)) <= 1/2;
+    :class:`InfeasibleRadiusError` if it lies below -60."""
     if lipschitz == 0.0:
         return n_cap
     def q(n):
@@ -223,20 +218,20 @@ def _radius_from_constants(c_uniform: float, lipschitz: float, p: int,
     while q(n) > 0.5 * (1.0 + 1e-12):
         n -= 1
     n = min(n, n_cap)
-    if n < n_floor:
+    if n < -60:
         raise InfeasibleRadiusError(
-            f"no level N in [{n_floor}, {n_cap}] satisfies "
+            f"no level N in [-60, {n_cap}] satisfies "
             f"c_uniform * F * p^(N (alpha - gamma)) <= 1/2 "
             f"(c_uniform = {c_uniform}, F = {lipschitz})"
         )
     return n
 
 
-def choose_local_radius(problem: ProblemSpec, n_floor: int = -60, n_cap: int = 8) -> int:
+def choose_local_radius(problem: ProblemSpec, n_cap: int = 8) -> int:
     """Local ball exponent N with contraction factor q_N <= 1/2."""
     c = bound_constants(problem.p, problem.alpha, problem.gamma).c_uniform
     return _radius_from_constants(c, problem.rhs.lipschitz_F, problem.p,
-                                  problem.alpha - problem.gamma, n_floor, n_cap)
+                                  problem.alpha - problem.gamma, n_cap)
 
 
 def _kernel_walk(p: int, alpha: float) -> Iterator[tuple]:
@@ -461,21 +456,19 @@ def _fixed_point(n: int, base: float, x: float, kappa: float, tol: float, max_it
 
 
 def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
-                tol: float = 1e-12, max_iter: int = 1000,
-                v0: Optional[float] = None) -> tuple:
-    """Solve the scalar fixed-point equation for u(p^(ell+1)).
+                tol: float = 1e-12) -> tuple:
+    """Solve the scalar fixed-point equation for u(p^(ell+1)), from u(p^ell).
 
     Returns (value, kappa, iterations).  Requires the contraction factor
     kappa = p^(a ell) * Lip(ftilde(p^(ell+1), .)) to be below 1; a step
     longer than kappa times the previous one (plus a few ulps of rounding)
-    indicates wrong declared metadata.  A given ``v0`` replaces the known part.
+    indicates wrong declared metadata.  More than 1000 steps, as in
+    :func:`solve_problem`, is a :class:`NonConvergenceError`.
     """
     require_tol(tol)
     known, c, shift = _known_part(u, problem, ell)
     kappa = _extension_kappa(problem, ell, c)
-    if v0 is not None:
-        known = v0 + c * shift
-    value, iters = _fixed_point(ell + 1, problem.u0 + known, u.value_at(ell), kappa, tol, max_iter,
+    value, iters = _fixed_point(ell + 1, problem.u0 + known, u.value_at(ell), kappa, tol, 1000,
                                 problem.rhs.eval, c, shift)
     return value, kappa, iters
 
@@ -554,7 +547,7 @@ def _residual_fit(u: RadialFunction, alpha: float, coeffs) -> tuple:
     # the product add 2 + 3 g |n| ln p units
     frac = 1.0 - 1.0 / p
     lnp = math.log(p)
-    data = 1e-15 * max(1.0, u.sup_window()) * abs(coeffs.d_alpha) * frac
+    data = 1e-15 * max(1.0, max(abs(v) for v in u.values)) * abs(coeffs.d_alpha) * frac
     amp = p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp)
     return env, rho_hat, tail, abs(coeffs.d_alpha) * frac, data, amp, lnp
 

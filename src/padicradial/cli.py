@@ -183,6 +183,18 @@ def cmd_apply(args) -> int:
 
 # -- solve --------------------------------------------------------------------
 
+def _residuals(u, problem, levels, tol: float, buffer: int = 3) -> dict:
+    """level -> :func:`residual` at each of ``levels`` where it is certified, at the
+    residual tolerance of a solve at ``tol``: max(100 tol, 1e-9)."""
+    out = {}
+    for n in levels:
+        try:
+            out[n] = residual(u, problem, n, tol=max(tol * 100.0, 1e-9), buffer=buffer)
+        except IndeterminateResidualError:
+            pass
+    return out
+
+
 def cmd_solve(args) -> int:
     cfg = RunConfig.from_sources(args.config, args)
     problem = cfg.problem()
@@ -196,22 +208,17 @@ def cmd_solve(args) -> int:
     u = report.solution
 
     rows = []
-    max_resid = None
+    levels = range(u.k_min, u.k_max + 1)
+    estimates = _residuals(u, problem, levels, tol, buffer) if hyp.residual_verifiable else {}
     cont = report.c_uniform * problem.rhs.bound_M / (1.0 - report.q_contraction) \
         if report.q_contraction < 1.0 else None
-    for k in range(u.k_min, u.k_max + 1):
+    for k in levels:
         bound = ""
         if k <= report.local_radius_N and cont is not None:
             bound = _fmt(cont * p_pow(problem.p, k * (problem.alpha - problem.gamma)))
         res = unc = ""
-        if hyp.residual_verifiable:
-            try:
-                est = residual(u, problem, k, tol=max(tol * 100.0, 1e-9), buffer=buffer)
-                res, unc = _fmt(est.value), _fmt(est.uncertainty)
-                if max_resid is None or abs(est.value) > max_resid:
-                    max_resid = abs(est.value)
-            except IndeterminateResidualError:
-                pass
+        if k in estimates:
+            res, unc = _fmt(estimates[k].value), _fmt(estimates[k].uncertainty)
         rows.append(f"{k},{k},{_fmt(u.value_at(k))},{bound},{res},{unc}")
 
     csv_out = cfg.get("csv_out")
@@ -242,7 +249,8 @@ def cmd_solve(args) -> int:
     print(f"picard_iterations {report.picard_iterations}")
     print(f"truncation_budget {_fmt(report.truncation_budget)}")
     if hyp.residual_verifiable:
-        print(f"max_residual {_fmt(max_resid) if max_resid is not None else 'none'}")
+        worst = max((abs(est.value) for est in estimates.values()), default=None)
+        print(f"max_residual {_fmt(worst) if worst is not None else 'none'}")
     else:
         print(f"residuals unavailable: {hyp.detail}")
     return EXIT_OK
@@ -412,20 +420,12 @@ def cmd_sweep(args) -> int:
                 report = solve_problem(problem, tol=args.tol)
                 hyp = check_global_hypotheses(problem)
                 u = report.solution
-                max_resid, count = "", 0
-                if hyp.residual_verifiable:
-                    worst = None
-                    for n in range(u.k_min + 1, u.k_max - 2):
-                        try:
-                            est = residual(u, problem, n, tol=max(args.tol * 100.0, 1e-9))
-                        except IndeterminateResidualError:
-                            continue
-                        count += 1
-                        if worst is None or abs(est.value) > worst:
-                            worst = abs(est.value)
-                    max_resid = _fmt(worst) if worst is not None else ""
+                estimates = _residuals(u, problem, range(u.k_min + 1, u.k_max - 2), args.tol) \
+                    if hyp.residual_verifiable else {}
+                worst = max((abs(est.value) for est in estimates.values()), default=None)
+                max_resid = _fmt(worst) if worst is not None else ""
                 row += (f",{report.local_radius_N},{report.k_min},{u.k_max},"
-                        f"{report.picard_iterations},{max_resid},{count},"
+                        f"{report.picard_iterations},{max_resid},{len(estimates)},"
                         f"{_fmt(report.truncation_budget)},ok")
             except PRECONDITION_ERRORS as err:
                 row += f",,,,,,,,precondition: {type(err).__name__}"

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and finiteness checks.
+"""Exception types shared across the package, and the checks of finiteness, of alpha
+and of the degeneration exponent that several modules share.
 
 The CLI maps these onto its exit codes: everything rooted at
 :class:`DomainError`, :class:`MetadataError` and :class:`MagnitudeError`
@@ -40,6 +41,23 @@ class DegenerationError(DomainError):
 
 class ContractionError(DomainError):
     """A fixed-point map is not a contraction (``kappa >= 1``)."""
+
+
+def require_alpha(alpha: float) -> None:
+    """Raise :class:`DomainError` unless alpha is finite, :class:`DivergenceError` unless
+    it is positive: the kernels of D^alpha and I^alpha need alpha > 0."""
+    require_finite(alpha=alpha)
+    if alpha <= 0:
+        raise DivergenceError(f"alpha must be positive, got {alpha}")
+
+
+def require_weak_degeneration(alpha: float, gamma: float) -> None:
+    """Raise :class:`DegenerationError` unless 0 <= gamma < min(1, alpha)."""
+    if not 0.0 <= gamma < min(1.0, alpha):
+        raise DegenerationError(
+            "weak degeneration requires 0 <= gamma < min(1, alpha) = "
+            f"{min(1.0, alpha)}, got gamma = {gamma}"
+        )
 
 
 class InfeasibleRadiusError(DomainError):

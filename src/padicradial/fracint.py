@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
-from .errors import DegenerationError, DivergenceError, require_finite
+from .errors import DivergenceError, require_alpha, require_finite, require_weak_degeneration
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow, p_pow_levels
 from .radial import RadialFunction, TailModel
 
@@ -71,10 +70,9 @@ class KernelConstants:
     s_signed : the signed-kernel analogue: sign(alpha - 1) * d_abs for
                alpha != 1, and d_abs itself for alpha = 1 (the log kernel
                is positive on |y| < |t|).
-    a_bound  : envelope constant with d_abs <= a_bound * p^(-alpha sigma)
-               for every sigma' >= theta; built at theta = boundary + epsilon.
-    epsilon  : slack used for a_bound, the actual distance of sigma from
-               the divergence boundary floored at 1e-6.
+    a_bound  : envelope constant with d_{alpha,sigma'} <= a_bound * p^(-alpha sigma')
+               for every sigma' >= theta, built at theta = the divergence
+               boundary plus the distance of sigma from it floored at 1e-6.
     """
 
     p: int
@@ -83,8 +81,6 @@ class KernelConstants:
     d_abs: float
     s_signed: float
     a_bound: float
-    epsilon: float
-    theta: float
 
 
 def _domain_boundary(alpha: float) -> float:
@@ -120,25 +116,17 @@ def _envelope_denominator(p: int, alpha: float, s: float) -> float:
     return (1.0 - p_pow(p, -alpha * s - 1.0)) * (p_pow(p, alpha) - p_pow(p, -alpha * s))
 
 
-@lru_cache(maxsize=4096)
-def _kernel_constant_cached(p: int, alpha: float, sigma: float) -> KernelConstants:
-    boundary = _check_sigma(alpha, sigma)
-    epsilon = max(sigma - boundary, _EPS_FLOOR)
-    theta = boundary + epsilon
-    d_abs = _kernel_envelope(p, alpha, sigma) * p_pow(p, -alpha * sigma)
-    s_signed = d_abs if alpha >= 1.0 else -d_abs
-    a_bound = _kernel_envelope(p, alpha, theta)
-    return KernelConstants(p=p, alpha=alpha, sigma=sigma, d_abs=d_abs,
-                           s_signed=s_signed, a_bound=a_bound,
-                           epsilon=epsilon, theta=theta)
-
-
 def kernel_constant(p: int, alpha: float, sigma: float) -> KernelConstants:
-    """Closed-form kernel constants; memoized per (p, alpha, sigma)."""
-    require_finite(alpha=alpha, sigma=sigma)
-    if alpha <= 0:
-        raise DivergenceError(f"alpha must be positive, got {alpha}")
-    return _kernel_constant_cached(int(Prime(p)), float(alpha), float(sigma))
+    """Closed-form kernel constants at (p, alpha, sigma)."""
+    require_alpha(alpha)
+    require_finite(sigma=sigma)
+    p = Prime(p)
+    boundary = _check_sigma(alpha, sigma)
+    theta = boundary + max(sigma - boundary, _EPS_FLOOR)
+    d_abs = _kernel_envelope(p, alpha, sigma) * p_pow(p, -alpha * sigma)
+    return KernelConstants(p=p, alpha=alpha, sigma=sigma, d_abs=d_abs,
+                           s_signed=d_abs if alpha >= 1.0 else -d_abs,
+                           a_bound=_kernel_envelope(p, alpha, theta))
 
 
 def kernel_constant_oracle(p: int, alpha: float, sigma: float,
@@ -151,9 +139,8 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
     p^(-(alpha sigma + min(alpha, 1))) below the deepest retained stratum.
     """
     p = Prime(p)
-    require_finite(alpha=alpha, sigma=sigma)
-    if alpha <= 0:
-        raise DivergenceError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
+    require_finite(sigma=sigma)
     if depth < 1:
         raise DivergenceError(f"oracle depth must be >= 1, got {depth}")
     _check_sigma(alpha, sigma)
@@ -237,9 +224,7 @@ class _IalphaSweep:
 
 def _sweep_below(u: RadialFunction, alpha: float, levels: range) -> _IalphaSweep:
     """A sweep over ``levels``, which start at or below u's window, seeded with u's left tail."""
-    require_finite(alpha=alpha)
-    if alpha <= 0:
-        raise DivergenceError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     c = u.value_at(levels.start - 1)  # in the left tail
     rho = u.left_tail.rho
     bc = gc = 0.0
@@ -269,26 +254,20 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
 class BoundConstants:
     """Growth constants for iterated applications of I^alpha.
 
-    c0 bounds the first application on the envelope |phi| <= mu |t|^(-gamma);
-    c_n(n) the n-th; 0 < c_n(n) <= c_uniform for every n >= 0.
+    c_n(n) bounds the n-th application, c_n(0) the first, on the envelope
+    |phi| <= mu |t|^(-gamma); 0 < c_n(n) <= c_uniform for every n >= 0.
     """
 
-    c0: float
     c_n: Callable[[int], float]
     c_uniform: float
 
 
 def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
-    """Constants c_0, c_n, c_uniform for the weak-degeneration regime."""
+    """Constants c_n and c_uniform for the weak-degeneration regime."""
     p = Prime(p)
-    require_finite(alpha=alpha, gamma=gamma)
-    if alpha <= 0:
-        raise DivergenceError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= gamma < min(1.0, alpha):
-        raise DegenerationError(
-            f"weak degeneration requires 0 <= gamma < min(1, alpha) "
-            f"= {min(1.0, alpha)}, got gamma = {gamma}"
-        )
+    require_alpha(alpha)
+    require_finite(gamma=gamma)
+    require_weak_degeneration(alpha, gamma)
     q = p_pow(p, -alpha)
     frac = (1.0 - q) * (1.0 - 1.0 / p)
 
@@ -305,12 +284,11 @@ def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
         s = sigma_n(n)
         return q + interior(s) * p_pow(p, -alpha * s)
 
-    c0 = c_n(0)
     # kernel_constant's theta at sigma_0 = -gamma / alpha, which lies above the boundary
     boundary = _domain_boundary(alpha)
     theta = boundary + max(sigma_n(0) - boundary, _EPS_FLOOR)
     c_uniform = q + interior(theta) * p_pow(p, gamma)
-    return BoundConstants(c0=c0, c_n=c_n, c_uniform=c_uniform)
+    return BoundConstants(c_n=c_n, c_uniform=c_uniform)
 
 
 def assemble_fractional_integral(v: RadialFunction, alpha: float,

@@ -71,19 +71,8 @@ def p_pow(base: float, exponent: float) -> float:
 
 
 def p_pow_levels(base: float, e: float, lo: int, hi: int) -> list:
-    """``[p_pow(base, e * k) for k in lo .. hi]`` bit for bit, with one log and the guard
-    tested at the two ends (e k is monotone in k); past it, :func:`p_pow` level by level."""
-    if hi < lo:
-        return []
-    lb = math.log(base)
-    if not (e * lo * lb <= OVERFLOW_GUARD and e * hi * lb <= OVERFLOW_GUARD):
-        return [p_pow(base, e * k) for k in range(lo, hi + 1)]
-    exp = math.exp
-    out = []
-    for k in range(lo, hi + 1):  # a loop: short ranges cost less than in a comprehension
-        t = e * k * lb
-        out.append(exp(t) if t >= -745.0 else 0.0)
-    return out
+    """``base**(e k)`` for k in lo .. hi, each by :func:`p_pow`."""
+    return [p_pow(base, e * k) for k in range(lo, hi + 1)]
 
 
 def _require_convergent(what: str, a: float) -> None:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DivergenceError, DomainError, require_finite
+from .errors import DivergenceError, DomainError, require_alpha
 from .haar import Prime, p_pow, p_pow_levels
 
 _TAIL_KINDS = ("zero", "const", "power")
@@ -169,13 +169,6 @@ class RadialFunction:
             left_tail=self.left_tail.absolute(), right_tail=self.right_tail.absolute(),
             value_at_zero=abs(self.value_at_zero),
         )
-
-    def sup_window(self) -> float:
-        return self._sup_window
-
-    @cached_property
-    def _sup_window(self) -> float:
-        return max(abs(v) for v in self.values)
 
     @cached_property
     def _dalpha_memo(self) -> dict:
@@ -384,9 +377,7 @@ def _abs_level_sum_right(au: RadialFunction, m: int) -> float:
 
 def check_summability(u: RadialFunction, alpha: float, m: int) -> SummabilityReport:
     """Evaluate the convergence conditions for u at split level m."""
-    require_finite(alpha=alpha)
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    require_alpha(alpha)
     au = u.absolute()
     cond_3_1 = _checked(lambda: weighted_sum_left(au, m, 1.0))
     cond_3_1_prime = _checked(lambda: weighted_sum_right(au, m, -alpha))

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergenceError, MagnitudeError, require_finite
+from .errors import DivergenceError, MagnitudeError, require_alpha
 from .haar import DEFAULT_DEPTH, Prime, p_pow, p_pow_levels
 from .radial import RadialFunction, _geom_left, _geom_right, _sum_left, _sum_right, _tail_sum
 
@@ -52,28 +52,20 @@ _UNIT = 2.0 ** -53  # unit roundoff of a double
 
 @dataclass(frozen=True)
 class DalphaCoefficients:
-    """Per-(p, alpha) constants of the radial series for D^alpha.
-
-    d_alpha = (1 - p^alpha) / (1 - p^(-alpha-1)) < 0 and the diagonal
-    coefficient (p^alpha + p - 2) / (1 - p^(-alpha-1)) > 0.
-    """
+    """Per-(p, alpha) constant of the radial series for D^alpha:
+    d_alpha = (1 - p^alpha) / (1 - p^(-alpha-1)) < 0."""
 
     p: int
     alpha: float
     d_alpha: float
-    diag_coef: float
 
     @staticmethod
     def create(p: int, alpha: float) -> "DalphaCoefficients":
         p = Prime(p)
-        require_finite(alpha=alpha)
-        if alpha <= 0:
-            raise DivergenceError(f"alpha must be positive, got {alpha}")
-        denom = 1.0 - p_pow(p, -alpha - 1.0)
+        require_alpha(alpha)
         return DalphaCoefficients(
             p=p, alpha=alpha,
-            d_alpha=-math.expm1(alpha * math.log(p)) / denom,
-            diag_coef=(p_pow(p, alpha) + p - 2.0) / denom,
+            d_alpha=-math.expm1(alpha * math.log(p)) / (1.0 - p_pow(p, -alpha - 1.0)),
         )
 
 

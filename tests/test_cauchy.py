@@ -92,7 +92,7 @@ def test_spot_check_reads_the_decay_samples_from_the_grid():
         bad = Nonlinearity(eval=counted, bound_M=1.0, lipschitz_F=0.0, decay=(0.5, 2.0))
         with pytest.raises(MetadataError, match=f"^declared decay \\(A=0.5, beta=2.0\\) "
                                                 f"violated at level {k_bad}$"):
-            bad.spot_check(2, levels=range(-12, 13), xs=[-8.0 + 16.0 * i / 40.0 for i in range(41)])
+            bad.spot_check(2)
         assert len(calls) == (k_bad + 13) * 41
 
 
@@ -138,7 +138,7 @@ def test_radius_zero_lipschitz_hits_cap():
 
 def test_radius_infeasible():
     with pytest.raises(InfeasibleRadiusError):
-        _radius_from_constants(1e9, 1e9, 2, 0.5, n_floor=-10)
+        _radius_from_constants(1e30, 1e30, 2, 0.5)
 
 
 # -- window floor ------------------------------------------------------------------
@@ -356,9 +356,12 @@ def test_extend_step_detects_wrong_metadata():
                          per_level_F=lambda k: 1e-6)
     prob_lying = ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0, rhs=rhs)
     object.__setattr__(prob_lying, "rhs", lying)
-    # displace the fixed point so the iteration takes measurable steps
+    # displace the starting value so the iteration takes measurable steps
+    u = rep.solution
+    moved = replace(u, values=tuple(v + 0.5 if k == -2 else v
+                                     for k, v in enumerate(u.values, u.k_min)))
     with pytest.raises(MetadataError, match="ratio"):
-        extend_step(rep.solution, prob_lying, -2, tol=1e-15, v0=0.5)
+        extend_step(moved, prob_lying, -2, tol=1e-15)
 
 
 @pytest.mark.parametrize("p, alpha, gamma, u0, amplitude, beta", [

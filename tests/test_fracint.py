@@ -178,7 +178,7 @@ def test_bound_constants_gamma_zero():
     bc = bound_constants(p, alpha, 0.0)
     ratio = abs((1 - p_pow(p, -alpha)) / (1 - p_pow(p, alpha - 1)))
     want = p_pow(p, -alpha) + ratio * kernel_constant(p, alpha, 0.0).d_abs
-    assert bc.c0 == pytest.approx(want, rel=1e-13)
+    assert bc.c_n(0) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", PRIMES)

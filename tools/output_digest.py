@@ -7,8 +7,10 @@ Runs a fixed list of invocations in-process against the package in PATH
 p = 2, 7 with alpha at 1 and 1e-9 either side of it, ``solve`` with
 ``--solution-out`` and ``--report-out`` on five problems (one whose exact
 solution is u0 because I^1 of a constant vanishes, one at p = 1000003),
-``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function, a
-``sweep`` with an error row and a ``solve`` that exits 2, and ``verify``.
+``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function,
+``constants`` at three (p, alpha) with a sigma or a gamma (alpha = 1
+among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
+and ``verify``.
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments.  Two versions of the package whose outputs are bit
 for bit the same print the same lines; run it once with ``--src`` pointing
@@ -34,6 +36,12 @@ SOLVES = (
     "--p 2 --alpha 1 --gamma 0 --u0 1 --rhs const --rhs-amplitude 0.2 --rhs-beta 2.5",
     "--p 1000003 --alpha 1.5 --gamma 0.4 --u0 1 --rhs cos-decay",
 )
+# kernel constants at a sigma, on the alpha = 1 branch too, and the bound constants at a gamma
+CONSTANTS = (
+    "--p 2 --alpha 1.5 --sigma 0.3",
+    "--p 2 --alpha 1 --sigma 0",
+    "--p 3 --alpha 0.5 --gamma 0.2",
+)
 # invocations that fail: an error row of sweep, and exit code 2 at a continuation level
 FAILING = (
     "sweep --p-list 2,100000007 --alpha-list 1.5",
@@ -53,6 +61,7 @@ def invocations(tmp: Path) -> list:
     for op, alpha in (("dalpha", "1.5"), ("dalpha", "0.5"), ("ialpha", "1.5"), ("ialpha", "1")):
         runs.append(["apply", "--op", op, "--alpha", alpha, "--input", str(tmp / "u.txt"),
                      "--levels=-30:30"])
+    runs += [["constants", *line.split()] for line in CONSTANTS]
     return runs + [line.split() for line in FAILING] + [["verify"]]
 
 
