@@ -59,9 +59,6 @@ from .radial import RadialFunction, TailModel
 
 # Floor for the slack used when building the sigma-uniform envelope bound.
 _EPS_FLOOR = 1e-6
-# apply_ialpha scales a u whose values and tail coefficients all lie below
-# 2^_TINY_EXPONENT up by a power of two before it walks it
-_TINY_EXPONENT = -900
 
 
 @dataclass(frozen=True)
@@ -225,20 +222,10 @@ class _IalphaSweep:
         return out
 
 
-def _scaled_value(u: RadialFunction, k: int, shift: int) -> float:
-    """2^shift u(p^k), with a tail's coefficient scaled before its power is taken."""
-    if u.k_min <= k <= u.k_max:
-        return math.ldexp(u.values[k - u.k_min], shift)
-    tail = u.left_tail if k < u.k_min else u.right_tail
-    return TailModel(tail.kind, math.ldexp(tail.c, shift), tail.rho).value_at(u.p, k)
-
-
-def _sweep_below(u: RadialFunction, alpha: float, levels: range,
-                 shift: int = 0) -> _IalphaSweep:
-    """A sweep over ``levels``, which start at or below u's window, seeded with
-    2^shift times u's left tail."""
+def _sweep_below(u: RadialFunction, alpha: float, levels: range) -> _IalphaSweep:
+    """A sweep over ``levels``, which start at or below u's window, seeded with u's left tail."""
     require_alpha(alpha)
-    c = _scaled_value(u, levels.start - 1, shift) if shift else u.value_at(levels.start - 1)
+    c = u.value_at(levels.start - 1)  # in the left tail
     rho = u.left_tail.rho
     bc = gc = 0.0
     if u.left_tail.kind == "power":  # a zero or constant tail is 0 once centered
@@ -260,17 +247,7 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     O(1) below u's window, O(n - k_min) above its start.
     """
     levels = range(min(n, u.k_min), n + 1)
-    if n < u.k_min:
-        fs = [u.value_at(n)]
-    else:  # the window's values up to n, then the right tail's past it
-        fs = list(u.values[:n - u.k_min + 1]) + [u.value_at(k) for k in range(u.k_max + 1, n + 1)]
-    right = u.right_tail.c if n > u.k_max else 0.0
-    e = math.frexp(max(abs(u.left_tail.c), abs(right), max(fs), -min(fs)))[1]
-    if e >= _TINY_EXPONENT:
-        return _sweep_below(u, alpha, levels).window(fs)[-1]
-    # I^alpha is linear: walk 2^-e u, so no value or running sum of a tiny u falls subnormal
-    fs = [_scaled_value(u, k, -e) for k in levels]
-    return math.ldexp(_sweep_below(u, alpha, levels, -e).window(fs)[-1], e)
+    return _sweep_below(u, alpha, levels).window([u.value_at(k) for k in levels])[-1]
 
 
 @dataclass(frozen=True)

@@ -101,16 +101,6 @@ def test_ialpha_of_a_constant_is_exactly_zero(p, alpha):
     assert assemble_fractional_integral(u, alpha, -8, 12).values == (0.0,) * 21
 
 
-def _value_mpmath(u, k):
-    """u(p^k) in mpmath: a power tail's c p^(rho k) with no double rounding, which
-    loses the digits of a subnormal value."""
-    from mpmath import mpf
-    tail = u.left_tail if k < u.k_min else u.right_tail
-    if u.k_min <= k <= u.k_max or tail.kind != "power":
-        return mpf(u.value_at(k))
-    return mpf(tail.c) * mpf(u.p) ** (mpf(tail.rho) * k)
-
-
 def _ialpha_mpmath(u, alpha, n, depth=300):
     """(I^alpha u)(p^n) from the kernel form of the integral, at 50 digits: the diagonal
     term plus the interior strata k = n - depth .. n - 1 (log kernel at alpha = 1), and
@@ -118,14 +108,14 @@ def _ialpha_mpmath(u, alpha, n, depth=300):
     from mpmath import mp, mpf
     with mp.workdps(50):
         p, a = mpf(u.p), mpf(alpha)
-        diag = p ** (a * (n - 1)) * _value_mpmath(u, n)
+        diag = p ** (a * (n - 1)) * mpf(u.value_at(n))
         terms = []
         for k in range(n - depth, n):
             if alpha == 1.0:
                 kernel = (1 - p) / p * (n - k)
             else:
                 kernel = (1 - p ** -a) / (1 - p ** (a - 1)) * (p ** ((a - 1) * n) - p ** ((a - 1) * k))
-            terms.append((1 - 1 / p) * p ** k * kernel * _value_mpmath(u, k))
+            terms.append((1 - 1 / p) * p ** k * kernel * mpf(u.value_at(k)))
         return diag + sum(terms), float(abs(diag) + sum(abs(t) for t in terms))
 
 
@@ -135,18 +125,13 @@ def _ialpha_mpmath(u, alpha, n, depth=300):
        c=st.floats(-2.0, 2.0), rho=st.one_of(st.just(0.0), st.floats(-0.4, 0.8)),
        offset=st.integers(-3, 13))
 @example(p=2, delta=1e-13, k_min=0, values=[1.0], c=1.0, rho=0.5, offset=0)
-# tiny u: a reference below the double range, subnormal running sums, a subnormal power tail
-@example(p=3, delta=0.0, k_min=0, values=[0.0], c=2.225073858507e-311, rho=0.0, offset=0)
-@example(p=5, delta=0.0, k_min=0, values=[2.2250738585072014e-308], c=0.0, rho=0.0, offset=7)
-@example(p=5, delta=0.0, k_min=5, values=[0.0], c=5e-324, rho=0.5, offset=13)
 def test_ialpha_next_to_alpha_one_matches_mpmath(p, delta, k_min, values, c, rho, offset):
     # the kernel's 1 - p^(alpha - 1) division cancels next to alpha = 1; the walk has none
     left = TailModel.constant(c) if rho == 0.0 else TailModel.power_law(c, rho)
     u = RadialFunction(p, k_min, k_min + len(values) - 1, values, left_tail=left)
     n = k_min - 3 + offset
     want, scale = _ialpha_mpmath(u, 1.0 + delta, n)
-    # a subnormal result is known to no better than the spacing of the doubles there
-    assert abs(apply_ialpha(u, 1.0 + delta, n) - want) <= 1e-14 * scale + math.ulp(0.0)
+    assert abs(apply_ialpha(u, 1.0 + delta, n) - want) <= 1e-14 * scale
 
 
 def test_ialpha_power_law_golden():
