@@ -405,7 +405,7 @@ def _known_part(u: RadialFunction, problem: ProblemSpec, ell: int) -> tuple:
             f"1e-11; rebuild the solution with a lower K_min"
         )
     sweep = _IalphaSweep(problem.p, problem.alpha, problem.gamma, range(u.k_min, ell + 2))
-    _integrate(sweep, problem.rhs.eval, map(u.value_at, range(u.k_min, ell + 1)))
+    _integrate(sweep, problem.rhs.eval, u.values_on(u.k_min, ell))
     return sweep.ahead()
 
 
@@ -429,14 +429,14 @@ def _extension_kappa(problem: ProblemSpec, ell: int, c: float) -> float:
     return kappa
 
 
-def _fixed_point(n: int, base: float, x: float, kappa: float, tol: float, max_iter: int,
+def _fixed_point(n: int, base: float, x: float, kappa: float, tol: float,
                  f: Callable, c: float, shift: float) -> tuple:
-    """Iterate x -> base + c (f(p^n, x) - shift) from x, where base = u0 plus the known
-    part and c = p^((a - g) n - a); (value, iterations)."""
+    """Iterate x -> base + c (f(p^n, x) - shift) from x, at most 1000 times, where base =
+    u0 plus the known part and c = p^((a - g) n - a); (value, iterations)."""
     if kappa == 0.0:
         return base + c * (f(n, x) - shift), 1
     prev_step = None
-    for j in range(1, max_iter + 1):
+    for j in range(1, 1001):
         x_new = base + c * (f(n, x) - shift)
         d = abs(x_new - x)
         if d <= tol * max(1.0, abs(x_new)):
@@ -451,7 +451,7 @@ def _fixed_point(n: int, base: float, x: float, kappa: float, tol: float, max_it
         prev_step = d
         x = x_new
     raise NonConvergenceError(
-        f"fixed point at level {n} did not converge in {max_iter} steps",
+        f"fixed point at level {n} did not converge in 1000 steps",
         diffs=[prev_step])
 
 
@@ -468,7 +468,7 @@ def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
     require_tol(tol)
     known, c, shift = _known_part(u, problem, ell)
     kappa = _extension_kappa(problem, ell, c)
-    value, iters = _fixed_point(ell + 1, problem.u0 + known, u.value_at(ell), kappa, tol, 1000,
+    value, iters = _fixed_point(ell + 1, problem.u0 + known, u.value_at(ell), kappa, tol,
                                 problem.rhs.eval, c, shift)
     return value, kappa, iters
 
@@ -642,7 +642,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
                 f"exceeds tol/10; rebuild with a smaller tol or lower K_min"
             )
         kappa = _extension_kappa(problem, ell, c)
-        x, iters = _fixed_point(n, problem.u0 + known, x, kappa, tol / 100.0, 1000, f, c, shift)
+        x, iters = _fixed_point(n, problem.u0 + known, x, kappa, tol / 100.0, f, c, shift)
         budget += rem
         # v0: I^alpha at level n of the levels <= ell alone
         diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)

@@ -112,6 +112,16 @@ class RunConfig(dict):
                            u0=self["u0"], rhs=rhs)
 
 
+def _emit(lines: list, path: str | None) -> None:
+    """Write the lines to ``path``, or print them when ``path`` is empty."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    else:
+        for line in lines:
+            print(line)
+
+
 def _parse_config(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -221,14 +231,8 @@ def cmd_solve(args) -> int:
             res, unc = _fmt(estimates[k].value), _fmt(estimates[k].uncertainty)
         rows.append(f"{k},{k},{_fmt(u.value_at(k))},{bound},{res},{unc}")
 
-    csv_out = cfg.get("csv_out")
-    lines = ["k,radius_exponent,u,apriori_bound,residual,residual_uncertainty"] + rows
-    if csv_out:
-        with open(csv_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    _emit(["k,radius_exponent,u,apriori_bound,residual,residual_uncertainty"] + rows,
+          cfg.get("csv_out"))
 
     report_out = cfg.get("report_out")
     if report_out:
@@ -432,12 +436,7 @@ def cmd_sweep(args) -> int:
             except FAILURE_ERRORS as err:
                 row += f",,,,,,,,failure: {type(err).__name__}"
             lines.append(row)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    _emit(lines, args.out)
     return EXIT_OK
 
 

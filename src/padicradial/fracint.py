@@ -247,7 +247,7 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     O(1) below u's window, O(n - k_min) above its start.
     """
     levels = range(min(n, u.k_min), n + 1)
-    return _sweep_below(u, alpha, levels).window([u.value_at(k) for k in levels])[-1]
+    return _sweep_below(u, alpha, levels).window(u.values_on(levels.start, n))[-1]
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
     # O(1) per level below v's window, then one pass: the same steps as apply_ialpha's
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
     levels = range(v.k_min, k_hi + 1)
-    values += _sweep_below(v, alpha, levels).window([v.value_at(n) for n in levels])
+    values += _sweep_below(v, alpha, levels).window(v.values_on(v.k_min, k_hi))
     tail = v.left_tail
     if tail.kind in ("zero", "const"):
         left = TailModel.zero()

@@ -7,10 +7,12 @@ to zero / constant / power-law; that is exactly the class needed by the
 operator modules, and it makes every weighted infinite sum a geometric
 series with a closed form, so there is no truncation error at infinity.
 
-The weighted sums computed here are the raw material for the fractional
-operators: ``sum_{k<=m} p^(e k) u(p^k)`` and its mirror image, plus the
-level-weighted variants ``sum k p^(e k) u(p^k)`` of the alpha = 1
-summability conditions; the private forms also center u on a constant c.
+The weighted sums here are the raw material for the fractional operators:
+``sum_{k<=m} p^(e k) u(p^k)``, its mirror image and the level-weighted
+``sum k p^(e k) u(p^k)`` of the alpha = 1 summability conditions, all one
+private sum over levels lo <= k <= hi that also centers u on a constant c
+and sums an open end in closed form.  :meth:`RadialFunction.values_on`
+reads u on a range of levels: the window sliced, only tail levels evaluated.
 """
 
 from __future__ import annotations
@@ -163,6 +165,13 @@ class RadialFunction:
             return self.right_tail.value_at(self.p, k)
         return self.values[k - self.k_min]
 
+    def values_on(self, lo: int, hi: int) -> list:
+        """[u(p^k) for k = lo .. hi]: the stored values sliced, only tail levels evaluated."""
+        p, k_min, k_max = self.p, self.k_min, self.k_max
+        return ([self.left_tail.value_at(p, k) for k in range(lo, min(hi + 1, k_min))]
+                + list(self.values[max(lo - k_min, 0):max(hi + 1 - k_min, 0)])
+                + [self.right_tail.value_at(p, k) for k in range(max(lo, k_max + 1), hi + 1)])
+
     def absolute(self) -> "RadialFunction":
         return RadialFunction(
             self.p, self.k_min, self.k_max, tuple(abs(v) for v in self.values),
@@ -235,60 +244,45 @@ def _tail_sum(total: float, tail: TailModel, p: int, j: int, e: float, c: float,
     return total
 
 
-def _sum_left(u: RadialFunction, m: int, e: float, level_weight: bool = False,
-              c: float = 0.0, origin: int = 0) -> float:
-    """sum_{k <= m} [k - s] p^(e (k - s)) (u(p^k) - c), s = ``origin``; c = s = 0 gives
-    the plain weighted sums, and s near m keeps a sum far from level 0 in range."""
-    values = u.values
-    k_min = u.k_min
-    j = min(m, k_min - 1)
-    geom = _geom_left_level if level_weight else _geom_left
-    total = _tail_sum(0.0, u.left_tail, u.p, j, e, c, geom, "left", origin)
-    lo, hi = max(k_min, j + 1), min(m, u.k_max)
-    for k, w in zip(range(lo, hi + 1), p_pow_levels(u.p, e, lo - origin, hi - origin)):
-        total += ((k - origin) * w if level_weight else w) * (values[k - k_min] - c)
-    for k in range(u.k_max + 1, m + 1):
-        w = p_pow(u.p, e * (k - origin))
-        total += ((k - origin) * w if level_weight else w) * (u.right_tail.value_at(u.p, k) - c)
-    return total
-
-
-def _sum_right(u: RadialFunction, m: int, e: float, level_weight: bool = False,
-               c: float = 0.0) -> float:
-    """sum_{l >= m} [l] p^(e l) (u(p^l) - c), the mirror image of :func:`_sum_left`."""
+def _sum(u: RadialFunction, lo: int | None, hi: int | None, e: float,
+         level_weight: bool = False, c: float = 0.0, origin: int = 0) -> float:
+    """sum_{lo <= k <= hi} [k - s] p^(e (k - s)) (u(p^k) - c), s = ``origin``; an end given as
+    None is the tail beyond the window on that side, in closed form.  c = s = 0 gives the
+    plain weighted sums, and s near the range keeps a sum far from level 0 in range."""
     p = u.p
-    values = u.values
-    k_min = u.k_min
-    j = max(m, u.k_max + 1)
     total = 0.0
-    for k in range(m, min(k_min - 1, j - 1) + 1):
-        w = p_pow(p, e * k)
-        total += (k * w if level_weight else w) * (u.left_tail.value_at(p, k) - c)
-    lo = max(m, k_min)
-    for k, w in zip(range(lo, u.k_max + 1), p_pow_levels(p, e, lo, u.k_max)):
-        total += (k * w if level_weight else w) * (values[k - k_min] - c)
-    geom = _geom_right_level if level_weight else _geom_right
-    return _tail_sum(total, u.right_tail, p, j, e, c, geom, "right")
+    if lo is None:
+        lo = u.k_min if hi is None else min(hi + 1, u.k_min)
+        geom = _geom_left_level if level_weight else _geom_left
+        total = _tail_sum(total, u.left_tail, p, lo - 1, e, c, geom, "left", origin)
+    top = max(lo, u.k_max + 1) - 1 if hi is None else hi
+    for k, w, v in zip(range(lo, top + 1), p_pow_levels(p, e, lo - origin, top - origin),
+                       u.values_on(lo, top)):
+        total += ((k - origin) * w if level_weight else w) * (v - c)
+    if hi is None:
+        geom = _geom_right_level if level_weight else _geom_right
+        total = _tail_sum(total, u.right_tail, p, top + 1, e, c, geom, "right", origin)
+    return total
 
 
 def weighted_sum_left(u: RadialFunction, m: int, e: float) -> float:
     """sum_{k <= m} p^(e k) u(p^k), with the sub-window part in closed form."""
-    return _sum_left(u, m, e, level_weight=False)
+    return _sum(u, None, m, e)
 
 
 def weighted_sum_right(u: RadialFunction, m: int, e: float) -> float:
     """sum_{l >= m} p^(e l) u(p^l), with the above-window part in closed form."""
-    return _sum_right(u, m, e, level_weight=False)
+    return _sum(u, m, None, e)
 
 
 def level_weighted_sum_left(u: RadialFunction, m: int, e: float) -> float:
     """sum_{k <= m} k p^(e k) u(p^k); used by the alpha = 1 summability conditions."""
-    return _sum_left(u, m, e, level_weight=True)
+    return _sum(u, None, m, e, level_weight=True)
 
 
 def level_weighted_sum_right(u: RadialFunction, m: int, e: float) -> float:
     """sum_{l >= m} l p^(e l) u(p^l)."""
-    return _sum_right(u, m, e, level_weight=True)
+    return _sum(u, m, None, e, level_weight=True)
 
 
 # -- summability ------------------------------------------------------------
@@ -344,37 +338,6 @@ def _both(a: ConditionCheck, b: ConditionCheck) -> ConditionCheck:
     return ConditionCheck(False, None, (a if not a.holds else b).detail)
 
 
-def _max_weight_sum_left(au: RadialFunction, m: int, alpha: float) -> float:
-    """sum_{k <= m} max(p^k, p^(alpha k)) |u(p^k)|.
-
-    The max weight is p^(min(1, alpha) k) for k <= 0 and
-    p^(max(1, alpha) k) for k > 0; the positive-k part of the range is
-    finite and summed directly.
-    """
-    lo_e = min(1.0, alpha)
-    total = weighted_sum_left(au, min(m, 0), lo_e)
-    hi_e = max(1.0, alpha)
-    for k in range(1, m + 1):
-        total += p_pow(au.p, hi_e * k) * au.value_at(k)
-    return total
-
-
-def _abs_level_sum_left(au: RadialFunction, m: int) -> float:
-    """sum_{k <= m} |k| p^k |u(p^k)|."""
-    total = -level_weighted_sum_left(au, min(m, 0), 1.0)
-    for k in range(1, m + 1):
-        total += k * p_pow(au.p, k) * au.value_at(k)
-    return total
-
-
-def _abs_level_sum_right(au: RadialFunction, m: int) -> float:
-    """sum_{l >= m} |l| |u(p^l)|."""
-    total = level_weighted_sum_right(au, max(m, 0), 0.0)
-    for k in range(m, 0):
-        total += -k * au.value_at(k)
-    return total
-
-
 def check_summability(u: RadialFunction, alpha: float, m: int) -> SummabilityReport:
     """Evaluate the convergence conditions for u at split level m."""
     require_alpha(alpha)
@@ -382,12 +345,18 @@ def check_summability(u: RadialFunction, alpha: float, m: int) -> SummabilityRep
     cond_3_1 = _checked(lambda: weighted_sum_left(au, m, 1.0))
     cond_3_1_prime = _checked(lambda: weighted_sum_right(au, m, -alpha))
     cond_2_7 = cond_2_8 = cond_3_2 = cond_3_3 = None
+    # |k| is -k at k <= 0 and k above; max(p^k, p^(alpha k)) is p^(min(1, alpha) k) at
+    # k <= 0 and p^(max(1, alpha) k) above, where the range up to m is finite
     if alpha == 1.0:
-        cond_2_8 = _checked(lambda: _abs_level_sum_left(au, m))
-        cond_3_3 = _both(cond_2_8, _checked(lambda: _abs_level_sum_right(au, m)))
+        cond_2_8 = _checked(lambda: -_sum(au, None, min(m, 0), 1.0, level_weight=True)
+                            + _sum(au, 1, m, 1.0, level_weight=True))
+        cond_3_3 = _both(cond_2_8, _checked(
+            lambda: _sum(au, max(m, 0), None, 0.0, level_weight=True)
+            - _sum(au, m, -1, 0.0, level_weight=True)))
     else:
-        cond_2_7 = _checked(lambda: _max_weight_sum_left(au, m, alpha))
-        cond_3_2 = _both(cond_2_7, _checked(lambda: weighted_sum_right(au, m, 0.0)))
+        cond_2_7 = _checked(lambda: _sum(au, None, min(m, 0), min(1.0, alpha))
+                            + _sum(au, 1, m, max(1.0, alpha)))
+        cond_3_2 = _both(cond_2_7, _checked(lambda: _sum(au, m, None, 0.0)))
     return SummabilityReport(cond_3_1, cond_3_1_prime, cond_2_7, cond_2_8, cond_3_2, cond_3_3)
 
 

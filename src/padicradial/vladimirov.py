@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, MagnitudeError, require_alpha
 from .haar import DEFAULT_DEPTH, Prime, p_pow, p_pow_levels
-from .radial import RadialFunction, _geom_left, _geom_right, _sum_left, _sum_right, _tail_sum
+from .radial import RadialFunction, _geom_left, _geom_right, _sum, _tail_sum
 
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 
@@ -102,8 +102,7 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
     coef = DalphaCoefficients.create(u.p, alpha).d_alpha * (1.0 - 1.0 / u.p)
     p, lnp = u.p, math.log(u.p)
     a, b = min(lo, u.k_min), max(hi, u.k_max)
-    vals = ([u.left_tail.value_at(p, k) for k in range(a, u.k_min)] + list(u.values)
-            + [u.right_tail.value_at(p, k) for k in range(u.k_max + 1, b + 1)])
+    vals = u.values_on(a, b)
     try:
         seed_l = _tail_sum(0.0, u.left_tail, p, a - 1, 1.0, vals[0], _geom_left, "left", a)
         seed_r = _tail_sum(0.0, u.right_tail, p, b + 1, -alpha, vals[-1], _geom_right,
@@ -198,14 +197,14 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     # relative to level n, so that the left part stays in range at any level
     e_n = -(alpha + 1.0) * n
     diag = 0.0
-    for i in range(n - depth, n):
-        diag += frac * p_pow(p, i + e_n) * (u.value_at(i) - c)
+    for i, v in zip(range(n - depth, n), u.values_on(n - depth, n - 1)):
+        diag += frac * p_pow(p, i + e_n) * (v - c)
     # |x - y| = p^n stratum has mass p^n (1 - 2/p) but a zero bracket.
-    diag += frac * p_pow(p, -alpha * n) * _sum_left(u, n - depth - 1, 1.0, c=c, origin=n)
+    diag += frac * p_pow(p, -alpha * n) * _sum(u, None, n - depth - 1, 1.0, c=c, origin=n)
 
     right = 0.0
-    for l, w in zip(range(n + 1, n + depth + 1), p_pow_levels(p, -alpha, n + 1, n + depth)):
-        right += frac * w * (u.value_at(l) - c)
-    right += frac * _sum_right(u, n + depth + 1, -alpha, c=c)
+    for w, v in zip(p_pow_levels(p, -alpha, n + 1, n + depth), u.values_on(n + 1, n + depth)):
+        right += frac * w * (v - c)
+    right += frac * _sum(u, n + depth + 1, None, -alpha, c=c)
 
     return coeffs.d_alpha * (diag + right)

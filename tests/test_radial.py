@@ -8,6 +8,7 @@ from padicradial.haar import p_pow
 from padicradial.radial import (
     RadialFunction,
     TailModel,
+    _sum,
     check_summability,
     dump_radial,
     level_weighted_sum_left,
@@ -104,6 +105,69 @@ def test_level_weighted_sums():
     # sum_{k<=0} k 2^k = -2; sum_{l>=1} l 2^(-l) = 2
     assert level_weighted_sum_left(u, 0, 1.0) == pytest.approx(-2.0, rel=1e-12)
     assert level_weighted_sum_right(u, 1, -1.0) == pytest.approx(2.0, rel=1e-12)
+
+
+_TAILS = {"zero": TailModel.zero(), "const": TailModel.constant(-0.75),
+          "power": TailModel.power_law(1.5, 0.5), "decay": TailModel.power_law(-2.0, -1.25)}
+
+
+@pytest.mark.parametrize("left", sorted(_TAILS))
+@pytest.mark.parametrize("right", sorted(_TAILS))
+def test_values_on_and_finite_sums_match_level_by_level(left, right):
+    u = RadialFunction(3, -2, 3, (1.0, -2.0, 0.5, 4.0, -1.0, 0.25),
+                       left_tail=_TAILS[left], right_tail=_TAILS[right])
+    # below, across the lower edge, inside, across both edges, across the upper edge,
+    # above, a single level, and empty ranges inside and outside the window
+    ranges = [(-9, -4), (-6, 0), (-1, 2), (-5, 7), (1, 8), (5, 9), (3, 3),
+              (2, 1), (-5, -7), (9, 4)]
+    for lo, hi in ranges:
+        want = [u.value_at(k) for k in range(lo, hi + 1)]
+        assert u.values_on(lo, hi) == want
+        for level_weight, c, origin in ((False, 0.0, 0), (True, 0.0, 0), (False, 0.5, 0),
+                                        (True, -1.25, 4), (False, 2.0, -3)):
+            for e in (-1.5, 0.0, 0.75):
+                direct = sum(((k - origin) if level_weight else 1)
+                             * p_pow(3, e * (k - origin)) * (u.value_at(k) - c)
+                             for k in range(lo, hi + 1))
+                got = _sum(u, lo, hi, e, level_weight=level_weight, c=c, origin=origin)
+                assert got == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+
+def test_open_end_sums_split_at_any_level():
+    # the left sum reaching into the right tail, the right sum reaching into the left
+    # tail and the sum over every level are the closed-form ends plus finite ranges
+    u = RadialFunction(2, -2, 2, (1.0, -2.0, 0.5, 4.0, -1.0),
+                       left_tail=TailModel.power_law(0.5, 1.0),
+                       right_tail=TailModel.power_law(-3.0, -2.0))
+    e = 0.5
+    for level_weight, origin in ((False, 0), (True, 0), (False, 5)):
+        args = dict(level_weight=level_weight, origin=origin)
+        for m in (-6, 0, 5):
+            assert _sum(u, None, m + 4, e, **args) == pytest.approx(
+                _sum(u, None, m, e, **args) + _sum(u, m + 1, m + 4, e, **args), rel=1e-13)
+            assert _sum(u, m - 4, None, e, **args) == pytest.approx(
+                _sum(u, m - 4, m - 1, e, **args) + _sum(u, m, None, e, **args), rel=1e-13)
+            assert _sum(u, None, None, e, **args) == pytest.approx(
+                _sum(u, None, m, e, **args) + _sum(u, m + 1, None, e, **args), rel=1e-13)
+
+
+def test_summability_bounds_are_the_condition_sums():
+    u = RadialFunction(2, -3, 3, (1.0, -2.0, 0.5, 4.0, -1.0, 0.25, -0.5))
+
+    def total(weight, ks):
+        return sum(weight(k) * abs(u.value_at(k)) for k in ks)
+
+    for m in (-2, 0, 2):
+        rep = check_summability(u, 1.0, m)
+        left = total(lambda k: abs(k) * 2.0 ** k, range(-3, m + 1))
+        assert rep.cond_2_8.bound == pytest.approx(left, rel=1e-14)
+        assert rep.cond_3_3.bound == pytest.approx(
+            left + total(abs, range(m, 4)), rel=1e-14)
+        rep = check_summability(u, 1.5, m)
+        left = total(lambda k: max(2.0 ** k, 2.0 ** (1.5 * k)), range(-3, m + 1))
+        assert rep.cond_2_7.bound == pytest.approx(left, rel=1e-14)
+        assert rep.cond_3_2.bound == pytest.approx(
+            left + total(lambda k: 1.0, range(m, 4)), rel=1e-14)
 
 
 @settings(max_examples=80, deadline=None)

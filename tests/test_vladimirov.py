@@ -276,8 +276,7 @@ def test_residual_profile_sums_the_seeds_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(vladimirov, "_tail_sum", counted(vladimirov._tail_sum, "seeds"))
-    monkeypatch.setattr(vladimirov, "_sum_left", counted(vladimirov._sum_left, "sums"))
-    monkeypatch.setattr(vladimirov, "_sum_right", counted(vladimirov._sum_right, "sums"))
+    monkeypatch.setattr(vladimirov, "_sum", counted(vladimirov._sum, "sums"))
     prob = _deep_problem()
     u = solve_problem(prob, tol=1e-10, extend_to=250).solution
     assert len(u.values) >= 270

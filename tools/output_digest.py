@@ -10,7 +10,9 @@ solution is u0 because I^1 of a constant vanishes, one at p = 1000003),
 ``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function,
 ``constants`` at three (p, alpha) with a sigma or a gamma (alpha = 1
 among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
-and ``verify``.
+``verify``, and ``verify`` of the ``D^alpha`` oracle at depth 3, where
+the oracle's explicit strata reach past the test functions' windows into
+their tails.
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments.  Two versions of the package whose outputs are bit
 for bit the same print the same lines; run it once with ``--src`` pointing
@@ -62,7 +64,8 @@ def invocations(tmp: Path) -> list:
         runs.append(["apply", "--op", op, "--alpha", alpha, "--input", str(tmp / "u.txt"),
                      "--levels=-30:30"])
     runs += [["constants", *line.split()] for line in CONSTANTS]
-    return runs + [line.split() for line in FAILING] + [["verify"]]
+    return runs + [line.split() for line in FAILING] + [
+        ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"]]
 
 
 def main() -> None:
