@@ -72,8 +72,6 @@ from .cauchy import (
     catalog_nonlinearity,
     check_global_hypotheses,
     choose_local_radius,
-    extend_step,
-    extension_constant,
     picard_solve,
     residual,
     solve_problem,

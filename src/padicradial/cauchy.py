@@ -13,7 +13,7 @@ in three stages:
    ascending pass.  Differences obey the a-priori bound C^(k+1) M F^k
    p^(N (k+1)(a - g)), checked on every sweep and doubling as a stopping rule.
 
-2. *Continuation* (:func:`solve_problem`; one level: :func:`extend_step`).
+2. *Continuation* (:func:`solve_problem`).
    Each level n = l + 1 above N solves x = u0 + K + c (f(p^n, x) - p^g f_l),
    c = p^((a - g) n - a), centered on the last known level, with K in O(1)
    from the state of Picard's I^alpha sweep; for a constant f and g = 0
@@ -30,8 +30,9 @@ iteration only stores a window [K_min, N].  The kernel has one sign on
 |y| < |x|, so the sup of a neglected sub-window contribution over
 |ftilde| <= M p^(-g k) is the kernel's own sum, two damped geometric
 walks with no branch at a = 1 (:func:`_truncation_constants`).  K_min is
-lowered until that is below tol / 10 in total; the accumulated bound is
-reported as ``truncation_budget`` rather than silently dropped.
+lowered until that bound, summed over every level up to one above the
+final window top, is below tol / 10; the sum over (1 - q_N) is reported as
+``truncation_budget`` rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -393,86 +394,6 @@ def _integrate(sweep: _IalphaSweep, f: Callable, xs) -> list:
     return sweep.window([f(k, x) for k, x in enumerate(xs, sweep.lo)])
 
 
-def _known_part(u: RadialFunction, problem: ProblemSpec, ell: int) -> tuple:
-    """:meth:`_IalphaSweep.ahead` at ell + 1 for ftilde(., u(.)) on u's window up to ell; the part
-    below the window is bounded, and a bound above 1e-11 is an error."""
-    if ell < u.k_min:
-        raise DomainError(f"extension level {ell} is below the window floor {u.k_min}")
-    rem = next(_truncation_bound(problem, u.k_min, ell + 1))
-    if rem > 1e-11:
-        raise BudgetError(
-            f"neglected sub-window remainder bound {rem} exceeds the budget "
-            f"1e-11; rebuild the solution with a lower K_min"
-        )
-    sweep = _IalphaSweep(problem.p, problem.alpha, problem.gamma, range(u.k_min, ell + 2))
-    _integrate(sweep, problem.rhs.eval, u.values_on(u.k_min, ell))
-    return sweep.ahead()
-
-
-def extension_constant(u: RadialFunction, problem: ProblemSpec, ell: int) -> float:
-    """v0 for extending the solution from level ell to ell + 1: the kernel integrated
-    against ftilde(., u(.)) over levels <= ell, within 1e-11 of :func:`_known_part`."""
-    known, c, shift = _known_part(u, problem, ell)
-    return known - c * shift
-
-
-def _extension_kappa(problem: ProblemSpec, ell: int, c: float) -> float:
-    """kappa of the level-(ell+1) equation, c = p^((a - g)(ell+1) - a); >= 1 raises."""
-    lip = problem.rhs.level_lipschitz(ell + 1)
-    kappa = c * lip
-    if kappa >= 1.0:
-        raise ContractionError(
-            f"extension to level {ell + 1} is not a contraction: kappa = {kappa} >= 1 "
-            f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) = "
-            f"{p_pow(problem.p, -problem.alpha * ell + problem.gamma * (ell + 1.0))})"
-        )
-    return kappa
-
-
-def _fixed_point(n: int, base: float, x: float, kappa: float, tol: float,
-                 f: Callable, c: float, shift: float) -> tuple:
-    """Iterate x -> base + c (f(p^n, x) - shift) from x, at most 1000 times, where base =
-    u0 plus the known part and c = p^((a - g) n - a); (value, iterations)."""
-    if kappa == 0.0:
-        return base + c * (f(n, x) - shift), 1
-    prev_step = None
-    for j in range(1, 1001):
-        x_new = base + c * (f(n, x) - shift)
-        d = abs(x_new - x)
-        if d <= tol * max(1.0, abs(x_new)):
-            return x_new, j
-        # a few ulps of slack cover the rounding of the two step evaluations
-        slack = 4.0 * math.ulp(max(1.0, abs(x_new)))
-        if prev_step is not None and d > kappa * prev_step + slack:
-            raise MetadataError(
-                f"measured contraction ratio {d / prev_step} exceeds kappa = {kappa} "
-                f"at level {n}: declared per-level Lipschitz metadata is wrong"
-            )
-        prev_step = d
-        x = x_new
-    raise NonConvergenceError(
-        f"fixed point at level {n} did not converge in 1000 steps",
-        diffs=[prev_step])
-
-
-def extend_step(u: RadialFunction, problem: ProblemSpec, ell: int,
-                tol: float = 1e-12) -> tuple:
-    """Solve the scalar fixed-point equation for u(p^(ell+1)), from u(p^ell).
-
-    Returns (value, kappa, iterations).  Requires the contraction factor
-    kappa = p^(a ell) * Lip(ftilde(p^(ell+1), .)) to be below 1; a step
-    longer than kappa times the previous one (plus a few ulps of rounding)
-    indicates wrong declared metadata.  More than 1000 steps, as in
-    :func:`solve_problem`, is a :class:`NonConvergenceError`.
-    """
-    require_tol(tol)
-    known, c, shift = _known_part(u, problem, ell)
-    kappa = _extension_kappa(problem, ell, c)
-    value, iters = _fixed_point(ell + 1, problem.u0 + known, u.value_at(ell), kappa, tol,
-                                problem.rhs.eval, c, shift)
-    return value, kappa, iters
-
-
 @dataclass(frozen=True)
 class GlobalHypothesesReport:
     """Outcome of the global-extension and decay hypotheses.
@@ -616,7 +537,15 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
 def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
                   n_override: Optional[int] = None,
                   extend_to: Optional[int] = None) -> SolveReport:
-    """Full pipeline: choose N, run the local iteration, continue level by level."""
+    """Full pipeline: choose N, run the local iteration, continue level by level.
+
+    Level n = ell + 1 solves x = u0 + known + c (f(p^n, x) - shift) by iteration from
+    u(p^ell), (known, c, shift) read from Picard's sweep.  kappa = c Lip(f(p^n, .)) at
+    or above 1 is a :class:`ContractionError`; a step longer than kappa times the
+    previous one (plus a few ulps of rounding) is wrong declared metadata, and more
+    than 1000 steps is a :class:`NonConvergenceError`.  The window floor is chosen for
+    target + 1, so Picard's truncation budget already covers every continuation level.
+    """
     # never pick a local radius beyond the requested window top
     n_cap = 8 if extend_to is None else min(8, extend_to)
     N = n_override if n_override is not None else choose_local_radius(problem, n_cap=n_cap)
@@ -627,30 +556,43 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     u = report.solution
     f = problem.rhs.eval
     _integrate(sweep, f, u.values)  # Picard's sweep, now holding u's f
-    truncation = _truncation_bound(problem, u.k_min, N + 1)
-    budget = report.truncation_budget
     diags = {}
     values = []
     x = u.value_at(N)
     for ell in range(N, target):
         n = ell + 1
         known, c, shift = sweep.ahead()
-        rem = next(truncation)
-        if rem > tol / 10.0:
-            raise BudgetError(
-                f"neglected sub-window remainder bound {rem} at extension level {ell} "
-                f"exceeds tol/10; rebuild with a smaller tol or lower K_min"
+        lip = problem.rhs.level_lipschitz(n)
+        kappa = c * lip
+        if kappa >= 1.0:
+            raise ContractionError(
+                f"extension to level {n} is not a contraction: kappa = {kappa} >= 1 "
+                f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) "
+                f"= {p_pow(problem.p, -problem.alpha * ell + problem.gamma * (ell + 1.0))})"
             )
-        kappa = _extension_kappa(problem, ell, c)
-        x, iters = _fixed_point(n, problem.u0 + known, x, kappa, tol / 100.0, f, c, shift)
-        budget += rem
+        base, prev = problem.u0 + known, None
+        for iters in range(1, 1001):
+            x_new = base + c * (f(n, x) - shift)
+            d = abs(x_new - x)
+            if kappa == 0.0 or d <= tol / 100.0 * max(1.0, abs(x_new)):
+                break
+            # a few ulps of slack cover the rounding of the two step evaluations
+            if prev is not None and d > kappa * prev + 4.0 * math.ulp(max(1.0, abs(x_new))):
+                raise MetadataError(
+                    f"measured contraction ratio {d / prev} exceeds kappa = {kappa} "
+                    f"at level {n}: declared per-level Lipschitz metadata is wrong"
+                )
+            prev, x = d, x_new
+        else:
+            raise NonConvergenceError(
+                f"fixed point at level {n} did not converge in 1000 steps", diffs=[prev])
+        x = x_new
         # v0: I^alpha at level n of the levels <= ell alone
         diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)
         values.append(x)
         sweep.window([f(n, x)])
     u = replace(u, k_max=target, values=u.values + tuple(values))
-    return replace(report, solution=u, extension_diagnostics=diags,
-                   truncation_budget=budget)
+    return replace(report, solution=u, extension_diagnostics=diags)
 
 
 # -- built-in right-hand sides for the CLI -----------------------------------

@@ -234,7 +234,11 @@ def _sweep_below(u: RadialFunction, alpha: float, levels: range) -> _IalphaSweep
                                   f"rho > -min(1, alpha) = {-min(1.0, alpha)}, got {rho}")
         lnp = math.log(u.p)
         for x, r in ((c, rho), (-c, 0.0)):  # the tail part, then the centering
-            b = x / math.expm1((alpha + r) * lnp)
+            t = (alpha + r) * lnp
+            try:
+                b = x / math.expm1(t)
+            except OverflowError:  # e^t is past the double range; 1 / (e^t - 1) = -e^-t / expm1(-t)
+                b = -x * math.exp(-t) / math.expm1(-t)
             bc += b
             gc += b / math.expm1(-(1.0 + r) * lnp)
     return _IalphaSweep(u.p, alpha, 0.0, levels, (bc, gc, c))

@@ -31,8 +31,6 @@ from padicradial.cauchy import (
     catalog_nonlinearity,
     check_global_hypotheses,
     choose_local_radius,
-    extend_step,
-    extension_constant,
     picard_solve,
     residual,
     solve_problem,
@@ -174,9 +172,17 @@ def test_deep_targets_certify_without_a_level_cap(p, alpha, gamma, extend_to, k_
     prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
                        rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1, beta=2.0))
     rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
+    N, k_max = rep.local_radius_N, rep.solution.k_max
     assert rep.k_min == k_min
-    assert rep.solution.k_max == (extend_to if extend_to is not None else rep.local_radius_N + 35)
+    assert k_max == (extend_to if extend_to is not None else N + 35)
     assert rep.truncation_budget <= 1e-10
+    # the floor's sum covers every continuation level's remainder, so the solve
+    # reports Picard's budget for the same top as it is
+    floor, floor_sum = _choose_window_floor(prob, k_max + 1, 1e-10)
+    rems = list(islice(_truncation_bound(prob, k_min, N + 1), k_max - N))
+    assert floor == k_min and max(rems) <= floor_sum <= 1e-11
+    assert rep.truncation_budget == picard_solve(
+        prob, N, 1e-10, reserve_top=k_max + 1).truncation_budget
 
 
 @pytest.mark.parametrize("rhs, alpha, gamma, stop", [
@@ -276,8 +282,8 @@ def test_picard_rejects_non_contractive_radius():
 def test_extension_constant_zero_rhs():
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
                        rhs=catalog_nonlinearity("zero", 2))
-    rep = picard_solve(prob, N=2, tol=1e-12)
-    assert extension_constant(rep.solution, prob, 2) == 0.0
+    rep = solve_problem(prob, tol=1e-12, n_override=2)
+    assert [d.v0 for d in rep.extension_diagnostics.values()] == [0.0] * 35
 
 
 @pytest.mark.parametrize("alpha", (1.5, 1.0))
@@ -287,10 +293,9 @@ def test_extension_constant_const_rhs_matches_brute_sum(alpha):
     lam, p = 0.4, 2
     prob = ProblemSpec(p=p, alpha=alpha, gamma=0.0, u0=0.0,
                        rhs=catalog_nonlinearity("const", p, amplitude=lam))
-    rep = picard_solve(prob, N=1, tol=1e-12)
-    u = rep.solution
     ell = 1
-    got = extension_constant(u, prob, ell)
+    rep = solve_problem(prob, tol=1e-12, n_override=ell, extend_to=ell + 1)
+    got = rep.extension_diagnostics[ell + 1].v0
     depth = 600
     if alpha == 1.0:
         brute = (1 - p) / (p * math.log(p)) * sum(
@@ -306,24 +311,24 @@ def test_extension_constant_const_rhs_matches_brute_sum(alpha):
 def test_extend_step_zero_rhs():
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
                        rhs=catalog_nonlinearity("zero", 2))
-    rep = picard_solve(prob, N=2, tol=1e-12)
-    value, kappa, iters = extend_step(rep.solution, prob, 2)
-    assert value == 1.0 and kappa == 0.0 and iters == 1
+    rep = solve_problem(prob, tol=1e-12, n_override=2, extend_to=3)
+    diag = rep.extension_diagnostics[3]
+    assert rep.solution.value_at(3) == 1.0 and diag.kappa == 0.0 and diag.iterations == 1
 
 
 def test_extend_step_affine_exact():
     lam = 0.25
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
                        rhs=catalog_nonlinearity("const", 2, amplitude=lam))
-    rep = picard_solve(prob, N=1, tol=1e-12)
-    v0 = extension_constant(rep.solution, prob, 1)
-    value, kappa, iters = extend_step(rep.solution, prob, 1)
-    want = 1.0 + v0 + p_pow(2, 1.5) * lam * p_pow(2, -0.25 * 2)
-    assert iters == 1 and kappa == 0.0
-    assert value == pytest.approx(want, rel=1e-13)
+    rep = solve_problem(prob, tol=1e-12, n_override=1, extend_to=2)
+    diag = rep.extension_diagnostics[2]
+    want = 1.0 + diag.v0 + p_pow(2, 1.5) * lam * p_pow(2, -0.25 * 2)
+    assert diag.iterations == 1 and diag.kappa == 0.0
+    assert rep.solution.value_at(2) == pytest.approx(want, rel=1e-13)
 
 
 def test_extend_step_contraction_violation():
+    # kappa at level n is 2 p^(-gamma n - alpha) >= 1 up to n = 2; Picard's q_N needs N <= -10
     p_, alpha_, gamma_ = 2, 0.5, 0.2
 
     def f(k, x):
@@ -332,36 +337,30 @@ def test_extend_step_contraction_violation():
     rhs = Nonlinearity(eval=f, bound_M=2.0, lipschitz_F=2.0,
                        per_level_F=lambda k: 2.0 * p_pow(p_, -alpha_ * k))
     prob = ProblemSpec(p=p_, alpha=alpha_, gamma=gamma_, u0=1.0, rhs=rhs)
-    base = ProblemSpec(p=p_, alpha=alpha_, gamma=gamma_, u0=1.0,
-                       rhs=catalog_nonlinearity("zero", p_))
-    rep = picard_solve(base, N=-4, tol=1e-12)
-    with pytest.raises(ContractionError, match="kappa"):
-        extend_step(rep.solution, prob, -1)
+    with pytest.raises(ContractionError, match="extension to level -9 .*kappa"):
+        solve_problem(prob, tol=1e-12, n_override=-10)
 
 
 def test_extend_step_detects_wrong_metadata():
     # a blatant lie is already caught at declaration time by the sampler
     def f(k, x):
-        return 0.4 * math.sin(x)
+        return 0.4 * math.sin(x + 0.7 * k)
 
     with pytest.raises(MetadataError):
         ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0,
                     rhs=Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.01))
     # a lie injected past the declaration check is caught by the measured
-    # step-ratio guard inside the fixed-point iteration
-    rhs = Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.4)
-    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0, rhs=rhs)
-    rep = picard_solve(prob, N=-2, tol=1e-12)
+    # step-ratio guard inside the fixed-point iteration; f depends on the level,
+    # so each level's iteration starts away from its fixed point
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0,
+                       rhs=Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.4))
+    honest = solve_problem(prob, tol=1e-12, n_override=-2, extend_to=1)
+    assert honest.extension_diagnostics[-1].iterations > 2
     lying = Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.4,
                          per_level_F=lambda k: 1e-6)
-    prob_lying = ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0, rhs=rhs)
-    object.__setattr__(prob_lying, "rhs", lying)
-    # displace the starting value so the iteration takes measurable steps
-    u = rep.solution
-    moved = replace(u, values=tuple(v + 0.5 if k == -2 else v
-                                     for k, v in enumerate(u.values, u.k_min)))
-    with pytest.raises(MetadataError, match="ratio"):
-        extend_step(moved, prob_lying, -2, tol=1e-15)
+    object.__setattr__(prob, "rhs", lying)
+    with pytest.raises(MetadataError, match="ratio .* at level -1:"):
+        solve_problem(prob, tol=1e-12, n_override=-2)
 
 
 @pytest.mark.parametrize("p, alpha, gamma, u0, amplitude, beta", [
@@ -708,7 +707,7 @@ def _with_solution(call, tol):
     lambda: check_summability(RadialFunction.constant(2, 1.0), math.nan, 0),
     lambda: _with_solution(residual, math.nan),
     lambda: _with_solution(residual, math.inf),
-    lambda: _with_solution(extend_step, math.nan),
+    lambda: solve_problem(catalog_problem(), tol=math.nan),
 ])
 def test_nan_is_a_domain_error(call):
     with pytest.raises(DomainError):

@@ -65,6 +65,14 @@ def test_apply_ialpha_single_level(tmp_path, capsys):
     assert out.strip() == "1 -1"
 
 
+def test_apply_ialpha_steep_left_tail_exit_0(tmp_path, capsys):
+    # expm1((alpha + rho) ln p) of the tail seed overflows at rho = 440, p = 5
+    path = tmp_path / "steep.txt"
+    path.write_text("5 0 0 0.0 power:1.0:440 zero\n0 1.0\n")
+    code, out, err = run(capsys, "apply", "--op", "ialpha", "--alpha", "2", "--input", str(path))
+    assert (code, out, err) == (0, "0 0.04\n", "")
+
+
 def test_apply_unknown_op(tmp_path, capsys):
     path = tmp_path / "omega.txt"
     path.write_text(dump_radial(RadialFunction.indicator_unit_ball(2)))
@@ -144,6 +152,12 @@ def test_solve_residual_column_bounded(tmp_path, capsys):
         if fields[4]:
             residuals.append(abs(float(fields[4])))
     assert residuals and max(residuals) <= 1e-8 * 1.1
+
+
+def test_solve_prints_the_floor_budget(tmp_path, capsys):
+    # the floor's bound summed up to k_max + 1, over 1 - q: each level counted once
+    code, out, _ = run(capsys, "solve", "--config", str(solve_config(tmp_path)))
+    assert code == 0 and "\ntruncation_budget 1.03319762773e-11\n" in out
 
 
 def test_solve_gamma_gate_exit_2(tmp_path, capsys):

@@ -155,6 +155,23 @@ def test_ialpha_power_law_golden_alpha_one():
         assert apply_ialpha(u, 1.0, n) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, alpha, rho", [(5, 2.0, 300.0), (5, 2.0, 440.0), (5, 2.0, 600.0),
+                                            (3, 1.0, 700.0), (2, 0.5, 1030.0)])
+def test_power_image_of_a_steep_left_tail_matches_mpmath(p, alpha, rho):
+    # the tail seed's expm1((alpha + rho) ln p) overflows a double in all but the first case
+    from mpmath import mp, mpf
+    with mp.workdps(50):
+        P, a = mpf(p), mpf(alpha)
+        if alpha == 1.0:
+            kernel = [(1 - P) / P * -k for k in range(-30, 0)]
+        else:
+            kernel = [(1 - P ** -a) / (1 - P ** (a - 1)) * (1 - P ** ((a - 1) * k))
+                      for k in range(-30, 0)]
+        want = P ** -a + sum((1 - 1 / P) * P ** k * w * P ** (mpf(rho) * k)
+                             for w, k in zip(kernel, range(-30, 0)))
+    assert power_image_coefficient(p, alpha, rho) == pytest.approx(float(want), rel=1e-14)
+
+
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("rho", (-0.4, 0.2))

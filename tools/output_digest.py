@@ -8,15 +8,19 @@ p = 2, 7 with alpha at 1 and 1e-9 either side of it, ``solve`` with
 ``--solution-out`` and ``--report-out`` on five problems (one whose exact
 solution is u0 because I^1 of a constant vanishes, one at p = 1000003),
 ``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function,
+``apply`` of ``ialpha`` to a left tail p^(440 k) at p = 5, whose seed
+once overflowed ``expm1`` (exit 1 with a traceback, exit 0 since),
 ``constants`` at three (p, alpha) with a sigma or a gamma (alpha = 1
 among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
 ``verify``, and ``verify`` of the ``D^alpha`` oracle at depth 3, where
 the oracle's explicit strata reach past the test functions' windows into
 their tails.
 Each line is the digest of the exit code, stdout, stderr and written files,
-then the arguments.  Two versions of the package whose outputs are bit
-for bit the same print the same lines; run it once with ``--src`` pointing
-at the other version's ``src/`` to compare.  Standard library only.
+then the arguments; an exception that escapes the CLI counts as exit code 1
+with its type and message on stderr, as the console script would exit.
+Two versions of the package whose outputs are bit for bit the same print
+the same lines; run it once with ``--src`` pointing at the other version's
+``src/`` to compare.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,10 +56,13 @@ FAILING = (
 # u(p^k) on [-12, 12] between a constant left tail and a decaying power law
 FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
     f"{k} {0.75 + 0.1 * ((7 * k) % 11 - 5) / (1 + abs(k))!r}\n" for k in range(-12, 13))
+# one level between a left tail 5^(440 k) and a zero right tail
+INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n"}
 
 
 def invocations(tmp: Path) -> list:
-    (tmp / "u.txt").write_text(FUNCTION)
+    for name, text in INPUTS.items():
+        (tmp / name).write_text(text)
     runs = [["sweep"], ["sweep", "--p-list", "2,7", "--alpha-list", "0.999999999,1,1.000000001"]]
     for i, line in enumerate(SOLVES):
         runs.append(["solve", *line.split(), "--solution-out", str(tmp / f"sol{i}.txt"),
@@ -63,6 +70,7 @@ def invocations(tmp: Path) -> list:
     for op, alpha in (("dalpha", "1.5"), ("dalpha", "0.5"), ("ialpha", "1.5"), ("ialpha", "1")):
         runs.append(["apply", "--op", op, "--alpha", alpha, "--input", str(tmp / "u.txt"),
                      "--levels=-30:30"])
+    runs.append(["apply", "--op", "ialpha", "--alpha", "2", "--input", str(tmp / "steep.txt")])
     runs += [["constants", *line.split()] for line in CONSTANTS]
     return runs + [line.split() for line in FAILING] + [
         ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"]]
@@ -79,10 +87,14 @@ def main() -> None:
         for argv in invocations(tmp):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:
+                    code = 1
+                    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             digest = hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
             for path in sorted(tmp.glob("*")):
-                if path.name != "u.txt":
+                if path.name not in INPUTS:
                     digest.update(path.name.encode() + b"\n" + path.read_bytes())
                     path.unlink()
             shown = " ".join(a.replace(name, "$TMP") for a in argv)
