@@ -555,7 +555,8 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     report, sweep = _picard(problem, N, tol, max_iter, None, target + 1)
     u = report.solution
     f = problem.rhs.eval
-    _integrate(sweep, f, u.values)  # Picard's sweep, now holding u's f
+    sweep.seed()  # Picard's sweep, walked again over u's f for its state at N
+    sweep.advance([f(k, x) for k, x in enumerate(u.values, sweep.lo)])
     diags = {}
     values = []
     x = u.value_at(N)
@@ -590,7 +591,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
         # v0: I^alpha at level n of the levels <= ell alone
         diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)
         values.append(x)
-        sweep.window([f(n, x)])
+        sweep.advance([f(n, x)])
     u = replace(u, k_max=target, values=u.values + tuple(values))
     return replace(report, solution=u, extension_diagnostics=diags)
 

@@ -165,33 +165,35 @@ def power_image_coefficient(p: int, alpha: float, rho: float) -> float:
 class _IalphaSweep:
     """Bc and Gc of ftilde = p^(-gamma k) f over ascending levels, scaled by p^(gamma n).
 
-    ``state`` is (Bc, Gc, f) at ``level``.  ``scale`` holds p^((alpha - gamma) k)
-    for ``levels`` up to the overflow guard; a level past it raises
-    :class:`MagnitudeError` when a pass reaches it, not before.
+    ``state`` is (Bc, Gc, f) at ``level``.  ``top`` is the last level whose
+    p^((alpha - gamma) k) is inside the overflow guard, and ``scale`` holds those
+    powers for ``levels`` up to it; a level past it raises :class:`MagnitudeError`
+    when a pass reaches it, not before.
     """
 
-    def __init__(self, p: int, alpha: float, gamma: float, levels: range,
-                 state: tuple = (0.0, 0.0, 0.0)):
+    def __init__(self, p: int, alpha: float, gamma: float, levels: range):
         lnp = math.log(p)
         e = alpha - gamma
-        top = min(levels.stop - 1, math.floor(OVERFLOW_GUARD / (e * lnp)) + 1)
+        top = math.floor(OVERFLOW_GUARD / (e * lnp)) + 1
         while e * top * lnp > OVERFLOW_GUARD:  # the test p_pow makes
             top -= 1
         self.p = p
         self.e = e
         self.lo = levels.start
+        self.top = top
         step = p_pow(p, e)  # integer powers of one rounded p^e: smooth from level to level
-        self.scale = [step ** k for k in range(levels.start, top + 1)]
+        self.scale = [step ** k for k in range(levels.start, min(levels.stop - 1, top) + 1)]
         self.q = p_pow(p, -alpha)
         ib = 1.0 / math.expm1(alpha * lnp)
         # the ratios of Bc and Gc, p^gamma, their step weights and (1 - p^-a)(1 - 1/p)
         self.consts = (p_pow(p, gamma - alpha), p_pow(p, gamma - 1.0), p_pow(p, gamma),
                        ib, ib / (p - 1.0), -math.expm1(-alpha * lnp) * (1.0 - 1.0 / p))
-        self.seed(state)
+        self.seed()
 
-    def seed(self, state: tuple = (0.0, 0.0, 0.0)) -> None:
-        """Stand just below the first level, with ``state`` that of what lies below it."""
-        self.level = self.lo - 1
+    def seed(self, state: tuple = (0.0, 0.0, 0.0), level: int | None = None) -> None:
+        """Stand at ``level`` (by default just below the first of ``levels``), with ``state``
+        that of what lies below it.  Below ``levels`` only :meth:`advance` may step."""
+        self.level = self.lo - 1 if level is None else level
         self.state = state
 
     def ahead(self) -> tuple:
@@ -221,11 +223,31 @@ class _IalphaSweep:
             self.ahead()  # the next level is past the guard: raises
         return out
 
+    def advance(self, fs: list) -> None:
+        """Step to each next level with its f as :meth:`window` does, forming no value and
+        reading no scale.  If one of them is past ``top``, raises at the first such level
+        before stepping."""
+        past = max(self.level + 1, self.top + 1)
+        if past <= self.level + len(fs):
+            p_pow(self.p, self.e * past)  # raises
+        rb, rg, pg, ib, ig, _ = self.consts
+        bc, gc, last = self.state
+        for f in fs:
+            d = pg * last - f
+            bc = rb * bc + d * ib
+            gc = rg * gc - d * ig - bc
+            last = f
+        self.level += len(fs)
+        self.state = (bc, gc, last)
 
-def _sweep_below(u: RadialFunction, alpha: float, levels: range) -> _IalphaSweep:
-    """A sweep over ``levels``, which start at or below u's window, seeded with u's left tail."""
+
+def _sweep_below(u: RadialFunction, alpha: float, levels: range,
+                 start: int | None = None) -> _IalphaSweep:
+    """A sweep tabling ``levels``, seeded with u's left tail to stand just below ``start``
+    (by default the first of ``levels``), which lies at or below u's window."""
     require_alpha(alpha)
-    c = u.value_at(levels.start - 1)  # in the left tail
+    start = levels.start if start is None else start
+    c = u.value_at(start - 1)  # in the left tail
     rho = u.left_tail.rho
     bc = gc = 0.0
     if u.left_tail.kind == "power":  # a zero or constant tail is 0 once centered
@@ -241,17 +263,25 @@ def _sweep_below(u: RadialFunction, alpha: float, levels: range) -> _IalphaSweep
                 b = -x * math.exp(-t) / math.expm1(-t)
             bc += b
             gc += b / math.expm1(-(1.0 + r) * lnp)
-    return _IalphaSweep(u.p, alpha, 0.0, levels, (bc, gc, c))
+    sweep = _IalphaSweep(u.p, alpha, 0.0, levels)
+    sweep.seed((bc, gc, c), start - 1)
+    return sweep
 
 
 def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
-    """(I^alpha u)(p^n): the sweep seeded below min(n, k_min), walked up to n.
+    """(I^alpha u)(p^n): the sweep seeded below min(n, k_min), advanced up to n.
 
-    The left tail must obey the convergence condition rho > -min(1, alpha).
-    O(1) below u's window, O(n - k_min) above its start.
+    Steps over the levels below n without forming their values, tables the one
+    power p^(alpha n) and forms the value at n alone; nothing is cached.  The
+    left tail must obey the convergence condition rho > -min(1, alpha); a level
+    from min(n, k_min) to n past the overflow guard raises :class:`MagnitudeError`
+    at the first such level.  O(1) below u's window, O(n - k_min) above its start.
     """
-    levels = range(min(n, u.k_min), n + 1)
-    return _sweep_below(u, alpha, levels).window(u.values_on(levels.start, n))[-1]
+    start = min(n, u.k_min)
+    fs = u.values_on(start, n)
+    sweep = _sweep_below(u, alpha, range(n, n + 1), start)
+    sweep.advance(fs[:-1])
+    return sweep.window(fs[-1:])[0]
 
 
 @dataclass(frozen=True)

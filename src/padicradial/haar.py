@@ -35,9 +35,14 @@ DEFAULT_DEPTH = 200
 
 
 class Prime(int):
-    """A verified prime base; behaves as a plain ``int`` everywhere else."""
+    """A verified prime base; behaves as a plain ``int`` everywhere else.
+
+    ``Prime(q)`` of a ``Prime`` q returns q itself: it passed the test when made.
+    """
 
     def __new__(cls, value):
+        if type(value) is cls:
+            return value
         value = int(value)
         if value < 2:
             raise DomainError(f"prime base must be >= 2, got {value}")

@@ -95,36 +95,46 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
                    rounding: bool = False) -> tuple:
     """((D^alpha u)(p^n) for n = lo .. hi, their rounding bounds or None).
 
-    Lhat walks up from a = min(lo, k_min), Rhat down from b = max(hi, k_max).
-    A value is None where p^(-alpha n) leaves the double range.  The
-    ``rounding`` bounds take tail values beyond the window as exact.
+    Lhat walks up from a = min(lo, k_min) and Rhat down from b = max(hi, k_max);
+    both step over the levels outside [lo, hi] without keeping them and record
+    only Lhat(lo .. hi) and Rhat(hi .. lo): one level costs O(b - a) steps and
+    keeps no list but u's values on [a, b].  A value is None where p^(-alpha n)
+    leaves the double range.  The ``rounding`` bounds are walked from the
+    seeds, so they need [lo, hi] to cover the window, and take tail values
+    beyond it as exact.
     """
     coef = DalphaCoefficients.create(u.p, alpha).d_alpha * (1.0 - 1.0 / u.p)
-    p, lnp = u.p, math.log(u.p)
+    p, lnp = float(u.p), math.log(u.p)  # a float divisor: exact, and CPython's fast path
     a, b = min(lo, u.k_min), max(hi, u.k_max)
     vals = u.values_on(a, b)
     try:
-        seed_l = _tail_sum(0.0, u.left_tail, p, a - 1, 1.0, vals[0], _geom_left, "left", a)
-        seed_r = _tail_sum(0.0, u.right_tail, p, b + 1, -alpha, vals[-1], _geom_right,
+        seed_l = _tail_sum(0.0, u.left_tail, u.p, a - 1, 1.0, vals[0], _geom_left, "left", a)
+        seed_r = _tail_sum(0.0, u.right_tail, u.p, b + 1, -alpha, vals[-1], _geom_right,
                            "right", b)
     except DivergenceError as err:
         raise DivergenceError(f"D^alpha at levels [{lo}, {hi}]: {err}") from err
-    x, q, pm1 = alpha * lnp, p_pow(p, -alpha), p - 1.0
+    x, q, pm1 = alpha * lnp, p_pow(u.p, -alpha), p - 1.0
     qm1 = math.expm1(x)
-    left, lefts = seed_l, [seed_l]  # Lhat(a .. hi)
-    for v, w in zip(vals, vals[1:hi - a + 1]):
+    i, j = lo - a, hi - a  # lo and hi in vals
+    left = seed_l
+    for v, w in zip(vals, vals[1:i + 1]):  # Lhat(a + 1 .. lo), not kept
+        left = left / p + (v - w) / pm1
+    lefts = [left]  # Lhat(lo .. hi)
+    for v, w in zip(vals[i:j], vals[i + 1:j + 1]):
         left = left / p + (v - w) / pm1
         lefts.append(left)
-    down = vals[lo - a:][::-1]  # u at levels b, b - 1, .., lo
-    right, rights = seed_r, [seed_r]  # Rhat(b), .., Rhat(lo)
-    for v, w in zip(down, down[1:]):
+    right = seed_r
+    for v, w in zip(reversed(vals), reversed(vals[j:-1])):  # Rhat(b - 1 .. hi), not kept
+        right = q * right + (v - w) / qm1
+    rights = [right]  # Rhat(hi), Rhat(hi - 1), .., Rhat(lo)
+    for v, w in zip(reversed(vals[i + 1:j + 1]), reversed(vals[i:j])):
         right = q * right + (v - w) / qm1
         rights.append(right)
     values, scale = [], []  # scale: p^(-alpha n), for the values and their bounds
     for n in range(lo, hi + 1):
         try:
-            scale.append(p_pow(p, -alpha * n))
-            values.append(coef * scale[-1] * (lefts[n - a] + rights[b - n]))
+            scale.append(p_pow(u.p, -alpha * n))
+            values.append(coef * scale[-1] * (lefts[n - lo] + rights[hi - n]))
         except MagnitudeError:
             scale.append(None)
             values.append(None)
@@ -136,6 +146,7 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
                     1.0 / p, [_UNIT * (2.0 * abs(l0) / p + 2.0 * abs(v - w) / pm1 + abs(l1))
                               for l0, l1, v, w in zip(lefts, lefts[1:], vals, vals[1:])])
     c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
+    down = vals[::-1]
     err_r = _damped(_seed_rounding(u.right_tail, b, -alpha, seed_r, vals[-1], 1.0 / qm1, lnp),
                     q, [_UNIT * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
                         for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
@@ -149,11 +160,13 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
 def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     """(D^alpha u)(p^n) via the explicit radial series, in O(W + |n - window|).
 
+    Walks Lhat up to n and Rhat down to n from the ends of the window (or
+    from n, outside it) and records only their values at n; nothing is
+    cached, and the cache of :func:`dalpha_window` is neither read nor filled.
     Requires the left series sum p^k |u(p^k)| and the right series
     sum p^(-alpha l) |u(p^l)| to converge; a violated tail raises
     :class:`DivergenceError` naming the failed inequality, and a level
     whose p^(-alpha n) exceeds the double range :class:`MagnitudeError`.
-    Neither reads nor fills the cache of :func:`dalpha_window`.
     """
     value = _dalpha_levels(u, alpha, n, n)[0][0]
     if value is None:

@@ -306,3 +306,45 @@ def test_window_pass_past_the_guard_raises_at_the_same_level(alpha):
     got = _pass_outcome(_IalphaSweep.window, sweeps[0], phis)
     assert got == _pass_outcome(_per_level, sweeps[1], phis)
     assert got[0][0] is MagnitudeError and got[1] == top
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+@pytest.mark.parametrize("m", (0, 1, 9, 21, 22))
+def test_advance_then_window_matches_one_window(alpha, m):
+    # advance steps as window does, forming no value: the rest of the pass is bit-identical
+    v = RadialFunction(3, -9, 12, tuple(math.sin(1.3 * k) for k in range(22)),
+                       left_tail=TailModel.power_law(0.25, 0.3), right_tail=TailModel.power_law(0.5, -1.5))
+    levels = range(-9, 13)
+    phis = [v.value_at(n) for n in levels]
+    whole, split = _sweep_below(v, alpha, levels), _sweep_below(v, alpha, levels)
+    want = whole.window(phis)[m:]
+    split.advance(phis[:m])
+    assert split.level == levels.start - 1 + m
+    got = split.window(phis[m:])
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert split.level == whole.level
+    assert [x.hex() for x in split.state] == [x.hex() for x in whole.state]
+
+
+# the function of tools/output_digest.py's u.txt: p = 3 on [-12, 12]
+_DIGEST_U = RadialFunction(3, -12, 12, tuple(0.75 + 0.1 * ((7 * k) % 11 - 5) / (1 + abs(k))
+                                             for k in range(-12, 13)),
+                           left_tail=TailModel.constant(0.75), right_tail=TailModel.power_law(0.5, -0.8))
+
+
+@pytest.mark.parametrize("n", (425, 426, 430))
+def test_single_level_ialpha_past_the_guard_names_the_first_level_past_it(n):
+    # 3^(1.5 k) leaves the double range at k = 425: a level above it raises there, not at n
+    assert math.isfinite(apply_ialpha(_DIGEST_U, 1.5, 424))
+    with pytest.raises(MagnitudeError, match="^power 3\\*\\*637\\.5 exceeds the overflow guard"):
+        apply_ialpha(_DIGEST_U, 1.5, n)
+    # a window that starts past the guard raises at its start
+    high = RadialFunction(3, 500, 501, (1.0, 2.0))
+    with pytest.raises(MagnitudeError, match="^power 3\\*\\*750\\.0 exceeds"):
+        apply_ialpha(high, 1.5, 600)
+
+
+def test_apply_ialpha_writes_nothing_to_u():
+    before = dict(vars(_DIGEST_U))
+    assert apply_ialpha(_DIGEST_U, 1.5, 3) == apply_ialpha(_DIGEST_U, 1.5, 3)
+    assert vars(_DIGEST_U) == before

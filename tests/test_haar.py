@@ -36,6 +36,19 @@ def test_prime_rejects_composites(bad):
         Prime(bad)
 
 
+def test_prime_of_a_prime_is_itself_and_composites_still_fail():
+    # a Prime passed the trial division when made; an int subclass that is not one is tested
+    q = Prime(7)
+    assert Prime(q) is q
+
+    class Plain(int):
+        pass
+
+    for bad in (15, Plain(15)):
+        with pytest.raises(DomainError, match="base must be prime, got 15 = 3 \\* 5"):
+            Prime(bad)
+
+
 def test_p_pow_overflow_guard():
     with pytest.raises(MagnitudeError):
         p_pow(2, 2000.0)

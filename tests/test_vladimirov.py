@@ -256,6 +256,17 @@ def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
     assert apply_dalpha(u, 1.5, 0) == values[10]  # and reads nothing
 
 
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 2.5))
+def test_sub_ranges_inside_the_window_match_the_window_pass(alpha):
+    # lo > k_min and hi < k_max: both walks step over levels they do not keep
+    u = _rough_function(3, alpha, -15, 31, seed=4)
+    values, _ = vladimirov._dalpha_levels(u, alpha, u.k_min, u.k_max)
+    for lo, hi in ((-14, 14), (-3, 9), (0, 0), (-14, -14), (14, 14), (-15, -15), (15, 15)):
+        got, bounds = vladimirov._dalpha_levels(u, alpha, lo, hi)
+        assert bounds is None
+        assert [v.hex() for v in got] == [v.hex() for v in values[lo - u.k_min:hi + 1 - u.k_min]]
+
+
 def test_apply_dalpha_refuses_levels_beyond_double_range():
     with pytest.raises(MagnitudeError, match="p\\^\\(-alpha n\\)"):
         apply_dalpha(RadialFunction.constant(2, 1.0), 1.5, -1000)

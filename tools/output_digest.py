@@ -9,7 +9,9 @@ p = 2, 7 with alpha at 1 and 1e-9 either side of it, ``solve`` with
 solution is u0 because I^1 of a constant vanishes, one at p = 1000003),
 ``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function,
 ``apply`` of ``ialpha`` to a left tail p^(440 k) at p = 5, whose seed
-once overflowed ``expm1`` (exit 1 with a traceback, exit 0 since),
+once overflowed ``expm1`` (exit 1 with a traceback, exit 0 since), and
+to the fixed function at one level past the overflow guard (exit 2, the
+error naming the first level past it),
 ``constants`` at three (p, alpha) with a sigma or a gamma (alpha = 1
 among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
 ``verify``, and ``verify`` of the ``D^alpha`` oracle at depth 3, where
@@ -71,6 +73,9 @@ def invocations(tmp: Path) -> list:
         runs.append(["apply", "--op", op, "--alpha", alpha, "--input", str(tmp / "u.txt"),
                      "--levels=-30:30"])
     runs.append(["apply", "--op", "ialpha", "--alpha", "2", "--input", str(tmp / "steep.txt")])
+    # one level past the overflow guard of 3^(1.5 k): the error names level 425, where it starts
+    runs.append(["apply", "--op", "ialpha", "--alpha", "1.5", "--input", str(tmp / "u.txt"),
+                 "--levels", "430"])
     runs += [["constants", *line.split()] for line in CONSTANTS]
     return runs + [line.split() for line in FAILING] + [
         ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"]]
