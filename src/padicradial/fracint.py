@@ -59,10 +59,6 @@ from .radial import RadialFunction, TailModel
 
 # Floor for the slack used when building the sigma-uniform envelope bound.
 _EPS_FLOOR = 1e-6
-# A walk of I^alpha whose values all lie below _TINY runs on subnormals; it ends on a
-# state below _TINY_STATE, and only then are its values checked (see _walk).
-_TINY = 2.0 ** -900
-_TINY_STATE = 2.0 ** -800
 
 
 @dataclass(frozen=True)
@@ -272,44 +268,6 @@ def _sweep_below(u: RadialFunction, alpha: float, levels: range,
     return sweep
 
 
-def _lifted(u: RadialFunction, hi: int, lift: int) -> RadialFunction | None:
-    """2^lift u on the levels up to ``hi`` and 0 above them, the most a walk up to ``hi``
-    reads; None where a lifted tail constant overflows.  u(0) is not read."""
-    right = u.right_tail if hi > u.k_max else TailModel.zero()
-    try:
-        left, right = (TailModel(t.kind, math.ldexp(t.c, lift), t.rho) for t in (u.left_tail, right))
-    except OverflowError:  # a large c times a tiny p^(rho k): leave such a walk as it is
-        return None
-    values = [math.ldexp(v, lift) if k <= hi else 0.0 for k, v in enumerate(u.values, u.k_min)]
-    return RadialFunction(u.p, u.k_min, u.k_max, values, left_tail=left, right_tail=right)
-
-
-def _walk(u: RadialFunction, alpha: float, levels: range, start: int) -> list:
-    """I^alpha u on ``levels``: the sweep seeded below ``start``, which lies at or below
-    both u's window and ``levels``, advanced up to ``levels`` and walked over them.
-
-    Where every value read lies below 2^-900 in magnitude, the steps would run on
-    subnormals and round bits away: such a walk ends on a state below 2^-800 (Bc and
-    Gc are a few times the values unless alpha is tiny), and is then walked again on
-    u times the power of two that lifts the largest value read into [1/2, 1), each
-    output scaled back down where it is finite.
-    """
-    fs = u.values_on(start, levels.stop - 1)
-    sweep = _sweep_below(u, alpha, levels, start)
-    skip = levels.start - start
-    sweep.advance(fs[:skip])
-    out = sweep.window(fs[skip:])
-    bc, gc, last = sweep.state
-    if abs(gc) < _TINY_STATE and abs(bc) < _TINY_STATE and abs(last) < _TINY_STATE:
-        peak = max([abs(u.value_at(start - 1)), *map(abs, fs)])
-        lift = -math.frexp(peak)[1]
-        w = _lifted(u, levels.stop - 1, lift) if 0.0 < peak < _TINY else None
-        if w is not None:
-            out = [math.ldexp(y, -lift) if math.isfinite(y) else x
-                   for x, y in zip(out, _walk(w, alpha, levels, start))]
-    return out
-
-
 def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     """(I^alpha u)(p^n): the sweep seeded below min(n, k_min), advanced up to n.
 
@@ -319,7 +277,11 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     from min(n, k_min) to n past the overflow guard raises :class:`MagnitudeError`
     at the first such level.  O(1) below u's window, O(n - k_min) above its start.
     """
-    return _walk(u, alpha, range(n, n + 1), min(n, u.k_min))[0]
+    start = min(n, u.k_min)
+    fs = u.values_on(start, n)
+    sweep = _sweep_below(u, alpha, range(n, n + 1), start)
+    sweep.advance(fs[:-1])
+    return sweep.window(fs[-1:])[0]
 
 
 @dataclass(frozen=True)
@@ -387,7 +349,8 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
         )
     # O(1) per level below v's window, then one pass: the same steps as apply_ialpha's
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
-    values += _walk(v, alpha, range(v.k_min, k_hi + 1), v.k_min)
+    levels = range(v.k_min, k_hi + 1)
+    values += _sweep_below(v, alpha, levels).window(v.values_on(v.k_min, k_hi))
     tail = v.left_tail
     if tail.kind in ("zero", "const"):
         left = TailModel.zero()

@@ -100,9 +100,12 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
     only Lhat(lo .. hi) and Rhat(hi .. lo): one level costs O(b - a) steps and
     keeps no list but u's values on [a, b].  A value is None where p^(-alpha n)
     leaves the double range.  The ``rounding`` bounds are walked from the
-    seeds, so they need [lo, hi] to cover the window, and take tail values
-    beyond it as exact.
+    seeds, so they need [lo, hi] to cover the window (else ValueError), and
+    take tail values beyond it as exact.
     """
+    if rounding and (lo > u.k_min or hi < u.k_max):
+        raise ValueError(f"rounding bounds need levels [{lo}, {hi}] to cover the window "
+                         f"[{u.k_min}, {u.k_max}]")
     coef = DalphaCoefficients.create(u.p, alpha).d_alpha * (1.0 - 1.0 / u.p)
     p, lnp = float(u.p), math.log(u.p)  # a float divisor: exact, and CPython's fast path
     a, b = min(lo, u.k_min), max(hi, u.k_max)

@@ -104,28 +104,19 @@ def test_ialpha_of_a_constant_is_exactly_zero(p, alpha):
 def _ialpha_mpmath(u, alpha, n, depth=300):
     """(I^alpha u)(p^n) from the kernel form of the integral, at 50 digits: the diagonal
     term plus the interior strata k = n - depth .. n - 1 (log kernel at alpha = 1), and
-    the sum of the terms' magnitudes, both as mpmath numbers.  Left tail values are
-    c p^(rho k) at 50 digits too, not their doubles, which keep only a few bits where
-    they are subnormal."""
+    the sum of the terms' magnitudes."""
     from mpmath import mp, mpf
     with mp.workdps(50):
         p, a = mpf(u.p), mpf(alpha)
-
-        def value(k):
-            tail = u.left_tail
-            if k < u.k_min and tail.kind == "power":
-                return mpf(tail.c) * p ** (mpf(tail.rho) * k)
-            return mpf(u.value_at(k))
-
-        diag = p ** (a * (n - 1)) * value(n)
+        diag = p ** (a * (n - 1)) * mpf(u.value_at(n))
         terms = []
         for k in range(n - depth, n):
             if alpha == 1.0:
                 kernel = (1 - p) / p * (n - k)
             else:
                 kernel = (1 - p ** -a) / (1 - p ** (a - 1)) * (p ** ((a - 1) * n) - p ** ((a - 1) * k))
-            terms.append((1 - 1 / p) * p ** k * kernel * value(k))
-        return diag + sum(terms), abs(diag) + sum(abs(t) for t in terms)
+            terms.append((1 - 1 / p) * p ** k * kernel * mpf(u.value_at(k)))
+        return diag + sum(terms), float(abs(diag) + sum(abs(t) for t in terms))
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,38 +125,13 @@ def _ialpha_mpmath(u, alpha, n, depth=300):
        c=st.floats(-2.0, 2.0), rho=st.one_of(st.just(0.0), st.floats(-0.4, 0.8)),
        offset=st.integers(-3, 13))
 @example(p=2, delta=1e-13, k_min=0, values=[1.0], c=1.0, rho=0.5, offset=0)
-# a value below 2^-1074 (rounds to 0); walks on subnormal steps, once 3e-14 off and
-# (reading only the tail) 1.6 subnormals off
-@example(p=2, delta=6.960065257227597e-08, k_min=-1, values=[0.0], c=1.1125369292536007e-308,
-         rho=0.0, offset=-2)
-@example(p=5, delta=0.0, k_min=0, values=[2.2250738585072014e-308], c=0.0, rho=0.0, offset=7)
-@example(p=2, delta=1e-06, k_min=2, values=[1.0], c=2.225073858507e-311, rho=0.25, offset=2)
 def test_ialpha_next_to_alpha_one_matches_mpmath(p, delta, k_min, values, c, rho, offset):
     # the kernel's 1 - p^(alpha - 1) division cancels next to alpha = 1; the walk has none
     left = TailModel.constant(c) if rho == 0.0 else TailModel.power_law(c, rho)
     u = RadialFunction(p, k_min, k_min + len(values) - 1, values, left_tail=left)
     n = k_min - 3 + offset
     want, scale = _ialpha_mpmath(u, 1.0 + delta, n)
-    # at 50 digits, so that the bound does not underflow; the nearest double to a value
-    # in the subnormal range is up to half the smallest subnormal, 2^-1074, away from it
-    from mpmath import mpf
-    assert abs(apply_ialpha(u, 1.0 + delta, n) - want) <= 1e-14 * scale + mpf(2) ** -1075
-
-
-@pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
-def test_ialpha_of_a_subnormal_function_is_the_scaled_image(p, alpha):
-    # 2^-1060 u is exact (small integers) and subnormal, and I^alpha commutes with scaling by
-    # a power of two: each value is that of u scaled, rounded once, as if no step were subnormal
-    values = (3.0, -1.0, 4.0, 0.0, -5.0, 9.0, 2.0)
-    u = RadialFunction(p, -2, 4, values, left_tail=TailModel.constant(7.0))
-    tiny = RadialFunction(p, -2, 4, [math.ldexp(v, -1060) for v in values],
-                          left_tail=TailModel.constant(math.ldexp(7.0, -1060)))
-    levels = range(-6, 9)
-    assert [apply_ialpha(tiny, alpha, n) for n in levels] \
-        == [math.ldexp(apply_ialpha(u, alpha, n), -1060) for n in levels]
-    assert assemble_fractional_integral(tiny, alpha, -6, 8).values \
-        == tuple(math.ldexp(x, -1060) for x in assemble_fractional_integral(u, alpha, -6, 8).values)
+    assert abs(apply_ialpha(u, 1.0 + delta, n) - want) <= 1e-14 * scale
 
 
 def test_ialpha_power_law_golden():

@@ -265,6 +265,11 @@ def test_sub_ranges_inside_the_window_match_the_window_pass(alpha):
         got, bounds = vladimirov._dalpha_levels(u, alpha, lo, hi)
         assert bounds is None
         assert [v.hex() for v in got] == [v.hex() for v in values[lo - u.k_min:hi + 1 - u.k_min]]
+    # the rounding bounds are walked from the seeds: a range inside the window is refused
+    for lo, hi in ((-14, 15), (-15, 14), (0, 0)):
+        with pytest.raises(ValueError, match="cover the window"):
+            vladimirov._dalpha_levels(u, alpha, lo, hi, rounding=True)
+    assert vladimirov._dalpha_levels(u, alpha, -16, 16, rounding=True)[1] is not None
 
 
 def test_apply_dalpha_refuses_levels_beyond_double_range():
