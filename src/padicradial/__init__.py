@@ -51,7 +51,7 @@ from .radial import (
     weighted_sum_left,
     weighted_sum_right,
 )
-from .vladimirov import DalphaCoefficients, apply_dalpha, apply_dalpha_oracle, dalpha_window
+from .vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha, dalpha_window
 from .fracint import (
     BoundConstants,
     KernelConstants,

@@ -58,7 +58,7 @@ from .errors import (
 from .haar import OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel
 from .fracint import _IalphaSweep, bound_constants
-from .vladimirov import dalpha_window
+from .vladimirov import d_alpha, dalpha_window
 
 
 @dataclass(frozen=True)
@@ -332,7 +332,7 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
 
 def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
             start_value: Optional[float], reserve_top: Optional[int]) -> tuple:
-    """:func:`picard_solve`'s (report, sweep), the sweep's scale reaching reserve_top - 1."""
+    """:func:`picard_solve`'s (report, sweep), the sweep also the continuation's."""
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
     m_bound = problem.rhs.bound_M
     f_lip = problem.rhs.lipschitz_F
@@ -346,8 +346,7 @@ def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
     k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol)
     enforce = start_value is None
     cur = [u0 if start_value is None else float(start_value)] * (N + 1 - k_min)
-    top = N if reserve_top is None else max(N, reserve_top - 1)
-    sweep = _IalphaSweep(p, alpha, gamma, range(k_min, top + 1))  # also the continuation's
+    sweep = _IalphaSweep(p, alpha, gamma, k_min)
 
     def apriori(j: int) -> float:
         # bound for |u_{j+1} - u_j|, valid on the whole ball |t| <= p^N
@@ -391,7 +390,7 @@ def _integrate(sweep: _IalphaSweep, f: Callable, xs) -> list:
     """I^alpha ftilde(., x) for x over xs, without u0, at the sweep's levels, ftilde taken as 0
     below them (the truncation budget bounds that): f at every level, then one window pass."""
     sweep.seed()
-    return sweep.window([f(k, x) for k, x in enumerate(xs, sweep.lo)])
+    return sweep.window([f(k, x) for k, x in enumerate(xs, sweep.start)])
 
 
 @dataclass(frozen=True)
@@ -447,11 +446,12 @@ class ResidualEstimate:
     uncertainty: float
 
 
-def _residual_fit(u: RadialFunction, alpha: float, coeffs) -> tuple:
-    """What :func:`residual` needs of (u, alpha) at every level, once per pair: the
-    envelope above the window, rho_hat, the tail factors (None if rho_hat >= alpha)
-    and the rounding constants."""
+def _residual_fit(u: RadialFunction, alpha: float) -> tuple:
+    """What :func:`residual` needs of (u, alpha) at every level, once per pair: D^alpha and
+    its rounding bounds from :func:`dalpha_window`, the envelope above the window, rho_hat,
+    the tail factors (None if rho_hat >= alpha or D^alpha is None) and rounding constants."""
     p = u.p
+    window, rounding = dalpha_window(u, alpha)
     env = max(abs(u.value_at(k)) for k in range(u.k_max - 2, u.k_max + 1))
     rho_candidates = [max(alpha - 1.0, 0.0) + 0.05]
     a_last, b_last = abs(u.value_at(u.k_max)), abs(u.value_at(u.k_max - 1))
@@ -459,7 +459,7 @@ def _residual_fit(u: RadialFunction, alpha: float, coeffs) -> tuple:
         rho_candidates.append(math.log(a_last / b_last) / math.log(p))
     rho_hat = max(rho_candidates)
     tail = None
-    if rho_hat < alpha:
+    if rho_hat < alpha and window[-1] is not None:  # else residual refuses every level first
         x = p_pow(p, rho_hat - alpha)
         tail = (p_pow(p, -rho_hat * u.k_max), p_pow(x, u.k_max + 1), 1.0 - x)
     # rounding: the window's bound for D^alpha, plus the stored values being
@@ -468,9 +468,10 @@ def _residual_fit(u: RadialFunction, alpha: float, coeffs) -> tuple:
     # the product add 2 + 3 g |n| ln p units
     frac = 1.0 - 1.0 / p
     lnp = math.log(p)
-    data = 1e-15 * max(1.0, max(abs(v) for v in u.values)) * abs(coeffs.d_alpha) * frac
+    d = abs(d_alpha(p, alpha))
+    data = 1e-15 * max(1.0, max(abs(v) for v in u.values)) * d * frac
     amp = p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp)
-    return env, rho_hat, tail, abs(coeffs.d_alpha) * frac, data, amp, lnp
+    return window, rounding, env, rho_hat, tail, d * frac, data, amp, lnp
 
 
 def residual(u: RadialFunction, problem: ProblemSpec, n: int,
@@ -486,11 +487,13 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     outside the window or closer than ``buffer`` to its top, a level whose
     p^(-alpha n) leaves the double range, a fitted growth at or above
     alpha, or an uncertainty above tol is refused rather than reported; a
-    negative ``buffer`` is a DomainError.  D^alpha is read from
-    :func:`dalpha_window`, the rest of what does not depend on n from
-    :func:`_residual_fit`, so every level of one solution costs O(W) in total.
+    negative ``buffer`` or a u over another p is a DomainError.  All that does not
+    depend on n, D^alpha on the window included, comes from one :func:`_residual_fit`
+    per (u, alpha), kept in u's one cache: every level of a solution costs O(W) in total.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
+    if u.p != p:
+        raise DomainError(f"u is a function over p = {u.p}, the problem's p is {p}")
     require_tol(tol)
     if not buffer >= 0:
         raise DomainError(f"buffer must be >= 0, got {buffer}")
@@ -503,17 +506,15 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
         raise IndeterminateResidualError(
             f"level {n} is below the window floor k_min = {u.k_min}, where u is its tail model"
         )
-    coeffs, window, rounding = dalpha_window(u, alpha)
+    if alpha not in u._residual_memo:
+        u._residual_memo[alpha] = _residual_fit(u, alpha)
+    window, rounding, env, rho_hat, tail, d_frac, data, amp, lnp = u._residual_memo[alpha]
     dalpha_val = window[n - u.k_min]
     if dalpha_val is None:
         raise IndeterminateResidualError(
             f"level {n} is too deep for the D^alpha series in double precision: "
             f"p^(-alpha n) = {p}**{-alpha * n} exceeds the overflow guard"
         )
-    memo = u._residual_memo
-    if alpha not in memo:
-        memo[alpha] = _residual_fit(u, alpha, coeffs)
-    env, rho_hat, tail, d_frac, data, amp, lnp = memo[alpha]
     if tail is None:
         raise IndeterminateResidualError(
             f"fitted tail growth exponent {rho_hat} is not below alpha = {alpha}; "
@@ -556,7 +557,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     u = report.solution
     f = problem.rhs.eval
     sweep.seed()  # Picard's sweep, walked again over u's f for its state at N
-    sweep.advance([f(k, x) for k, x in enumerate(u.values, sweep.lo)])
+    sweep.advance([f(k, x) for k, x in enumerate(u.values, sweep.start)])
     diags = {}
     values = []
     x = u.value_at(N)

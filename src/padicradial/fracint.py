@@ -30,7 +30,7 @@ b = 1 / (p^(a+rho) - 1); the centering -u_n is the part with rho = 0, and
 both converge iff rho > -min(1, a).  For the solver's ftilde_k =
 p^(-g k) f_k the walks, scaled by p^(g n) too, take f itself, with ratios
 p^(g-a) and p^(g-1) and differences p^g f_n - f_{n+1}; the one power of p
-left is the output scale p^((a-g) n), tabled once per solve.
+left is the output scale p^((a-g) n), an integer power of one rounded p^(a-g).
 
 Applied to a pure power |y|^(a sigma) the interior kernel integral is
 homogeneous of degree a (sigma + 1) in |t|, with a t-independent
@@ -165,24 +165,20 @@ def power_image_coefficient(p: int, alpha: float, rho: float) -> float:
 class _IalphaSweep:
     """Bc and Gc of ftilde = p^(-gamma k) f over ascending levels, scaled by p^(gamma n).
 
-    ``state`` is (Bc, Gc, f) at ``level``.  ``top`` is the last level whose
-    p^((alpha - gamma) k) is inside the overflow guard, and ``scale`` holds those
-    powers for ``levels`` up to it; a level past it raises :class:`MagnitudeError`
-    when a pass reaches it, not before.
+    ``state`` is (Bc, Gc, f) at ``level``.  A value at level n is scaled by ``step ** n``,
+    an integer power of one rounded p^(alpha - gamma): smooth from level to level.  ``top``
+    is the last level whose power is inside the overflow guard; a step past it raises
+    :class:`MagnitudeError` at the first such level, before stepping.
     """
 
-    def __init__(self, p: int, alpha: float, gamma: float, levels: range):
+    def __init__(self, p: int, alpha: float, gamma: float, start: int):
         lnp = math.log(p)
         e = alpha - gamma
         top = math.floor(OVERFLOW_GUARD / (e * lnp)) + 1
         while e * top * lnp > OVERFLOW_GUARD:  # the test p_pow makes
             top -= 1
-        self.p = p
-        self.e = e
-        self.lo = levels.start
-        self.top = top
-        step = p_pow(p, e)  # integer powers of one rounded p^e: smooth from level to level
-        self.scale = [step ** k for k in range(levels.start, min(levels.stop - 1, top) + 1)]
+        self.p, self.e, self.start, self.top = p, e, start, top
+        self.step = p_pow(p, e)
         self.q = p_pow(p, -alpha)
         ib = 1.0 / math.expm1(alpha * lnp)
         # the ratios of Bc and Gc, p^gamma, their step weights and (1 - p^-a)(1 - 1/p)
@@ -190,46 +186,46 @@ class _IalphaSweep:
                        ib, ib / (p - 1.0), -math.expm1(-alpha * lnp) * (1.0 - 1.0 / p))
         self.seed()
 
-    def seed(self, state: tuple = (0.0, 0.0, 0.0), level: int | None = None) -> None:
-        """Stand at ``level`` (by default just below the first of ``levels``), with ``state``
-        that of what lies below it.  Below ``levels`` only :meth:`advance` may step."""
-        self.level = self.lo - 1 if level is None else level
+    def seed(self, state: tuple = (0.0, 0.0, 0.0)) -> None:
+        """Stand just below ``start`` with ``state``, that of what lies below it."""
+        self.level = self.start - 1
         self.state = state
+
+    def _guard(self, count: int) -> None:
+        """Raise at the first of the next ``count`` levels past ``top``, if one is."""
+        past = max(self.level + 1, self.top + 1)
+        if past <= self.level + count:
+            p_pow(self.p, self.e * past)  # raises
 
     def ahead(self) -> tuple:
         """(known, c, shift) of the next level n: I^alpha there is known + c (f_n - shift),
         with c = p^((alpha - gamma) n - alpha) and shift = p^gamma f_(n-1)."""
+        self._guard(1)
         rb, rg, pg, _, _, coef = self.consts
         bc, gc, last = self.state
-        i = self.level + 1 - self.lo  # past the table only past the guard, where p_pow raises
-        s = self.scale[i] if i < len(self.scale) else p_pow(self.p, self.e * (self.level + 1))
+        s = self.step ** (self.level + 1)
         return s * (coef * (rg * gc - rb * bc)), s * self.q, pg * last
 
     def window(self, fs: list) -> list:
-        """Step to each next level of ``levels`` with its f, returning I^alpha ftilde at each."""
+        """Step to each next level with its f, returning I^alpha ftilde at each."""
+        self._guard(len(fs))
         rb, rg, pg, ib, ig, coef = self.consts
+        step = self.step
         bc, gc, last = self.state
-        i = self.level + 1 - self.lo
         out = []
-        for f, s in zip(fs, self.scale[i:i + len(fs)]):
+        for n, f in enumerate(fs, self.level + 1):
             d = pg * last - f
             bc = rb * bc + d * ib
             gc = rg * gc - d * ig - bc
-            out.append(s * (coef * gc))
+            out.append(step ** n * (coef * gc))
             last = f
-        self.level += len(out)
+        self.level += len(fs)
         self.state = (bc, gc, last)
-        if len(out) < len(fs):
-            self.ahead()  # the next level is past the guard: raises
         return out
 
     def advance(self, fs: list) -> None:
-        """Step to each next level with its f as :meth:`window` does, forming no value and
-        reading no scale.  If one of them is past ``top``, raises at the first such level
-        before stepping."""
-        past = max(self.level + 1, self.top + 1)
-        if past <= self.level + len(fs):
-            p_pow(self.p, self.e * past)  # raises
+        """Step to each next level with its f as :meth:`window` does, forming no value."""
+        self._guard(len(fs))
         rb, rg, pg, ib, ig, _ = self.consts
         bc, gc, last = self.state
         for f in fs:
@@ -241,12 +237,9 @@ class _IalphaSweep:
         self.state = (bc, gc, last)
 
 
-def _sweep_below(u: RadialFunction, alpha: float, levels: range,
-                 start: int | None = None) -> _IalphaSweep:
-    """A sweep tabling ``levels``, seeded with u's left tail to stand just below ``start``
-    (by default the first of ``levels``), which lies at or below u's window."""
+def _sweep_below(u: RadialFunction, alpha: float, start: int) -> _IalphaSweep:
+    """A sweep seeded with u's left tail to stand just below ``start``, at or below u's window."""
     require_alpha(alpha)
-    start = levels.start if start is None else start
     c = u.value_at(start - 1)  # in the left tail
     rho = u.left_tail.rho
     bc = gc = 0.0
@@ -263,23 +256,23 @@ def _sweep_below(u: RadialFunction, alpha: float, levels: range,
                 b = -x * math.exp(-t) / math.expm1(-t)
             bc += b
             gc += b / math.expm1(-(1.0 + r) * lnp)
-    sweep = _IalphaSweep(u.p, alpha, 0.0, levels)
-    sweep.seed((bc, gc, c), start - 1)
+    sweep = _IalphaSweep(u.p, alpha, 0.0, start)
+    sweep.seed((bc, gc, c))
     return sweep
 
 
 def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     """(I^alpha u)(p^n): the sweep seeded below min(n, k_min), advanced up to n.
 
-    Steps over the levels below n without forming their values, tables the one
-    power p^(alpha n) and forms the value at n alone; nothing is cached.  The
+    Steps over the levels below n without forming their values and forms the
+    value at n alone, with its one power p^(alpha n); nothing is cached.  The
     left tail must obey the convergence condition rho > -min(1, alpha); a level
     from min(n, k_min) to n past the overflow guard raises :class:`MagnitudeError`
     at the first such level.  O(1) below u's window, O(n - k_min) above its start.
     """
     start = min(n, u.k_min)
     fs = u.values_on(start, n)
-    sweep = _sweep_below(u, alpha, range(n, n + 1), start)
+    sweep = _sweep_below(u, alpha, start)
     sweep.advance(fs[:-1])
     return sweep.window(fs[-1:])[0]
 
@@ -349,8 +342,7 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
         )
     # O(1) per level below v's window, then one pass: the same steps as apply_ialpha's
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
-    levels = range(v.k_min, k_hi + 1)
-    values += _sweep_below(v, alpha, levels).window(v.values_on(v.k_min, k_hi))
+    values += _sweep_below(v, alpha, v.k_min).window(v.values_on(v.k_min, k_hi))
     tail = v.left_tail
     if tail.kind in ("zero", "const"):
         left = TailModel.zero()

@@ -180,13 +180,8 @@ class RadialFunction:
         )
 
     @cached_property
-    def _dalpha_memo(self) -> dict:
-        """alpha -> :func:`padicradial.vladimirov.dalpha_window` of this function."""
-        return {}
-
-    @cached_property
     def _residual_memo(self) -> dict:
-        """alpha -> :func:`padicradial.cauchy._residual_fit` of this function."""
+        """alpha -> :func:`padicradial.cauchy._residual_fit` of this function: the one cache."""
         return {}
 
 
@@ -399,9 +394,14 @@ def load_radial(text: str) -> RadialFunction:
         if len(parts) != 2:
             raise DomainError(f"line {idx}: expected 'k value', got {ln!r}")
         try:
-            values[int(parts[0])] = float(parts[1])
+            k, value = int(parts[0]), float(parts[1])
         except ValueError as err:
             raise DomainError(f"line {idx}: {err}") from err
+        if not k_min <= k <= k_max:
+            raise DomainError(f"line {idx}: level {k} is outside the window [{k_min}, {k_max}]")
+        if k in values:
+            raise DomainError(f"line {idx}: level {k} is given twice")
+        values[k] = value
     missing = [k for k in range(k_min, k_max + 1) if k not in values]
     if missing:
         raise DomainError(f"missing values for levels {missing}")

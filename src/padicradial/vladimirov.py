@@ -41,7 +41,6 @@ form with the centered weighted sums of :mod:`padicradial.radial`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DivergenceError, MagnitudeError, require_alpha
 from .haar import DEFAULT_DEPTH, Prime, p_pow, p_pow_levels
@@ -50,23 +49,11 @@ from .radial import RadialFunction, _geom_left, _geom_right, _sum, _tail_sum
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 
 
-@dataclass(frozen=True)
-class DalphaCoefficients:
-    """Per-(p, alpha) constant of the radial series for D^alpha:
-    d_alpha = (1 - p^alpha) / (1 - p^(-alpha-1)) < 0."""
-
-    p: int
-    alpha: float
-    d_alpha: float
-
-    @staticmethod
-    def create(p: int, alpha: float) -> "DalphaCoefficients":
-        p = Prime(p)
-        require_alpha(alpha)
-        return DalphaCoefficients(
-            p=p, alpha=alpha,
-            d_alpha=-math.expm1(alpha * math.log(p)) / (1.0 - p_pow(p, -alpha - 1.0)),
-        )
+def d_alpha(p: int, alpha: float) -> float:
+    """The constant of the radial series for D^alpha: (1 - p^alpha) / (1 - p^(-alpha-1)) < 0."""
+    p = Prime(p)
+    require_alpha(alpha)
+    return -math.expm1(alpha * math.log(p)) / (1.0 - p_pow(p, -alpha - 1.0))
 
 
 def _damped(x: float, ratio: float, terms) -> list:
@@ -106,7 +93,7 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
     if rounding and (lo > u.k_min or hi < u.k_max):
         raise ValueError(f"rounding bounds need levels [{lo}, {hi}] to cover the window "
                          f"[{u.k_min}, {u.k_max}]")
-    coef = DalphaCoefficients.create(u.p, alpha).d_alpha * (1.0 - 1.0 / u.p)
+    coef = d_alpha(u.p, alpha) * (1.0 - 1.0 / u.p)
     p, lnp = float(u.p), math.log(u.p)  # a float divisor: exact, and CPython's fast path
     a, b = min(lo, u.k_min), max(hi, u.k_max)
     vals = u.values_on(a, b)
@@ -164,8 +151,7 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     """(D^alpha u)(p^n) via the explicit radial series, in O(W + |n - window|).
 
     Walks Lhat up to n and Rhat down to n from the ends of the window (or
-    from n, outside it) and records only their values at n; nothing is
-    cached, and the cache of :func:`dalpha_window` is neither read nor filled.
+    from n, outside it) and records only their values at n; nothing is cached.
     Requires the left series sum p^k |u(p^k)| and the right series
     sum p^(-alpha l) |u(p^l)| to converge; a violated tail raises
     :class:`DivergenceError` naming the failed inequality, and a level
@@ -179,18 +165,13 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
 
 
 def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
-    """(coefficients, values, rounding) of D^alpha u on the window in one O(W) pass.
+    """(values, rounding) of D^alpha u on the window in one O(W) pass.
 
     ``values[i]`` is :func:`apply_dalpha` at level k_min + i, bit for bit,
     or None where that raises :class:`MagnitudeError`; ``rounding[i]``
-    bounds its error to first order.  Cached per function and alpha.
+    bounds its error to first order.  Nothing is cached.
     """
-    memo = u._dalpha_memo
-    if alpha not in memo:
-        coeffs = DalphaCoefficients.create(u.p, alpha)
-        values, bounds = _dalpha_levels(u, alpha, u.k_min, u.k_max, rounding=True)
-        memo[alpha] = (coeffs, tuple(values), tuple(bounds))
-    return memo[alpha]
+    return _dalpha_levels(u, alpha, u.k_min, u.k_max, rounding=True)
 
 
 def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
@@ -204,7 +185,7 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     """
     if depth < 1:
         raise DivergenceError(f"oracle depth must be >= 1, got {depth}")
-    coeffs = DalphaCoefficients.create(u.p, alpha)
+    d = d_alpha(u.p, alpha)
     p = u.p
     frac = 1.0 - 1.0 / p
     c = u.value_at(n)
@@ -223,4 +204,4 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
         right += frac * w * (v - c)
     right += frac * _sum(u, n + depth + 1, None, -alpha, c=c)
 
-    return coeffs.d_alpha * (diag + right)
+    return d * (diag + right)

@@ -483,6 +483,19 @@ def test_residual_refuses_levels_beyond_double_range():
                        rhs=catalog_nonlinearity("zero", 2))
     with pytest.raises(IndeterminateResidualError, match="double precision"):
         residual(deep, prob, -1000)
+    # a window this deep has no D^alpha value at any level: the tail fit is not formed
+    deeper = RadialFunction.constant(2, 1.0, k_min=-2000, k_max=-1900)
+    with pytest.raises(IndeterminateResidualError, match="double precision"):
+        residual(deeper, prob, -1950)
+
+
+def test_residual_refuses_a_function_of_another_p():
+    # D^alpha of a p = 2 function used to be weighted with 3^(gamma n)
+    prob = ProblemSpec(p=3, alpha=1.5, gamma=0.25, u0=1.0,
+                       rhs=catalog_nonlinearity("zero", 3))
+    u = RadialFunction.constant(2, 1.0, k_min=-10, k_max=45)
+    with pytest.raises(DomainError, match="p = 2, the problem's p is 3"):
+        residual(u, prob, 0)
 
 
 def test_residual_refuses_levels_below_the_window():
@@ -597,8 +610,8 @@ def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
 
 @pytest.mark.parametrize("alpha", (1.5, 1.0, 0.5))
 def test_continuation_reuses_picards_power_tables(alpha):
-    # the sweep's output scale p^((alpha-gamma) k), the one table of a solve, is built
-    # once over [K_min, target]; none again for the continuation
+    # the one sweep of a solve, with its powers of p, is built once for Picard; none again
+    # for the continuation
     rhs = catalog_nonlinearity("cos-decay", 3, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=3, alpha=alpha, gamma=0.3, u0=1.0, rhs=rhs)
     rep, calls = _guarded_powers(lambda: solve_problem(prob, tol=1e-10, extend_to=60),
@@ -608,13 +621,13 @@ def test_continuation_reuses_picards_power_tables(alpha):
 
 
 def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
-    # 7^(1.2 k) leaves the double range at k = 300, below extend_to = 400: the scale is
-    # tabled up to 299, and level 300 raises when a pass reaches it, not before
+    # 7^(1.2 k) leaves the double range at k = 300, below extend_to = 400: the sweep passes
+    # every level up to 299, and level 300 raises when a pass reaches it, not before
     prob = ProblemSpec(p=7, alpha=1.5, gamma=0.3, u0=1.0,
                        rhs=catalog_nonlinearity("bounded-sigmoid", 7))
     report, sweep = cauchy._picard(prob, 0, 1e-10, 200, None, 401)
-    assert sweep.lo == report.k_min and sweep.level == 0
-    assert sweep.scale == [p_pow(7, 1.5 - 0.3) ** k for k in range(report.k_min, 300)]
+    assert sweep.start == report.k_min and sweep.level == 0 and sweep.top == 299
+    assert sweep.step == p_pow(7, 1.5 - 0.3)
     assert len(sweep.window([0.0] * 299)) == 299
     with pytest.raises(MagnitudeError, match="7\\*\\*360"):
         sweep.window([0.0])

@@ -6,7 +6,7 @@ from padicradial.errors import DomainError
 from padicradial.cauchy import ProblemSpec, catalog_nonlinearity
 from padicradial.fracint import apply_ialpha, bound_constants, kernel_constant, kernel_constant_oracle
 from padicradial.radial import RadialFunction, check_summability
-from padicradial.vladimirov import DalphaCoefficients
+from padicradial.vladimirov import d_alpha
 
 _U = RadialFunction.split_power(2, 0.0, -0.5)
 
@@ -16,7 +16,7 @@ ENTRY_POINTS = {
     "kernel_constant_oracle": lambda a: kernel_constant_oracle(2, a, 0.0),
     "apply_ialpha": lambda a: apply_ialpha(_U, a, 0),
     "bound_constants": lambda a: bound_constants(2, a, 0.0),
-    "DalphaCoefficients.create": lambda a: DalphaCoefficients.create(2, a),
+    "d_alpha": lambda a: d_alpha(2, a),
     "check_summability": lambda a: check_summability(_U, a, 0),
     "ProblemSpec": lambda a: ProblemSpec(p=2, alpha=a, gamma=0.0, u0=1.0,
                                          rhs=catalog_nonlinearity("zero", 2)),

@@ -283,29 +283,30 @@ def test_window_pass_matches_value_then_push(alpha):
                        left_tail=TailModel.power_law(0.25, 0.3), right_tail=TailModel.power_law(0.5, -1.5))
     levels = range(-9, 13)
     phis = [v.value_at(n) for n in levels]
-    seeded = [_sweep_below(v, alpha, levels) for _ in range(2)]
+    seeded = [_sweep_below(v, alpha, levels.start) for _ in range(2)]
     assert seeded[0].level == -10 and 0.0 not in seeded[0].state
     assert _pass_outcome(_IalphaSweep.window, seeded[0], phis) \
         == _pass_outcome(_per_level, seeded[1], phis)
     # shorter inputs stop the pass early, as zip stops the loop
-    short = [_sweep_below(v, alpha, levels) for _ in range(2)]
+    short = [_sweep_below(v, alpha, levels.start) for _ in range(2)]
     assert _pass_outcome(_IalphaSweep.window, short[0], phis[:5]) \
         == _pass_outcome(_per_level, short[1], phis[:5])
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 def test_window_pass_past_the_guard_raises_at_the_same_level(alpha):
-    # p^(alpha k) leaves the double range 20 levels up: tabled below, raising at the first level
-    # past it, with the state of the level before
+    # p^(alpha k) leaves the double range 20 levels up: one pass raises what one level at a
+    # time raises at the first level past it, but before stepping, so it stays at the start
     v = RadialFunction.constant(2, 1.0)
     top = math.floor(700.0 / (alpha * math.log(2.0)))
     levels = range(top - 20, top + 20)
     phis = [2.0 ** -k for k in levels]
-    sweeps = [_sweep_below(v, alpha, levels) for _ in range(2)]
-    assert len(sweeps[0].scale) == 21
+    sweeps = [_sweep_below(v, alpha, levels.start) for _ in range(3)]
+    assert sweeps[0].top == top
     got = _pass_outcome(_IalphaSweep.window, sweeps[0], phis)
-    assert got == _pass_outcome(_per_level, sweeps[1], phis)
-    assert got[0][0] is MagnitudeError and got[1] == top
+    want = _pass_outcome(_per_level, sweeps[1], phis)
+    assert got[0] == want[0] and got[0][0] is MagnitudeError and want[1] == top
+    assert got[1:] == (levels.start - 1, [x.hex() for x in sweeps[2].state])
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
@@ -316,7 +317,7 @@ def test_advance_then_window_matches_one_window(alpha, m):
                        left_tail=TailModel.power_law(0.25, 0.3), right_tail=TailModel.power_law(0.5, -1.5))
     levels = range(-9, 13)
     phis = [v.value_at(n) for n in levels]
-    whole, split = _sweep_below(v, alpha, levels), _sweep_below(v, alpha, levels)
+    whole, split = _sweep_below(v, alpha, levels.start), _sweep_below(v, alpha, levels.start)
     want = whole.window(phis)[m:]
     split.advance(phis[:m])
     assert split.level == levels.start - 1 + m

@@ -250,3 +250,8 @@ def test_load_errors_are_line_addressed():
         load_radial("2 0 0 1.0 zero zero\n0 one\n")
     with pytest.raises(DomainError, match="missing"):
         load_radial("2 0 1 1.0 zero zero\n0 1\n")
+    # the last of two lines for one level used to win, and a level outside the window was dropped
+    with pytest.raises(DomainError, match="line 4: level 1 is given twice"):
+        load_radial("2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n7 9.0\n")
+    with pytest.raises(DomainError, match="line 4: level 7 is outside"):
+        load_radial("2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n7 9.0\n")

@@ -7,14 +7,10 @@ from hypothesis import given, settings, strategies as st
 import padicradial.vladimirov as vladimirov
 from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
 from padicradial.errors import DivergenceError, IndeterminateResidualError, MagnitudeError
+from padicradial.fracint import apply_ialpha
 from padicradial.haar import ball_power_integral, p_pow
 from padicradial.radial import RadialFunction, TailModel
-from padicradial.vladimirov import (
-    DalphaCoefficients,
-    apply_dalpha,
-    apply_dalpha_oracle,
-    dalpha_window,
-)
+from padicradial.vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha, dalpha_window
 
 PRIMES = (2, 3, 5)
 ALPHAS = (0.5, 1.0, 2.0)
@@ -27,7 +23,7 @@ def test_d_alpha_keeps_its_digits_for_small_alpha(alpha):
     with mp.workdps(50):
         p, a = mpf(2), mpf(alpha)
         want = (1 - p ** a) / (1 - p ** (-a - 1))
-    got = DalphaCoefficients.create(2, alpha).d_alpha
+    got = d_alpha(2, alpha)
     assert abs(got - want) <= 4 * math.ulp(got)
 
 
@@ -45,8 +41,7 @@ def family(p):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_coefficient_signs(p, alpha):
-    coeffs = DalphaCoefficients.create(p, alpha)
-    assert coeffs.d_alpha < 0
+    assert d_alpha(p, alpha) < 0
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -223,8 +218,7 @@ def test_dalpha_oracle_of_a_power_far_from_its_window(n):
 @pytest.mark.parametrize("p,alpha,k_min", [(2, 0.5, -30), (3, 1.0, -12), (5, 2.5, 4), (7, 0.05, -3)])
 def test_window_pass_matches_apply_dalpha_and_the_oracle(p, alpha, k_min):
     u = _rough_function(p, alpha, k_min, 25, seed=p)
-    coeffs, values, rounding = dalpha_window(u, alpha)
-    assert coeffs == DalphaCoefficients.create(p, alpha)
+    values, rounding = dalpha_window(u, alpha)
     assert len(values) == len(rounding) == len(u.values)
     for n, value in zip(range(u.k_min, u.k_max + 1), values):
         assert value == apply_dalpha(u, alpha, n)  # bit for bit
@@ -238,22 +232,27 @@ def test_window_rounding_bound_covers_the_error(p, alpha, k_min):
     from mpmath import mpf
 
     u = _rough_function(p, alpha, k_min, 60, seed=k_min)
-    _, values, rounding = dalpha_window(u, alpha)
+    values, rounding = dalpha_window(u, alpha)
     exact = _exact_dalpha_window(u, alpha)
     for value, bound, want in zip(values, rounding, exact):
         assert float(abs(mpf(value) - want)) <= bound
 
 
 def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
+    # the operators write nothing to u; residual keeps the window in its one memo and reads it
     u = _rough_function(3, 1.5, -10, 20, seed=1)
+    before = dict(vars(u))
     assert apply_dalpha(u, 1.5, 0) == apply_dalpha(u, 1.5, 0)
-    assert "_dalpha_memo" not in vars(u)  # apply_dalpha writes nothing
-    first = dalpha_window(u, 1.5)
-    assert dalpha_window(u, 1.5) is first
-    assert dalpha_window(u, 0.5) is not first
-    coeffs, values, rounding = first
-    u._dalpha_memo[1.5] = (coeffs, tuple(v + 1.0 for v in values), rounding)
-    assert apply_dalpha(u, 1.5, 0) == values[10]  # and reads nothing
+    values, rounding = dalpha_window(u, 1.5)
+    apply_ialpha(u, 1.5, 0)
+    assert vars(u) == before
+    prob = ProblemSpec(p=3, alpha=1.5, gamma=0.3, u0=0.0, rhs=catalog_nonlinearity("zero", 3))
+    est = residual(u, prob, 0, tol=1.0)
+    memo = u._residual_memo
+    assert list(memo) == [1.5] and memo[1.5][:2] == (values, rounding)
+    u._residual_memo[1.5] = ([v + 1.0 for v in values],) + memo[1.5][1:]
+    assert residual(u, prob, 0, tol=1.0).value == est.value + 1.0  # p^(gamma 0) = 1
+    assert apply_dalpha(u, 1.5, 0) == values[10]  # apply_dalpha reads nothing
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.5))

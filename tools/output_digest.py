@@ -14,9 +14,10 @@ to the fixed function at one level past the overflow guard (exit 2, the
 error naming the first level past it),
 ``constants`` at three (p, alpha) with a sigma or a gamma (alpha = 1
 among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
-``verify``, and ``verify`` of the ``D^alpha`` oracle at depth 3, where
+``verify``, ``verify`` of the ``D^alpha`` oracle at depth 3, where
 the oracle's explicit strata reach past the test functions' windows into
-their tails.
+their tails, and ``apply`` of ``dalpha`` to a file that gives one level
+twice (exit 2 naming the line; the last line once won, with exit 0).
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -58,8 +59,9 @@ FAILING = (
 # u(p^k) on [-12, 12] between a constant left tail and a decaying power law
 FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
     f"{k} {0.75 + 0.1 * ((7 * k) % 11 - 5) / (1 + abs(k))!r}\n" for k in range(-12, 13))
-# one level between a left tail 5^(440 k) and a zero right tail
-INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n"}
+# one level between a left tail 5^(440 k) and a zero right tail; level 1 given twice
+INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n",
+          "twice.txt": "2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n"}
 
 
 def invocations(tmp: Path) -> list:
@@ -78,7 +80,8 @@ def invocations(tmp: Path) -> list:
                  "--levels", "430"])
     runs += [["constants", *line.split()] for line in CONSTANTS]
     return runs + [line.split() for line in FAILING] + [
-        ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"]]
+        ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"],
+        ["apply", "--op", "dalpha", "--alpha", "1.5", "--input", str(tmp / "twice.txt")]]
 
 
 def main() -> None:
