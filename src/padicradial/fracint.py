@@ -238,24 +238,24 @@ class _IalphaSweep:
 
 
 def _sweep_below(u: RadialFunction, alpha: float, start: int) -> _IalphaSweep:
-    """A sweep seeded with u's left tail to stand just below ``start``, at or below u's window."""
+    """A sweep seeded with u's left tail to stand just below ``start``, at or below u's window;
+    a constant tail's two parts are exact negatives and a zero tail's are 0.0: both seed 0.0."""
     require_alpha(alpha)
     c = u.value_at(start - 1)  # in the left tail
     rho = u.left_tail.rho
+    if not rho > -min(1.0, alpha):
+        raise DivergenceError(f"I^alpha of a left tail p^(rho k) diverges: requires "
+                              f"rho > -min(1, alpha) = {-min(1.0, alpha)}, got {rho}")
+    lnp = math.log(u.p)
     bc = gc = 0.0
-    if u.left_tail.kind == "power":  # a zero or constant tail is 0 once centered
-        if not rho > -min(1.0, alpha):
-            raise DivergenceError(f"I^alpha of a left tail p^(rho k) diverges: requires "
-                                  f"rho > -min(1, alpha) = {-min(1.0, alpha)}, got {rho}")
-        lnp = math.log(u.p)
-        for x, r in ((c, rho), (-c, 0.0)):  # the tail part, then the centering
-            t = (alpha + r) * lnp
-            try:
-                b = x / math.expm1(t)
-            except OverflowError:  # e^t is past the double range; 1 / (e^t - 1) = -e^-t / expm1(-t)
-                b = -x * math.exp(-t) / math.expm1(-t)
-            bc += b
-            gc += b / math.expm1(-(1.0 + r) * lnp)
+    for x, r in ((c, rho), (-c, 0.0)):  # the tail part, then the centering
+        t = (alpha + r) * lnp
+        try:
+            b = x / math.expm1(t)
+        except OverflowError:  # e^t is past the double range; 1 / (e^t - 1) = -e^-t / expm1(-t)
+            b = -x * math.exp(-t) / math.expm1(-t)
+        bc += b
+        gc += b / math.expm1(-(1.0 + r) * lnp)
     sweep = _IalphaSweep(u.p, alpha, 0.0, start)
     sweep.seed((bc, gc, c))
     return sweep
@@ -343,12 +343,9 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
     # O(1) per level below v's window, then one pass: the same steps as apply_ialpha's
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
     values += _sweep_below(v, alpha, v.k_min).window(v.values_on(v.k_min, k_hi))
-    tail = v.left_tail
-    if tail.kind in ("zero", "const"):
-        left = TailModel.zero()
-    else:
-        coeff = power_image_coefficient(v.p, alpha, tail.rho)
-        left = TailModel.power_law(tail.c * coeff, alpha + tail.rho)
+    tail = v.left_tail  # c p^(rho k) maps to c coeff p^((alpha + rho) k); coeff is 0.0 at rho = 0
+    left = TailModel.power_law(tail.c * power_image_coefficient(v.p, alpha, tail.rho),
+                               alpha + tail.rho)
     return RadialFunction(
         v.p, k_lo, k_hi, values,
         left_tail=left, right_tail=TailModel.zero(), value_at_zero=0.0,

@@ -33,8 +33,8 @@ class TailModel:
 
     kind ``zero``: identically 0; ``const``: the constant ``c``;
     ``power``: ``c * p^(rho k)``.  A power law with c = 0 normalizes to
-    zero.  A constant is semantically a power law with rho = 0 but is
-    kept distinct so constant tails stay exact.
+    zero.  A constant is a power law with rho = 0 (its rho is set to 0)
+    but is kept distinct so constant tails stay exact.
     """
 
     kind: str
@@ -46,10 +46,10 @@ class TailModel:
             raise DomainError(f"tail kind must be one of {_TAIL_KINDS}, got {self.kind!r}")
         if self.kind == "power" and self.c == 0.0:
             object.__setattr__(self, "kind", "zero")
+        if self.kind != "power":  # the power law with rho = 0, which the operators rely on
             object.__setattr__(self, "rho", 0.0)
         if self.kind == "zero":
             object.__setattr__(self, "c", 0.0)
-            object.__setattr__(self, "rho", 0.0)
         if not (math.isfinite(self.c) and math.isfinite(self.rho)):
             raise DomainError("tail parameters must be finite")
 

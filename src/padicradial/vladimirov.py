@@ -20,10 +20,12 @@ and Rhat(n) = p^(a n) sum_{l>n} p^(-a l) (u_l - u_n), through
     Rhat(n-1) = p^(-a) Rhat(n) + (u_n - u_{n-1}) / (p^a - 1),
     D^a u(p^n) = d_a (1 - 1/p) p^(-a n) (Lhat(n) + Rhat(n)),
 
-each seeded at its end of the range with the centered tail beyond it in
-closed form, so a whole window costs O(W).  Scaled, the intermediates
-stay near |u| / (p - 1) and |u| / (p^a - 1) at any level, where the
-unscaled sums leave the double range with p^(-(a+1) n) or p^(-a l).
+each seeded at its end of the window (or at n, beyond it) with the
+centered tail beyond in closed form.  :func:`apply_dalpha` keeps only the
+running values, :func:`dalpha_window` every level: O(W) either way.
+Scaled, the intermediates stay near |u| / (p - 1) and |u| / (p^a - 1) at
+any level, where the unscaled sums leave the double range with
+p^(-(a+1) n) or p^(-a l).
 Centering survives: the walks step by differences of neighbouring values,
 never by an uncentered sum, and damp by 1/p and p^(-a) < 1, so rounding
 decays along them.  The window pass bounds each value's rounding to
@@ -71,30 +73,17 @@ def _seed_rounding(tail, origin: int, e: float, seed: float, c: float, g: float,
     part is at most |seed| + |c| g, its centering part |c| g, each off by a
     few units plus 3 |exponent ln p| per power of p, times 1 / (1 - p^-r)
     for a geometric sum of ratio p^-r."""
-    rates = (e, e + tail.rho) if tail.kind == "power" else (e,)
-    damp = max(-1.0 / math.expm1(-abs(r) * lnp) for r in rates)
+    damp = max(-1.0 / math.expm1(-abs(r) * lnp) for r in (e, e + tail.rho))
     rho = abs(tail.rho)
     units = 10.0 + 4.0 * (1.0 + rho + abs(e)) * lnp + 3.0 * rho * abs(origin) * lnp
     return _UNIT * units * damp * (abs(seed) + 2.0 * abs(c) * g)
 
 
-def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
-                   rounding: bool = False) -> tuple:
-    """((D^alpha u)(p^n) for n = lo .. hi, their rounding bounds or None).
-
-    Lhat walks up from a = min(lo, k_min) and Rhat down from b = max(hi, k_max);
-    both step over the levels outside [lo, hi] without keeping them and record
-    only Lhat(lo .. hi) and Rhat(hi .. lo): one level costs O(b - a) steps and
-    keeps no list but u's values on [a, b].  A value is None where p^(-alpha n)
-    leaves the double range.  The ``rounding`` bounds are walked from the
-    seeds, so they need [lo, hi] to cover the window (else ValueError), and
-    take tail values beyond it as exact.
-    """
-    if rounding and (lo > u.k_min or hi < u.k_max):
-        raise ValueError(f"rounding bounds need levels [{lo}, {hi}] to cover the window "
-                         f"[{u.k_min}, {u.k_max}]")
+def _walk_start(u: RadialFunction, alpha: float, lo: int, hi: int) -> tuple:
+    """(coef, p, p^-a, p^a - 1, a, vals, Lhat(a), Rhat(b)) for the walks over [a, b] =
+    [min(lo, k_min), max(hi, k_max)]: coef = d_a (1 - 1/p), p a float divisor (exact, and
+    CPython's fast path), vals = u on [a, b], and the seeds in closed form."""
     coef = d_alpha(u.p, alpha) * (1.0 - 1.0 / u.p)
-    p, lnp = float(u.p), math.log(u.p)  # a float divisor: exact, and CPython's fast path
     a, b = min(lo, u.k_min), max(hi, u.k_max)
     vals = u.values_on(a, b)
     try:
@@ -103,75 +92,71 @@ def _dalpha_levels(u: RadialFunction, alpha: float, lo: int, hi: int,
                            "right", b)
     except DivergenceError as err:
         raise DivergenceError(f"D^alpha at levels [{lo}, {hi}]: {err}") from err
-    x, q, pm1 = alpha * lnp, p_pow(u.p, -alpha), p - 1.0
-    qm1 = math.expm1(x)
-    i, j = lo - a, hi - a  # lo and hi in vals
-    left = seed_l
-    for v, w in zip(vals, vals[1:i + 1]):  # Lhat(a + 1 .. lo), not kept
-        left = left / p + (v - w) / pm1
-    lefts = [left]  # Lhat(lo .. hi)
-    for v, w in zip(vals[i:j], vals[i + 1:j + 1]):
-        left = left / p + (v - w) / pm1
-        lefts.append(left)
-    right = seed_r
-    for v, w in zip(reversed(vals), reversed(vals[j:-1])):  # Rhat(b - 1 .. hi), not kept
-        right = q * right + (v - w) / qm1
-    rights = [right]  # Rhat(hi), Rhat(hi - 1), .., Rhat(lo)
-    for v, w in zip(reversed(vals[i + 1:j + 1]), reversed(vals[i:j])):
-        right = q * right + (v - w) / qm1
-        rights.append(right)
-    values, scale = [], []  # scale: p^(-alpha n), for the values and their bounds
-    for n in range(lo, hi + 1):
-        try:
-            scale.append(p_pow(u.p, -alpha * n))
-            values.append(coef * scale[-1] * (lefts[n - lo] + rights[hi - n]))
-        except MagnitudeError:
-            scale.append(None)
-            values.append(None)
-    if not rounding:
-        return values, None
-    # per step: the rounding of each operation on the magnitudes at hand,
-    # with q and 1/(p^a - 1) themselves off by 1 + 3x and 1 + 2x/(1-q) units
-    err_l = _damped(_seed_rounding(u.left_tail, a, 1.0, seed_l, vals[0], 1.0 / pm1, lnp),
-                    1.0 / p, [_UNIT * (2.0 * abs(l0) / p + 2.0 * abs(v - w) / pm1 + abs(l1))
-                              for l0, l1, v, w in zip(lefts, lefts[1:], vals, vals[1:])])
-    c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
-    down = vals[::-1]
-    err_r = _damped(_seed_rounding(u.right_tail, b, -alpha, seed_r, vals[-1], 1.0 / qm1, lnp),
-                    q, [_UNIT * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
-                        for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
-    # d_a: a few units from expm1; the 1/(1-q) units are kept as margin
-    c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
-    return values, [None if v is None else abs(coef) * w
-                    * (err_l[n - a] + err_r[b - n]) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)
-                    for n, v, w in zip(range(lo, hi + 1), values, scale)]
+    return (coef, float(u.p), p_pow(u.p, -alpha), math.expm1(alpha * math.log(u.p)), a, vals,
+            seed_l, seed_r)
 
 
 def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     """(D^alpha u)(p^n) via the explicit radial series, in O(W + |n - window|).
 
     Walks Lhat up to n and Rhat down to n from the ends of the window (or
-    from n, outside it) and records only their values at n; nothing is cached.
+    from n, outside it), keeping only the running value; nothing is cached.
     Requires the left series sum p^k |u(p^k)| and the right series
     sum p^(-alpha l) |u(p^l)| to converge; a violated tail raises
     :class:`DivergenceError` naming the failed inequality, and a level
     whose p^(-alpha n) exceeds the double range :class:`MagnitudeError`.
     """
-    value = _dalpha_levels(u, alpha, n, n)[0][0]
-    if value is None:
+    coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, n, n)
+    pm1, i = p - 1.0, n - a  # n in vals
+    for v, w in zip(vals, vals[1:i + 1]):
+        left = left / p + (v - w) / pm1
+    for v, w in zip(reversed(vals), reversed(vals[i:-1])):
+        right = q * right + (v - w) / qm1
+    try:
+        return coef * p_pow(u.p, -alpha * n) * (left + right)
+    except MagnitudeError:
         raise MagnitudeError(f"D^alpha at level {n}: p^(-alpha n) = {u.p}**{-alpha * n} "
-                             "exceeds the overflow guard")
-    return value
+                             "exceeds the overflow guard") from None
 
 
 def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
     """(values, rounding) of D^alpha u on the window in one O(W) pass.
 
-    ``values[i]`` is :func:`apply_dalpha` at level k_min + i, bit for bit,
-    or None where that raises :class:`MagnitudeError`; ``rounding[i]``
-    bounds its error to first order.  Nothing is cached.
+    ``values[i]`` is :func:`apply_dalpha` at level k_min + i, bit for bit, or
+    None where that raises :class:`MagnitudeError`; ``rounding[i]`` bounds its
+    error to first order, taking the tails as exact.  Nothing is cached.
     """
-    return _dalpha_levels(u, alpha, u.k_min, u.k_max, rounding=True)
+    coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, u.k_min, u.k_max)
+    b, pm1, lnp = u.k_max, p - 1.0, math.log(u.p)
+    lefts = [left]  # Lhat(a .. b)
+    for v, w in zip(vals, vals[1:]):
+        left = left / p + (v - w) / pm1
+        lefts.append(left)
+    down = vals[::-1]
+    rights = _damped(right, q, [(v - w) / qm1 for v, w in zip(down, down[1:])])  # Rhat(b .. a)
+    values, scale = [], []  # scale: p^(-alpha n), for the values and their bounds
+    for n, l, r in zip(range(a, b + 1), lefts, reversed(rights)):
+        try:
+            scale.append(p_pow(u.p, -alpha * n))
+            values.append(coef * scale[-1] * (l + r))
+        except MagnitudeError:
+            scale.append(None)
+            values.append(None)
+    # per step: the rounding of each operation on the magnitudes at hand,
+    # with q and 1/(p^a - 1) themselves off by 1 + 3x and 1 + 2x/(1-q) units
+    x = alpha * lnp
+    err_l = _damped(_seed_rounding(u.left_tail, a, 1.0, lefts[0], vals[0], 1.0 / pm1, lnp),
+                    1.0 / p, [_UNIT * (2.0 * abs(l0) / p + 2.0 * abs(v - w) / pm1 + abs(l1))
+                              for l0, l1, v, w in zip(lefts, lefts[1:], vals, vals[1:])])
+    c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
+    err_r = _damped(_seed_rounding(u.right_tail, b, -alpha, rights[0], vals[-1], 1.0 / qm1, lnp),
+                    q, [_UNIT * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
+                        for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
+    # d_a: a few units from expm1; the 1/(1-q) units are kept as margin
+    c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
+    return values, [None if v is None else abs(coef) * w
+                    * (err_l[n - a] + err_r[b - n]) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)
+                    for n, v, w in zip(range(a, b + 1), values, scale)]
 
 
 def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,

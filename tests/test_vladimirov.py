@@ -257,18 +257,12 @@ def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.5))
 def test_sub_ranges_inside_the_window_match_the_window_pass(alpha):
-    # lo > k_min and hi < k_max: both walks step over levels they do not keep
+    # every level of the window, both ends included, is the single-level walk bit for bit
     u = _rough_function(3, alpha, -15, 31, seed=4)
-    values, _ = vladimirov._dalpha_levels(u, alpha, u.k_min, u.k_max)
-    for lo, hi in ((-14, 14), (-3, 9), (0, 0), (-14, -14), (14, 14), (-15, -15), (15, 15)):
-        got, bounds = vladimirov._dalpha_levels(u, alpha, lo, hi)
-        assert bounds is None
-        assert [v.hex() for v in got] == [v.hex() for v in values[lo - u.k_min:hi + 1 - u.k_min]]
-    # the rounding bounds are walked from the seeds: a range inside the window is refused
-    for lo, hi in ((-14, 15), (-15, 14), (0, 0)):
-        with pytest.raises(ValueError, match="cover the window"):
-            vladimirov._dalpha_levels(u, alpha, lo, hi, rounding=True)
-    assert vladimirov._dalpha_levels(u, alpha, -16, 16, rounding=True)[1] is not None
+    values, _ = dalpha_window(u, alpha)
+    assert len(values) == 31
+    assert [apply_dalpha(u, alpha, n).hex() for n in range(u.k_min, u.k_max + 1)] \
+        == [v.hex() for v in values]
 
 
 def test_apply_dalpha_refuses_levels_beyond_double_range():
