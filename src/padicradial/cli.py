@@ -220,11 +220,10 @@ def cmd_solve(args) -> int:
     rows = []
     levels = range(u.k_min, u.k_max + 1)
     estimates = _residuals(u, problem, levels, tol, buffer) if hyp.residual_verifiable else {}
-    cont = report.c_uniform * problem.rhs.bound_M / (1.0 - report.q_contraction) \
-        if report.q_contraction < 1.0 else None
+    cont = report.c_uniform * problem.rhs.bound_M / (1.0 - report.q_contraction)  # _picard: q < 1
     for k in levels:
         bound = ""
-        if k <= report.local_radius_N and cont is not None:
+        if k <= report.local_radius_N:
             bound = _fmt(cont * p_pow(problem.p, k * (problem.alpha - problem.gamma)))
         res = unc = ""
         if k in estimates:

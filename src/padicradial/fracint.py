@@ -106,8 +106,8 @@ def _kernel_envelope(p: int, alpha: float, s: float) -> float:
     """
     if alpha == 1.0:
         return (1.0 - 1.0 / p) * math.log(p) * (1.0 / p) / (1.0 - p_pow(p, -s - 1.0)) ** 2
-    num = abs(p_pow(p, alpha - 1.0) - 1.0)
-    return (1.0 - 1.0 / p) * num / _envelope_denominator(p, alpha, s)
+    den = _envelope_denominator(p, alpha, s)  # its p^alpha raises before expm1 can overflow
+    return (1.0 - 1.0 / p) * abs(math.expm1((alpha - 1.0) * math.log(p))) / den
 
 
 def _envelope_denominator(p: int, alpha: float, s: float) -> float:
@@ -149,11 +149,11 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
         lp = math.log(p)
         return frac * lp * sum(nu * p_pow(p, -nu * (sigma + 1.0))
                                for nu in range(depth, 0, -1))
-    total = 0.0
-    for kernel, weight, w in zip(p_pow_levels(p, alpha - 1.0, -depth, -1),
-                                 p_pow_levels(p, alpha * sigma, -depth, -1),
-                                 p_pow_levels(p, 1, -depth, -1)):
-        total += abs(1.0 - kernel) * weight * frac * w
+    p_pow(p, (alpha - 1.0) * -depth)  # the largest kernel power: raises past the guard
+    lnp, total = math.log(p), 0.0
+    for k, weight, w in zip(range(-depth, 0), p_pow_levels(p, alpha * sigma, -depth, -1),
+                            p_pow_levels(p, 1, -depth, -1)):
+        total += abs(math.expm1((alpha - 1.0) * k * lnp)) * weight * frac * w
     return total
 
 
@@ -322,10 +322,10 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
                                  k_lo: int = -60, k_hi: int = 80) -> RadialFunction:
     """Evaluate I^alpha v on [k_lo, k_hi] and package it as a RadialFunction.
 
-    The left tail of the result is exact: below v's window a zero or
-    constant v integrates to exactly 0 (the kernel annihilates constants),
-    and a power-law v of exponent rho maps to the power law of exponent
-    alpha + rho with :func:`power_image_coefficient` in front.
+    The left tail of the result is exact: below v's window a tail c p^(rho k)
+    maps to the power law of exponent alpha + rho with c times
+    :func:`power_image_coefficient` in front, which is exactly 0.0 for a
+    zero or constant tail (rho = 0: the kernel annihilates constants).
 
     The right side of I^alpha v mixes three asymptotic components
     (p^((alpha+rho) m), p^((alpha-1) m) and a constant), which no single
@@ -343,7 +343,7 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
     # O(1) per level below v's window, then one pass: the same steps as apply_ialpha's
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
     values += _sweep_below(v, alpha, v.k_min).window(v.values_on(v.k_min, k_hi))
-    tail = v.left_tail  # c p^(rho k) maps to c coeff p^((alpha + rho) k); coeff is 0.0 at rho = 0
+    tail = v.left_tail
     left = TailModel.power_law(tail.c * power_image_coefficient(v.p, alpha, tail.rho),
                                alpha + tail.rho)
     return RadialFunction(

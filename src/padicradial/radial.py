@@ -372,24 +372,25 @@ def dump_radial(u: RadialFunction) -> str:
 
 
 def load_radial(text: str) -> RadialFunction:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [(idx, ln.strip()) for idx, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(idx, ln) for idx, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise DomainError("empty radial function file")
-    head = lines[0].split()
+    first, header = lines[0]
+    head = header.split()
     if len(head) != 6:
         raise DomainError(
-            f"line 1: header needs 'p k_min k_max u0 left_tail right_tail', got {lines[0]!r}"
+            f"line {first}: header needs 'p k_min k_max u0 left_tail right_tail', got {header!r}"
         )
     try:
         p, k_min, k_max = int(head[0]), int(head[1]), int(head[2])
         u0 = float(head[3])
     except ValueError as err:
-        raise DomainError(f"line 1: {err}") from err
+        raise DomainError(f"line {first}: {err}") from err
     left = TailModel.from_token(head[4])
     right = TailModel.from_token(head[5])
     values = {}
-    for idx, ln in enumerate(lines[1:], start=2):
+    for idx, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise DomainError(f"line {idx}: expected 'k value', got {ln!r}")

@@ -62,6 +62,23 @@ def test_kernel_closed_form_matches_oracle(p, alpha):
         assert abs(d - o) <= 1e-12 * abs(d), (p, alpha, sigma)
 
 
+@pytest.mark.parametrize("p", (2, 7))
+@pytest.mark.parametrize("sigma", (0.0, 0.7))
+@pytest.mark.parametrize("alpha", (1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6,
+                                   0.5, 1.5, 2.5))
+def test_kernel_constant_next_to_alpha_one_matches_mpmath(p, sigma, alpha):
+    # |1 - p^(alpha - 1)| cancels next to alpha = 1 unless formed by expm1, in the
+    # closed form and in each stratum of the oracle; the reference sums the strata at 50 digits
+    from mpmath import mp, mpf
+    with mp.workdps(50):
+        P, a, s = mpf(p), mpf(alpha), mpf(sigma)
+        depth = int(80 / ((a * s + min(a, 1)) * mp.log10(P))) + 1  # remainder below 1e-80
+        want = (1 - 1 / P) * sum(P ** -nu * abs(1 - P ** ((1 - a) * nu)) * P ** (-a * s * nu)
+                                 for nu in range(1, depth + 1))
+        assert abs(kernel_constant(p, alpha, sigma).d_abs - want) <= 2e-15 * want
+        assert abs(kernel_constant_oracle(p, alpha, sigma) - want) <= 2e-15 * want
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_kernel_envelope_bound(p, alpha):
@@ -104,19 +121,33 @@ def test_ialpha_of_a_constant_is_exactly_zero(p, alpha):
 def _ialpha_mpmath(u, alpha, n, depth=300):
     """(I^alpha u)(p^n) from the kernel form of the integral, at 50 digits: the diagonal
     term plus the interior strata k = n - depth .. n - 1 (log kernel at alpha = 1), and
-    the sum of the terms' magnitudes."""
+    the sum of the terms' magnitudes, both as mpf.  A power left tail is evaluated in
+    mpmath: the double of ``value_at`` rounds a subnormal tail value to a few bits."""
     from mpmath import mp, mpf
     with mp.workdps(50):
-        p, a = mpf(u.p), mpf(alpha)
-        diag = p ** (a * (n - 1)) * mpf(u.value_at(n))
+        p, a, tail = mpf(u.p), mpf(alpha), u.left_tail
+
+        def value(k):
+            if k < u.k_min and tail.kind == "power":
+                return mpf(tail.c) * p ** (mpf(tail.rho) * k)
+            return mpf(u.value_at(k))
+
+        diag = p ** (a * (n - 1)) * value(n)
         terms = []
         for k in range(n - depth, n):
             if alpha == 1.0:
                 kernel = (1 - p) / p * (n - k)
             else:
                 kernel = (1 - p ** -a) / (1 - p ** (a - 1)) * (p ** ((a - 1) * n) - p ** ((a - 1) * k))
-            terms.append((1 - 1 / p) * p ** k * kernel * mpf(u.value_at(k)))
-        return diag + sum(terms), float(abs(diag) + sum(abs(t) for t in terms))
+            terms.append((1 - 1 / p) * p ** k * kernel * value(k))
+        return diag + sum(terms), abs(diag) + sum(abs(t) for t in terms)
+
+
+def _within_mpmath_bound(got, want, scale):
+    """|got - want| <= 1e-14 scale, plus one subnormal step where that bound underflows."""
+    from mpmath import mp, mpf
+    with mp.workdps(50):
+        return abs(got - want) <= mpf(1e-14) * scale + mpf(2) ** -1074
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,13 +156,25 @@ def _ialpha_mpmath(u, alpha, n, depth=300):
        c=st.floats(-2.0, 2.0), rho=st.one_of(st.just(0.0), st.floats(-0.4, 0.8)),
        offset=st.integers(-3, 13))
 @example(p=2, delta=1e-13, k_min=0, values=[1.0], c=1.0, rho=0.5, offset=0)
+@example(p=5, delta=0.0, k_min=-5, values=[0.0], c=7.89748286542269e-305, rho=0.0, offset=0)
+@example(p=2, delta=0.0, k_min=0, values=[0.0], c=2.225073858507e-311, rho=0.5, offset=0)
 def test_ialpha_next_to_alpha_one_matches_mpmath(p, delta, k_min, values, c, rho, offset):
     # the kernel's 1 - p^(alpha - 1) division cancels next to alpha = 1; the walk has none
     left = TailModel.constant(c) if rho == 0.0 else TailModel.power_law(c, rho)
     u = RadialFunction(p, k_min, k_min + len(values) - 1, values, left_tail=left)
     n = k_min - 3 + offset
     want, scale = _ialpha_mpmath(u, 1.0 + delta, n)
-    assert abs(apply_ialpha(u, 1.0 + delta, n) - want) <= 1e-14 * scale
+    assert _within_mpmath_bound(apply_ialpha(u, 1.0 + delta, n), want, scale)
+
+
+@pytest.mark.xfail(strict=True, reason="the I^alpha walk loses digits through subnormal "
+                   "intermediates: FOUND in CHANGES.md, ROADMAP direction 3")
+def test_ialpha_keeps_a_normal_result_with_subnormal_intermediates():
+    # I^1 of 2^-1022 at level 0 is -5.69618907777844e-308 at level 4, a normal double, but
+    # the walk's Bc and Gc go subnormal on the way: it returns -5.696189077778261e-308
+    u = RadialFunction(5, 0, 0, [2.2250738585072014e-308])
+    want, scale = _ialpha_mpmath(u, 1.0, 4)
+    assert _within_mpmath_bound(apply_ialpha(u, 1.0, 4), want, scale)
 
 
 def test_ialpha_power_law_golden():

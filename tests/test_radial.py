@@ -255,3 +255,10 @@ def test_load_errors_are_line_addressed():
         load_radial("2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n7 9.0\n")
     with pytest.raises(DomainError, match="line 4: level 7 is outside"):
         load_radial("2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n7 9.0\n")
+    # comment and blank lines count: the reported line is the file's own
+    with pytest.raises(DomainError, match="line 6: level 1 is given twice"):
+        load_radial("# a comment\n\n2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n")
+    with pytest.raises(DomainError, match="line 3: header"):
+        load_radial("# a comment\n\n2 0 0 1.0 zero\n0 1\n")
+    with pytest.raises(DomainError, match="line 3: could not convert"):
+        load_radial("2 0 0 1.0 zero zero\n# a comment\n0 one\n")
