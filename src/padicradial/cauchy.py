@@ -16,9 +16,10 @@ in three stages:
 2. *Continuation* (:func:`solve_problem`).
    Each level n = l + 1 above N solves x = u0 + K + c (f(p^n, x) - p^g f_l),
    c = p^((a - g) n - a), centered on the last known level, with K in O(1)
-   from the state of Picard's I^alpha sweep; for a constant f and g = 0
-   the correction is exactly 0.  A step is accepted only when
-   kappa_l = c Lip(f(p^n, .)) is below 1; measured steps are checked against it.
+   from the state of an I^alpha sweep over the levels below n; for a
+   constant f and g = 0 the correction is exactly 0.  A step is accepted
+   only when kappa_l = c Lip(f(p^n, .)) is below 1; measured steps are
+   checked against it.
 
 3. *Residual verification* (:func:`residual`).  The differential form is
    checked directly: p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)), with an
@@ -327,15 +328,8 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     with the level n for alpha above 1, so the window floor must be chosen
     for the highest level that will ever integrate over it.
     """
-    return _picard(problem, N, tol, max_iter, start_value, reserve_top)[0]
-
-
-def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
-            start_value: Optional[float], reserve_top: Optional[int]) -> tuple:
-    """:func:`picard_solve`'s (report, sweep), the sweep also the continuation's."""
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
-    m_bound = problem.rhs.bound_M
-    f_lip = problem.rhs.lipschitz_F
+    m_bound, f_lip, f = problem.rhs.bound_M, problem.rhs.lipschitz_F, problem.rhs.eval
     c_uni = bound_constants(p, alpha, gamma).c_uniform
     q = c_uni * f_lip * p_pow(p, N * (alpha - gamma))
     if q >= 1.0:
@@ -355,7 +349,8 @@ def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
 
     diffs = []
     for it in range(max_iter):
-        new = [u0 + v for v in _integrate(sweep, problem.rhs.eval, cur)]
+        sweep.seed()  # ftilde is 0 below the window: the truncation budget bounds that
+        new = [u0 + v for v in sweep.window([f(k, x) for k, x in enumerate(cur, k_min)])]
         diff = max(abs(a - b) for a, b in zip(new, cur))
         diffs.append(diff)
         cur = new
@@ -372,25 +367,15 @@ def _picard(problem: ProblemSpec, N: int, tol: float, max_iter: int,
             f"iteration did not reach tol = {tol} in {max_iter} steps "
             f"(last difference {diffs[-1]})", diffs=diffs)
 
-    solution = RadialFunction(
-        p, k_min, N, tuple(cur),
-        left_tail=TailModel.constant(u0), right_tail=TailModel.zero(),
-        value_at_zero=u0,
-    )
+    solution = RadialFunction(p, k_min, N, tuple(cur), left_tail=TailModel.constant(u0),
+                              right_tail=TailModel.zero(), value_at_zero=u0)
     bounds = tuple(apriori(j) for j in range(len(diffs)))
     return SolveReport(
         solution=solution, local_radius_N=N, picard_iterations=len(diffs),
         picard_diffs=tuple(diffs), apriori_bounds=bounds,
         extension_diagnostics={}, truncation_budget=budget / (1.0 - q),
         k_min=k_min, q_contraction=q, c_uniform=c_uni, apriori_enforced=enforce,
-    ), sweep
-
-
-def _integrate(sweep: _IalphaSweep, f: Callable, xs) -> list:
-    """I^alpha ftilde(., x) for x over xs, without u0, at the sweep's levels, ftilde taken as 0
-    below them (the truncation budget bounds that): f at every level, then one window pass."""
-    sweep.seed()
-    return sweep.window([f(k, x) for k, x in enumerate(xs, sweep.start)])
+    )
 
 
 @dataclass(frozen=True)
@@ -541,11 +526,12 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     """Full pipeline: choose N, run the local iteration, continue level by level.
 
     Level n = ell + 1 solves x = u0 + known + c (f(p^n, x) - shift) by iteration from
-    u(p^ell), (known, c, shift) read from Picard's sweep.  kappa = c Lip(f(p^n, .)) at
-    or above 1 is a :class:`ContractionError`; a step longer than kappa times the
-    previous one (plus a few ulps of rounding) is wrong declared metadata, and more
-    than 1000 steps is a :class:`NonConvergenceError`.  The window floor is chosen for
-    target + 1, so Picard's truncation budget already covers every continuation level.
+    u(p^ell), (known, c, shift) read from an I^alpha sweep walked over Picard's window
+    and then each new level.  kappa = c Lip(f(p^n, .)) at or above 1 is a
+    :class:`ContractionError`; a step longer than kappa times the previous one (plus a
+    few ulps of rounding) is wrong declared metadata, and more than 1000 steps is a
+    :class:`NonConvergenceError`.  The window floor is chosen for target + 1, so
+    Picard's truncation budget already covers every continuation level.
     """
     # never pick a local radius beyond the requested window top
     n_cap = 8 if extend_to is None else min(8, extend_to)
@@ -553,11 +539,11 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     target = extend_to if extend_to is not None else N + 35
     if target < N:
         raise DomainError(f"extension target {target} is below the local radius {N}")
-    report, sweep = _picard(problem, N, tol, max_iter, None, target + 1)
+    report = picard_solve(problem, N, tol, max_iter, reserve_top=target + 1)
     u = report.solution
     f = problem.rhs.eval
-    sweep.seed()  # Picard's sweep, walked again over u's f for its state at N
-    sweep.advance([f(k, x) for k, x in enumerate(u.values, sweep.start)])
+    sweep = _IalphaSweep(problem.p, problem.alpha, problem.gamma, u.k_min)
+    sweep.advance([f(k, x) for k, x in enumerate(u.values, u.k_min)])  # its state at N
     diags = {}
     values = []
     x = u.value_at(N)

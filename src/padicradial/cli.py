@@ -79,37 +79,21 @@ _CONFIG_KEYS = {
     "tol": float, "max_iter": int, "n_override": int, "extend_to": int,
     "buffer": int, "csv_out": str, "report_out": str, "solution_out": str,
 }
+_PROBLEM_FIELDS = ("p", "alpha", "gamma", "u0")
 
 
-class RunConfig(dict):
-    """Solver run parameters from a key = value file plus flag overrides.
-
-    Flags win over file entries.  ``problem()`` validates the combination
-    into a ProblemSpec; a malformed file fails with the line and field
-    named.
-    """
-
-    @staticmethod
-    def from_sources(config_path, args) -> "RunConfig":
-        cfg = RunConfig()
-        if config_path:
-            cfg.update(_parse_config(config_path))
-        for key in _CONFIG_KEYS:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                cfg[key] = flag
-        return cfg
-
-    def problem(self) -> ProblemSpec:
-        for field in ("p", "alpha", "gamma", "u0"):
-            if field not in self:
-                raise DomainError(f"missing required field {field!r}")
-        rhs = catalog_nonlinearity(
-            self.get("rhs", "zero"), self["p"],
-            amplitude=self.get("rhs_amplitude", 0.1), beta=self.get("rhs_beta", 2.0),
-        )
-        return ProblemSpec(p=self["p"], alpha=self["alpha"], gamma=self["gamma"],
-                           u0=self["u0"], rhs=rhs)
+def _run_config(config_path, args) -> dict:
+    """Solver run parameters from a key = value file plus flag overrides, which win; a
+    missing problem field or a malformed file line is a DomainError that names it."""
+    cfg = _parse_config(config_path) if config_path else {}
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            cfg[key] = flag
+    for field in _PROBLEM_FIELDS:
+        if field not in cfg:
+            raise DomainError(f"missing required field {field!r}")
+    return cfg
 
 
 def _emit(lines: list, path: str | None) -> None:
@@ -193,58 +177,54 @@ def cmd_apply(args) -> int:
 
 # -- solve --------------------------------------------------------------------
 
-def _residuals(u, problem, levels, tol: float, buffer: int = 3) -> dict:
-    """level -> :func:`residual` at each of ``levels`` where it is certified, at the
-    residual tolerance of a solve at ``tol``: max(100 tol, 1e-9)."""
-    out = {}
-    for n in levels:
+def _verified_solve(problem: ProblemSpec, tol: float, levels, buffer: int = 3,
+                    **options) -> tuple:
+    """(report, hypotheses, estimates, worst) of one solve at ``tol``: the :func:`residual`
+    at each level of ``levels(u)`` where it is certified at max(100 tol, 1e-9), if the
+    hypotheses make residuals meaningful, and the largest |residual| of them or None."""
+    report = solve_problem(problem, tol=tol, **options)
+    hyp = check_global_hypotheses(problem)
+    u = report.solution
+    estimates = {}
+    for n in levels(u) if hyp.residual_verifiable else ():
         try:
-            out[n] = residual(u, problem, n, tol=max(tol * 100.0, 1e-9), buffer=buffer)
+            estimates[n] = residual(u, problem, n, tol=max(tol * 100.0, 1e-9), buffer=buffer)
         except IndeterminateResidualError:
             pass
-    return out
+    worst = max((abs(est.value) for est in estimates.values()), default=None)
+    return report, hyp, estimates, worst
 
 
 def cmd_solve(args) -> int:
-    cfg = RunConfig.from_sources(args.config, args)
-    problem = cfg.problem()
-    tol = cfg.get("tol", 1e-10)
-    buffer = cfg.get("buffer", 3)
-    report = solve_problem(
-        problem, tol=tol, max_iter=cfg.get("max_iter", 200),
+    cfg = _run_config(args.config, args)
+    rhs = catalog_nonlinearity(cfg.get("rhs", "zero"), cfg["p"], beta=cfg.get("rhs_beta", 2.0),
+                               amplitude=cfg.get("rhs_amplitude", 0.1))
+    problem = ProblemSpec(**{key: cfg[key] for key in _PROBLEM_FIELDS}, rhs=rhs)
+    report, hyp, estimates, worst = _verified_solve(
+        problem, cfg.get("tol", 1e-10), lambda u: range(u.k_min, u.k_max + 1),
+        cfg.get("buffer", 3), max_iter=cfg.get("max_iter", 200),
         n_override=cfg.get("n_override"), extend_to=cfg.get("extend_to"),
     )
-    hyp = check_global_hypotheses(problem)
     u = report.solution
 
     rows = []
-    levels = range(u.k_min, u.k_max + 1)
-    estimates = _residuals(u, problem, levels, tol, buffer) if hyp.residual_verifiable else {}
-    cont = report.c_uniform * problem.rhs.bound_M / (1.0 - report.q_contraction)  # _picard: q < 1
-    for k in levels:
+    cont = report.c_uniform * problem.rhs.bound_M / (1.0 - report.q_contraction)  # q < 1
+    for k in range(u.k_min, u.k_max + 1):
         bound = ""
         if k <= report.local_radius_N:
             bound = _fmt(cont * p_pow(problem.p, k * (problem.alpha - problem.gamma)))
-        res = unc = ""
-        if k in estimates:
-            res, unc = _fmt(estimates[k].value), _fmt(estimates[k].uncertainty)
+        est = estimates.get(k)
+        res, unc = (_fmt(est.value), _fmt(est.uncertainty)) if est else ("", "")
         rows.append(f"{k},{k},{_fmt(u.value_at(k))},{bound},{res},{unc}")
 
     _emit(["k,radius_exponent,u,apriori_bound,residual,residual_uncertainty"] + rows,
           cfg.get("csv_out"))
-
-    report_out = cfg.get("report_out")
-    if report_out:
+    if cfg.get("report_out"):
         payload = report.to_dict()
         payload["hypotheses"] = dataclasses.asdict(hyp)
-        with open(report_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    solution_out = cfg.get("solution_out")
-    if solution_out:
-        with open(solution_out, "w", encoding="utf-8") as fh:
-            fh.write(dump_radial(u))
+        _emit([json.dumps(payload, indent=2, sort_keys=True)], cfg["report_out"])
+    if cfg.get("solution_out"):
+        _emit(dump_radial(u).splitlines(), cfg["solution_out"])
 
     print(f"N {report.local_radius_N}")
     print(f"k_min {report.k_min}")
@@ -252,7 +232,6 @@ def cmd_solve(args) -> int:
     print(f"picard_iterations {report.picard_iterations}")
     print(f"truncation_budget {_fmt(report.truncation_budget)}")
     if hyp.residual_verifiable:
-        worst = max((abs(est.value) for est in estimates.values()), default=None)
         print(f"max_residual {_fmt(worst) if worst is not None else 'none'}")
     else:
         print(f"residuals unavailable: {hyp.detail}")
@@ -420,14 +399,10 @@ def cmd_sweep(args) -> int:
                 rhs = catalog_nonlinearity(args.rhs, p, amplitude=args.rhs_amplitude,
                                            beta=args.rhs_beta)
                 problem = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=args.u0, rhs=rhs)
-                report = solve_problem(problem, tol=args.tol)
-                hyp = check_global_hypotheses(problem)
-                u = report.solution
-                estimates = _residuals(u, problem, range(u.k_min + 1, u.k_max - 2), args.tol) \
-                    if hyp.residual_verifiable else {}
-                worst = max((abs(est.value) for est in estimates.values()), default=None)
+                report, _, estimates, worst = _verified_solve(
+                    problem, args.tol, lambda u: range(u.k_min + 1, u.k_max - 2))
                 max_resid = _fmt(worst) if worst is not None else ""
-                row += (f",{report.local_radius_N},{report.k_min},{u.k_max},"
+                row += (f",{report.local_radius_N},{report.k_min},{report.solution.k_max},"
                         f"{report.picard_iterations},{max_resid},{len(estimates)},"
                         f"{_fmt(report.truncation_budget)},ok")
             except PRECONDITION_ERRORS as err:

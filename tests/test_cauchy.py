@@ -610,23 +610,29 @@ def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
 
 @pytest.mark.parametrize("alpha", (1.5, 1.0, 0.5))
 def test_continuation_reuses_picards_power_tables(alpha):
-    # the one sweep of a solve, with its powers of p, is built once for Picard; none again
-    # for the continuation
+    # a solve builds two sweeps, Picard's and the continuation's, and no table of powers of p,
+    # however deep the window
     rhs = catalog_nonlinearity("cos-decay", 3, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=3, alpha=alpha, gamma=0.3, u0=1.0, rhs=rhs)
-    rep, calls = _guarded_powers(lambda: solve_problem(prob, tol=1e-10, extend_to=60),
-                                 funcs=(_IalphaSweep.__init__, haar.p_pow_levels))
-    assert rep.solution.k_max == 60 and len(rep.extension_diagnostics) > 50
-    assert calls == 1
+    for extend_to in (30, 60):
+        def solve():
+            return solve_problem(prob, tol=1e-10, extend_to=extend_to)
+        rep, sweeps = _guarded_powers(solve, funcs=(_IalphaSweep.__init__,))
+        _, tables = _guarded_powers(solve, funcs=(haar.p_pow_levels,))
+        assert rep.solution.k_max == extend_to and len(rep.extension_diagnostics) > extend_to - 10
+        assert sweeps == 2 and tables == 0
 
 
 def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
-    # 7^(1.2 k) leaves the double range at k = 300, below extend_to = 400: the sweep passes
-    # every level up to 299, and level 300 raises when a pass reaches it, not before
+    # 7^(1.2 k) leaves the double range at k = 300, below extend_to = 400: a sweep from
+    # Picard's floor passes every level up to 299, and level 300 raises when a pass reaches
+    # it, not before
     prob = ProblemSpec(p=7, alpha=1.5, gamma=0.3, u0=1.0,
                        rhs=catalog_nonlinearity("bounded-sigmoid", 7))
-    report, sweep = cauchy._picard(prob, 0, 1e-10, 200, None, 401)
-    assert sweep.start == report.k_min and sweep.level == 0 and sweep.top == 299
+    k_min = picard_solve(prob, 0, 1e-10, 200, reserve_top=401).k_min
+    sweep = _IalphaSweep(7, 1.5, 0.3, k_min)
+    sweep.advance([0.0] * (1 - k_min))
+    assert sweep.level == 0 and sweep.top == 299
     assert sweep.step == p_pow(7, 1.5 - 0.3)
     assert len(sweep.window([0.0] * 299)) == 299
     with pytest.raises(MagnitudeError, match="7\\*\\*360"):
