@@ -328,6 +328,8 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     with the level n for alpha above 1, so the window floor must be chosen
     for the highest level that will ever integrate over it.
     """
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
     m_bound, f_lip, f = problem.rhs.bound_M, problem.rhs.lipschitz_F, problem.rhs.eval
     c_uni = bound_constants(p, alpha, gamma).c_uniform

@@ -30,6 +30,7 @@ from .errors import (
     MagnitudeError,
     MetadataError,
     NonConvergenceError,
+    require_tol,
 )
 from .haar import (
     ball_log_integral,
@@ -388,6 +389,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     ps = _parse("--p-list", args.p_list, lambda t: [int(x) for x in t.split(",")])
     alphas = _parse("--alpha-list", args.alpha_list, lambda t: [float(x) for x in t.split(",")])
+    require_tol(args.tol)  # the grid's, not one cell's
     header = ("p,alpha,gamma,N,k_min,k_max,picard_iterations,"
               "max_abs_residual,residual_levels,truncation_budget,status")
     lines = [header]

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DivergenceError, require_alpha, require_finite, require_weak_degeneration
-from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow, p_pow_levels
+from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel
 
 # Floor for the slack used when building the sigma-uniform envelope bound.
@@ -149,11 +149,13 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
         lp = math.log(p)
         return frac * lp * sum(nu * p_pow(p, -nu * (sigma + 1.0))
                                for nu in range(depth, 0, -1))
-    p_pow(p, (alpha - 1.0) * -depth)  # the largest kernel power: raises past the guard
+    # stratum k's |p^x - 1| p^((a sigma + 1) k), x = (a - 1) k, as (1 - p^-|x|) times one
+    # power p^(max(x, 0) + (a sigma + 1) k), of a negative exponent: it can only underflow
     lnp, total = math.log(p), 0.0
-    for k, weight, w in zip(range(-depth, 0), p_pow_levels(p, alpha * sigma, -depth, -1),
-                            p_pow_levels(p, 1, -depth, -1)):
-        total += abs(math.expm1((alpha - 1.0) * k * lnp)) * weight * frac * w
+    for k in range(-depth, 0):
+        x = (alpha - 1.0) * k
+        power = p_pow(p, max(x, 0.0) + (alpha * sigma + 1.0) * k)
+        total += -math.expm1(-abs(x) * lnp) * power * frac
     return total
 
 

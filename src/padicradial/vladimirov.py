@@ -45,17 +45,21 @@ from __future__ import annotations
 import math
 
 from .errors import DivergenceError, MagnitudeError, require_alpha
-from .haar import DEFAULT_DEPTH, Prime, p_pow, p_pow_levels
+from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow, p_pow_levels
 from .radial import RadialFunction, _geom_left, _geom_right, _sum, _tail_sum
 
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 
 
 def d_alpha(p: int, alpha: float) -> float:
-    """The constant of the radial series for D^alpha: (1 - p^alpha) / (1 - p^(-alpha-1)) < 0."""
+    """The constant of the radial series for D^alpha: (1 - p^alpha) / (1 - p^(-alpha-1)) < 0;
+    :class:`MagnitudeError` where p^alpha passes the overflow guard."""
     p = Prime(p)
     require_alpha(alpha)
-    return -math.expm1(alpha * math.log(p)) / (1.0 - p_pow(p, -alpha - 1.0))
+    t = alpha * math.log(p)
+    if t > OVERFLOW_GUARD:
+        p_pow(p, alpha)  # raises
+    return -math.expm1(t) / (1.0 - p_pow(p, -alpha - 1.0))
 
 
 def _damped(x: float, ratio: float, terms) -> list:

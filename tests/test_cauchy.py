@@ -277,6 +277,14 @@ def test_picard_rejects_non_contractive_radius():
         picard_solve(prob, N=30)
 
 
+@pytest.mark.parametrize("solve", (lambda prob: picard_solve(prob, N=1, max_iter=0),
+                                   lambda prob: solve_problem(prob, max_iter=0)))
+def test_picard_rejects_max_iter_below_one(solve):
+    # no sweep means no last difference to report: a precondition, not an IndexError
+    with pytest.raises(DomainError, match="max_iter must be >= 1, got 0"):
+        solve(catalog_problem())
+
+
 # -- extension -------------------------------------------------------------------
 
 def test_extension_constant_zero_rhs():

@@ -99,6 +99,14 @@ def test_sweep_bad_list_exit_2(capsys, flag, value):
     assert flag in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_sweep_bad_tol_exit_2(capsys, tol):
+    # the tolerance is the grid's: refused once, before any cell, not per row
+    code, out, err = run(capsys, "sweep", f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "tol must be finite and positive" in err
+
+
 def solve_config(tmp_path, **overrides):
     cfg = {
         "p": 2, "alpha": 1.5, "gamma": 0.25, "u0": 1.0,

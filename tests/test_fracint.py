@@ -53,7 +53,7 @@ def test_kernel_sign_convention():
     assert kc.s_signed == -kc.d_abs
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + (1000003,))
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_kernel_closed_form_matches_oracle(p, alpha):
     for sigma in sigma_grid(alpha):

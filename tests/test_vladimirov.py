@@ -44,6 +44,17 @@ def test_coefficient_signs(p, alpha):
     assert d_alpha(p, alpha) < 0
 
 
+@pytest.mark.parametrize("alpha", (1010.0, 1100.0))
+def test_d_alpha_past_the_overflow_guard_is_a_magnitude_error(alpha):
+    # alpha ln 2 past the guard of 700: at 1100 expm1 itself would overflow, and at 1010
+    # (700.1) it would not, but I^alpha and the kernel constants refuse that alpha too
+    u = RadialFunction(2, 0, 0, (1.0,), TailModel.zero(), TailModel.zero(), 0.0)
+    for call in (lambda: d_alpha(2, alpha), lambda: apply_dalpha(u, alpha, 0)):
+        with pytest.raises(MagnitudeError, match=f"2\\*\\*{alpha} exceeds the overflow guard"):
+            call()
+    assert d_alpha(2, 1000.0) < 0  # 693.1: inside the guard
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("n", (-6, -1, 0, 3))

@@ -16,8 +16,12 @@ error naming the first level past it),
 among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
 ``verify``, ``verify`` of the ``D^alpha`` oracle at depth 3, where
 the oracle's explicit strata reach past the test functions' windows into
-their tails, and ``apply`` of ``dalpha`` to a file that gives one level
-twice (exit 2 naming the line; the last line once won, with exit 0).
+their tails, ``apply`` of ``dalpha`` to a file that gives one level
+twice (exit 2 naming the line; the last line once won, with exit 0), and
+three invocations that exit 2 before any work: ``apply`` of ``dalpha`` at
+alpha = 1100, whose d_alpha once overflowed (exit 1 with a traceback),
+``solve`` with ``--max-iter 0`` (once exit 1, an IndexError), and
+``sweep --tol nan`` (once exit 0, with every row a DomainError).
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -59,9 +63,16 @@ FAILING = (
 # u(p^k) on [-12, 12] between a constant left tail and a decaying power law
 FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
     f"{k} {0.75 + 0.1 * ((7 * k) % 11 - 5) / (1 + abs(k))!r}\n" for k in range(-12, 13))
-# one level between a left tail 5^(440 k) and a zero right tail; level 1 given twice
+# one level between a left tail 5^(440 k) and a zero right tail; level 1 given twice;
+# the indicator of the unit sphere
 INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n",
-          "twice.txt": "2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n"}
+          "twice.txt": "2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n",
+          "sphere.txt": "2 0 0 0.0 zero zero\n0 1.0\n"}
+# invocations refused before any work: no Picard sweep to run, a tolerance of nan
+REFUSED = (
+    "solve --p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs cos-decay --max-iter 0",
+    "sweep --tol nan",
+)
 
 
 def invocations(tmp: Path) -> list:
@@ -81,7 +92,9 @@ def invocations(tmp: Path) -> list:
     runs += [["constants", *line.split()] for line in CONSTANTS]
     return runs + [line.split() for line in FAILING] + [
         ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"],
-        ["apply", "--op", "dalpha", "--alpha", "1.5", "--input", str(tmp / "twice.txt")]]
+        ["apply", "--op", "dalpha", "--alpha", "1.5", "--input", str(tmp / "twice.txt")],
+        ["apply", "--op", "dalpha", "--alpha", "1100", "--input", str(tmp / "sphere.txt")],
+    ] + [line.split() for line in REFUSED]
 
 
 def main() -> None:
