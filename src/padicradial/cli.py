@@ -30,6 +30,7 @@ from .errors import (
     MagnitudeError,
     MetadataError,
     NonConvergenceError,
+    require_finite,
     require_tol,
 )
 from .haar import (
@@ -389,7 +390,11 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     ps = _parse("--p-list", args.p_list, lambda t: [int(x) for x in t.split(",")])
     alphas = _parse("--alpha-list", args.alpha_list, lambda t: [float(x) for x in t.split(",")])
-    require_tol(args.tol)  # the grid's, not one cell's
+    # options every cell shares are refused once, before the first cell; the catalog
+    # checks f's name and constants alike at every p, so p = 2 stands for all
+    require_tol(args.tol)
+    require_finite(gamma_frac=args.gamma_frac, u0=args.u0)
+    catalog_nonlinearity(args.rhs, 2, amplitude=args.rhs_amplitude, beta=args.rhs_beta)
     header = ("p,alpha,gamma,N,k_min,k_max,picard_iterations,"
               "max_abs_residual,residual_levels,truncation_budget,status")
     lines = [header]

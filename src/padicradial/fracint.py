@@ -274,9 +274,10 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     """
     start = min(n, u.k_min)
     fs = u.values_on(start, n)
+    last = fs.pop()
     sweep = _sweep_below(u, alpha, start)
-    sweep.advance(fs[:-1])
-    return sweep.window(fs[-1:])[0]
+    sweep.advance(fs)
+    return sweep.window([last])[0]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ The weighted sums here are the raw material for the fractional operators:
 ``sum k p^(e k) u(p^k)`` of the alpha = 1 summability conditions, all one
 private sum over levels lo <= k <= hi that also centers u on a constant c
 and sums an open end in closed form.  :meth:`RadialFunction.values_on`
-reads u on a range of levels: the window sliced, only tail levels evaluated.
+reads u on a range of levels into a new list, one slice of the stored tuple
+inside the window; the operator walks read that tuple itself.
 """
 
 from __future__ import annotations
@@ -166,11 +167,14 @@ class RadialFunction:
         return self.values[k - self.k_min]
 
     def values_on(self, lo: int, hi: int) -> list:
-        """[u(p^k) for k = lo .. hi]: the stored values sliced, only tail levels evaluated."""
+        """[u(p^k) for k = lo .. hi] in a new list: the stored values sliced, tails evaluated."""
         p, k_min, k_max = self.p, self.k_min, self.k_max
-        return ([self.left_tail.value_at(p, k) for k in range(lo, min(hi + 1, k_min))]
-                + list(self.values[max(lo - k_min, 0):max(hi + 1 - k_min, 0)])
-                + [self.right_tail.value_at(p, k) for k in range(max(lo, k_max + 1), hi + 1)])
+        if k_min <= lo and hi <= k_max:
+            return list(self.values[lo - k_min:hi + 1 - k_min])
+        out = [self.left_tail.value_at(p, k) for k in range(lo, min(hi + 1, k_min))]
+        out += self.values[max(lo - k_min, 0):max(hi + 1 - k_min, 0)]
+        out.extend(self.right_tail.value_at(p, k) for k in range(max(lo, k_max + 1), hi + 1))
+        return out
 
     def absolute(self) -> "RadialFunction":
         return RadialFunction(

@@ -43,6 +43,7 @@ form with the centered weighted sums of :mod:`padicradial.radial`.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .errors import DivergenceError, MagnitudeError, require_alpha
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow, p_pow_levels
@@ -86,10 +87,10 @@ def _seed_rounding(tail, origin: int, e: float, seed: float, c: float, g: float,
 def _walk_start(u: RadialFunction, alpha: float, lo: int, hi: int) -> tuple:
     """(coef, p, p^-a, p^a - 1, a, vals, Lhat(a), Rhat(b)) for the walks over [a, b] =
     [min(lo, k_min), max(hi, k_max)]: coef = d_a (1 - 1/p), p a float divisor (exact, and
-    CPython's fast path), vals = u on [a, b], and the seeds in closed form."""
+    CPython's fast path), vals = u on [a, b] (u.values if that is the window), closed-form seeds."""
     coef = d_alpha(u.p, alpha) * (1.0 - 1.0 / u.p)
     a, b = min(lo, u.k_min), max(hi, u.k_max)
-    vals = u.values_on(a, b)
+    vals = u.values if a == u.k_min and b == u.k_max else u.values_on(a, b)
     try:
         seed_l = _tail_sum(0.0, u.left_tail, u.p, a - 1, 1.0, vals[0], _geom_left, "left", a)
         seed_r = _tail_sum(0.0, u.right_tail, u.p, b + 1, -alpha, vals[-1], _geom_right,
@@ -112,9 +113,10 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     """
     coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, n, n)
     pm1, i = p - 1.0, n - a  # n in vals
-    for v, w in zip(vals, vals[1:i + 1]):
+    for v, w in zip(vals, islice(vals, 1, i + 1)):
         left = left / p + (v - w) / pm1
-    for v, w in zip(reversed(vals), reversed(vals[i:-1])):
+    down = vals[::-1]
+    for v, w in zip(down, islice(down, 1, len(vals) - i)):
         right = q * right + (v - w) / qm1
     try:
         return coef * p_pow(u.p, -alpha * n) * (left + right)

@@ -107,6 +107,20 @@ def test_sweep_bad_tol_exit_2(capsys, tol):
     assert "tol must be finite and positive" in err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--rhs", "nosuch", "unknown catalog nonlinearity 'nosuch'"),
+    ("--gamma-frac", "nan", "gamma_frac must be finite"),
+    ("--gamma-frac", "inf", "gamma_frac must be finite"),
+    ("--u0", "nan", "u0 must be finite"),
+    ("--u0", "-inf", "u0 must be finite"),
+])
+def test_sweep_bad_grid_option_exit_2(capsys, flag, value, message):
+    # options shared by every cell are refused once, before any cell, not per row
+    code, out, err = run(capsys, "sweep", f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def solve_config(tmp_path, **overrides):
     cfg = {
         "p": 2, "alpha": 1.5, "gamma": 0.25, "u0": 1.0,

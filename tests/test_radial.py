@@ -122,7 +122,12 @@ def test_values_on_and_finite_sums_match_level_by_level(left, right):
               (2, 1), (-5, -7), (9, 4)]
     for lo, hi in ranges:
         want = [u.value_at(k) for k in range(lo, hi + 1)]
+        got = u.values_on(lo, hi)
+        assert got == want
+        got.append(7.0)  # a new list on every call, even for a range inside the window
+        got[0] = 7.0
         assert u.values_on(lo, hi) == want
+        assert u.values == (1.0, -2.0, 0.5, 4.0, -1.0, 0.25)
         for level_weight, c, origin in ((False, 0.0, 0), (True, 0.0, 0), (False, 0.5, 0),
                                         (True, -1.25, 4), (False, 2.0, -3)):
             for e in (-1.5, 0.0, 0.75):

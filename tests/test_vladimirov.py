@@ -266,10 +266,26 @@ def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
     assert apply_dalpha(u, 1.5, 0) == values[10]  # apply_dalpha reads nothing
 
 
+def _with_tails(u, left, right):
+    """u with a zero, constant or power tail on each side: the constant left and power
+    right tails are :func:`_rough_function`'s own, the power left tail decays as p^(k/2)
+    towards level -inf."""
+    p = u.p
+    lefts = {"zero": TailModel.zero(), "const": u.left_tail,
+             "power": TailModel.power_law(p_pow(p, -0.5 * (u.k_min - 1)), 0.5)}
+    rights = {"zero": TailModel.zero(), "const": TailModel.constant(-0.625),
+              "power": u.right_tail}
+    return RadialFunction(p, u.k_min, u.k_max, u.values,
+                          left_tail=lefts[left], right_tail=rights[right])
+
+
+@pytest.mark.parametrize("right", ("zero", "const", "power"))
+@pytest.mark.parametrize("left", ("zero", "const", "power"))
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.5))
-def test_sub_ranges_inside_the_window_match_the_window_pass(alpha):
-    # every level of the window, both ends included, is the single-level walk bit for bit
-    u = _rough_function(3, alpha, -15, 31, seed=4)
+def test_sub_ranges_inside_the_window_match_the_window_pass(alpha, left, right):
+    # every level of the window, both ends included, is the single-level walk bit for bit,
+    # for every closed-form seed of the walks
+    u = _with_tails(_rough_function(3, alpha, -15, 31, seed=4), left, right)
     values, _ = dalpha_window(u, alpha)
     assert len(values) == 31
     assert [apply_dalpha(u, alpha, n).hex() for n in range(u.k_min, u.k_max + 1)] \

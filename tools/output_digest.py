@@ -21,7 +21,8 @@ twice (exit 2 naming the line; the last line once won, with exit 0), and
 three invocations that exit 2 before any work: ``apply`` of ``dalpha`` at
 alpha = 1100, whose d_alpha once overflowed (exit 1 with a traceback),
 ``solve`` with ``--max-iter 0`` (once exit 1, an IndexError), and
-``sweep --tol nan`` (once exit 0, with every row a DomainError).
+``sweep`` with ``--tol nan``, ``--rhs nosuch`` or ``--gamma-frac nan``
+(each once exit 0, with every row a DomainError).
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -68,10 +69,14 @@ FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
 INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n",
           "twice.txt": "2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n",
           "sphere.txt": "2 0 0 0.0 zero zero\n0 1.0\n"}
-# invocations refused before any work: no Picard sweep to run, a tolerance of nan
+# invocations refused before any work: no Picard sweep to run, and a grid-wide sweep
+# option that every cell would refuse (a tolerance of nan, an rhs outside the catalog,
+# a gamma fraction of nan)
 REFUSED = (
     "solve --p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs cos-decay --max-iter 0",
     "sweep --tol nan",
+    "sweep --rhs nosuch",
+    "sweep --gamma-frac nan",
 )
 
 
