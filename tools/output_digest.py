@@ -18,7 +18,7 @@ among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
 the oracle's explicit strata reach past the test functions' windows into
 their tails, ``apply`` of ``dalpha`` to a file that gives one level
 twice (exit 2 naming the line; the last line once won, with exit 0), and
-three invocations that exit 2 before any work: ``apply`` of ``dalpha`` at
+five invocations that exit 2 before any work: ``apply`` of ``dalpha`` at
 alpha = 1100, whose d_alpha once overflowed (exit 1 with a traceback),
 ``solve`` with ``--max-iter 0`` (once exit 1, an IndexError), and
 ``sweep`` with ``--tol nan``, ``--rhs nosuch`` or ``--gamma-frac nan``
