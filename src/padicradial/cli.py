@@ -25,6 +25,7 @@ import sys
 
 from .errors import (
     BudgetError,
+    DegenerationError,
     DomainError,
     IndeterminateResidualError,
     MagnitudeError,
@@ -393,7 +394,9 @@ def cmd_sweep(args) -> int:
     # options every cell shares are refused once, before the first cell; the catalog
     # checks f's name and constants alike at every p, so p = 2 stands for all
     require_tol(args.tol)
-    require_finite(gamma_frac=args.gamma_frac, u0=args.u0)
+    if not 0.0 <= args.gamma_frac < 1.0:  # 0 <= gamma < min(1, alpha) for every alpha > 0
+        raise DegenerationError(f"gamma_frac must be in [0, 1), got {args.gamma_frac}")
+    require_finite(u0=args.u0)
     catalog_nonlinearity(args.rhs, 2, amplitude=args.rhs_amplitude, beta=args.rhs_beta)
     header = ("p,alpha,gamma,N,k_min,k_max,picard_iterations,"
               "max_abs_residual,residual_levels,truncation_budget,status")

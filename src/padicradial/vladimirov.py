@@ -115,8 +115,7 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     pm1, i = p - 1.0, n - a  # n in vals
     for v, w in zip(vals, islice(vals, 1, i + 1)):
         left = left / p + (v - w) / pm1
-    down = vals[::-1]
-    for v, w in zip(down, islice(down, 1, len(vals) - i)):
+    for v, w in zip(reversed(vals), islice(reversed(vals), 1, len(vals) - i)):
         right = q * right + (v - w) / qm1
     try:
         return coef * p_pow(u.p, -alpha * n) * (left + right)

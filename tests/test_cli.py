@@ -109,8 +109,12 @@ def test_sweep_bad_tol_exit_2(capsys, tol):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--rhs", "nosuch", "unknown catalog nonlinearity 'nosuch'"),
-    ("--gamma-frac", "nan", "gamma_frac must be finite"),
-    ("--gamma-frac", "inf", "gamma_frac must be finite"),
+    ("--rhs-beta", "nan", "decay_beta must be finite"),
+    ("--rhs-amplitude", "0", "bound_M must be positive"),
+    ("--gamma-frac", "nan", "gamma_frac must be in [0, 1)"),
+    ("--gamma-frac", "inf", "gamma_frac must be in [0, 1)"),
+    ("--gamma-frac", "1.5", "gamma_frac must be in [0, 1)"),
+    ("--gamma-frac", "-0.1", "gamma_frac must be in [0, 1)"),
     ("--u0", "nan", "u0 must be finite"),
     ("--u0", "-inf", "u0 must be finite"),
 ])

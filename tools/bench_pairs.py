@@ -1,17 +1,18 @@
 """Alternating parent/change pairs of one benchmark workload, and their record.
 
     python3 tools/bench_pairs.py --parent PATH --change PATH --workload operators \
-        --seed 11 --pairs 10 --seconds 25 --out BENCH.json
+        --seed 11 --out BENCH.json
 
 Runs ``bench/run.py --trace 0`` in the two source checkouts PATH, one after
-the other, ``--pairs`` times; the parent runs first in even pairs and the
-change in odd ones, so a drift of the host's speed favours neither.  For
-each end-to-end metric that the change checkout's ``BENCHMARK.json``
-names, prints each side's median and quartiles and the number of pairs the
-change won (ties count for neither), and whether the change meets the
-gain rule: at least nine tenths of the pairs won, and medians further
-apart than the parent's quartile spread.  A change median worse than the
-parent's by more than the metric's bound is flagged.
+the other, ten times, each run as long as the change checkout's
+``BENCHMARK.json`` says (``run_seconds``); the parent runs first in even
+pairs and the change in odd ones, so a drift of the host's speed favours
+neither.  For each end-to-end metric that ``BENCHMARK.json`` names, prints
+each side's median and quartiles and the number of pairs the change won
+(ties count for neither), and whether the change meets the gain rule: at
+least ten pairs, nine tenths of them won, and medians further apart than
+the parent's quartile spread.  A change median worse than the parent's by
+more than the metric's bound is flagged.
 
 The record (every run's metrics, ``correct``, ``attempted`` and ``failed``,
 and the summary) goes into the JSON file ``--out`` under the workload's
@@ -29,6 +30,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10  # pairs run, and the fewest that can show a gain
 GAIN_SHARE = 0.9  # share of pairs the change must win to claim a gain
 
 
@@ -69,7 +71,8 @@ def summarize(spec: dict, parent: list, change: list) -> dict:
             "change": {"median": cm, "q1": c1, "q3": c3},
             "pairs": len(xs), "won": won, "lost": lost,
             "relative_change": (cm - pm) / abs(pm) if pm else 0.0,
-            "gain_rule_met": won >= GAIN_SHARE * len(xs) and gain > p3 - p1,
+            "gain_rule_met": (len(xs) >= PAIRS and won >= GAIN_SHARE * len(xs)
+                              and gain > p3 - p1),
             "within_bound": -gain <= spec["bound"] * abs(pm)}
 
 
@@ -79,25 +82,22 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="change source checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, required=True, help="length of each run")
     parser.add_argument("--out", type=Path, required=True, help="JSON record to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1 and --seconds positive")
-    specs = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds, specs = bench["run_seconds"], bench["end_to_end"]
 
     runs = {"parent": [], "change": []}
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            result = run_once(getattr(args, side), args.workload, args.seed, seconds)
             runs[side].append(dict(result, pair=k, first=side == order[0]))
             shown = " ".join(f"{n}={v:.4g}" for n, v in result["metrics"].items())
-            print(f"pair {k + 1}/{args.pairs} {side}: {shown}", file=sys.stderr, flush=True)
+            print(f"pair {k + 1}/{PAIRS} {side}: {shown}", file=sys.stderr, flush=True)
 
     summary = {s["name"]: summarize(s, runs["parent"], runs["change"]) for s in specs}
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g}-s runs")
+    print(f"{args.workload}, seed {args.seed}, {PAIRS} pairs of {seconds:g}-s runs")
     for name, s in summary.items():
         par, chg = s["parent"], s["change"]
         flags = (" gain" if s["gain_rule_met"] else "") + ("" if s["within_bound"]
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
 
     record = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
     record["workloads"][args.workload] = {
-        "seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
+        "seed": args.seed, "pairs": PAIRS, "seconds": seconds,
         "all_correct": not incorrect, "metrics": summary, "runs": runs}
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 1 if incorrect else 0
