@@ -15,7 +15,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     IndeterminateResidualError,
-    InfeasibleRadiusError,
     MagnitudeError,
     MetadataError,
     NonConvergenceError,
@@ -30,7 +29,6 @@ from .haar import (
     ball_power_integral_oracle,
     haar_volume,
     p_pow,
-    p_pow_levels,
     sphere_log_integral,
     sphere_power_integral,
     sphere_shifted_log_integral,

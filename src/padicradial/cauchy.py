@@ -32,8 +32,9 @@ iteration only stores a window [K_min, N].  The kernel has one sign on
 |ftilde| <= M p^(-g k) is the kernel's own sum, two damped geometric
 walks with no branch at a = 1 (:func:`_truncation_constants`).  K_min is
 lowered until that bound, summed over every level up to one above the
-final window top, is below tol / 10; the sum over (1 - q_N) is reported as
-``truncation_budget`` rather than silently dropped.
+final window top, is below tol / 10, within a work limit of MAX_WINDOW
+levels; the sum over (1 - q_N) is reported as ``truncation_budget`` rather
+than silently dropped.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .errors import (
     ContractionError,
     DomainError,
     IndeterminateResidualError,
-    InfeasibleRadiusError,
     MetadataError,
     NonConvergenceError,
     require_alpha,
@@ -56,10 +56,13 @@ from .errors import (
     require_tol,
     require_weak_degeneration,
 )
-from .haar import OVERFLOW_GUARD, Prime, p_pow
+from .haar import Prime, p_pow
 from .radial import RadialFunction, TailModel
 from .fracint import _IalphaSweep, bound_constants
 from .vladimirov import d_alpha, dalpha_window
+
+# the widest window [K_min, N] the floor search certifies, in levels: a work limit
+MAX_WINDOW = 100_000
 
 
 @dataclass(frozen=True)
@@ -209,24 +212,19 @@ class SolveReport:
 
 def _radius_from_constants(c_uniform: float, lipschitz: float, p: int,
                            alpha_minus_gamma: float, n_cap: int = 8) -> int:
-    """Largest N <= n_cap with c_uniform * lipschitz * p^(N (alpha - gamma)) <= 1/2;
-    :class:`InfeasibleRadiusError` if it lies below -60."""
+    """Largest N <= n_cap with c_uniform * lipschitz * p^(N (alpha - gamma)) <= 1/2, however
+    deep; the guess sums logarithms and q forms lipschitz times the power first, so neither
+    overflows where c_uniform * lipschitz would."""
     if lipschitz == 0.0:
         return n_cap
     def q(n):
-        return c_uniform * lipschitz * p_pow(p, n * alpha_minus_gamma)
-    t = math.log(0.5 / (c_uniform * lipschitz)) / (alpha_minus_gamma * math.log(p))
+        return c_uniform * (lipschitz * p_pow(p, n * alpha_minus_gamma))
+    t = (math.log(0.5) - math.log(c_uniform) - math.log(lipschitz)) \
+        / (alpha_minus_gamma * math.log(p))
     n = math.floor(t + 1e-9)
     while q(n) > 0.5 * (1.0 + 1e-12):
         n -= 1
-    n = min(n, n_cap)
-    if n < -60:
-        raise InfeasibleRadiusError(
-            f"no level N in [-60, {n_cap}] satisfies "
-            f"c_uniform * F * p^(N (alpha - gamma)) <= 1/2 "
-            f"(c_uniform = {c_uniform}, F = {lipschitz})"
-        )
-    return n
+    return min(n, n_cap)
 
 
 def choose_local_radius(problem: ProblemSpec, n_cap: int = 8) -> int:
@@ -280,13 +278,9 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     The budget of a candidate K is rem(n) of :func:`_truncation_constants` summed
     over [K, n_top], C p^(e + h W) D_W + W C p^e / r with W = n_top - K + 1, read
     from :func:`_kernel_walk`.  K_min steps down 4 levels at a time, so each
-    candidate costs 4 steps of the walk.  Passing level -OVERFLOW_GUARD /
-    (m ln p), m = max(gamma, 1 - alpha), where p^(-gamma k) and p^((alpha-1) k)
-    leave the double range, is a BudgetError.  The level-scaled sweep forms
-    neither power, but the stop bounds the window's depth: the budget decays
-    like p^((alpha - gamma) K_min) with alpha - gamma >= 1 - 2 m, so the search
-    ends within about a thousand steps, where gamma near alpha or a tiny alpha
-    (``const`` at 1e-6: about 1e8 levels) would ask for a window 1e4 to 1e10 deep.
+    candidate costs 4 steps of the walk.  The budget decays like p^((alpha - gamma) K),
+    so gamma near alpha or a tiny alpha can ask for millions of levels:
+    a window wider than MAX_WINDOW is a BudgetError, met after 25 000 candidates.
     """
     require_tol(tol)
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
@@ -303,11 +297,10 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
         k_min -= 4
         width += 4
         _, total = next(islice(walk, 3, None))
-        # the same exponent * ln p that p_pow compares with its guard
-        if max(-gamma * k_min, (alpha - 1.0) * k_min) * math.log(p) > OVERFLOW_GUARD:
+        if width > MAX_WINDOW:
             raise BudgetError(
                 f"cannot certify the sub-window truncation below tol/10 = {tol / 10.0} "
-                f"before the window weights leave the double range at level {k_min} "
+                f"within the work limit of {MAX_WINDOW} window levels "
                 f"(bound {budget} at K_min = {k_min + 4})"
             )
 
@@ -345,9 +338,9 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     sweep = _IalphaSweep(p, alpha, gamma, k_min)
 
     def apriori(j: int) -> float:
-        # bound for |u_{j+1} - u_j|, valid on the whole ball |t| <= p^N
-        return (c_uni ** (j + 1)) * m_bound * (f_lip ** j) \
-            * p_pow(p, N * (j + 1) * (alpha - gamma))
+        # bound for |u_{j+1} - u_j| = C^(j+1) M F^j p^(N (j+1)(a - g)), valid on the whole
+        # ball |t| <= p^N, in q_N's powers so that no factor overflows
+        return c_uni * m_bound * p_pow(p, N * (alpha - gamma)) * q ** j
 
     diffs = []
     for it in range(max_iter):

@@ -136,6 +136,8 @@ def _parse_config(path: str) -> dict:
 def cmd_constants(args) -> int:
     if (args.sigma is None) == (args.gamma is None):
         raise DomainError("exactly one of --sigma or --gamma is required")
+    if args.nmax < 0:
+        raise DomainError(f"--nmax must be >= 0, got {args.nmax}")
     if args.sigma is not None:
         kc = kernel_constant(args.p, args.alpha, args.sigma)
         print(f"d_abs {_fmt(kc.d_abs)}")

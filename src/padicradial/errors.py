@@ -60,10 +60,6 @@ def require_weak_degeneration(alpha: float, gamma: float) -> None:
         )
 
 
-class InfeasibleRadiusError(DomainError):
-    """No admissible local radius exists in the configured level range."""
-
-
 class MetadataError(ValueError):
     """Declared nonlinearity metadata is inconsistent with observed values."""
 

@@ -75,11 +75,6 @@ def p_pow(base: float, exponent: float) -> float:
     return math.exp(t)
 
 
-def p_pow_levels(base: float, e: float, lo: int, hi: int) -> list:
-    """``base**(e k)`` for k in lo .. hi, each by :func:`p_pow`."""
-    return [p_pow(base, e * k) for k in range(lo, hi + 1)]
-
-
 def _require_convergent(what: str, a: float) -> None:
     require_finite(a=a)
     if a <= 0:
@@ -113,7 +108,7 @@ def ball_power_integral_oracle(p: int, a: float, n: int, depth: int = DEFAULT_DE
     p = Prime(p)
     _require_convergent("ball power integral", a)
     frac = 1.0 - 1.0 / p
-    return sum(frac * w for w in p_pow_levels(p, a, n - depth, n))
+    return sum(frac * p_pow(p, a * k) for k in range(n - depth, n + 1))
 
 
 def sphere_power_integral(p: int, a: float, n: int) -> float:
@@ -141,7 +136,7 @@ def sphere_shifted_power_integral_oracle(
     p = Prime(p)
     _require_convergent("shifted sphere power integral", a)
     frac = 1.0 - 1.0 / p
-    total = sum(frac * w for w in p_pow_levels(p, a, n - depth, n - 1))
+    total = sum(frac * p_pow(p, a * k) for k in range(n - depth, n))
     total += p_pow(p, n) * (1.0 - 2.0 / p) * p_pow(p, (a - 1.0) * n)
     return total
 
@@ -157,8 +152,7 @@ def ball_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPTH) -> floa
     p = Prime(p)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
-    weights = p_pow_levels(p, 1, n - depth, n)
-    return sum(frac * w * k * lp for k, w in zip(range(n - depth, n + 1), weights))
+    return sum(frac * p_pow(p, k) * k * lp for k in range(n - depth, n + 1))
 
 
 def sphere_log_integral(p: int, n: int) -> float:
@@ -186,7 +180,6 @@ def sphere_shifted_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPT
     p = Prime(p)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
-    weights = p_pow_levels(p, 1, n - depth, n - 1)
-    total = sum(frac * w * j * lp for j, w in zip(range(n - depth, n), weights))
+    total = sum(frac * p_pow(p, j) * j * lp for j in range(n - depth, n))
     total += p_pow(p, n) * (1.0 - 2.0 / p) * n * lp
     return total

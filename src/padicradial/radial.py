@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DivergenceError, DomainError, require_alpha
-from .haar import Prime, p_pow, p_pow_levels
+from .haar import Prime, p_pow
 
 _TAIL_KINDS = ("zero", "const", "power")
 
@@ -255,8 +255,8 @@ def _sum(u: RadialFunction, lo: int | None, hi: int | None, e: float,
         geom = _geom_left_level if level_weight else _geom_left
         total = _tail_sum(total, u.left_tail, p, lo - 1, e, c, geom, "left", origin)
     top = max(lo, u.k_max + 1) - 1 if hi is None else hi
-    for k, w, v in zip(range(lo, top + 1), p_pow_levels(p, e, lo - origin, top - origin),
-                       u.values_on(lo, top)):
+    for k, v in zip(range(lo, top + 1), u.values_on(lo, top)):
+        w = p_pow(p, e * (k - origin))
         total += ((k - origin) * w if level_weight else w) * (v - c)
     if hi is None:
         geom = _geom_right_level if level_weight else _geom_right

@@ -46,7 +46,7 @@ import math
 from itertools import islice
 
 from .errors import DivergenceError, MagnitudeError, require_alpha
-from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow, p_pow_levels
+from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, _geom_left, _geom_right, _sum, _tail_sum
 
 _UNIT = 2.0 ** -53  # unit roundoff of a double
@@ -190,8 +190,8 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     diag += frac * p_pow(p, -alpha * n) * _sum(u, None, n - depth - 1, 1.0, c=c, origin=n)
 
     right = 0.0
-    for w, v in zip(p_pow_levels(p, -alpha, n + 1, n + depth), u.values_on(n + 1, n + depth)):
-        right += frac * w * (v - c)
+    for k, v in zip(range(n + 1, n + depth + 1), u.values_on(n + 1, n + depth)):
+        right += frac * p_pow(p, -alpha * k) * (v - c)
     right += frac * _sum(u, n + depth + 1, None, -alpha, c=c)
 
     return d * (diag + right)

@@ -13,13 +13,12 @@ from padicradial.errors import (
     DivergenceError,
     DomainError,
     IndeterminateResidualError,
-    InfeasibleRadiusError,
     MagnitudeError,
     MetadataError,
 )
 import padicradial.cauchy as cauchy
 from padicradial import haar
-from padicradial.haar import ball_power_integral, p_pow, p_pow_levels
+from padicradial.haar import ball_power_integral, p_pow
 from padicradial.radial import RadialFunction, TailModel, check_summability, weighted_sum_left
 from padicradial.fracint import _IalphaSweep, kernel_constant_oracle, power_image_coefficient
 from padicradial.cauchy import (
@@ -135,8 +134,8 @@ def test_radius_zero_lipschitz_hits_cap():
 
 
 def test_radius_infeasible():
-    with pytest.raises(InfeasibleRadiusError):
-        _radius_from_constants(1e30, 1e30, 2, 0.5)
+    # N has no floor: 1e30 * 1e30 * 2^(N / 2) <= 1/2 first holds at N = -401
+    assert _radius_from_constants(1e30, 1e30, 2, 0.5) == -401
 
 
 # -- window floor ------------------------------------------------------------------
@@ -147,12 +146,6 @@ def test_window_budget_closed_form_matches_level_sum(p, alpha, gamma):
     prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
                        rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1, beta=2.5))
     for n_top in (0, 40, 251):
-        if (p, alpha, n_top) == (5, 2.5, 251):
-            # the kernel factor p^(1.5 * 251) needs K_min near -980, below
-            # level -725 where p^(-gamma k) overflows: not certifiable
-            with pytest.raises(BudgetError, match="double range at level -728 "):
-                _choose_window_floor(prob, n_top, 1e-10)
-            continue
         k_min, budget = _choose_window_floor(prob, n_top, 1e-10)
         assert budget <= 1e-11
         levels = sum(islice(_truncation_bound(prob, k_min, k_min), n_top - k_min + 1))
@@ -185,22 +178,67 @@ def test_deep_targets_certify_without_a_level_cap(p, alpha, gamma, extend_to, k_
         prob, N, 1e-10, reserve_top=k_max + 1).truncation_budget
 
 
-@pytest.mark.parametrize("rhs, alpha, gamma, stop", [
-    ("zero", 0.5, 0.5 - 1e-9, -2020),
-    ("const", 0.5, 0.5 - 1e-3, -2020),
-    ("const", 1e-6, 0.0, -1012),
+@pytest.mark.parametrize("rhs, alpha, gamma", [
+    ("zero", 0.5, 0.5 - 1e-9),
+    ("const", 1e-6, 0.0),
 ])
-def test_window_floor_stops_where_the_weights_leave_the_double_range(rhs, alpha, gamma, stop):
-    # near degeneration (or for tiny alpha) the certified budget would need a
-    # floor between -6e4 and -7e10; the search stops at the first candidate
-    # whose ftilde or I^alpha weights overflow instead of running on
+def test_window_floor_stops_at_the_work_limit(rhs, alpha, gamma):
+    # with alpha - gamma at 1e-9 or 1e-6 the budget decays like p^((alpha - gamma) K), so
+    # the floor would lie millions of levels down; the search refuses past MAX_WINDOW
+    # levels, naming the limit and the bound at the last candidate, 99 997 levels wide
     prob = ProblemSpec(p=2, alpha=alpha, gamma=gamma, u0=1.0,
                        rhs=catalog_nonlinearity(rhs, 2))
-    with pytest.raises(BudgetError, match=f"double range at level {stop} "):
+    limit = f"work limit of {cauchy.MAX_WINDOW} window levels "
+    with pytest.raises(BudgetError, match=re.escape(limit) + r"\(bound \S+ at K_min = -99952\)"):
         solve_problem(prob, tol=1e-10)
-    with pytest.raises(MagnitudeError):
-        p_pow(2, max(-gamma * stop, (alpha - 1.0) * stop))
-    p_pow(2, max(-gamma * (stop + 4), (alpha - 1.0) * (stop + 4)))
+
+
+@pytest.mark.parametrize("p, alpha, gamma, rhs, N, width", [
+    (2, 0.05, 0.025, "cos-decay", 8, 1848),
+    (2, 1.7, 0.99, "cos-decay", -6, 6222),
+    (2, 0.3, 0.297, "cos-decay", -1520, 16556),
+    (2, 0.3, 0.297, "const", 8, 18124),
+    (2, 0.5, 0.499, "const", 8, 58596),
+])
+def test_deep_regimes_solve_within_the_work_limit(p, alpha, gamma, rhs, N, width):
+    # a tiny alpha, gamma at 0.99 min(1, alpha), and N far below the old level -60 all
+    # certify; each window is deeper than the double range of p^(-gamma k)
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+                       rhs=catalog_nonlinearity(rhs, p))
+    rep = solve_problem(prob, tol=1e-10)
+    assert rep.local_radius_N == N and len(rep.solution.values) == width
+    assert rep.truncation_budget <= 1e-10
+
+
+def _reference():
+    """bench/reference.py, the package-independent mpmath reference, loaded read-only."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p, alpha, gamma", [(2, 0.05, 0.025), (2, 0.3, 0.297), (3, 0.5, 0.2)])
+def test_const_solution_matches_an_independent_reference(p, alpha, gamma):
+    # for f = lam, u(p^n) = u0 + lam c(-gamma) p^((alpha - gamma) n) exactly, with
+    # c(-gamma) = (I^alpha |t|^(-gamma))(1) from the reference's 50-digit strata sums
+    from mpmath import mp, mpf
+    reference = _reference()
+    lam = 0.1
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+                       rhs=catalog_nonlinearity("const", p, amplitude=lam))
+    rep = solve_problem(prob, tol=1e-10)
+    power = ("power", 1.0, -gamma)
+    c = reference.ialpha(reference.Radial(p, 0, [1.0], power, power), alpha, 0, 0)[0][0]
+    with mp.workdps(30):
+        P, rate = mpf(p), mpf(alpha) - mpf(gamma)
+        for n, u in enumerate(rep.solution.values, rep.k_min):
+            ref = float(1 + lam * c * P ** (rate * n))
+            # the tol term covers rounding where |u| is large: at (3, 0.5, 0.2) |u| nears 1e5
+            assert abs(u - ref) <= rep.truncation_budget + 1e-10 * max(1.0, abs(u)), n
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.5])
@@ -585,8 +623,8 @@ def test_bounded_sigmoid_solves():
 
 # -- powers computed once per solve ------------------------------------------------
 
-def _guarded_powers(fn, funcs=(haar.p_pow, haar.p_pow_levels)):
-    """(fn(), the number of calls of funcs, by default p_pow and p_pow_levels, it made)."""
+def _guarded_powers(fn, funcs=(haar.p_pow,)):
+    """(fn(), the number of calls of funcs, by default p_pow, it made)."""
     codes = {func.__code__ for func in funcs}
     calls = 0
 
@@ -618,17 +656,15 @@ def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
 
 @pytest.mark.parametrize("alpha", (1.5, 1.0, 0.5))
 def test_continuation_reuses_picards_power_tables(alpha):
-    # a solve builds two sweeps, Picard's and the continuation's, and no table of powers of p,
-    # however deep the window
+    # a solve builds two sweeps, Picard's and the continuation's, however deep the window
     rhs = catalog_nonlinearity("cos-decay", 3, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=3, alpha=alpha, gamma=0.3, u0=1.0, rhs=rhs)
     for extend_to in (30, 60):
         def solve():
             return solve_problem(prob, tol=1e-10, extend_to=extend_to)
         rep, sweeps = _guarded_powers(solve, funcs=(_IalphaSweep.__init__,))
-        _, tables = _guarded_powers(solve, funcs=(haar.p_pow_levels,))
         assert rep.solution.k_max == extend_to and len(rep.extension_diagnostics) > extend_to - 10
-        assert sweeps == 2 and tables == 0
+        assert sweeps == 2
 
 
 def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
@@ -727,7 +763,6 @@ def _with_solution(call, tol):
 
 @pytest.mark.parametrize("call", [
     lambda: p_pow(2, math.nan),
-    lambda: p_pow_levels(2, math.nan, 0, 3),
     lambda: weighted_sum_left(RadialFunction.constant(2, 1.0), 0, math.nan),
     lambda: ball_power_integral(2, math.nan, 0),
     lambda: kernel_constant_oracle(2, math.nan, 0),

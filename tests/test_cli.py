@@ -39,6 +39,15 @@ def test_constants_gamma_mode(capsys):
         assert float(line.split()[1]) <= c_value * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("nmax", ["-1", "-3"])
+def test_constants_negative_nmax_exit_2(capsys, nmax):
+    # a negative --nmax once printed only the uniform constant C and exited 0
+    code, out, err = run(capsys, "constants", "--p", "2", "--alpha", "1",
+                         "--gamma", "0.25", "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert f"--nmax must be >= 0, got {nmax}" in err
+
+
 def test_constants_requires_exactly_one_mode(capsys):
     code, _, err = run(capsys, "constants", "--p", "2", "--alpha", "1")
     assert code == 2
@@ -194,12 +203,12 @@ def test_solve_gamma_gate_exit_2(tmp_path, capsys):
 
 
 def test_solve_uncertifiable_window_floor_exit_3(capsys):
-    # gamma close to alpha: the truncation budget cannot be met above the
-    # level where the window weights overflow, a runtime failure
-    code, _, err = run(capsys, "solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.499",
+    # gamma close to alpha: the truncation budget cannot be met within the work
+    # limit on the window width, a runtime failure
+    code, _, err = run(capsys, "solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.499999999",
                        "--u0", "1", "--rhs", "zero")
     assert code == 3
-    assert "double range" in err
+    assert "work limit of 100000 window levels" in err
 
 
 def test_solve_flag_overrides_config(tmp_path, capsys):

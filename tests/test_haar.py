@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padicradial.errors import DivergenceError, DomainError, MagnitudeError
 from padicradial.haar import (
@@ -12,7 +12,6 @@ from padicradial.haar import (
     ball_power_integral_oracle,
     haar_volume,
     p_pow,
-    p_pow_levels,
     sphere_log_integral,
     sphere_power_integral,
     sphere_shifted_log_integral,
@@ -52,25 +51,6 @@ def test_prime_of_a_prime_is_itself_and_composites_still_fail():
 def test_p_pow_overflow_guard():
     with pytest.raises(MagnitudeError):
         p_pow(2, 2000.0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(p=st.sampled_from((2, 3, 7, 101, 65537, 1000003)), e=st.floats(-3.0, 3.0),
-       lo=st.integers(-1100, 1100), width=st.integers(0, 40))
-@example(p=2, e=1.0, lo=1000, width=20)       # crosses the overflow guard at k = 1010
-@example(p=2, e=-1.0, lo=1065, width=20)      # crosses the underflow edge at k = 1075
-@example(p=1000003, e=3.0, lo=10, width=10)   # guard at k = 16.9
-@example(p=1000003, e=-3.0, lo=-20, width=10)
-def test_power_table_is_p_pow_level_by_level(p, e, lo, width):
-    hi = lo + width
-    try:
-        want = [p_pow(p, e * k) for k in range(lo, hi + 1)]
-    except MagnitudeError as err:
-        with pytest.raises(MagnitudeError) as got:
-            p_pow_levels(p, e, lo, hi)
-        assert str(got.value) == str(err)
-        return
-    assert [x.hex() for x in p_pow_levels(p, e, lo, hi)] == [x.hex() for x in want]
 
 
 def test_p_pow_underflow_is_zero():

@@ -17,12 +17,18 @@ among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
 ``verify``, ``verify`` of the ``D^alpha`` oracle at depth 3, where
 the oracle's explicit strata reach past the test functions' windows into
 their tails, ``apply`` of ``dalpha`` to a file that gives one level
-twice (exit 2 naming the line; the last line once won, with exit 0), and
-five invocations that exit 2 before any work: ``apply`` of ``dalpha`` at
-alpha = 1100, whose d_alpha once overflowed (exit 1 with a traceback),
-``solve`` with ``--max-iter 0`` (once exit 1, an IndexError), and
+twice (exit 2 naming the line; the last line once won, with exit 0),
+three ``solve`` runs past the depth caps that once stood: a window 1848 levels
+deep at alpha = 0.05 (once exit 3), a floor search that meets the work limit
+on the window width (exit 3), and ``--rhs-amplitude 1e306`` at gamma = 0.4,
+where N lies near -10 200 (once exit 2, on the radius cap), and at gamma =
+0.4999, where c_uniform F overflows (once exit 1, a math domain error; exit 2
+since), and six invocations that exit 2 before any work: ``apply`` of
+``dalpha`` at alpha = 1100, whose d_alpha once overflowed (exit 1 with a
+traceback), ``solve`` with ``--max-iter 0`` (once exit 1, an IndexError),
 ``sweep`` with ``--tol nan``, ``--rhs nosuch`` or ``--gamma-frac nan``
-(each once exit 0, with every row a DomainError).
+(each once exit 0, with every row a DomainError), and ``constants`` with
+``--nmax -1`` (once exit 0, printing only C).
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -69,14 +75,23 @@ FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
 INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n",
           "twice.txt": "2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n",
           "sphere.txt": "2 0 0 0.0 zero zero\n0 1.0\n"}
+# solves past the radius cap at level -60 and the floor stop where p^(-gamma k) leaves
+# the double range: a deep window, the work limit, and N near -10 200 with F = 1e306
+DEEP = (
+    "solve --p 2 --alpha 0.05 --gamma 0.025 --u0 1 --rhs cos-decay",
+    "solve --p 2 --alpha 0.5 --gamma 0.499999999 --u0 1 --rhs zero",
+    "solve --p 2 --alpha 0.5 --gamma 0.4 --u0 1 --rhs cos-decay --rhs-amplitude 1e306",
+    "solve --p 2 --alpha 0.5 --gamma 0.4999 --u0 1 --rhs cos-decay --rhs-amplitude 1e306",
+)
 # invocations refused before any work: no Picard sweep to run, and a grid-wide sweep
 # option that every cell would refuse (a tolerance of nan, an rhs outside the catalog,
-# a gamma fraction of nan)
+# a gamma fraction of nan), and a negative --nmax
 REFUSED = (
     "solve --p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs cos-decay --max-iter 0",
     "sweep --tol nan",
     "sweep --rhs nosuch",
     "sweep --gamma-frac nan",
+    "constants --p 2 --alpha 1 --gamma 0.25 --nmax -1",
 )
 
 
@@ -99,7 +114,7 @@ def invocations(tmp: Path) -> list:
         ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"],
         ["apply", "--op", "dalpha", "--alpha", "1.5", "--input", str(tmp / "twice.txt")],
         ["apply", "--op", "dalpha", "--alpha", "1100", "--input", str(tmp / "sphere.txt")],
-    ] + [line.split() for line in REFUSED]
+    ] + [line.split() for line in DEEP + REFUSED]
 
 
 def main() -> None:
