@@ -201,8 +201,9 @@ def test_window_floor_stops_at_the_work_limit(rhs, alpha, gamma):
     (2, 0.5, 0.499, "const", 8, 58596),
 ])
 def test_deep_regimes_solve_within_the_work_limit(p, alpha, gamma, rhs, N, width):
-    # a tiny alpha, gamma at 0.99 min(1, alpha), and N far below the old level -60 all
-    # certify; each window is deeper than the double range of p^(-gamma k)
+    # a tiny alpha, gamma at 0.99 min(1, alpha), and N far below level -60 all certify; each
+    # window reaches past the level where p^(-gamma k) or p^((alpha - 1) k) leaves the double
+    # range, which the level-scaled sweep never forms
     prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
                        rhs=catalog_nonlinearity(rhs, p))
     rep = solve_problem(prob, tol=1e-10)

@@ -18,12 +18,12 @@ among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
 the oracle's explicit strata reach past the test functions' windows into
 their tails, ``apply`` of ``dalpha`` to a file that gives one level
 twice (exit 2 naming the line; the last line once won, with exit 0),
-three ``solve`` runs past the depth caps that once stood: a window 1848 levels
+four ``solve`` runs past the depth caps that once stood: a window 1848 levels
 deep at alpha = 0.05 (once exit 3), a floor search that meets the work limit
-on the window width (exit 3), and ``--rhs-amplitude 1e306`` at gamma = 0.4,
-where N lies near -10 200 (once exit 2, on the radius cap), and at gamma =
-0.4999, where c_uniform F overflows (once exit 1, a math domain error; exit 2
-since), and six invocations that exit 2 before any work: ``apply`` of
+on the window width (exit 3), ``--rhs-amplitude 1e306`` at gamma = 0.4,
+where N lies near -10 200 (once exit 2, on the radius cap), and the same at
+gamma = 0.4999, where c_uniform F overflows (once exit 1, a math domain error;
+exit 2 since), and six invocations that exit 2 before any work: ``apply`` of
 ``dalpha`` at alpha = 1100, whose d_alpha once overflowed (exit 1 with a
 traceback), ``solve`` with ``--max-iter 0`` (once exit 1, an IndexError),
 ``sweep`` with ``--tol nan``, ``--rhs nosuch`` or ``--gamma-frac nan``
