@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import (
     BudgetError,
@@ -160,8 +160,7 @@ class ProblemSpec:
         self.rhs.spot_check(self.p)
 
 
-@dataclass(frozen=True)
-class ExtensionDiagnostic:
+class ExtensionDiagnostic(NamedTuple):
     v0: float
     kappa: float
     iterations: int
@@ -272,8 +271,10 @@ def _truncation_bound(problem: ProblemSpec, k_cut: int, start: int) -> Iterator[
         yield c * p_pow(problem.p, e + h * m) * s + flat
 
 
-def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
-    """Lower window edge K_min with total certified truncation <= tol / 10.
+def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float,
+                        highest: float = math.inf) -> tuple:
+    """Lower window edge K_min at or below ``highest`` (Picard's top N; n_top by default)
+    with total certified truncation <= tol / 10.
 
     The budget of a candidate K is rem(n) of :func:`_truncation_constants` summed
     over [K, n_top], C p^(e + h W) D_W + W C p^e / r with W = n_top - K + 1, read
@@ -292,7 +293,7 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float) -> tuple:
     while True:
         e = (alpha - gamma) * (k_min - 1)
         budget = c * p_pow(p, e + h * width) * total + width * (c * p_pow(p, e) / r)
-        if budget <= tol / 10.0:
+        if budget <= tol / 10.0 and k_min <= highest:
             return k_min, budget
         k_min -= 4
         width += 4
@@ -332,7 +333,7 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
             f"local contraction factor q_N = {q} >= 1 at N = {N}; "
             "choose a more negative local radius"
         )
-    k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol)
+    k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol, N)
     enforce = start_value is None
     cur = [u0 if start_value is None else float(start_value)] * (N + 1 - k_min)
     sweep = _IalphaSweep(p, alpha, gamma, k_min)
@@ -420,8 +421,7 @@ def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
     )
 
 
-@dataclass(frozen=True)
-class ResidualEstimate:
+class ResidualEstimate(NamedTuple):
     value: float
     uncertainty: float
 
@@ -449,7 +449,7 @@ def _residual_fit(u: RadialFunction, alpha: float) -> tuple:
     frac = 1.0 - 1.0 / p
     lnp = math.log(p)
     d = abs(d_alpha(p, alpha))
-    data = 1e-15 * max(1.0, max(abs(v) for v in u.values)) * d * frac
+    data = 1e-15 * max(1.0, max(map(abs, u.values))) * d * frac
     amp = p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp)
     return window, rounding, env, rho_hat, tail, d * frac, data, amp, lnp
 
@@ -573,7 +573,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
         # v0: I^alpha at level n of the levels <= ell alone
         diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)
         values.append(x)
-        sweep.advance([f(n, x)])
+        sweep.advance((f(n, x),))
     u = replace(u, k_max=target, values=u.values + tuple(values))
     return replace(report, solution=u, extension_diagnostics=diags)
 

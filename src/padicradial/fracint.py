@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DivergenceError, require_alpha, require_finite, require_weak_degeneration
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
@@ -193,16 +193,16 @@ class _IalphaSweep:
         self.level = self.start - 1
         self.state = state
 
-    def _guard(self, count: int) -> None:
-        """Raise at the first of the next ``count`` levels past ``top``, if one is."""
-        past = max(self.level + 1, self.top + 1)
-        if past <= self.level + count:
-            p_pow(self.p, self.e * past)  # raises
+    def _guard(self) -> None:
+        """Raise at the first level past ``top`` after ``level``: each step calls it
+        only once its last level would lie past ``top``."""
+        p_pow(self.p, self.e * max(self.level + 1, self.top + 1))  # raises
 
     def ahead(self) -> tuple:
         """(known, c, shift) of the next level n: I^alpha there is known + c (f_n - shift),
         with c = p^((alpha - gamma) n - alpha) and shift = p^gamma f_(n-1)."""
-        self._guard(1)
+        if self.level >= self.top:
+            self._guard()
         rb, rg, pg, _, _, coef = self.consts
         bc, gc, last = self.state
         s = self.step ** (self.level + 1)
@@ -210,7 +210,8 @@ class _IalphaSweep:
 
     def window(self, fs: list) -> list:
         """Step to each next level with its f, returning I^alpha ftilde at each."""
-        self._guard(len(fs))
+        if self.level + len(fs) > self.top:
+            self._guard()
         rb, rg, pg, ib, ig, coef = self.consts
         step = self.step
         bc, gc, last = self.state
@@ -225,9 +226,10 @@ class _IalphaSweep:
         self.state = (bc, gc, last)
         return out
 
-    def advance(self, fs: list) -> None:
+    def advance(self, fs: Sequence[float]) -> None:
         """Step to each next level with its f as :meth:`window` does, forming no value."""
-        self._guard(len(fs))
+        if self.level + len(fs) > self.top:
+            self._guard()
         rb, rg, pg, ib, ig, _ = self.consts
         bc, gc, last = self.state
         for f in fs:

@@ -113,7 +113,7 @@ class RadialFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Prime(self.p))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if self.k_min > self.k_max:
             raise DomainError(f"window requires k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if len(self.values) != self.k_max - self.k_min + 1:
@@ -121,7 +121,7 @@ class RadialFunction:
                 f"window [{self.k_min}, {self.k_max}] needs "
                 f"{self.k_max - self.k_min + 1} values, got {len(self.values)}"
             )
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise DomainError("all window values must be finite")
         if not math.isfinite(self.value_at_zero):
             raise DomainError("value at zero must be finite")

@@ -63,15 +63,6 @@ def d_alpha(p: int, alpha: float) -> float:
     return -math.expm1(t) / (1.0 - p_pow(p, -alpha - 1.0))
 
 
-def _damped(x: float, ratio: float, terms) -> list:
-    """[x, then x = x * ratio + t for each t]: one walk of the recurrences."""
-    out = [x]
-    for t in terms:
-        x = x * ratio + t
-        out.append(x)
-    return out
-
-
 def _seed_rounding(tail, origin: int, e: float, seed: float, c: float, g: float,
                    lnp: float) -> float:
     """Rounding bound of a closed-form seed with weights summing to g: its tail
@@ -125,43 +116,48 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
 
 
 def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
-    """(values, rounding) of D^alpha u on the window in one O(W) pass.
+    """(values, rounding) of D^alpha u on the window in O(W): one walk per side forms
+    Lhat or Rhat with its rounding bound, and one pass over the levels joins them.
 
     ``values[i]`` is :func:`apply_dalpha` at level k_min + i, bit for bit, or
     None where that raises :class:`MagnitudeError`; ``rounding[i]`` bounds its
     error to first order, taking the tails as exact.  Nothing is cached.
     """
     coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, u.k_min, u.k_max)
-    b, pm1, lnp = u.k_max, p - 1.0, math.log(u.p)
-    lefts = [left]  # Lhat(a .. b)
-    for v, w in zip(vals, vals[1:]):
-        left = left / p + (v - w) / pm1
-        lefts.append(left)
-    down = vals[::-1]
-    rights = _damped(right, q, [(v - w) / qm1 for v, w in zip(down, down[1:])])  # Rhat(b .. a)
-    values, scale = [], []  # scale: p^(-alpha n), for the values and their bounds
-    for n, l, r in zip(range(a, b + 1), lefts, reversed(rights)):
-        try:
-            scale.append(p_pow(u.p, -alpha * n))
-            values.append(coef * scale[-1] * (l + r))
-        except MagnitudeError:
-            scale.append(None)
-            values.append(None)
-    # per step: the rounding of each operation on the magnitudes at hand,
-    # with q and 1/(p^a - 1) themselves off by 1 + 3x and 1 + 2x/(1-q) units
+    b, pm1, lnp, inv_p = u.k_max, p - 1.0, math.log(u.p), 1.0 / p
+    # per step, damped as the value is: the rounding of each operation on the magnitudes
+    # at hand, with q and 1/(p^a - 1) themselves off by 1 + 3x and 1 + 2x/(1-q) units
     x = alpha * lnp
-    err_l = _damped(_seed_rounding(u.left_tail, a, 1.0, lefts[0], vals[0], 1.0 / pm1, lnp),
-                    1.0 / p, [_UNIT * (2.0 * abs(l0) / p + 2.0 * abs(v - w) / pm1 + abs(l1))
-                              for l0, l1, v, w in zip(lefts, lefts[1:], vals, vals[1:])])
     c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
-    err_r = _damped(_seed_rounding(u.right_tail, b, -alpha, rights[0], vals[-1], 1.0 / qm1, lnp),
-                    q, [_UNIT * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
-                        for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
+    e = _seed_rounding(u.left_tail, a, 1.0, left, vals[0], 1.0 / pm1, lnp)
+    lefts = [(left, e)]  # Lhat(a .. b) with their bounds
+    for v, w in zip(vals, islice(vals, 1, None)):
+        d = v - w
+        l0, left = left, left / p + d / pm1
+        e = e * inv_p + _UNIT * (2.0 * abs(l0) / p + 2.0 * abs(d) / pm1 + abs(left))
+        lefts.append((left, e))
+    e = _seed_rounding(u.right_tail, b, -alpha, right, vals[-1], 1.0 / qm1, lnp)
+    rights = [(right, e)]  # Rhat(b .. a) with their bounds
+    for v, w in zip(reversed(vals), islice(reversed(vals), 1, None)):
+        d = v - w
+        r0, right = right, right * q + d / qm1
+        e = e * q + _UNIT * (c_q * q * abs(r0) + c_d * abs(d) / qm1 + abs(right))
+        rights.append((right, e))
     # d_a: a few units from expm1; the 1/(1-q) units are kept as margin
     c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
-    return values, [None if v is None else abs(coef) * w
-                    * (err_l[n - a] + err_r[b - n]) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)
-                    for n, v, w in zip(range(a, b + 1), values, scale)]
+    values, rounding = [], []
+    for n, (l, el), (r, er) in zip(range(a, b + 1), lefts, reversed(rights)):
+        try:
+            scale = p_pow(u.p, -alpha * n)
+        except MagnitudeError:
+            values.append(None)
+            rounding.append(None)
+            continue
+        v = coef * scale * (l + r)
+        values.append(v)
+        rounding.append(abs(coef) * scale * (el + er)
+                        + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v))
+    return values, rounding
 
 
 def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,

@@ -775,3 +775,47 @@ def _with_solution(call, tol):
 def test_nan_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_window_floor_lies_at_or_below_picards_top():
+    # a tiny M next to F certifies the budget at the first candidate, -8, while the local
+    # radius is -12: the floor steps on to N, so Picard's window holds level N, and the
+    # solve refuses the first continuation level that does not contract
+    rhs = Nonlinearity(eval=lambda k, x: 1e-300 * math.cos(x), bound_M=1e-300, lipschitz_F=1e4)
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+    assert choose_local_radius(prob) == -12
+    assert _choose_window_floor(prob, 24, 1e-10)[0] == -8
+    assert _choose_window_floor(prob, 24, 1e-10, -12)[0] == -12
+    rep = picard_solve(prob, -12, 1e-10, reserve_top=24)
+    assert rep.k_min == -12 and rep.solution.values == (1.0,)
+    with pytest.raises(ContractionError, match="extension to level -9 "):
+        solve_problem(prob)
+    rep = solve_problem(prob, extend_to=-10)
+    assert rep.k_min == -17 and rep.solution.k_max == -10
+
+
+def test_per_level_records_are_named_tuples():
+    # one record per continuation level and per residual level: plain tuples with names,
+    # the fields, repr and immutability of the frozen records they replace
+    est = cauchy.ResidualEstimate(value=0.5, uncertainty=1e-9)
+    diag = cauchy.ExtensionDiagnostic(v0=-0.25, kappa=0.0125, iterations=7)
+    assert cauchy.ResidualEstimate._fields == ("value", "uncertainty")
+    assert cauchy.ExtensionDiagnostic._fields == ("v0", "kappa", "iterations")
+    assert repr(est) == "ResidualEstimate(value=0.5, uncertainty=1e-09)"
+    assert repr(diag) == "ExtensionDiagnostic(v0=-0.25, kappa=0.0125, iterations=7)"
+    assert est == (0.5, 1e-9) and tuple(diag) == (-0.25, 0.0125, 7)
+    for record, name in ((est, "value"), (est, "uncertainty"), (diag, "v0"), (diag, "kappa"),
+                         (diag, "iterations")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+    prob = catalog_problem()
+    rep = solve_problem(prob)
+    diags = rep.to_dict()["extension_diagnostics"]
+    assert list(diags) == [str(n) for n in range(2, 37)]
+    assert {n: (d["v0"].hex(), d["kappa"].hex(), d["iterations"]) for n, d in diags.items()
+            if n in ("2", "10", "36")} == {
+        "2": ("-0x1.2e9cfc5342310p-3", "0x1.999999999999ap-7", 7),
+        "10": ("-0x1.17cd0a5ab4972p+2", "0x1.9999999999998p-13", 4),
+        "36": ("-0x1.2165951584007p+15", "0x1.21a1851ff6309p-32", 2)}
+    assert all(list(d) == ["v0", "kappa", "iterations"] for d in diags.values())
+    assert isinstance(residual(rep.solution, prob, 0), cauchy.ResidualEstimate)

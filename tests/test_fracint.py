@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -392,3 +393,32 @@ def test_apply_ialpha_writes_nothing_to_u():
     before = dict(vars(_DIGEST_U))
     assert apply_ialpha(_DIGEST_U, 1.5, 3) == apply_ialpha(_DIGEST_U, 1.5, 3)
     assert vars(_DIGEST_U) == before
+
+
+def _sweep_at(alpha, gamma, below_top):
+    """A sweep at p = 2 stepped up to ``below_top`` levels under its top."""
+    top = _IalphaSweep(2, alpha, gamma, 0).top
+    sweep = _IalphaSweep(2, alpha, gamma, top - 7)
+    sweep.advance([0.5 + 0.125 * k for k in range(8 - below_top)])
+    assert sweep.level == top - below_top
+    return sweep
+
+
+@pytest.mark.parametrize("alpha, gamma", ((0.5, 0.0), (1.0, 0.3), (1.5, 0.25)))
+def test_sweep_steps_past_the_top_raise_at_the_first_level_past_it(alpha, gamma):
+    # ahead and advance test the range inline: a step that stays at or below top forms
+    # no power of the guard, and one past it raises at top + 1, before stepping
+    first_past = re.escape(f"power 2**{(alpha - gamma) * (_sweep_at(alpha, gamma, 0).top + 1)} ")
+    sweep = _sweep_at(alpha, gamma, 1)
+    assert all(math.isfinite(x) for x in sweep.ahead())
+    sweep.advance((0.25,))
+    with pytest.raises(MagnitudeError, match="^" + first_past):
+        sweep.ahead()
+    for fs in ((0.25,) * 4, [0.25] * 9):
+        sweep = _sweep_at(alpha, gamma, 3)
+        level, state = sweep.level, sweep.state
+        with pytest.raises(MagnitudeError, match="^" + first_past):
+            sweep.advance(fs)
+        assert sweep.level == level and sweep.state == state
+    sweep.advance((0.25,) * 3)  # ends exactly at top
+    assert sweep.level == sweep.top and sweep.state != state

@@ -292,6 +292,68 @@ def test_sub_ranges_inside_the_window_match_the_window_pass(alpha, left, right):
         == [v.hex() for v in values]
 
 
+def _damped(x, ratio, terms):
+    """[x, then x = x * ratio + t for each t]: one walk of the recurrences."""
+    out = [x]
+    for t in terms:
+        x = x * ratio + t
+        out.append(x)
+    return out
+
+
+def _window_by_passes(u, alpha):
+    """dalpha_window composed pass by pass from the recurrences of the module docstring:
+    Lhat up, Rhat down, p^(-alpha n) per level, the values, then each side's per-step
+    rounding terms walked as the values are and joined with the scale."""
+    coef, p, q, qm1, a, vals, left, right = vladimirov._walk_start(u, alpha, u.k_min, u.k_max)
+    b, pm1, lnp, unit = u.k_max, p - 1.0, math.log(u.p), vladimirov._UNIT
+    lefts = [left]
+    for v, w in zip(vals, vals[1:]):
+        left = left / p + (v - w) / pm1
+        lefts.append(left)
+    down = vals[::-1]
+    rights = _damped(right, q, [(v - w) / qm1 for v, w in zip(down, down[1:])])
+    values, scale = [], []
+    for n, l, r in zip(range(a, b + 1), lefts, reversed(rights)):
+        try:
+            scale.append(p_pow(u.p, -alpha * n))
+            values.append(coef * scale[-1] * (l + r))
+        except MagnitudeError:
+            scale.append(None)
+            values.append(None)
+    x = alpha * lnp
+    seed_l = vladimirov._seed_rounding(u.left_tail, a, 1.0, lefts[0], vals[0], 1.0 / pm1, lnp)
+    err_l = _damped(seed_l, 1.0 / p, [unit * (2.0 * abs(l0) / p + 2.0 * abs(v - w) / pm1 + abs(l1))
+                                      for l0, l1, v, w in zip(lefts, lefts[1:], vals, vals[1:])])
+    c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
+    seed_r = vladimirov._seed_rounding(u.right_tail, b, -alpha, rights[0], vals[-1], 1.0 / qm1,
+                                       lnp)
+    err_r = _damped(seed_r, q, [unit * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
+                                for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
+    c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
+    return values, [None if v is None else abs(coef) * w * (err_l[n - a] + err_r[b - n])
+                    + unit * (c_coef + 3.0 * abs(n) * x) * abs(v)
+                    for n, v, w in zip(range(a, b + 1), values, scale)]
+
+
+def _hex(xs):
+    return [None if x is None else x.hex() for x in xs]
+
+
+@pytest.mark.parametrize("right", ("zero", "const", "power"))
+@pytest.mark.parametrize("left", ("zero", "const", "power"))
+@pytest.mark.parametrize("p, alpha, k_min", [(2, 1.0, -1030), (3, 0.5, -15), (7, 2.5, -8)])
+def test_window_walks_match_the_recurrences_pass_by_pass(p, alpha, k_min, left, right):
+    # one walk per side forms each sum with its rounding bound; values and bounds are those
+    # of the separate passes bit for bit, for every closed-form seed; at p = 2 the levels
+    # below -1009 are past the guard of p^(-alpha n), and are None in both
+    u = _with_tails(_rough_function(p, alpha, k_min, 40, seed=p), left, right)
+    values, rounding = dalpha_window(u, alpha)
+    want_values, want_rounding = _window_by_passes(u, alpha)
+    assert _hex(values) == _hex(want_values) and _hex(rounding) == _hex(want_rounding)
+    assert (None in values) == (k_min == -1030) and values.count(None) == rounding.count(None)
+
+
 def test_apply_dalpha_refuses_levels_beyond_double_range():
     with pytest.raises(MagnitudeError, match="p\\^\\(-alpha n\\)"):
         apply_dalpha(RadialFunction.constant(2, 1.0), 1.5, -1000)
