@@ -49,6 +49,7 @@ from .errors import (
     ContractionError,
     DomainError,
     IndeterminateResidualError,
+    MagnitudeError,
     MetadataError,
     NonConvergenceError,
     require_alpha,
@@ -104,7 +105,8 @@ class Nonlinearity:
 
     def spot_check(self, p: int) -> None:
         """Sample eval at 41 points of [-8, 8] on levels -12..12 and reject metadata
-        that the samples violate by more than 1e-9."""
+        that the samples violate by more than 1e-9.  Each sample is tested once against
+        its level's cap, bound_M or on levels >= 1 the decay envelope where tighter."""
         p = Prime(p)
         tol = 1e-9
         xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
@@ -113,33 +115,29 @@ class Nonlinearity:
         bound = self.bound_M + slack
         dx = xs[1] - xs[0]
         for k in range(-12, 13):
+            cap = bound
+            if self.decay is not None and k >= 1:
+                cap = min(self.bound_M, self.decay[0] * p_pow(p, -self.decay[1] * k)) + slack
             f_prev = None
-            vals = []  # the decay envelope is checked at every 8th of them
             step = (min(self.lipschitz_F, self.level_lipschitz(k)) + tol) * dx + tol
             for x in xs:
                 val = f(k, x)
-                vals.append(val)
-                if not math.isfinite(val):
-                    raise MetadataError(f"f(p^{k}, {x}) is not finite")
-                if abs(val) > bound:
-                    raise MetadataError(
-                        f"declared bound_M = {self.bound_M} violated: "
-                        f"|f(p^{k}, {x})| = {abs(val)}"
-                    )
+                if not abs(val) <= cap:  # NaN and inf fail it too
+                    if not math.isfinite(val):
+                        raise MetadataError(f"f(p^{k}, {x}) is not finite")
+                    if abs(val) > bound:
+                        raise MetadataError(
+                            f"declared bound_M = {self.bound_M} violated: "
+                            f"|f(p^{k}, {x})| = {abs(val)}"
+                        )
+                    a, beta = self.decay
+                    raise MetadataError(f"declared decay (A={a}, beta={beta}) violated at level {k}")
                 if f_prev is not None and abs(val - f_prev) > step:
                     raise MetadataError(
                         f"declared Lipschitz bound violated near (p^{k}, {x}): "
                         f"|df| = {abs(val - f_prev)} over dx = {dx}"
                     )
                 f_prev = val
-            if self.decay is not None and k >= 1:
-                a, beta = self.decay
-                envelope = a * p_pow(p, -beta * k) + slack
-                for val in vals[::8]:
-                    if abs(val) > envelope:
-                        raise MetadataError(
-                            f"declared decay (A={a}, beta={beta}) violated at level {k}"
-                        )
 
 
 @dataclass(frozen=True)
@@ -212,16 +210,14 @@ class SolveReport:
 def _radius_from_constants(c_uniform: float, lipschitz: float, p: int,
                            alpha_minus_gamma: float, n_cap: int = 8) -> int:
     """Largest N <= n_cap with c_uniform * lipschitz * p^(N (alpha - gamma)) <= 1/2, however
-    deep; the guess sums logarithms and q forms lipschitz times the power first, so neither
-    overflows where c_uniform * lipschitz would."""
+    deep; the guess sums logarithms and the test forms lipschitz times the power first, as
+    :func:`picard_solve` does, so neither overflows where c_uniform * lipschitz would."""
     if lipschitz == 0.0:
         return n_cap
-    def q(n):
-        return c_uniform * (lipschitz * p_pow(p, n * alpha_minus_gamma))
     t = (math.log(0.5) - math.log(c_uniform) - math.log(lipschitz)) \
         / (alpha_minus_gamma * math.log(p))
     n = math.floor(t + 1e-9)
-    while q(n) > 0.5 * (1.0 + 1e-12):
+    while c_uniform * (lipschitz * p_pow(p, n * alpha_minus_gamma)) > 0.5 * (1.0 + 1e-12):
         n -= 1
     return min(n, n_cap)
 
@@ -327,13 +323,15 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
     m_bound, f_lip, f = problem.rhs.bound_M, problem.rhs.lipschitz_F, problem.rhs.eval
     c_uni = bound_constants(p, alpha, gamma).c_uniform
-    q = c_uni * f_lip * p_pow(p, N * (alpha - gamma))
+    ball = p_pow(p, N * (alpha - gamma))
+    q = c_uni * (f_lip * ball)  # the radius search's order: c_uni * f_lip may overflow
     if q >= 1.0:
         raise DomainError(
             f"local contraction factor q_N = {q} >= 1 at N = {N}; "
             "choose a more negative local radius"
         )
-    k_min, budget = _choose_window_floor(problem, max(N, reserve_top or N), tol, N)
+    k_min, budget = _choose_window_floor(
+        problem, N if reserve_top is None else max(N, reserve_top), tol, N)
     enforce = start_value is None
     cur = [u0 if start_value is None else float(start_value)] * (N + 1 - k_min)
     sweep = _IalphaSweep(p, alpha, gamma, k_min)
@@ -341,12 +339,14 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     def apriori(j: int) -> float:
         # bound for |u_{j+1} - u_j| = C^(j+1) M F^j p^(N (j+1)(a - g)), valid on the whole
         # ball |t| <= p^N, in q_N's powers so that no factor overflows
-        return c_uni * m_bound * p_pow(p, N * (alpha - gamma)) * q ** j
+        return c_uni * (m_bound * ball) * q ** j
 
     diffs = []
     for it in range(max_iter):
         sweep.seed()  # ftilde is 0 below the window: the truncation budget bounds that
         new = [u0 + v for v in sweep.window([f(k, x) for k, x in enumerate(cur, k_min)])]
+        if not all(map(math.isfinite, new)):  # each value: max would pass over a NaN
+            raise MagnitudeError(f"Picard step {it} on the window [{k_min}, {N}] left the double range")
         diff = max(abs(a - b) for a, b in zip(new, cur))
         diffs.append(diff)
         cur = new

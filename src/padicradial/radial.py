@@ -33,9 +33,9 @@ class TailModel:
     """Analytic description of u(p^k) outside the stored window.
 
     kind ``zero``: identically 0; ``const``: the constant ``c``;
-    ``power``: ``c * p^(rho k)``.  A power law with c = 0 normalizes to
-    zero.  A constant is a power law with rho = 0 (its rho is set to 0)
-    but is kept distinct so constant tails stay exact.
+    ``power``: ``c * p^(rho k)``.  A constant or a power law with c = 0
+    normalizes to zero.  A constant is a power law with rho = 0 (its rho
+    is set to 0) but is kept distinct so constant tails stay exact.
     """
 
     kind: str
@@ -45,7 +45,7 @@ class TailModel:
     def __post_init__(self):
         if self.kind not in _TAIL_KINDS:
             raise DomainError(f"tail kind must be one of {_TAIL_KINDS}, got {self.kind!r}")
-        if self.kind == "power" and self.c == 0.0:
+        if self.c == 0.0:
             object.__setattr__(self, "kind", "zero")
         if self.kind != "power":  # the power law with rho = 0, which the operators rely on
             object.__setattr__(self, "rho", 0.0)

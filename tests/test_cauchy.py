@@ -83,14 +83,33 @@ def test_spot_check_reads_the_decay_samples_from_the_grid():
     counted, calls = _counted(catalog_nonlinearity("cos-decay", 3).eval)
     Nonlinearity(eval=counted, bound_M=0.1, lipschitz_F=0.1, decay=(0.1, 2.0)).spot_check(3)
     assert len(calls) == 25 * 41 and len(set(calls)) == len(calls)
-    # the same decision and message at the same level as with the samples evaluated again
+    # the same decision and message at the same level, at the level's first sample
     for k_bad in (1, 7, 12):
         counted, calls = _counted(lambda k, x: 0.5 if k == k_bad else 0.0)
         bad = Nonlinearity(eval=counted, bound_M=1.0, lipschitz_F=0.0, decay=(0.5, 2.0))
         with pytest.raises(MetadataError, match=f"^declared decay \\(A=0.5, beta=2.0\\) "
                                                 f"violated at level {k_bad}$"):
             bad.spot_check(2)
-        assert len(calls) == (k_bad + 13) * 41
+        assert len(calls) == (k_bad + 12) * 41 + 1
+
+
+def test_spot_check_tests_every_sample_against_the_decay_envelope():
+    # one sample at level 3 is 64 times the envelope 0.5 * 2^-6, far below bound_M
+    bad = Nonlinearity(eval=lambda k, x: 0.5 if (k == 3 and x == -7.6) else 0.0,
+                       bound_M=1.0, lipschitz_F=2.0, decay=(0.5, 2.0))
+    with pytest.raises(MetadataError, match=r"^declared decay \(A=0.5, beta=2.0\) "
+                                            r"violated at level 3$"):
+        bad.spot_check(2)
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "is not finite"), (math.inf, "is not finite"), (2.0, "bound_M = 1.0 violated")])
+def test_spot_check_names_the_cap_a_sample_breaks(value, message):
+    # above bound_M the bound is named even where the decay envelope is lower
+    bad = Nonlinearity(eval=lambda k, x: value if k == 3 else 0.0, bound_M=1.0,
+                       lipschitz_F=0.0, decay=(0.5, 2.0))
+    with pytest.raises(MetadataError, match=message):
+        bad.spot_check(2)
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
@@ -211,6 +230,57 @@ def test_deep_regimes_solve_within_the_work_limit(p, alpha, gamma, rhs, N, width
     assert rep.truncation_budget <= 1e-10
 
 
+def test_q_is_formed_in_the_radius_searchs_order():
+    # c_uniform F = 6.7 * 1e308 overflows; F p^(N (alpha - gamma)) does not, so the local
+    # ball contracts at the radius the search returns
+    rhs = Nonlinearity(eval=lambda k, x: math.cos(x), bound_M=1.0, lipschitz_F=1e308)
+    prob = ProblemSpec(p=2, alpha=0.5, gamma=0.4, u0=1.0, rhs=rhs)
+    rep = picard_solve(prob, choose_local_radius(prob))
+    assert math.isfinite(rep.q_contraction) and rep.q_contraction <= 0.5
+    assert all(map(math.isfinite, rep.apriori_bounds))
+
+
+def test_overflowing_c_uniform_f_meets_the_work_limit():
+    # N = -10 303 264 contracts; the floor would then lie millions of levels lower
+    prob = ProblemSpec(p=2, alpha=0.5, gamma=0.4999, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", 2, amplitude=1e306))
+    with pytest.raises(BudgetError, match=f"work limit of {cauchy.MAX_WINDOW} window levels"):
+        solve_problem(prob)
+
+
+def test_a_picard_sweep_out_of_the_double_range_is_a_magnitude_error():
+    # the scaled sweep sums about 1e306 / (1 - 2^-0.01) per level, past the double range
+    prob = ProblemSpec(p=2, alpha=0.5, gamma=0.49, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", 2, amplitude=1e306))
+    with pytest.raises(MagnitudeError, match=r"^Picard step 0 on the window \[-107155, -102367\] "
+                                             "left the double range$"):
+        solve_problem(prob)
+
+
+def test_a_nan_in_a_picard_sweep_is_refused():
+    # f is NaN at level -20, which spot_check does not sample; the levels below it stay
+    # finite, so max over the differences passes over the NaN above them, and the window
+    # was refused only after the last sweep, as a DomainError
+    rhs = Nonlinearity(eval=lambda k, x: math.nan if k == -20 else 0.1 * math.cos(x),
+                       bound_M=0.1, lipschitz_F=0.1)
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+    with pytest.raises(MagnitudeError, match="left the double range"):
+        picard_solve(prob, choose_local_radius(prob))
+
+
+@pytest.mark.parametrize("amplitude, N, k_min", [(5.0, -3, -56), (0.1, -1, -48)])
+def test_extend_to_minus_one_reserves_level_zero(amplitude, N, k_min):
+    # target + 1 = 0 is a level to reserve, not "no reserve": the floor covers level 0
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", 2, amplitude=amplitude))
+    rep = solve_problem(prob, tol=1e-10, extend_to=-1)
+    floor, floor_sum = _choose_window_floor(prob, 0, 1e-10, N)
+    assert rep.local_radius_N == N and rep.k_min == floor == k_min
+    assert rep.truncation_budget == floor_sum / (1.0 - rep.q_contraction)
+    rems = list(islice(_truncation_bound(prob, k_min, k_min), -k_min + 1))
+    assert sum(rems) <= rep.truncation_budget
+
+
 def _reference():
     """bench/reference.py, the package-independent mpmath reference, loaded read-only."""
     import importlib.util
@@ -287,6 +357,13 @@ def test_picard_zero_rhs():
     assert rep.picard_diffs == (0.0,)
     assert all(v == 1.0 for v in rep.solution.values)
     assert rep.solution.left_tail == TailModel.constant(1.0)
+
+
+def test_a_solve_from_u0_zero_has_a_zero_left_tail():
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=0.0, rhs=catalog_nonlinearity("zero", 2))
+    rep = picard_solve(prob, N=2, tol=1e-12)
+    assert rep.solution.left_tail == TailModel.zero()
+    assert rep.to_dict()["solution"]["left_tail"] == "zero"
 
 
 def test_picard_constant_rhs_closed_form():

@@ -211,6 +211,22 @@ def test_solve_uncertifiable_window_floor_exit_3(capsys):
     assert "work limit of 100000 window levels" in err
 
 
+def test_solve_overflowing_c_uniform_f_exit_3(capsys):
+    # c_uniform F overflows; q_N does not, so the floor search meets the work limit
+    code, _, err = run(capsys, "solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.4999",
+                       "--u0", "1", "--rhs", "cos-decay", "--rhs-amplitude", "1e306")
+    assert code == 3
+    assert "work limit of 100000 window levels" in err
+
+
+def test_solve_picard_sweep_out_of_the_double_range_exit_2(capsys):
+    # a magnitude fault, not wrong metadata
+    code, _, err = run(capsys, "solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.49",
+                       "--u0", "1", "--rhs", "cos-decay", "--rhs-amplitude", "1e306")
+    assert code == 2
+    assert "Picard step 0 on the window [-107155, -102367] left the double range" in err
+
+
 def test_solve_flag_overrides_config(tmp_path, capsys):
     cfg = solve_config(tmp_path, rhs="zero", u0=2.0, extend_to="5")
     csv = tmp_path / "sol.csv"

@@ -39,6 +39,17 @@ def test_power_tail_with_zero_coefficient_normalizes():
     assert TailModel.power_law(0.0, 2.0).kind == "zero"
 
 
+def test_constant_tail_of_zero_normalizes():
+    # a constant 0 is summable however the levels are weighted, as the zero tail is
+    tail = TailModel.constant(0.0)
+    assert tail == TailModel.zero() == TailModel.constant(-0.0)
+    assert tail.to_token() == TailModel.from_token("const:0.0").to_token() == "zero"
+    u = RadialFunction(2, -1, 1, (1.0, 1.0, 0.5), left_tail=TailModel.constant(1.0),
+                       right_tail=tail, value_at_zero=1.0)
+    assert weighted_sum_right(u, 0, 0.0) == 1.5
+    assert check_summability(u, 1.5, 0).cond_3_2.holds
+
+
 def test_tail_token_round_trip():
     for tail in (TailModel.zero(), TailModel.constant(-2.5), TailModel.power_law(1.5, -0.75)):
         assert TailModel.from_token(tail.to_token()) == tail

@@ -5,8 +5,9 @@
 Runs a fixed list of invocations in-process against the package in PATH
 (default: this checkout's ``src/``): the default ``sweep``, a ``sweep`` at
 p = 2, 7 with alpha at 1 and 1e-9 either side of it, ``solve`` with
-``--solution-out`` and ``--report-out`` on five problems (one whose exact
-solution is u0 because I^1 of a constant vanishes, one at p = 1000003),
+``--solution-out`` and ``--report-out`` on six problems (one whose exact
+solution is u0 because I^1 of a constant vanishes, one at p = 1000003, and one
+with ``--extend-to -1``, whose window floor once left out level 0),
 ``apply`` of ``dalpha`` and ``ialpha`` to a fixed radial function,
 ``apply`` of ``ialpha`` to a left tail p^(440 k) at p = 5, whose seed
 once overflowed ``expm1`` (exit 1 with a traceback, exit 0 since), and
@@ -18,12 +19,14 @@ among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
 the oracle's explicit strata reach past the test functions' windows into
 their tails, ``apply`` of ``dalpha`` to a file that gives one level
 twice (exit 2 naming the line; the last line once won, with exit 0),
-four ``solve`` runs past the depth caps that once stood: a window 1848 levels
+five ``solve`` runs past the depth caps that once stood: a window 1848 levels
 deep at alpha = 0.05 (once exit 3), a floor search that meets the work limit
 on the window width (exit 3), ``--rhs-amplitude 1e306`` at gamma = 0.4,
-where N lies near -10 200 (once exit 2, on the radius cap), and the same at
-gamma = 0.4999, where c_uniform F overflows (once exit 1, a math domain error;
-exit 2 since), and six invocations that exit 2 before any work: ``apply`` of
+where N lies near -10 200 (once exit 2, on the radius cap), the same at
+gamma = 0.4999, where c_uniform F overflows (once exit 1, a math domain error,
+then exit 2 on q_N = inf; exit 3 since, at the work limit), and at gamma = 0.49,
+where the Picard sweep leaves the double range (exit 2, once as wrong metadata),
+and six invocations that exit 2 before any work: ``apply`` of
 ``dalpha`` at alpha = 1100, whose d_alpha once overflowed (exit 1 with a
 traceback), ``solve`` with ``--max-iter 0`` (once exit 1, an IndexError),
 ``sweep`` with ``--tol nan``, ``--rhs nosuch`` or ``--gamma-frac nan``
@@ -55,6 +58,7 @@ SOLVES = (
     "--extend-to 2",
     "--p 2 --alpha 1 --gamma 0 --u0 1 --rhs const --rhs-amplitude 0.2 --rhs-beta 2.5",
     "--p 1000003 --alpha 1.5 --gamma 0.4 --u0 1 --rhs cos-decay",
+    "--p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs cos-decay --rhs-amplitude 5 --extend-to -1",
 )
 # kernel constants at a sigma, on the alpha = 1 branch too, and the bound constants at a gamma
 CONSTANTS = (
@@ -76,12 +80,14 @@ INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n
           "twice.txt": "2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n",
           "sphere.txt": "2 0 0 0.0 zero zero\n0 1.0\n"}
 # solves past the radius cap at level -60 and the floor stop where p^(-gamma k) leaves
-# the double range: a deep window, the work limit, and N near -10 200 with F = 1e306
+# the double range: a deep window, the work limit, N near -10 200 with F = 1e306, and
+# F = 1e306 where c_uniform F overflows or the Picard sweep leaves the double range
 DEEP = (
     "solve --p 2 --alpha 0.05 --gamma 0.025 --u0 1 --rhs cos-decay",
     "solve --p 2 --alpha 0.5 --gamma 0.499999999 --u0 1 --rhs zero",
     "solve --p 2 --alpha 0.5 --gamma 0.4 --u0 1 --rhs cos-decay --rhs-amplitude 1e306",
     "solve --p 2 --alpha 0.5 --gamma 0.4999 --u0 1 --rhs cos-decay --rhs-amplitude 1e306",
+    "solve --p 2 --alpha 0.5 --gamma 0.49 --u0 1 --rhs cos-decay --rhs-amplitude 1e306",
 )
 # invocations refused before any work: no Picard sweep to run, and a grid-wide sweep
 # option that every cell would refuse (a tolerance of nan, an rhs outside the catalog,
