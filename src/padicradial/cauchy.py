@@ -361,7 +361,7 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
     else:
         raise NonConvergenceError(
             f"iteration did not reach tol = {tol} in {max_iter} steps "
-            f"(last difference {diffs[-1]})", diffs=diffs)
+            f"(last difference {diffs[-1]})")
 
     solution = RadialFunction(p, k_min, N, tuple(cur), left_tail=TailModel.constant(u0),
                               right_tail=TailModel.zero(), value_at_zero=u0)
@@ -433,11 +433,10 @@ def _residual_fit(u: RadialFunction, alpha: float) -> tuple:
     p = u.p
     window, rounding = dalpha_window(u, alpha)
     env = max(abs(u.value_at(k)) for k in range(u.k_max - 2, u.k_max + 1))
-    rho_candidates = [max(alpha - 1.0, 0.0) + 0.05]
+    rho_hat = max(alpha - 1.0, 0.0) + min(0.05, alpha / 2.0)  # the fallback, below alpha
     a_last, b_last = abs(u.value_at(u.k_max)), abs(u.value_at(u.k_max - 1))
     if a_last > 1e-300 and b_last > 1e-300:
-        rho_candidates.append(math.log(a_last / b_last) / math.log(p))
-    rho_hat = max(rho_candidates)
+        rho_hat = max(rho_hat, math.log(a_last / b_last) / math.log(p))
     tail = None
     if rho_hat < alpha and window[-1] is not None:  # else residual refuses every level first
         x = p_pow(p, rho_hat - alpha)
@@ -460,8 +459,8 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
 
     u is trusted as declared on and below its window; above k_max its
     unknown continuation is bounded by an envelope fitted from the last
-    window values (growth exponent log_p of the last ratio, with the
-    decay-driven kernel growth max(alpha - 1, 0) as a fallback); the
+    window values (growth exponent log_p of the last ratio, at least the
+    kernel growth max(alpha - 1, 0) plus min(0.05, alpha / 2)); the
     rounding of D^alpha (the window's bound) and that of the stored values
     (1e-15 relative each, as D^alpha amplifies it) are added.  A level
     outside the window or closer than ``buffer`` to its top, a level whose
@@ -548,11 +547,15 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
         lip = problem.rhs.level_lipschitz(n)
         kappa = c * lip
         if kappa >= 1.0:
+            exponent = -problem.alpha * ell + problem.gamma * (ell + 1.0)
+            try:
+                threshold = p_pow(problem.p, exponent)
+            except MagnitudeError:  # deep below level 0
+                threshold = f"{problem.p}**{exponent}, past the double range"
             raise ContractionError(
                 f"extension to level {n} is not a contraction: kappa = {kappa} >= 1 "
                 f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) "
-                f"= {p_pow(problem.p, -problem.alpha * ell + problem.gamma * (ell + 1.0))})"
-            )
+                f"= {threshold})")
         base, prev = problem.u0 + known, None
         for iters in range(1, 1001):
             x_new = base + c * (f(n, x) - shift)
@@ -568,7 +571,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
             prev, x = d, x_new
         else:
             raise NonConvergenceError(
-                f"fixed point at level {n} did not converge in 1000 steps", diffs=[prev])
+                f"fixed point at level {n} did not converge in 1000 steps")
         x = x_new
         # v0: I^alpha at level n of the levels <= ell alone
         diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)

@@ -31,10 +31,12 @@ from .errors import (
     MagnitudeError,
     MetadataError,
     NonConvergenceError,
+    require_depth,
     require_finite,
     require_tol,
 )
 from .haar import (
+    DEFAULT_DEPTH,
     ball_log_integral,
     ball_log_integral_oracle,
     ball_power_integral,
@@ -45,7 +47,7 @@ from .haar import (
     sphere_shifted_power_integral,
     sphere_shifted_power_integral_oracle,
 )
-from .radial import RadialFunction, TailModel, dump_radial, load_radial
+from .radial import RadialFunction, TailModel, check_summability, dump_radial, load_radial
 from .vladimirov import apply_dalpha, apply_dalpha_oracle
 from .fracint import (
     apply_ialpha,
@@ -245,24 +247,28 @@ def cmd_solve(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
+def _cell(name: str, limit: float, errors, metric: str = "max_rel") -> tuple:
+    """The cell ``name`` of the worst of ``errors``: it passes when that is at most ``limit``."""
+    worst = max(errors)
+    return name, worst <= limit, f"{metric} {worst:.2e}"
+
+
 def _suite_haar(depth: int, family: str):
     cells = []
     for p in (2, 3, 5):
         for a in (0.5, 1.0, 1.5, 2.0, 3.0):
-            worst = 0.0
+            errors = []
             for n in range(-5, 6):
-                c = ball_power_integral(p, a, n)
-                worst = max(worst, abs(c - ball_power_integral_oracle(p, a, n, depth)) / abs(c))
-                c = sphere_shifted_power_integral(p, a, n)
-                worst = max(worst, abs(c - sphere_shifted_power_integral_oracle(p, a, n, depth)) / abs(c))
-            cells.append((f"power-p{p}-a{a:g}", worst <= 1e-12, f"max_rel {worst:.2e}"))
-        worst = 0.0
+                c, s = ball_power_integral(p, a, n), sphere_shifted_power_integral(p, a, n)
+                errors += [abs(c - ball_power_integral_oracle(p, a, n, depth)) / abs(c),
+                           abs(s - sphere_shifted_power_integral_oracle(p, a, n, depth)) / abs(s)]
+            cells.append(_cell(f"power-p{p}-a{a:g}", 1e-12, errors))
+        errors = []
         for n in range(-5, 6):
-            c = ball_log_integral(p, n)
-            worst = max(worst, abs(c - ball_log_integral_oracle(p, n, depth)) / (1 + abs(c)))
-            c = sphere_shifted_log_integral(p, n)
-            worst = max(worst, abs(c - sphere_shifted_log_integral_oracle(p, n, depth)) / (1 + abs(c)))
-        cells.append((f"log-p{p}", worst <= 1e-12, f"max_rel {worst:.2e}"))
+            c, s = ball_log_integral(p, n), sphere_shifted_log_integral(p, n)
+            errors += [abs(c - ball_log_integral_oracle(p, n, depth)) / (1 + abs(c)),
+                       abs(s - sphere_shifted_log_integral_oracle(p, n, depth)) / (1 + abs(s))]
+        cells.append(_cell(f"log-p{p}", 1e-12, errors))
     return cells
 
 
@@ -270,18 +276,14 @@ def _suite_kernel(depth: int, family: str):
     cells = []
     for p in (2, 3, 5):
         for alpha in (0.5, 1.0, 2.0):
-            boundary = max(-1.0 / alpha, -1.0)
-            worst = 0.0
-            for i in range(20):
-                sigma = boundary + (0.4 + 0.3 * i) / alpha
+            errors = []
+            for sigma in (max(-1.0 / alpha, -1.0) + (0.4 + 0.3 * i) / alpha for i in range(20)):
                 d = kernel_constant(p, alpha, sigma).d_abs
-                o = kernel_constant_oracle(p, alpha, sigma, depth)
-                worst = max(worst, abs(d - o) / abs(d))
-            cells.append((f"p{p}-alpha{alpha:g}", worst <= 1e-12, f"max_rel {worst:.2e}"))
-    spot = abs(kernel_constant(2, 2.0, 0.0).d_abs - 1.0 / 3.0)
-    cells.append(("spot-d(2,2,0)", spot <= 1e-13, f"abs {spot:.2e}"))
-    spot = abs(kernel_constant(2, 1.0, 0.0).d_abs - math.log(2.0))
-    cells.append(("spot-d(2,1,0)", spot <= 1e-13, f"abs {spot:.2e}"))
+                errors.append(abs(d - kernel_constant_oracle(p, alpha, sigma, depth)) / abs(d))
+            cells.append(_cell(f"p{p}-alpha{alpha:g}", 1e-12, errors))
+    for cell, alpha, exact in (("spot-d(2,2,0)", 2.0, 1.0 / 3.0),
+                               ("spot-d(2,1,0)", 1.0, math.log(2.0))):
+        cells.append(_cell(cell, 1e-13, [abs(kernel_constant(2, alpha, 0.0).d_abs - exact)], "abs"))
     return cells
 
 
@@ -291,71 +293,62 @@ def _suite_bounds(depth: int, family: str):
         for alpha in (0.5, 1.0, 2.0):
             boundary = max(-1.0 / alpha, -1.0)
             a_shared = kernel_constant(p, alpha, boundary + 0.05).a_bound
-            ok = True
-            for i in range(100):
-                sigma = boundary + 0.05 + 0.07 * i
-                d = kernel_constant(p, alpha, sigma).d_abs
-                if d * p_pow(p, alpha * sigma) > a_shared * (1.0 + 1e-12):
-                    ok = False
-                    break
+            ok = all(kernel_constant(p, alpha, sigma).d_abs * p_pow(p, alpha * sigma)
+                     <= a_shared * (1.0 + 1e-12)
+                     for sigma in (boundary + 0.05 + 0.07 * i for i in range(100)))
             cells.append((f"envelope-p{p}-alpha{alpha:g}", ok, ""))
-            gamma = 0.4 * min(1.0, alpha)
-            bc = bound_constants(p, alpha, gamma)
+            bc = bound_constants(p, alpha, 0.4 * min(1.0, alpha))
             ok = all(bc.c_n(n) <= bc.c_uniform * (1.0 + 1e-12) for n in range(51))
             cells.append((f"cn-p{p}-alpha{alpha:g}", ok, f"C {bc.c_uniform:.6g}"))
     return cells
 
 
-def _test_family(p: int, family: str):
-    members = {
-        "indicator": [RadialFunction.indicator_unit_ball(p)],
-        "const-minus-indicator": [RadialFunction(
-            p, 0, 0, (1.5,), TailModel.constant(1.5), TailModel.constant(2.5), 1.5)],
-        "power": [RadialFunction.split_power(p, 0.0, -0.5),
-                  RadialFunction.split_power(p, 0.5, -1.0)],
-    }
-    if family == "all":
-        return [u for fam in members.values() for u in fam]
-    if family not in members:
-        raise DomainError(f"unknown test family {family!r}; options: "
-                          f"{sorted(members)} or all")
-    return members[family]
+_FAMILIES = {  # the test functions over p of each --family
+    "indicator": lambda p: [RadialFunction.indicator_unit_ball(p)],
+    "const-minus-indicator": lambda p: [RadialFunction(
+        p, 0, 0, (1.5,), TailModel.constant(1.5), TailModel.constant(2.5), 1.5)],
+    "power": lambda p: [RadialFunction.split_power(p, 0.0, -0.5),
+                        RadialFunction.split_power(p, 0.5, -1.0)],
+}
+
+
+def _test_family(p: int, family: str) -> list:
+    return [u for name in (_FAMILIES if family == "all" else [family]) for u in _FAMILIES[name](p)]
 
 
 def _suite_dalpha_oracle(depth: int, family: str):
     cells = []
     for p in (2, 3, 5):
         for alpha in (0.5, 1.0, 2.0):
-            worst = 0.0
+            errors = []
             for u in _test_family(p, family):
                 for n in range(-8, 9):
                     a = apply_dalpha(u, alpha, n)
-                    b = apply_dalpha_oracle(u, alpha, n, depth)
-                    worst = max(worst, abs(a - b) / (1.0 + abs(a)))
-            cells.append((f"p{p}-alpha{alpha:g}", worst <= 1e-10, f"max_rel {worst:.2e}"))
+                    errors.append(abs(a - apply_dalpha_oracle(u, alpha, n, depth)) / (1.0 + abs(a)))
+            cells.append(_cell(f"p{p}-alpha{alpha:g}", 1e-10, errors))
     return cells
 
 
-def _inverse_family(p: int, family: str):
-    # admissible for the inverse identity: sum_l |v(p^l)| must converge,
-    # which rules the constant-right-tail member out
-    if family in ("all", "const-minus-indicator"):
-        return _test_family(p, "indicator") + _test_family(p, "power")
-    return _test_family(p, family)
+_INVERSE_CELLS = [(p, alpha) for p in (2, 3) for alpha in (0.5, 1.0, 2.0)]
+
+
+def _inverse_members(p: int, alpha: float, family: str) -> list:
+    """The members v of ``family`` over p that meet :func:`check_summability` at alpha,
+    as Kochubei's right inverse D^alpha I^alpha v = v needs."""
+    return [v for v in _test_family(p, family)
+            if check_summability(v, alpha, 0).all_applicable_hold()]
 
 
 def _suite_right_inverse(depth: int, family: str):
     cells = []
-    for p in (2, 3):
-        for alpha in (0.5, 1.0, 2.0):
-            worst = 0.0
-            for v in _inverse_family(p, family):
-                vmax = max(abs(v.value_at(k)) for k in range(-10, 11))
-                iv = assemble_fractional_integral(v, alpha)
-                for n in range(-8, 9):
-                    err = abs(apply_dalpha(iv, alpha, n) - v.value_at(n))
-                    worst = max(worst, err / (1.0 + vmax))
-            cells.append((f"p{p}-alpha{alpha:g}", worst <= 1e-8, f"max_err {worst:.2e}"))
+    for p, alpha in _INVERSE_CELLS:
+        errors = []
+        for v in _inverse_members(p, alpha, family):
+            vmax = max(abs(v.value_at(k)) for k in range(-10, 11))
+            iv = assemble_fractional_integral(v, alpha)
+            errors += [abs(apply_dalpha(iv, alpha, n) - v.value_at(n)) / (1.0 + vmax)
+                       for n in range(-8, 9)]
+        cells.append(_cell(f"p{p}-alpha{alpha:g}", 1e-8, errors, "max_err"))
     return cells
 
 
@@ -373,17 +366,19 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in _SUITES:
             raise DomainError(f"unknown suite {name!r}; options: {sorted(_SUITES)} or all")
-    results = sorted(((nm, cell, ok, detail) for nm in names
-                      for cell, ok, detail in _SUITES[nm](args.depth, args.family)),
-                     key=lambda r: (r[0], r[1]))
-    failures = 0
+    if args.family not in [*_FAMILIES, "all"]:
+        raise DomainError(f"unknown test family {args.family!r}; options: "
+                          f"{sorted(_FAMILIES)} or all")
+    require_depth(args.depth)
+    for p, alpha in _INVERSE_CELLS if "right-inverse" in names else ():
+        if not _inverse_members(p, alpha, args.family):
+            raise DomainError(f"no member of test family {args.family!r} meets the summability "
+                              f"conditions of the right inverse at p = {p}, alpha = {alpha:g}")
+    results = sorted((nm, cell, ok, detail) for nm in names  # (suite, cell) is unique
+                     for cell, ok, detail in _SUITES[nm](args.depth, args.family))
     for suite, cell, ok, detail in results:
-        status = "pass" if ok else "FAIL"
-        line = f"{suite} {cell} {status}"
-        if detail:
-            line += f" {detail}"
-        print(line)
-        failures += 0 if ok else 1
+        print(" ".join(filter(None, (suite, cell, "pass" if ok else "FAIL", detail))))
+    failures = sum(not ok for _, _, ok, _ in results)
     print(f"{'ALL PASS' if failures == 0 else f'FAILURES {failures}'} ({len(results)} cells)")
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
@@ -456,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification suites")
     v.add_argument("--suite", default="all")
-    v.add_argument("--depth", type=int, default=200)
+    v.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     v.add_argument("--family", default="all")
     v.set_defaults(func=cmd_verify)
 

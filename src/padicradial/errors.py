@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of finiteness, of alpha
-and of the degeneration exponent that several modules share.
+"""Exception types shared across the package, and the checks of finiteness, of alpha,
+of the degeneration exponent and of an oracle's depth that several modules share.
 
 The CLI maps these onto its exit codes: everything rooted at
 :class:`DomainError`, :class:`MetadataError` and :class:`MagnitudeError`
@@ -33,6 +33,12 @@ class DivergenceError(DomainError):
 
     The message names the violated inequality (e.g. ``e + rho > 0``).
     """
+
+
+def require_depth(depth: int) -> None:
+    """Raise :class:`DivergenceError` unless an oracle's depth is at least 1."""
+    if depth < 1:
+        raise DivergenceError(f"oracle depth must be >= 1, got {depth}")
 
 
 class DegenerationError(DomainError):
@@ -70,10 +76,6 @@ class MagnitudeError(OverflowError):
 
 class NonConvergenceError(RuntimeError):
     """An iteration hit its step limit before reaching tolerance."""
-
-    def __init__(self, message: str, diffs=None):
-        super().__init__(message)
-        self.diffs = list(diffs) if diffs is not None else []
 
 
 class BudgetError(RuntimeError):

@@ -53,7 +53,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DivergenceError, require_alpha, require_finite, require_weak_degeneration
+from .errors import (DivergenceError, require_alpha, require_depth, require_finite,
+                     require_weak_degeneration)
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel
 
@@ -75,9 +76,6 @@ class KernelConstants:
                boundary plus the distance of sigma from it floored at 1e-6.
     """
 
-    p: int
-    alpha: float
-    sigma: float
     d_abs: float
     s_signed: float
     a_bound: float
@@ -124,8 +122,7 @@ def kernel_constant(p: int, alpha: float, sigma: float) -> KernelConstants:
     boundary = _check_sigma(alpha, sigma)
     theta = boundary + max(sigma - boundary, _EPS_FLOOR)
     d_abs = _kernel_envelope(p, alpha, sigma) * p_pow(p, -alpha * sigma)
-    return KernelConstants(p=p, alpha=alpha, sigma=sigma, d_abs=d_abs,
-                           s_signed=d_abs if alpha >= 1.0 else -d_abs,
+    return KernelConstants(d_abs=d_abs, s_signed=d_abs if alpha >= 1.0 else -d_abs,
                            a_bound=_kernel_envelope(p, alpha, theta))
 
 
@@ -141,8 +138,7 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
     p = Prime(p)
     require_alpha(alpha)
     require_finite(sigma=sigma)
-    if depth < 1:
-        raise DivergenceError(f"oracle depth must be >= 1, got {depth}")
+    require_depth(depth)
     _check_sigma(alpha, sigma)
     frac = 1.0 - 1.0 / p
     if alpha == 1.0:

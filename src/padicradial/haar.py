@@ -13,19 +13,19 @@ p = 2).  These stratum masses sum to the sphere volume and drive the
 shifted integrals below.
 
 Each closed form has a truncated-series oracle (suffix ``_oracle``) that
-sums the strata directly, with default depth 200.  The neglected part of
-every oracle is a geometric tail: after T strata the remainder is at
-most ``first_neglected_term / (1 - p**(-rate))`` for the stated decay
-rate, which is below 1e-60 at the default depth for every admissible
-argument; the oracles therefore serve as independent cross-checks for
-the closed forms at full double precision.
+sums the strata directly, to a depth of at least 1 and 200 by default.
+The neglected part of every oracle is a geometric tail: after T strata the
+remainder is at most ``first_neglected_term / (1 - p**(-rate))`` for the
+stated decay rate, which is below 1e-60 at the default depth for every
+admissible argument; the oracles therefore serve as independent
+cross-checks for the closed forms at full double precision.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DivergenceError, DomainError, MagnitudeError, require_finite
+from .errors import DivergenceError, DomainError, MagnitudeError, require_depth, require_finite
 
 # |exponent * ln p| above this would leave the double range; hard error
 # rather than a silent inf/0.
@@ -106,6 +106,7 @@ def ball_power_integral(p: int, a: float, n: int) -> float:
 def ball_power_integral_oracle(p: int, a: float, n: int, depth: int = DEFAULT_DEPTH) -> float:
     """Truncated stratum sum for :func:`ball_power_integral` (``depth + 1`` spheres)."""
     p = Prime(p)
+    require_depth(depth)
     _require_convergent("ball power integral", a)
     frac = 1.0 - 1.0 / p
     return sum(frac * p_pow(p, a * k) for k in range(n - depth, n + 1))
@@ -134,6 +135,7 @@ def sphere_shifted_power_integral_oracle(
 ) -> float:
     """Truncated distance-stratum sum for :func:`sphere_shifted_power_integral`."""
     p = Prime(p)
+    require_depth(depth)
     _require_convergent("shifted sphere power integral", a)
     frac = 1.0 - 1.0 / p
     total = sum(frac * p_pow(p, a * k) for k in range(n - depth, n))
@@ -150,6 +152,7 @@ def ball_log_integral(p: int, n: int) -> float:
 def ball_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPTH) -> float:
     """Truncated stratum sum for :func:`ball_log_integral`."""
     p = Prime(p)
+    require_depth(depth)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
     return sum(frac * p_pow(p, k) * k * lp for k in range(n - depth, n + 1))
@@ -178,6 +181,7 @@ def sphere_shifted_log_integral(p: int, n: int) -> float:
 def sphere_shifted_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPTH) -> float:
     """Truncated distance-stratum sum for :func:`sphere_shifted_log_integral`."""
     p = Prime(p)
+    require_depth(depth)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
     total = sum(frac * p_pow(p, j) * j * lp for j in range(n - depth, n))

@@ -7,13 +7,13 @@ to zero / constant / power-law; that is exactly the class needed by the
 operator modules, and it makes every weighted infinite sum a geometric
 series with a closed form, so there is no truncation error at infinity.
 
-The weighted sums here are the raw material for the fractional operators:
-``sum_{k<=m} p^(e k) u(p^k)``, its mirror image and the level-weighted
-``sum k p^(e k) u(p^k)`` of the alpha = 1 summability conditions, all one
-private sum over levels lo <= k <= hi that also centers u on a constant c
-and sums an open end in closed form.  :meth:`RadialFunction.values_on`
-reads u on a range of levels into a new list, one slice of the stored tuple
-inside the window; the operator walks read that tuple itself.
+The weighted sums here, ``sum_{k<=m} p^(e k) u(p^k)``, its mirror image and
+the level-weighted ``sum k p^(e k) u(p^k)``, are one private sum over levels
+lo <= k <= hi that also centers u on a constant c and sums an open end in
+closed form.  They serve :func:`check_summability` and the D^alpha oracle;
+the operators walk u's stored values, the D^alpha walks taking only their
+seeds from ``_tail_sum``.  :meth:`RadialFunction.values_on` reads u on a
+range of levels into a new list, one slice of the stored tuple in the window.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .errors import DivergenceError, MagnitudeError, require_alpha
+from .errors import DivergenceError, MagnitudeError, require_alpha, require_depth
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, _geom_left, _geom_right, _sum, _tail_sum
 
@@ -169,8 +169,7 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     j < n land in the |x - y| = p^j stratum of the equal-norm sphere's
     decomposition; spheres with j > n contribute through |x - y| = p^j.
     """
-    if depth < 1:
-        raise DivergenceError(f"oracle depth must be >= 1, got {depth}")
+    require_depth(depth)
     d = d_alpha(u.p, alpha)
     p = u.p
     frac = 1.0 - 1.0 / p

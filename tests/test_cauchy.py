@@ -896,3 +896,27 @@ def test_per_level_records_are_named_tuples():
         "36": ("-0x1.2165951584007p+15", "0x1.21a1851ff6309p-32", 2)}
     assert all(list(d) == ["v0", "kappa", "iterations"] for d in diags.values())
     assert isinstance(residual(rep.solution, prob, 0), cauchy.ResidualEstimate)
+
+
+def test_contraction_refusal_deep_below_level_zero_names_a_threshold_past_the_double_range():
+    # p^(-alpha ell + gamma (ell + 1)) = 3^645.5 overflows at ell = -1290, which once turned
+    # the ContractionError into a MagnitudeError raised while formatting it
+    prob = ProblemSpec(p=3, alpha=1.0, gamma=0.5, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", 3, amplitude=1e308))
+    message = ("extension to level -1289 is not a contraction: kappa = 1.0428697696415323 >= 1 "
+               "(per-level Lipschitz bound 1e+308 is not below p^(-alpha ell) p^(gamma (ell+1)) "
+               "= 3**645.5, past the double range)")
+    with pytest.raises(ContractionError, match=f"^{re.escape(message)}$"):
+        solve_problem(prob, tol=1e-10)
+
+
+def test_residual_at_small_alpha_names_the_uncertainty_it_refuses_for():
+    # the fallback growth exponent max(alpha - 1, 0) + 0.05 once reached alpha = 0.05 and
+    # refused every level for the tail growth; min(0.05, alpha / 2) keeps it below alpha,
+    # and what refuses the levels of this window is their uncertainty
+    prob = ProblemSpec(p=2, alpha=0.05, gamma=0.025, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", 2))
+    u = solve_problem(prob, tol=1e-10).solution
+    for n in range(u.k_min, u.k_max - 2):
+        with pytest.raises(IndeterminateResidualError, match=f"^residual uncertainty \\S+ at level {n} "):
+            residual(u, prob, n)

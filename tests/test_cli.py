@@ -305,3 +305,39 @@ def test_sweep_keeps_good_rows_when_a_cell_overflows(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("2,1.5,") and lines[1].endswith(",ok")
     assert lines[2].startswith("100000007,") and lines[2].endswith("precondition: MagnitudeError")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--suite", "haar", "--family", "nosuch"), "unknown test family 'nosuch'"),
+    (("--suite", "bounds", "--depth", "-4"), "oracle depth must be >= 1, got -4"),
+    (("--suite", "haar", "--depth", "-1"), "oracle depth must be >= 1, got -1"),
+    (("--suite", "right-inverse", "--depth", "0"), "oracle depth must be >= 1, got 0"),
+])
+def test_verify_refuses_bad_options_before_any_cell(capsys, argv, message):
+    # an unknown family once passed every cell that ignores the family, and a depth
+    # below 1 passed the suites that sum no oracle and failed the haar suite cell by cell
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_verify_refuses_a_right_inverse_family_without_an_admissible_member(capsys):
+    # the constant right tail fails the summability conditions, so D^alpha I^alpha v = v
+    # is not claimed for it; the suite once ran the other families instead and passed
+    code, out, err = run(capsys, "verify", "--suite", "right-inverse",
+                         "--family", "const-minus-indicator")
+    assert code == 2 and out == ""
+    assert "meets the summability conditions" in err
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--family", "const-minus-indicator")
+    assert code == 2 and out == ""
+
+
+def test_right_inverse_members_are_those_meeting_the_summability_conditions():
+    from padicradial import cli
+    assert cli._INVERSE_CELLS == [(p, alpha) for p in (2, 3) for alpha in (0.5, 1.0, 2.0)]
+    for p, alpha in cli._INVERSE_CELLS:
+        expected = [RadialFunction.indicator_unit_ball(p), RadialFunction.split_power(p, 0.0, -0.5),
+                    RadialFunction.split_power(p, 0.5, -1.0)]
+        members = cli._inverse_members(p, alpha, "all")
+        assert [dump_radial(v) for v in members] == [dump_radial(v) for v in expected]
+        assert cli._inverse_members(p, alpha, "const-minus-indicator") == []

@@ -28,3 +28,15 @@ ENTRY_POINTS = {
 def test_alpha_must_be_finite_and_positive(entry, alpha):
     with pytest.raises(DomainError, match="alpha"):
         ENTRY_POINTS[entry](alpha)
+
+
+def test_records_carry_only_what_is_read():
+    # KernelConstants once echoed p, alpha and sigma, and NonConvergenceError kept the
+    # differences of its iteration; nothing read either
+    import dataclasses
+    from padicradial.errors import NonConvergenceError
+    from padicradial.fracint import KernelConstants
+    assert [f.name for f in dataclasses.fields(KernelConstants)] == ["d_abs", "s_signed", "a_bound"]
+    assert repr(kernel_constant(2, 2.0, 0.0)).startswith("KernelConstants(d_abs=0.333333333333333")
+    err = NonConvergenceError("did not converge")
+    assert str(err) == "did not converge" and not hasattr(err, "diffs")

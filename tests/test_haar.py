@@ -172,3 +172,16 @@ def test_unscaled_log_variant_disagrees_off_center(p):
 def test_ball_power_telescopes(p, a, n):
     total = ball_power_integral(p, a, n - 1) + sphere_power_integral(p, a, n)
     assert total == pytest.approx(ball_power_integral(p, a, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+@pytest.mark.parametrize("oracle, args", [
+    (ball_power_integral_oracle, (2, 1.0, 0)),
+    (sphere_shifted_power_integral_oracle, (2, 1.0, 0)),
+    (ball_log_integral_oracle, (2, 0)),
+    (sphere_shifted_log_integral_oracle, (2, 0)),
+])
+def test_oracles_refuse_a_depth_below_one(oracle, args, depth):
+    # at depth -3 the ball oracle once summed no sphere and returned 0.0 for the closed form 1.0
+    with pytest.raises(DivergenceError, match=f"oracle depth must be >= 1, got {depth}"):
+        oracle(*args, depth=depth)

@@ -31,7 +31,16 @@ and six invocations that exit 2 before any work: ``apply`` of
 traceback), ``solve`` with ``--max-iter 0`` (once exit 1, an IndexError),
 ``sweep`` with ``--tol nan``, ``--rhs nosuch`` or ``--gamma-frac nan``
 (each once exit 0, with every row a DomainError), and ``constants`` with
-``--nmax -1`` (once exit 0, printing only C).
+``--nmax -1`` (once exit 0, printing only C),
+four ``verify`` runs that exit 2 before any cell: an unknown ``--family``
+(once exit 0, every cell passing), ``--depth -4`` and ``--depth -1`` (once
+exit 0 on the bounds suite, and 18 FAIL lines on the haar suite), and the
+right-inverse suite on ``const-minus-indicator``, whose constant right tail
+fails the summability conditions (once exit 0, the suite running the other
+families instead), and a ``solve`` refused deep below level 0 at
+``--rhs-amplitude 1e308``, whose threshold p^(-alpha ell + gamma (ell + 1)) is
+past the double range (exit 2 on a ContractionError; once on a MagnitudeError
+raised while formatting it).
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -99,6 +108,15 @@ REFUSED = (
     "sweep --gamma-frac nan",
     "constants --p 2 --alpha 1 --gamma 0.25 --nmax -1",
 )
+# verify options refused before the first suite runs, and a continuation refused deep
+# below level 0
+REFUSED_LATER = (
+    "verify --suite haar --family nosuch",
+    "verify --suite bounds --depth -4",
+    "verify --suite haar --depth -1",
+    "verify --suite right-inverse --family const-minus-indicator",
+    "solve --p 3 --alpha 1 --gamma 0.5 --u0 1 --rhs cos-decay --rhs-amplitude 1e308",
+)
 
 
 def invocations(tmp: Path) -> list:
@@ -120,7 +138,7 @@ def invocations(tmp: Path) -> list:
         ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"],
         ["apply", "--op", "dalpha", "--alpha", "1.5", "--input", str(tmp / "twice.txt")],
         ["apply", "--op", "dalpha", "--alpha", "1100", "--input", str(tmp / "sphere.txt")],
-    ] + [line.split() for line in DEEP + REFUSED]
+    ] + [line.split() for line in DEEP + REFUSED + REFUSED_LATER]
 
 
 def main() -> None:
