@@ -4,8 +4,8 @@ Evaluates the Vladimirov fractional derivative D^alpha and its right
 inverse, the fractional integral I^alpha, on radial functions, and
 solves the weakly degenerate Cauchy problem
 |t|_p^gamma (D^alpha u)(|t|_p) = f(|t|_p, u(|t|_p)), u(0) = u0, by
-Picard iteration plus level-by-level fixed-point continuation, with
-built-in residual verification.
+one forward march of fixed-point solves over the levels, with built-in
+residual verification.
 """
 
 from .errors import (

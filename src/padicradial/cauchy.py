@@ -5,29 +5,25 @@ The problem |t|_p^g (D^a u)(|t|_p) = f(|t|_p, u(|t|_p)), u(0) = u0, with
 
     u = u0 + I^a [ |.|^(-g) f(., u(.)) ],
 
-in three stages:
+in two stages:
 
-1. *Local solve* (:func:`picard_solve`).  On levels k <= N, with N chosen
-   so that the contraction factor q_N = C F p^(N (a - g)) is at most 1/2,
-   the integral map is iterated from the constant u0, each sweep in one
-   ascending pass.  Differences obey the a-priori bound C^(k+1) M F^k
-   p^(N (k+1)(a - g)), checked on every sweep and doubling as a stopping rule.
+1. *Level march* (:func:`solve_problem`).  The truncated system is lower-triangular
+   in the levels, so one ascending pass solves it, as the step-by-step method for
+   Volterra equations does.  Level n solves x = u0 + K + c (f(p^n, x) - p^g f_(n-1)),
+   c = p^((a - g) n - a), by iteration from the level below, with K in O(1) from the
+   state of one I^a sweep over the levels below n; for a constant f and g = 0 the
+   correction is exactly 0.  A level is solved only when kappa_n = c Lip(f(p^n, .)) is
+   below 1, measured steps are checked against it, and every value of f is checked
+   against bound_M.  The local radius N, with q_N = C F p^(N (a - g)) at most 1/2,
+   bounds kappa_n by q_N on the levels up to N; :func:`picard_solve` stops there.
 
-2. *Continuation* (:func:`solve_problem`).
-   Each level n = l + 1 above N solves x = u0 + K + c (f(p^n, x) - p^g f_l),
-   c = p^((a - g) n - a), centered on the last known level, with K in O(1)
-   from the state of an I^alpha sweep over the levels below n; for a
-   constant f and g = 0 the correction is exactly 0.  A step is accepted
-   only when kappa_l = c Lip(f(p^n, .)) is below 1; measured steps are
-   checked against it.
-
-3. *Residual verification* (:func:`residual`).  The differential form is
+2. *Residual verification* (:func:`residual`).  The differential form is
    checked directly: p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)), with an
    attached uncertainty that accounts for the unknown part of u beyond
    the computed window and for floating-point cancellation.
 
 Truncation policy: the integrals extend to level -infinity, but the
-iteration only stores a window [K_min, N].  The kernel has one sign on
+march starts at a window floor K_min.  The kernel has one sign on
 |y| < |x|, so the sup of a neglected sub-window contribution over
 |ftilde| <= M p^(-g k) is the kernel's own sum, two damped geometric
 walks with no branch at a = 1 (:func:`_truncation_constants`).  K_min is
@@ -40,7 +36,7 @@ than silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -101,7 +97,17 @@ class Nonlinearity:
             object.__setattr__(self, "decay", (float(a), float(beta)))
 
     def level_lipschitz(self, k: int) -> float:
-        return self.per_level_F(k) if self.per_level_F is not None else self.lipschitz_F
+        """min(F, F_k): both are declared bounds on level k."""
+        if self.per_level_F is None:
+            return self.lipschitz_F
+        return min(self.lipschitz_F, self.per_level_F(k))
+
+    def _refuse(self, k: int, x: float, val: float) -> None:
+        """Raise the MetadataError of a value f(p^k, x) = val past bound_M."""
+        if not math.isfinite(val):
+            raise MetadataError(f"f(p^{k}, {x}) is not finite")
+        raise MetadataError(
+            f"declared bound_M = {self.bound_M} violated: |f(p^{k}, {x})| = {abs(val)}")
 
     def spot_check(self, p: int) -> None:
         """Sample eval at 41 points of [-8, 8] on levels -12..12 and reject metadata
@@ -119,17 +125,12 @@ class Nonlinearity:
             if self.decay is not None and k >= 1:
                 cap = min(self.bound_M, self.decay[0] * p_pow(p, -self.decay[1] * k)) + slack
             f_prev = None
-            step = (min(self.lipschitz_F, self.level_lipschitz(k)) + tol) * dx + tol
+            step = (self.level_lipschitz(k) + tol) * dx + tol
             for x in xs:
                 val = f(k, x)
                 if not abs(val) <= cap:  # NaN and inf fail it too
-                    if not math.isfinite(val):
-                        raise MetadataError(f"f(p^{k}, {x}) is not finite")
-                    if abs(val) > bound:
-                        raise MetadataError(
-                            f"declared bound_M = {self.bound_M} violated: "
-                            f"|f(p^{k}, {x})| = {abs(val)}"
-                        )
+                    if not abs(val) <= bound:
+                        self._refuse(k, x, val)
                     a, beta = self.decay
                     raise MetadataError(f"declared decay (A={a}, beta={beta}) violated at level {k}")
                 if f_prev is not None and abs(val - f_prev) > step:
@@ -171,14 +172,11 @@ class SolveReport:
     solution: RadialFunction
     local_radius_N: int
     picard_iterations: int
-    picard_diffs: tuple
-    apriori_bounds: tuple
     extension_diagnostics: dict = field(default_factory=dict)
     truncation_budget: float = 0.0
     k_min: int = 0
     q_contraction: float = 0.0
     c_uniform: float = 0.0
-    apriori_enforced: bool = True
 
     def to_dict(self) -> dict:
         u = self.solution
@@ -188,12 +186,9 @@ class SolveReport:
             "k_min": self.k_min,
             "k_max": u.k_max,
             "picard_iterations": self.picard_iterations,
-            "picard_diffs": list(self.picard_diffs),
-            "apriori_bounds": list(self.apriori_bounds),
             "q_contraction": self.q_contraction,
             "c_uniform": self.c_uniform,
             "truncation_budget": self.truncation_budget,
-            "apriori_enforced": self.apriori_enforced,
             "extension_diagnostics": {
                 str(level): {"v0": d.v0, "kappa": d.kappa, "iterations": d.iterations}
                 for level, d in sorted(self.extension_diagnostics.items())
@@ -211,7 +206,7 @@ def _radius_from_constants(c_uniform: float, lipschitz: float, p: int,
                            alpha_minus_gamma: float, n_cap: int = 8) -> int:
     """Largest N <= n_cap with c_uniform * lipschitz * p^(N (alpha - gamma)) <= 1/2, however
     deep; the guess sums logarithms and the test forms lipschitz times the power first, as
-    :func:`picard_solve` does, so neither overflows where c_uniform * lipschitz would."""
+    the march does, so neither overflows where c_uniform * lipschitz would."""
     if lipschitz == 0.0:
         return n_cap
     t = (math.log(0.5) - math.log(c_uniform) - math.log(lipschitz)) \
@@ -269,7 +264,7 @@ def _truncation_bound(problem: ProblemSpec, k_cut: int, start: int) -> Iterator[
 
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float,
                         highest: float = math.inf) -> tuple:
-    """Lower window edge K_min at or below ``highest`` (Picard's top N; n_top by default)
+    """Lower window edge K_min at or below ``highest`` (the local radius N; n_top by default)
     with total certified truncation <= tol / 10.
 
     The budget of a candidate K is rem(n) of :func:`_truncation_constants` summed
@@ -302,76 +297,93 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float,
             )
 
 
-def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10,
-                 max_iter: int = 100, start_value: Optional[float] = None,
-                 reserve_top: Optional[int] = None) -> SolveReport:
-    """Iterate u_k = u0 + I^a ftilde(., u_{k-1}) on levels K_min..N.
-
-    Stops when the sup-level difference falls below tol or the a-priori
-    bound for the next difference does; with q_N <= 1/2 either way leaves
-    a remaining error of at most the last difference.  ``start_value``
-    replaces the constant initial iterate (default u0); the a-priori
-    difference bounds are only enforced for the canonical start.
-
-    ``reserve_top`` sizes the truncation budget for a later continuation
-    up to that level: the part below the floor grows like p^((alpha-1) n)
-    with the level n for alpha above 1, so the window floor must be chosen
-    for the highest level that will ever integrate over it.
-    """
+def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
+           reserve: int) -> SolveReport:
+    """Solve the levels K_min..top in one ascending pass, the window floor chosen for
+    ``reserve``: see :func:`solve_problem`."""
     if not max_iter >= 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
-    m_bound, f_lip, f = problem.rhs.bound_M, problem.rhs.lipschitz_F, problem.rhs.eval
+    rhs = problem.rhs
+    f, lip_at = rhs.eval, rhs.level_lipschitz
     c_uni = bound_constants(p, alpha, gamma).c_uniform
-    ball = p_pow(p, N * (alpha - gamma))
-    q = c_uni * (f_lip * ball)  # the radius search's order: c_uni * f_lip may overflow
+    q = c_uni * (rhs.lipschitz_F * p_pow(p, N * (alpha - gamma)))  # c_uni * F may overflow
     if q >= 1.0:
         raise DomainError(
             f"local contraction factor q_N = {q} >= 1 at N = {N}; "
             "choose a more negative local radius"
         )
-    k_min, budget = _choose_window_floor(
-        problem, N if reserve_top is None else max(N, reserve_top), tol, N)
-    enforce = start_value is None
-    cur = [u0 if start_value is None else float(start_value)] * (N + 1 - k_min)
+    k_min, budget = _choose_window_floor(problem, reserve, tol, N)
+    cap = rhs.bound_M + 1e-9 * max(1.0, rhs.bound_M)  # spot_check's
+    # ftilde is 0 below the window, where the truncation budget bounds it
     sweep = _IalphaSweep(p, alpha, gamma, k_min)
-
-    def apriori(j: int) -> float:
-        # bound for |u_{j+1} - u_j| = C^(j+1) M F^j p^(N (j+1)(a - g)), valid on the whole
-        # ball |t| <= p^N, in q_N's powers so that no factor overflows
-        return c_uni * (m_bound * ball) * q ** j
-
-    diffs = []
-    for it in range(max_iter):
-        sweep.seed()  # ftilde is 0 below the window: the truncation budget bounds that
-        new = [u0 + v for v in sweep.window([f(k, x) for k, x in enumerate(cur, k_min)])]
-        if not all(map(math.isfinite, new)):  # each value: max would pass over a NaN
-            raise MagnitudeError(f"Picard step {it} on the window [{k_min}, {N}] left the double range")
-        diff = max(abs(a - b) for a, b in zip(new, cur))
-        diffs.append(diff)
-        cur = new
-        if enforce and diff > apriori(it) + 1e-12:
-            raise MetadataError(
-                f"iterate difference {diff} exceeds the a-priori bound "
-                f"{apriori(it)} at step {it}; declared (M, F) metadata is "
-                "inconsistent with the right-hand side"
-            )
-        if diff <= tol or apriori(it + 1) <= tol:
-            break
-    else:
-        raise NonConvergenceError(
-            f"iteration did not reach tol = {tol} in {max_iter} steps "
-            f"(last difference {diffs[-1]})")
-
-    solution = RadialFunction(p, k_min, N, tuple(cur), left_tail=TailModel.constant(u0),
+    values, diags, steps = [], {}, 0
+    x = u0
+    for n in range(k_min, top + 1):
+        known, c, shift = sweep.ahead()
+        lip = lip_at(n)
+        kappa = c * lip
+        if kappa >= 1.0:
+            exponent = -alpha * (n - 1) + gamma * n  # ell = n - 1
+            try:
+                threshold = p_pow(p, exponent)
+            except MagnitudeError:  # deep below level 0
+                threshold = f"{p}**{exponent}, past the double range"
+            raise ContractionError(
+                f"extension to level {n} is not a contraction: kappa = {kappa} >= 1 "
+                f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) "
+                f"= {threshold})")
+        base, prev = u0 + known, None
+        fx = f(n, x)
+        for iters in range(1, max_iter + 1):
+            if not abs(fx) <= cap:  # NaN and inf fail it too
+                rhs._refuse(n, x, fx)
+            x_new = base + c * (fx - shift)
+            if not abs(x_new) < math.inf:
+                raise MagnitudeError(f"the step at level {n} left the double range: {x_new}")
+            fx = f(n, x_new)
+            d = abs(x_new - x)
+            x = x_new
+            if kappa == 0.0 or d <= tol / 100.0 * max(1.0, abs(x)):
+                break
+            # a few ulps of slack cover the rounding of the two step evaluations
+            if prev is not None and d > kappa * prev + 4.0 * math.ulp(max(1.0, abs(x))):
+                raise MetadataError(
+                    f"measured contraction ratio {d / prev} exceeds kappa = {kappa} "
+                    f"at level {n}: declared per-level Lipschitz metadata is wrong"
+                )
+            prev = d
+        else:
+            raise NonConvergenceError(
+                f"fixed point at level {n} did not converge in {max_iter} steps")
+        if not abs(fx) <= cap:
+            rhs._refuse(n, x, fx)
+        if n > N:  # v0: I^alpha at level n of the levels below it alone
+            diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)
+        elif iters > steps:
+            steps = iters
+        values.append(x)
+        sweep.advance((fx,))
+    solution = RadialFunction(p, k_min, top, tuple(values), left_tail=TailModel.constant(u0),
                               right_tail=TailModel.zero(), value_at_zero=u0)
-    bounds = tuple(apriori(j) for j in range(len(diffs)))
     return SolveReport(
-        solution=solution, local_radius_N=N, picard_iterations=len(diffs),
-        picard_diffs=tuple(diffs), apriori_bounds=bounds,
-        extension_diagnostics={}, truncation_budget=budget / (1.0 - q),
-        k_min=k_min, q_contraction=q, c_uniform=c_uni, apriori_enforced=enforce,
+        solution=solution, local_radius_N=N, picard_iterations=steps,
+        extension_diagnostics=diags, truncation_budget=budget / (1.0 - q),
+        k_min=k_min, q_contraction=q, c_uniform=c_uni,
     )
+
+
+def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10, max_iter: int = 1000,
+                 reserve_top: Optional[int] = None) -> SolveReport:
+    """The march of :func:`solve_problem` stopped at the local radius N: levels K_min..N.
+
+    ``reserve_top`` sizes the truncation budget for a later march up to that level: the
+    part below the floor grows like p^((alpha-1) n) with the level n for alpha above 1, so
+    the window floor must be chosen for the highest level that will ever integrate over it.
+    ``picard_iterations`` is the most fixed-point steps any level of [K_min, N] took;
+    ``max_iter`` caps them at every level.
+    """
+    return _march(problem, N, N, tol, max_iter, N if reserve_top is None else max(N, reserve_top))
 
 
 @dataclass(frozen=True)
@@ -514,18 +526,22 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     return ResidualEstimate(value=value, uncertainty=uncertainty)
 
 
-def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
+def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 1000,
                   n_override: Optional[int] = None,
                   extend_to: Optional[int] = None) -> SolveReport:
-    """Full pipeline: choose N, run the local iteration, continue level by level.
+    """Choose N, then solve every level from the window floor K_min up to the target
+    (extend_to, by default N + 35) in one ascending pass.
 
-    Level n = ell + 1 solves x = u0 + known + c (f(p^n, x) - shift) by iteration from
-    u(p^ell), (known, c, shift) read from an I^alpha sweep walked over Picard's window
-    and then each new level.  kappa = c Lip(f(p^n, .)) at or above 1 is a
-    :class:`ContractionError`; a step longer than kappa times the previous one (plus a
-    few ulps of rounding) is wrong declared metadata, and more than 1000 steps is a
-    :class:`NonConvergenceError`.  The window floor is chosen for target + 1, so
-    Picard's truncation budget already covers every continuation level.
+    Level n solves x = u0 + known + c (f(p^n, x) - shift) by iteration from the value at
+    n - 1 (u0 below the window), (known, c, shift) read from one I^alpha sweep walked over
+    the levels below n.  kappa = c Lip(f(p^n, .)) at or above 1 is a
+    :class:`ContractionError`; on the window [K_min, N] kappa <= q_N <= 1/2.  A step longer
+    than kappa times the previous one (plus a few ulps of rounding) is wrong declared
+    metadata, and more than ``max_iter`` steps at one level is a
+    :class:`NonConvergenceError`.  Every value of f the pass uses is checked against
+    bound_M with spot_check's slack (a :class:`MetadataError`), and a step that leaves the
+    double range is a :class:`MagnitudeError`.  The window floor is chosen for target + 1,
+    so the truncation budget covers every level.
     """
     # never pick a local radius beyond the requested window top
     n_cap = 8 if extend_to is None else min(8, extend_to)
@@ -533,52 +549,7 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
     target = extend_to if extend_to is not None else N + 35
     if target < N:
         raise DomainError(f"extension target {target} is below the local radius {N}")
-    report = picard_solve(problem, N, tol, max_iter, reserve_top=target + 1)
-    u = report.solution
-    f = problem.rhs.eval
-    sweep = _IalphaSweep(problem.p, problem.alpha, problem.gamma, u.k_min)
-    sweep.advance([f(k, x) for k, x in enumerate(u.values, u.k_min)])  # its state at N
-    diags = {}
-    values = []
-    x = u.value_at(N)
-    for ell in range(N, target):
-        n = ell + 1
-        known, c, shift = sweep.ahead()
-        lip = problem.rhs.level_lipschitz(n)
-        kappa = c * lip
-        if kappa >= 1.0:
-            exponent = -problem.alpha * ell + problem.gamma * (ell + 1.0)
-            try:
-                threshold = p_pow(problem.p, exponent)
-            except MagnitudeError:  # deep below level 0
-                threshold = f"{problem.p}**{exponent}, past the double range"
-            raise ContractionError(
-                f"extension to level {n} is not a contraction: kappa = {kappa} >= 1 "
-                f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) "
-                f"= {threshold})")
-        base, prev = problem.u0 + known, None
-        for iters in range(1, 1001):
-            x_new = base + c * (f(n, x) - shift)
-            d = abs(x_new - x)
-            if kappa == 0.0 or d <= tol / 100.0 * max(1.0, abs(x_new)):
-                break
-            # a few ulps of slack cover the rounding of the two step evaluations
-            if prev is not None and d > kappa * prev + 4.0 * math.ulp(max(1.0, abs(x_new))):
-                raise MetadataError(
-                    f"measured contraction ratio {d / prev} exceeds kappa = {kappa} "
-                    f"at level {n}: declared per-level Lipschitz metadata is wrong"
-                )
-            prev, x = d, x_new
-        else:
-            raise NonConvergenceError(
-                f"fixed point at level {n} did not converge in 1000 steps")
-        x = x_new
-        # v0: I^alpha at level n of the levels <= ell alone
-        diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)
-        values.append(x)
-        sweep.advance((f(n, x),))
-    u = replace(u, k_max=target, values=u.values + tuple(values))
-    return replace(report, solution=u, extension_diagnostics=diags)
+    return _march(problem, N, target, tol, max_iter, target + 1)
 
 
 # -- built-in right-hand sides for the CLI -----------------------------------

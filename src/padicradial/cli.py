@@ -209,7 +209,7 @@ def cmd_solve(args) -> int:
     problem = ProblemSpec(**{key: cfg[key] for key in _PROBLEM_FIELDS}, rhs=rhs)
     report, hyp, estimates, worst = _verified_solve(
         problem, cfg.get("tol", 1e-10), lambda u: range(u.k_min, u.k_max + 1),
-        cfg.get("buffer", 3), max_iter=cfg.get("max_iter", 200),
+        cfg.get("buffer", 3), max_iter=cfg.get("max_iter", 1000),
         n_override=cfg.get("n_override"), extend_to=cfg.get("extend_to"),
     )
     u = report.solution

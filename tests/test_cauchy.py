@@ -15,6 +15,7 @@ from padicradial.errors import (
     IndeterminateResidualError,
     MagnitudeError,
     MetadataError,
+    NonConvergenceError,
 )
 import padicradial.cauchy as cauchy
 from padicradial import haar
@@ -237,7 +238,7 @@ def test_q_is_formed_in_the_radius_searchs_order():
     prob = ProblemSpec(p=2, alpha=0.5, gamma=0.4, u0=1.0, rhs=rhs)
     rep = picard_solve(prob, choose_local_radius(prob))
     assert math.isfinite(rep.q_contraction) and rep.q_contraction <= 0.5
-    assert all(map(math.isfinite, rep.apriori_bounds))
+    assert all(map(math.isfinite, rep.solution.values))
 
 
 def test_overflowing_c_uniform_f_meets_the_work_limit():
@@ -252,20 +253,40 @@ def test_a_picard_sweep_out_of_the_double_range_is_a_magnitude_error():
     # the scaled sweep sums about 1e306 / (1 - 2^-0.01) per level, past the double range
     prob = ProblemSpec(p=2, alpha=0.5, gamma=0.49, u0=1.0,
                        rhs=catalog_nonlinearity("cos-decay", 2, amplitude=1e306))
-    with pytest.raises(MagnitudeError, match=r"^Picard step 0 on the window \[-107155, -102367\] "
-                                             "left the double range$"):
+    with pytest.raises(MagnitudeError, match=r"^the step at level -106978 left the double range: "
+                                             "-inf$"):
         solve_problem(prob)
 
 
 def test_a_nan_in_a_picard_sweep_is_refused():
-    # f is NaN at level -20, which spot_check does not sample; the levels below it stay
-    # finite, so max over the differences passes over the NaN above them, and the window
-    # was refused only after the last sweep, as a DomainError
+    # f is NaN at level -20, which spot_check does not sample: the march checks each value
+    # of f it uses as spot_check does, and refuses the first one
     rhs = Nonlinearity(eval=lambda k, x: math.nan if k == -20 else 0.1 * math.cos(x),
                        bound_M=0.1, lipschitz_F=0.1)
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
-    with pytest.raises(MagnitudeError, match="left the double range"):
+    with pytest.raises(MetadataError, match=r"^f\(p\^-20, \S+\) is not finite$"):
         picard_solve(prob, choose_local_radius(prob))
+
+
+def test_a_value_of_f_past_bound_m_off_the_sampled_levels_is_refused():
+    # f is 5 M at level -20, which spot_check does not sample; it once solved silently
+    rhs = Nonlinearity(eval=lambda k, x: 0.5 if k == -20 else 0.1 * math.cos(x),
+                       bound_M=0.1, lipschitz_F=0.1)
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+    with pytest.raises(MetadataError, match=r"^declared bound_M = 0.1 violated: "
+                                            r"\|f\(p\^-20, \S+\)\| = 0.5$"):
+        solve_problem(prob, extend_to=2)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_a_non_finite_f_above_the_sampled_levels_is_refused(bad):
+    # f decays but is NaN or inf at level 20, above spot_check's levels: a NaN once spun
+    # 1000 steps to a NonConvergenceError, an inf raised ValueError: math domain error
+    good = catalog_nonlinearity("cos-decay", 2)
+    rhs = replace(good, eval=lambda k, x: bad if k == 20 else good.eval(k, x))
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+    with pytest.raises(MetadataError, match=r"^f\(p\^20, \S+\) is not finite$"):
+        solve_problem(prob, extend_to=30)
 
 
 @pytest.mark.parametrize("amplitude, N, k_min", [(5.0, -3, -56), (0.1, -1, -48)])
@@ -312,6 +333,39 @@ def test_const_solution_matches_an_independent_reference(p, alpha, gamma):
             assert abs(u - ref) <= rep.truncation_budget + 1e-10 * max(1.0, abs(u)), n
 
 
+@pytest.mark.parametrize("p, alpha, gamma, amplitude, beta", [
+    (2, 1.5, 0.25, 0.1, 2.0), (3, 0.5, 0.2, 0.1, 2.0), (2, 1.3, 0.4, 0.3, 1.5)])
+def test_march_matches_a_60_digit_forward_substitution(p, alpha, gamma, amplitude, beta):
+    # the truncated system (ftilde = 0 below K_min) solved level by level in mpmath, from the
+    # reference's kernel and right-hand side: each level's scalar equation
+    # x = u0 + S_n + p^(alpha (n - 1)) p^(-gamma n) f(p^n, x) iterated to 1e-50
+    from mpmath import mp, mpf
+    reference = _reference()
+    tol = 1e-10
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", p, amplitude=amplitude, beta=beta))
+    rep = solve_problem(prob, tol=tol)
+    u = rep.solution
+    with mp.workdps(reference.working_dps(p, alpha, u.k_min, u.k_max) + 10):
+        P, a, g = mpf(p), mpf(alpha), mpf(gamma)
+        coef = reference.interior_prefactor(p, alpha) * (1 - 1 / P)
+        s1 = sa = mpf(0)  # sum over k < n of p^k ftilde_k and p^(alpha k) ftilde_k
+        x = mpf(prob.u0)
+        for n, got in enumerate(u.values, u.k_min):
+            base = prob.u0 + coef * (P ** ((a - 1) * n) * s1 - sa)
+            diag = P ** (a * (n - 1) - g * n)
+            while True:
+                x_new = base + diag * reference.rhs_value("cos-decay", p, amplitude, beta, n, x)
+                if abs(x_new - x) <= mpf(10) ** -50:
+                    break
+                x = x_new
+            x = x_new
+            phi = P ** (-g * n) * reference.rhs_value("cos-decay", p, amplitude, beta, n, x)
+            s1 += P ** n * phi
+            sa += P ** (a * n) * phi
+            assert abs(got - x) <= rep.truncation_budget + tol * max(1.0, abs(got)), n
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.5])
 @pytest.mark.parametrize("p", [2, 7])
 def test_truncation_bound_is_the_exact_sum_below_the_floor(p, alpha):
@@ -354,7 +408,6 @@ def test_picard_zero_rhs():
                        rhs=catalog_nonlinearity("zero", 2))
     rep = picard_solve(prob, N=2, tol=1e-12)
     assert rep.picard_iterations == 1
-    assert rep.picard_diffs == (0.0,)
     assert all(v == 1.0 for v in rep.solution.values)
     assert rep.solution.left_tail == TailModel.constant(1.0)
 
@@ -377,12 +430,18 @@ def test_picard_constant_rhs_closed_form():
         assert rep.solution.value_at(k) == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
-def test_picard_diffs_respect_apriori_bounds():
+def test_picard_solve_is_the_march_stopped_at_n():
+    # with the solve's floor, picard_solve's window is the solve's first levels bit for bit,
+    # and its count is the most steps any of them took
     prob = catalog_problem()
+    full = solve_problem(prob, tol=1e-11)
+    N = full.local_radius_N
+    rep = picard_solve(prob, N, tol=1e-11, reserve_top=full.solution.k_max + 1)
+    assert rep.k_min == full.k_min and rep.solution.k_max == N
+    assert rep.solution.values == full.solution.values[:N - rep.k_min + 1]
+    assert rep.picard_iterations == full.picard_iterations >= 2
+    assert rep.extension_diagnostics == {}
     rep = picard_solve(prob, N=1, tol=1e-11)
-    assert len(rep.picard_diffs) == rep.picard_iterations
-    for d, b in zip(rep.picard_diffs, rep.apriori_bounds):
-        assert d <= b + 1e-12
     assert rep.q_contraction <= 0.5 * (1 + 1e-12)
     assert rep.truncation_budget <= 1e-11 / (1 - rep.q_contraction) * 1.01
 
@@ -452,7 +511,9 @@ def test_extend_step_affine_exact():
 
 
 def test_extend_step_contraction_violation():
-    # kappa at level n is 2 p^(-gamma n - alpha) >= 1 up to n = 2; Picard's q_N needs N <= -10
+    # the per-level bound 2 p^(-alpha k) is above F = 2 below level 0, so F is the level's
+    # bound there and kappa = 2 p^((alpha - gamma) n - alpha) is below 1 up to level -2; from
+    # level 0 on kappa is 2 p^(-gamma n - alpha), at least 1 up to n = 2: level -1 is refused
     p_, alpha_, gamma_ = 2, 0.5, 0.2
 
     def f(k, x):
@@ -461,7 +522,7 @@ def test_extend_step_contraction_violation():
     rhs = Nonlinearity(eval=f, bound_M=2.0, lipschitz_F=2.0,
                        per_level_F=lambda k: 2.0 * p_pow(p_, -alpha_ * k))
     prob = ProblemSpec(p=p_, alpha=alpha_, gamma=gamma_, u0=1.0, rhs=rhs)
-    with pytest.raises(ContractionError, match="extension to level -9 .*kappa"):
+    with pytest.raises(ContractionError, match="extension to level -1 .*kappa"):
         solve_problem(prob, tol=1e-12, n_override=-10)
 
 
@@ -474,8 +535,8 @@ def test_extend_step_detects_wrong_metadata():
         ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0,
                     rhs=Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.01))
     # a lie injected past the declaration check is caught by the measured
-    # step-ratio guard inside the fixed-point iteration; f depends on the level,
-    # so each level's iteration starts away from its fixed point
+    # step-ratio guard inside the fixed-point iteration, at a window level below N;
+    # f depends on the level, so each level's iteration starts away from its fixed point
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0,
                        rhs=Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.4))
     honest = solve_problem(prob, tol=1e-12, n_override=-2, extend_to=1)
@@ -483,7 +544,7 @@ def test_extend_step_detects_wrong_metadata():
     lying = Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.4,
                          per_level_F=lambda k: 1e-6)
     object.__setattr__(prob, "rhs", lying)
-    with pytest.raises(MetadataError, match="ratio .* at level -1:"):
+    with pytest.raises(MetadataError, match="ratio .* at level -12:"):
         solve_problem(prob, tol=1e-12, n_override=-2)
 
 
@@ -662,17 +723,6 @@ def test_solve_problem_extends_and_reports():
     assert payload["solution"]["levels"][str(15)] == rep.solution.value_at(15)
 
 
-def test_solve_report_restart_uniqueness():
-    prob = catalog_problem()
-    rep = solve_problem(prob, tol=1e-11)
-    alt = picard_solve(prob, rep.local_radius_N, tol=1e-11, start_value=prob.u0 + 1.0,
-                       reserve_top=rep.solution.k_max + 1)
-    assert not alt.apriori_enforced
-    n = len(alt.solution.values)
-    sup = max(abs(a - b) for a, b in zip(rep.solution.values[:n], alt.solution.values))
-    assert sup <= 1e-10
-
-
 def test_continuity_at_zero_bound():
     prob = catalog_problem()
     rep = solve_problem(prob, tol=1e-11)
@@ -694,7 +744,11 @@ def test_bounded_sigmoid_solves():
     prob = ProblemSpec(p=3, alpha=0.8, gamma=0.1, u0=0.5, rhs=rhs)
     rep = solve_problem(prob, tol=1e-10, extend_to=4)
     assert rep.solution.k_max == 4
-    assert all(d <= b + 1e-12 for d, b in zip(rep.picard_diffs, rep.apriori_bounds))
+    # kappa = 0.9 at level 4 takes 213 steps: max_iter caps the steps of each level
+    assert rep.extension_diagnostics[4].iterations == 213
+    with pytest.raises(NonConvergenceError, match="^fixed point at level 4 did not converge "
+                                                  "in 200 steps$"):
+        solve_problem(prob, tol=1e-10, extend_to=4, max_iter=200)
     with pytest.raises(ContractionError):
         solve_problem(prob, tol=1e-10, extend_to=8)
 
@@ -727,14 +781,15 @@ def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
         rep, calls = _guarded_powers(lambda: solve_problem(prob, tol=tol))
         per_level[rep.picard_iterations] = calls / len(rep.solution.values)
     (few, a), (many, b) = sorted(per_level.items())
-    assert many >= 2 * few  # 4 and 9 sweeps
+    assert many >= 2 * few  # at most 5 and 10 steps at a level
     # every Picard sweep used to take five powers per level (27 and 50 per level here)
     assert a <= 6.0 and b <= 6.0 and abs(a - b) <= 0.5
 
 
 @pytest.mark.parametrize("alpha", (1.5, 1.0, 0.5))
 def test_continuation_reuses_picards_power_tables(alpha):
-    # a solve builds two sweeps, Picard's and the continuation's, however deep the window
+    # a solve builds one sweep and walks it from the window floor to the target, however
+    # deep the window; it once built a second one for the levels above N
     rhs = catalog_nonlinearity("cos-decay", 3, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=3, alpha=alpha, gamma=0.3, u0=1.0, rhs=rhs)
     for extend_to in (30, 60):
@@ -742,7 +797,7 @@ def test_continuation_reuses_picards_power_tables(alpha):
             return solve_problem(prob, tol=1e-10, extend_to=extend_to)
         rep, sweeps = _guarded_powers(solve, funcs=(_IalphaSweep.__init__,))
         assert rep.solution.k_max == extend_to and len(rep.extension_diagnostics) > extend_to - 10
-        assert sweeps == 2
+        assert sweeps == 1
 
 
 def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
@@ -891,9 +946,9 @@ def test_per_level_records_are_named_tuples():
     assert list(diags) == [str(n) for n in range(2, 37)]
     assert {n: (d["v0"].hex(), d["kappa"].hex(), d["iterations"]) for n, d in diags.items()
             if n in ("2", "10", "36")} == {
-        "2": ("-0x1.2e9cfc5342310p-3", "0x1.999999999999ap-7", 7),
-        "10": ("-0x1.17cd0a5ab4972p+2", "0x1.9999999999998p-13", 4),
-        "36": ("-0x1.2165951584007p+15", "0x1.21a1851ff6309p-32", 2)}
+        "2": ("-0x1.2e9cfc5342243p-3", "0x1.999999999999ap-7", 7),
+        "10": ("-0x1.17cd0a5ab491ap+2", "0x1.9999999999998p-13", 4),
+        "36": ("-0x1.2165951583fabp+15", "0x1.21a1851ff6309p-32", 2)}
     assert all(list(d) == ["v0", "kappa", "iterations"] for d in diags.values())
     assert isinstance(residual(rep.solution, prob, 0), cauchy.ResidualEstimate)
 

@@ -14,7 +14,9 @@ once overflowed ``expm1`` (exit 1 with a traceback, exit 0 since), and
 to the fixed function at one level past the overflow guard (exit 2, the
 error naming the first level past it),
 ``constants`` at three (p, alpha) with a sigma or a gamma (alpha = 1
-among them), a ``sweep`` with an error row and a ``solve`` that exits 2,
+among them), a ``sweep`` with an error row, a ``solve`` that exits 2, and
+one that exits 3 because a level at kappa = 0.9 needs more than
+``--max-iter 200`` steps (exit 0 when the cap was on Picard sweeps),
 ``verify``, ``verify`` of the ``D^alpha`` oracle at depth 3, where
 the oracle's explicit strata reach past the test functions' windows into
 their tails, ``apply`` of ``dalpha`` to a file that gives one level
@@ -25,7 +27,8 @@ on the window width (exit 3), ``--rhs-amplitude 1e306`` at gamma = 0.4,
 where N lies near -10 200 (once exit 2, on the radius cap), the same at
 gamma = 0.4999, where c_uniform F overflows (once exit 1, a math domain error,
 then exit 2 on q_N = inf; exit 3 since, at the work limit), and at gamma = 0.49,
-where the Picard sweep leaves the double range (exit 2, once as wrong metadata),
+where a step of the level march leaves the double range (exit 2, once as wrong
+metadata),
 and six invocations that exit 2 before any work: ``apply`` of
 ``dalpha`` at alpha = 1100, whose d_alpha once overflowed (exit 1 with a
 traceback), ``solve`` with ``--max-iter 0`` (once exit 1, an IndexError),
@@ -75,10 +78,13 @@ CONSTANTS = (
     "--p 2 --alpha 1 --sigma 0",
     "--p 3 --alpha 0.5 --gamma 0.2",
 )
-# invocations that fail: an error row of sweep, and exit code 2 at a continuation level
+# invocations that fail: an error row of sweep, exit code 2 at a continuation level, and
+# exit code 3 at a level whose steps pass the cap
 FAILING = (
     "sweep --p-list 2,100000007 --alpha-list 1.5",
     "solve --p 7 --alpha 1.5 --gamma 0.3 --u0 1 --rhs bounded-sigmoid --extend-to 400",
+    "solve --p 3 --alpha 0.8 --gamma 0.1 --u0 0.5 --rhs bounded-sigmoid --rhs-amplitude 0.4 "
+    "--extend-to 4 --max-iter 200",
 )
 # u(p^k) on [-12, 12] between a constant left tail and a decaying power law
 FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
@@ -90,7 +96,7 @@ INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n
           "sphere.txt": "2 0 0 0.0 zero zero\n0 1.0\n"}
 # solves past the radius cap at level -60 and the floor stop where p^(-gamma k) leaves
 # the double range: a deep window, the work limit, N near -10 200 with F = 1e306, and
-# F = 1e306 where c_uniform F overflows or the Picard sweep leaves the double range
+# F = 1e306 where c_uniform F overflows or a step leaves the double range
 DEEP = (
     "solve --p 2 --alpha 0.05 --gamma 0.025 --u0 1 --rhs cos-decay",
     "solve --p 2 --alpha 0.5 --gamma 0.499999999 --u0 1 --rhs zero",
@@ -98,7 +104,7 @@ DEEP = (
     "solve --p 2 --alpha 0.5 --gamma 0.4999 --u0 1 --rhs cos-decay --rhs-amplitude 1e306",
     "solve --p 2 --alpha 0.5 --gamma 0.49 --u0 1 --rhs cos-decay --rhs-amplitude 1e306",
 )
-# invocations refused before any work: no Picard sweep to run, and a grid-wide sweep
+# invocations refused before any work: no step allowed at a level, and a grid-wide sweep
 # option that every cell would refuse (a tolerance of nan, an rhs outside the catalog,
 # a gamma fraction of nan), and a negative --nmax
 REFUSED = (
