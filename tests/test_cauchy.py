@@ -190,7 +190,7 @@ def test_deep_targets_certify_without_a_level_cap(p, alpha, gamma, extend_to, k_
     assert k_max == (extend_to if extend_to is not None else N + 35)
     assert rep.truncation_budget <= 1e-10
     # the floor's sum covers every continuation level's remainder, so the solve
-    # reports Picard's budget for the same top as it is
+    # reports picard_solve's budget for the same top as it is
     floor, floor_sum = _choose_window_floor(prob, k_max + 1, 1e-10)
     rems = list(islice(_truncation_bound(prob, k_min, N + 1), k_max - N))
     assert floor == k_min and max(rems) <= floor_sum <= 1e-11
@@ -802,7 +802,7 @@ def test_continuation_reuses_picards_power_tables(alpha):
 
 def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
     # 7^(1.2 k) leaves the double range at k = 300, below extend_to = 400: a sweep from
-    # Picard's floor passes every level up to 299, and level 300 raises when a pass reaches
+    # picard_solve's floor passes every level up to 299, and level 300 raises when a pass reaches
     # it, not before
     prob = ProblemSpec(p=7, alpha=1.5, gamma=0.3, u0=1.0,
                        rhs=catalog_nonlinearity("bounded-sigmoid", 7))
@@ -911,7 +911,7 @@ def test_nan_is_a_domain_error(call):
 
 def test_window_floor_lies_at_or_below_picards_top():
     # a tiny M next to F certifies the budget at the first candidate, -8, while the local
-    # radius is -12: the floor steps on to N, so Picard's window holds level N, and the
+    # radius is -12: the floor steps on to N, so picard_solve's window holds level N, and the
     # solve refuses the first continuation level that does not contract
     rhs = Nonlinearity(eval=lambda k, x: 1e-300 * math.cos(x), bound_M=1e-300, lipschitz_F=1e4)
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
