@@ -53,7 +53,7 @@ from .errors import (
     require_tol,
     require_weak_degeneration,
 )
-from .haar import Prime, p_pow
+from .haar import OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel
 from .fracint import _IalphaSweep, bound_constants
 from .vladimirov import d_alpha, dalpha_window
@@ -109,6 +109,10 @@ class Nonlinearity:
         raise MetadataError(
             f"declared bound_M = {self.bound_M} violated: |f(p^{k}, {x})| = {abs(val)}")
 
+    def _capped(self, bound: float) -> float:
+        """``bound`` plus the slack of 1e-9 max(1, bound_M) that values of f are allowed."""
+        return bound + 1e-9 * max(1.0, self.bound_M)
+
     def spot_check(self, p: int) -> None:
         """Sample eval at 41 points of [-8, 8] on levels -12..12 and reject metadata
         that the samples violate by more than 1e-9.  Each sample is tested once against
@@ -116,14 +120,13 @@ class Nonlinearity:
         p = Prime(p)
         tol = 1e-9
         xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
-        slack = tol * max(1.0, self.bound_M)
         f = self.eval
-        bound = self.bound_M + slack
+        bound = self._capped(self.bound_M)
         dx = xs[1] - xs[0]
         for k in range(-12, 13):
             cap = bound
             if self.decay is not None and k >= 1:
-                cap = min(self.bound_M, self.decay[0] * p_pow(p, -self.decay[1] * k)) + slack
+                cap = self._capped(min(self.bound_M, self.decay[0] * p_pow(p, -self.decay[1] * k)))
             f_prev = None
             step = (self.level_lipschitz(k) + tol) * dx + tol
             for x in xs:
@@ -314,7 +317,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
             "choose a more negative local radius"
         )
     k_min, budget = _choose_window_floor(problem, reserve, tol, N)
-    cap = rhs.bound_M + 1e-9 * max(1.0, rhs.bound_M)  # spot_check's
+    cap = rhs._capped(rhs.bound_M)
     # ftilde is 0 below the window, where the truncation budget bounds it
     sweep = _IalphaSweep(p, alpha, gamma, k_min)
     values, diags, steps = [], {}, 0
@@ -323,16 +326,11 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
         known, c, shift = sweep.ahead()
         lip = lip_at(n)
         kappa = c * lip
-        if kappa >= 1.0:
-            exponent = -alpha * (n - 1) + gamma * n  # ell = n - 1
-            try:
-                threshold = p_pow(p, exponent)
-            except MagnitudeError:  # deep below level 0
-                threshold = f"{p}**{exponent}, past the double range"
+        if kappa >= 1.0:  # ell = n - 1
             raise ContractionError(
                 f"extension to level {n} is not a contraction: kappa = {kappa} >= 1 "
                 f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) "
-                f"= {threshold})")
+                f"= {1.0 / c})")
         base, prev = u0 + known, None
         fx = f(n, x)
         for iters in range(1, max_iter + 1):
@@ -406,11 +404,23 @@ class GlobalHypothesesReport:
     detail: str = ""
 
 
+def _level_power(p: int, e: float) -> float:
+    """p^e as p_pow forms it, also past its overflow guard, where p_pow raises: there it
+    is exp(e ln p), and inf past the double range, which every finite bound is below."""
+    t = e * math.log(p)
+    if t <= OVERFLOW_GUARD:
+        return p_pow(p, e)
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
     """Check F_l < p^(-alpha l) on levels -10..30 and beta + gamma > alpha."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     witness = next((l for l in range(-10, 31)
-                    if not problem.rhs.level_lipschitz(l) < p_pow(p, -alpha * l)), None)
+                    if not problem.rhs.level_lipschitz(l) < _level_power(p, -alpha * l)), None)
     per_level_ok = witness is None
     decay_ok = None
     detail = ""
@@ -425,7 +435,7 @@ def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
     if witness is not None:
         detail = (f"per-level Lipschitz bound fails at level {witness}: "
                   f"F_l = {problem.rhs.level_lipschitz(witness)} >= "
-                  f"p^(-alpha l) = {p_pow(p, -alpha * witness)}"
+                  f"p^(-alpha l) = {_level_power(p, -alpha * witness)}"
                   + ("; " + detail if detail else ""))
     return GlobalHypothesesReport(
         per_level_ok=per_level_ok, witness_level=witness, decay_ok=decay_ok,
@@ -559,31 +569,30 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
     """Reproducible right-hand sides: zero, const, cos-decay, bounded-sigmoid.
 
     cos-decay is f(p^l, x) = A p^(-beta max(l, 0)) cos(x) with per-level
-    Lipschitz constants A p^(-beta max(l, 0)) and decay pair (A, beta);
-    bounded-sigmoid is a level-independent saturating nonlinearity.
+    Lipschitz constants |A| p^(-beta max(l, 0)) and decay pair (|A|, beta);
+    bounded-sigmoid is a level-independent saturating nonlinearity.  The
+    metadata declares |A|, so a negative amplitude is as admissible as a positive one.
     """
     p = Prime(p)
+    a, m = amplitude, abs(amplitude)
     if name == "zero":
         return Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0,
                             per_level_F=lambda k: 0.0, decay=(1.0, beta), name="zero")
     if name == "const":
-        lam = amplitude
-        return Nonlinearity(eval=lambda k, x: lam, bound_M=abs(lam) if lam != 0.0 else 1.0,
+        return Nonlinearity(eval=lambda k, x: a, bound_M=m if a != 0.0 else 1.0,
                             lipschitz_F=0.0, per_level_F=lambda k: 0.0,
                             decay=None, name="const")
     if name == "cos-decay":
-        a = amplitude
 
         def f(k: int, x: float) -> float:  # p^(-beta max(k, 0)) is 1 at k <= 0
             return (a * p_pow(p, -beta * k) if k > 0 else a) * math.cos(x)
 
-        return Nonlinearity(eval=f, bound_M=a, lipschitz_F=a,
-                            per_level_F=lambda k: a * p_pow(p, -beta * k) if k > 0 else a,
-                            decay=(a, beta), name="cos-decay")
+        return Nonlinearity(eval=f, bound_M=m, lipschitz_F=m,
+                            per_level_F=lambda k: m * p_pow(p, -beta * k) if k > 0 else m,
+                            decay=(m, beta), name="cos-decay")
     if name == "bounded-sigmoid":
-        a = amplitude
         return Nonlinearity(eval=lambda k, x: a * math.tanh(x / 2.0) / 2.0,
-                            bound_M=a / 2.0, lipschitz_F=a / 4.0,
-                            per_level_F=lambda k: a / 4.0, decay=None,
+                            bound_M=m / 2.0, lipschitz_F=m / 4.0,
+                            per_level_F=lambda k: m / 4.0, decay=None,
                             name="bounded-sigmoid")
     raise DomainError(f"unknown catalog nonlinearity {name!r}")

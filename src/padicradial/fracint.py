@@ -18,11 +18,13 @@ and Gc(n) = sum_{k<n} g(n - k) (u_k - u_n), through
 
     Bc(n+1) = p^(-a) Bc(n) + (u_n - u_{n+1}) / (p^a - 1),
     Gc(n+1) = Gc(n) / p - (u_n - u_{n+1}) / ((p^a - 1)(p - 1)) - Bc(n+1),
-    (I^a u)(p^n) = p^(a n) (1 - p^-a)(1 - 1/p) Gc(n),
+    (I^a u)(p^n) = p^(a n) [(1 - p^-a)(1 - 1/p) (Gc(n-1) / p - p^-a Bc(n-1))
+                   + p^-a (u_n - u_{n-1})],
 
 in O(1) per level, with no 1 - p^(a-1) division and exactly 0 for a
-constant.  The walks damp by p^(-a) and 1/p and step by differences of
-neighbouring values, so rounding decays along them.  Their seed is the
+constant.  The value at n is read from the sums below it: the one formula
+the solver and the operator API share.  The walks damp by p^(-a) and 1/p
+and step by differences of neighbouring values, so rounding decays along them.  Their seed is the
 left tail in closed form: sum_j g(j) z^j = -z p^-a / ((1 - z/p)(1 - z p^-a))
 is a product of two geometric series, so a tail part c p^(rho k) adds
 c p^(rho n) b to Bc(n) and c p^(rho n) b / (p^(-1-rho) - 1) to Gc(n),
@@ -43,8 +45,8 @@ computation.
 
 :func:`bound_constants` packages the growth constants for powers of the
 integral operator: c_n bounds |I^a phi| / (mu |t|^((n+1)(a-g))) over the
-envelope class |phi| <= mu |t|^(n a - (n+1) g), and c_uniform dominates
-every c_n.
+envelope class |phi| <= mu |t|^(n a - (n+1) g); c_n falls with n, so
+c_uniform = c_0 dominates every c_n.
 """
 
 from __future__ import annotations
@@ -110,8 +112,13 @@ def _kernel_envelope(p: int, alpha: float, s: float) -> float:
 
 def _envelope_denominator(p: int, alpha: float, s: float) -> float:
     """(1 - p^(-alpha s - 1)) (p^alpha - p^(-alpha s)), shared by the kernel envelope and
-    the branch-free bound constants."""
-    return (1.0 - p_pow(p, -alpha * s - 1.0)) * (p_pow(p, alpha) - p_pow(p, -alpha * s))
+    the branch-free bound constants: positive above the boundary, and refused where it
+    rounds to 0 or below."""
+    den = (1.0 - p_pow(p, -alpha * s - 1.0)) * (p_pow(p, alpha) - p_pow(p, -alpha * s))
+    if not den > 0.0:
+        raise DivergenceError(f"kernel integral diverges: sigma = {s} lies within rounding "
+                              f"of the boundary max(-1/alpha, -1) = {_domain_boundary(alpha)}")
+    return den
 
 
 def kernel_constant(p: int, alpha: float, sigma: float) -> KernelConstants:
@@ -163,31 +170,29 @@ def power_image_coefficient(p: int, alpha: float, rho: float) -> float:
 class _IalphaSweep:
     """Bc and Gc of ftilde = p^(-gamma k) f over ascending levels, scaled by p^(gamma n).
 
-    ``state`` is (Bc, Gc, f) at ``level``.  A value at level n is scaled by ``step ** n``,
-    an integer power of one rounded p^(alpha - gamma): smooth from level to level.  ``top``
-    is the last level whose power is inside the overflow guard; a step past it raises
+    ``state`` is (Bc, Gc, f) at ``level``, which starts just below ``start`` with the state
+    of what lies below it.  :meth:`ahead` reads I^alpha at the next level from it and
+    :meth:`advance` steps it.  A value at level n is scaled by ``step ** n``, an integer
+    power of one rounded p^(alpha - gamma): smooth from level to level.  ``top`` is the last
+    level whose power is inside the overflow guard; a step past it raises
     :class:`MagnitudeError` at the first such level, before stepping.
     """
 
-    def __init__(self, p: int, alpha: float, gamma: float, start: int):
+    def __init__(self, p: int, alpha: float, gamma: float, start: int,
+                 state: tuple = (0.0, 0.0, 0.0)):
         lnp = math.log(p)
         e = alpha - gamma
         top = math.floor(OVERFLOW_GUARD / (e * lnp)) + 1
         while e * top * lnp > OVERFLOW_GUARD:  # the test p_pow makes
             top -= 1
-        self.p, self.e, self.start, self.top = p, e, start, top
+        self.p, self.e, self.top = p, e, top
+        self.level, self.state = start - 1, state
         self.step = p_pow(p, e)
         self.q = p_pow(p, -alpha)
         ib = 1.0 / math.expm1(alpha * lnp)
         # the ratios of Bc and Gc, p^gamma, their step weights and (1 - p^-a)(1 - 1/p)
         self.consts = (p_pow(p, gamma - alpha), p_pow(p, gamma - 1.0), p_pow(p, gamma),
                        ib, ib / (p - 1.0), -math.expm1(-alpha * lnp) * (1.0 - 1.0 / p))
-        self.seed()
-
-    def seed(self, state: tuple = (0.0, 0.0, 0.0)) -> None:
-        """Stand just below ``start`` with ``state``, that of what lies below it."""
-        self.level = self.start - 1
-        self.state = state
 
     def _guard(self) -> None:
         """Raise at the first level past ``top`` after ``level``: each step calls it
@@ -204,26 +209,8 @@ class _IalphaSweep:
         s = self.step ** (self.level + 1)
         return s * (coef * (rg * gc - rb * bc)), s * self.q, pg * last
 
-    def window(self, fs: list) -> list:
-        """Step to each next level with its f, returning I^alpha ftilde at each."""
-        if self.level + len(fs) > self.top:
-            self._guard()
-        rb, rg, pg, ib, ig, coef = self.consts
-        step = self.step
-        bc, gc, last = self.state
-        out = []
-        for n, f in enumerate(fs, self.level + 1):
-            d = pg * last - f
-            bc = rb * bc + d * ib
-            gc = rg * gc - d * ig - bc
-            out.append(step ** n * (coef * gc))
-            last = f
-        self.level += len(fs)
-        self.state = (bc, gc, last)
-        return out
-
     def advance(self, fs: Sequence[float]) -> None:
-        """Step to each next level with its f as :meth:`window` does, forming no value."""
+        """Step to each next level with its f."""
         if self.level + len(fs) > self.top:
             self._guard()
         rb, rg, pg, ib, ig, _ = self.consts
@@ -256,26 +243,26 @@ def _sweep_below(u: RadialFunction, alpha: float, start: int) -> _IalphaSweep:
             b = -x * math.exp(-t) / math.expm1(-t)
         bc += b
         gc += b / math.expm1(-(1.0 + r) * lnp)
-    sweep = _IalphaSweep(u.p, alpha, 0.0, start)
-    sweep.seed((bc, gc, c))
-    return sweep
+    return _IalphaSweep(u.p, alpha, 0.0, start, (bc, gc, c))
 
 
 def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     """(I^alpha u)(p^n): the sweep seeded below min(n, k_min), advanced up to n.
 
-    Steps over the levels below n without forming their values and forms the
-    value at n alone, with its one power p^(alpha n); nothing is cached.  The
-    left tail must obey the convergence condition rho > -min(1, alpha); a level
-    from min(n, k_min) to n past the overflow guard raises :class:`MagnitudeError`
-    at the first such level.  O(1) below u's window, O(n - k_min) above its start.
+    Steps over the levels below n without forming their values and reads the
+    value at n alone from :meth:`_IalphaSweep.ahead`, with its one power
+    p^(alpha n); nothing is cached.  The left tail must obey the convergence
+    condition rho > -min(1, alpha); a level from min(n, k_min) to n past the
+    overflow guard raises :class:`MagnitudeError` at the first such level.
+    O(1) below u's window, O(n - k_min) above its start.
     """
     start = min(n, u.k_min)
     fs = u.values_on(start, n)
     last = fs.pop()
     sweep = _sweep_below(u, alpha, start)
     sweep.advance(fs)
-    return sweep.window([last])[0]
+    known, c, shift = sweep.ahead()
+    return known + c * (last - shift)
 
 
 @dataclass(frozen=True)
@@ -283,7 +270,8 @@ class BoundConstants:
     """Growth constants for iterated applications of I^alpha.
 
     c_n(n) bounds the n-th application, c_n(0) the first, on the envelope
-    |phi| <= mu |t|^(-gamma); 0 < c_n(n) <= c_uniform for every n >= 0.
+    |phi| <= mu |t|^(-gamma).  c_n falls strictly with n, so c_uniform is c_n(0):
+    0 < c_n(n) <= c_uniform for every n >= 0.
     """
 
     c_n: Callable[[int], float]
@@ -312,11 +300,8 @@ def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
         s = sigma_n(n)
         return q + interior(s) * p_pow(p, -alpha * s)
 
-    # kernel_constant's theta at sigma_0 = -gamma / alpha, which lies above the boundary
-    boundary = _domain_boundary(alpha)
-    theta = boundary + max(sigma_n(0) - boundary, _EPS_FLOOR)
-    c_uniform = q + interior(theta) * p_pow(p, gamma)
-    return BoundConstants(c_n=c_n, c_uniform=c_uniform)
+    # interior(s) and p^(-alpha s) both fall as sigma_n rises with n
+    return BoundConstants(c_n=c_n, c_uniform=c_n(0))
 
 
 def assemble_fractional_integral(v: RadialFunction, alpha: float,
@@ -343,7 +328,11 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
         )
     # O(1) per level below v's window, then one pass: the same steps as apply_ialpha's
     values = [apply_ialpha(v, alpha, n) for n in range(k_lo, min(v.k_min, k_hi + 1))]
-    values += _sweep_below(v, alpha, v.k_min).window(v.values_on(v.k_min, k_hi))
+    sweep = _sweep_below(v, alpha, v.k_min)
+    for f in v.values_on(v.k_min, k_hi):
+        known, c, shift = sweep.ahead()
+        values.append(known + c * (f - shift))
+        sweep.advance((f,))
     tail = v.left_tail
     left = TailModel.power_law(tail.c * power_image_coefficient(v.p, alpha, tail.rho),
                                alpha + tail.rho)

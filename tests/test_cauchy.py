@@ -811,9 +811,12 @@ def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
     sweep.advance([0.0] * (1 - k_min))
     assert sweep.level == 0 and sweep.top == 299
     assert sweep.step == p_pow(7, 1.5 - 0.3)
-    assert len(sweep.window([0.0] * 299)) == 299
+    for _ in range(299):
+        assert all(math.isfinite(x) for x in sweep.ahead())
+        sweep.advance((0.0,))
+    assert sweep.level == 299
     with pytest.raises(MagnitudeError, match="7\\*\\*360"):
-        sweep.window([0.0])
+        sweep.advance([0.0])
     with pytest.raises(MagnitudeError, match="7\\*\\*360"):
         sweep.ahead()
 
@@ -841,7 +844,7 @@ def test_residual_profile_fits_the_envelope_once(monkeypatch):
     (7, 1.5, 0.3, "bounded-sigmoid", 400, ContractionError,
      "extension to level 3 is not a contraction: kappa = 1.4881472039478574 >= 1 "
      "(per-level Lipschitz bound 0.025 is not below p^(-alpha ell) p^(gamma (ell+1)) "
-     "= 0.016799413346796823)"),
+     "= 0.01679941334679682)"),
     (7, 1.5, 0.3, "cos-decay", 400, MagnitudeError,
      "power 7**360.0 exceeds the overflow guard (exponent * ln base = 700.5 > 700.0)"),
 ])
@@ -953,14 +956,40 @@ def test_per_level_records_are_named_tuples():
     assert isinstance(residual(rep.solution, prob, 0), cauchy.ResidualEstimate)
 
 
+@pytest.mark.parametrize("amplitude, witness", [(1e306, -10), (1e303, -9)])
+def test_global_hypotheses_past_the_overflow_guard(amplitude, witness):
+    # 2^(101.2 * 10) = e^701.5 is past p_pow's overflow guard at l = -10, where checking
+    # F_l < p^(-alpha l) once raised a MagnitudeError; F = 1e306 lies above that power, and
+    # 1e303 below it but above 2^(101.2 * 9) at l = -9
+    rhs = catalog_nonlinearity("bounded-sigmoid", 2, amplitude=4.0 * amplitude)
+    hyp = check_global_hypotheses(ProblemSpec(p=2, alpha=101.2, gamma=0.5, u0=1.0, rhs=rhs))
+    assert hyp.witness_level == witness and not hyp.per_level_ok
+    if witness == -10:
+        power = math.exp(101.2 * 10 * math.log(2.0))
+        assert hyp.detail.startswith(f"per-level Lipschitz bound fails at level -10: "
+                                     f"F_l = 1e+306 >= p^(-alpha l) = {power}")
+
+
+def test_catalog_declares_the_magnitude_of_a_negative_amplitude():
+    for name in ("cos-decay", "bounded-sigmoid"):
+        neg, pos = (catalog_nonlinearity(name, 3, amplitude=a) for a in (-0.1, 0.1))
+        for field in ("bound_M", "lipschitz_F", "decay"):
+            assert getattr(neg, field) == getattr(pos, field)
+        assert [neg.per_level_F(k) for k in (-3, 0, 4)] == [pos.per_level_F(k) for k in (-3, 0, 4)]
+        assert neg.eval(2, 0.5) == -pos.eval(2, 0.5)
+        with pytest.raises(DomainError, match="bound_M must be positive"):
+            catalog_nonlinearity(name, 3, amplitude=0.0)
+
+
 def test_contraction_refusal_deep_below_level_zero_names_a_threshold_past_the_double_range():
-    # p^(-alpha ell + gamma (ell + 1)) = 3^645.5 overflows at ell = -1290, which once turned
-    # the ContractionError into a MagnitudeError raised while formatting it
+    # p^(-alpha ell + gamma (ell + 1)) = 3^645.5 at ell = -1290 is past p_pow's overflow guard,
+    # which once turned the ContractionError into a MagnitudeError raised while formatting it;
+    # the message names 1 / c, the threshold kappa = c F was compared with, formed by no power
     prob = ProblemSpec(p=3, alpha=1.0, gamma=0.5, u0=1.0,
                        rhs=catalog_nonlinearity("cos-decay", 3, amplitude=1e308))
     message = ("extension to level -1289 is not a contraction: kappa = 1.0428697696415323 >= 1 "
                "(per-level Lipschitz bound 1e+308 is not below p^(-alpha ell) p^(gamma (ell+1)) "
-               "= 3**645.5, past the double range)")
+               "= 9.588924994380957e+307)")
     with pytest.raises(ContractionError, match=f"^{re.escape(message)}$"):
         solve_problem(prob, tol=1e-10)
 

@@ -39,6 +39,37 @@ def test_constants_gamma_mode(capsys):
         assert float(line.split()[1]) <= c_value * (1 + 1e-12)
 
 
+def test_constants_c_is_c_0_next_to_degeneration(capsys):
+    # C was 1442694.7901 here, 500 times below C_0
+    code, out, _ = run(capsys, "constants", "--p", "2", "--alpha", "0.5",
+                       "--gamma", "0.499999999", "--nmax", "2")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "C_0 721347553.701" and lines[-1] == "C 721347553.701"
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--p", "2", "--alpha", "0.5", "--sigma", "-0.9999999999999999"),
+    ("constants", "--p", "2", "--alpha", "0.5", "--gamma", "0.49999999999999994"),
+    ("solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.49999999999999994", "--u0", "1",
+     "--rhs", "zero"),
+])
+def test_sigma_within_rounding_of_the_boundary_exit_2(capsys, argv):
+    # the constants once exited 1 on a ZeroDivisionError, and the solve 3 at the work limit
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "lies within rounding of the boundary max(-1/alpha, -1) = -1.0" in err
+
+
+@pytest.mark.parametrize("rhs", ["cos-decay", "bounded-sigmoid"])
+def test_solve_negative_amplitude_declares_its_magnitude(capsys, rhs):
+    # the catalog once declared bound_M = A and refused a negative A for the user
+    code, out, err = run(capsys, "solve", "--p", "3", "--alpha", "1.5", "--gamma", "0.25",
+                         "--u0", "1", "--rhs", rhs, "--rhs-amplitude", "-0.1", "--extend-to", "3")
+    assert code == 0 and err == ""
+    assert "k_max 3" in out.splitlines()
+
+
 @pytest.mark.parametrize("nmax", ["-1", "-3"])
 def test_constants_negative_nmax_exit_2(capsys, nmax):
     # a negative --nmax once printed only the uniform constant C and exited 0
@@ -217,6 +248,15 @@ def test_solve_overflowing_c_uniform_f_exit_3(capsys):
                        "--u0", "1", "--rhs", "cos-decay", "--rhs-amplitude", "1e306")
     assert code == 3
     assert "work limit of 100000 window levels" in err
+
+
+def test_solve_whose_hypotheses_pass_the_overflow_guard_exit_0(capsys):
+    # F_l < p^(-alpha l) at l = -10 forms 100000007^40, past the overflow guard: that once
+    # ended a successful solve with exit 2 on a MagnitudeError
+    code, out, err = run(capsys, "solve", "--p", "100000007", "--alpha", "4", "--gamma", "0.5",
+                         "--u0", "1", "--rhs", "cos-decay", "--extend-to", "1")
+    assert code == 0 and err == ""
+    assert "residuals unavailable: per-level Lipschitz bound fails at level 1:" in out
 
 
 def test_solve_picard_sweep_out_of_the_double_range_exit_2(capsys):

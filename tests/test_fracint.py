@@ -252,6 +252,25 @@ def test_bound_constants_uniform(p, alpha):
         assert 0 < cn <= bc.c_uniform * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("p", (2, 3, 7))
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+def test_c_uniform_is_c_0_and_bounds_every_c_n_next_to_degeneration(p, alpha):
+    # c_n falls with n, so c_0 bounds them all with no slack; a sigma_0 clamped 1e-6 above
+    # the boundary once put c_uniform 500 times below c_0 at alpha = 0.5
+    bc = bound_constants(p, alpha, (1.0 - 1e-9) * min(1.0, alpha))
+    assert bc.c_uniform == bc.c_n(0)
+    assert all(bc.c_n(n) <= bc.c_uniform for n in range(51))
+
+
+def test_a_denominator_within_rounding_of_the_boundary_is_a_divergence():
+    # sigma = -1 + 2^-53 at alpha = 0.5 is above the boundary -1, but p^alpha - p^(-alpha s)
+    # rounds to 0: once a ZeroDivisionError, in the kernel constants and the bound constants
+    with pytest.raises(DivergenceError, match="within rounding of the boundary"):
+        kernel_constant(2, 0.5, -0.9999999999999999)
+    with pytest.raises(DivergenceError, match="within rounding of the boundary"):
+        bound_constants(2, 0.5, 0.49999999999999994)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bound_constants_gamma_gate(alpha):
     with pytest.raises(DegenerationError):
@@ -307,7 +326,18 @@ def test_assembly_is_bit_identical_to_per_level_ialpha(alpha):
 
 
 def _per_level(sweep, phis):
-    return [sweep.window([phi])[0] for phi in phis]
+    """I^alpha at each next level, read from ahead, stepping one level at a time."""
+    out = []
+    for phi in phis:
+        known, c, shift = sweep.ahead()
+        out.append(known + c * (phi - shift))
+        sweep.advance((phi,))
+    return out
+
+
+def _one_pass(sweep, phis):
+    sweep.advance(phis)
+    return []
 
 
 def _pass_outcome(run, sweep, phis):
@@ -319,35 +349,41 @@ def _pass_outcome(run, sweep, phis):
     return got, sweep.level, [x.hex() for x in sweep.state]
 
 
+_SINE = RadialFunction(3, -9, 12, tuple(math.sin(1.3 * k) for k in range(22)),
+                       left_tail=TailModel.power_law(0.25, 0.3),
+                       right_tail=TailModel.power_law(0.5, -1.5))
+
+
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 def test_window_pass_matches_value_then_push(alpha):
-    # seeded as apply_ialpha seeds it, over levels that cross 0: one pass equals one
-    # step at a time, bit for bit
-    v = RadialFunction(3, -9, 12, tuple(math.sin(1.3 * k) for k in range(22)),
-                       left_tail=TailModel.power_law(0.25, 0.3), right_tail=TailModel.power_law(0.5, -1.5))
-    levels = range(-9, 13)
+    # seeded as apply_ialpha seeds it, over levels that cross 0: one advance over the levels
+    # leaves the state one level at a time leaves, bit for bit, and the values read ahead of
+    # each step are apply_ialpha's
+    v, levels = _SINE, range(-9, 13)
     phis = [v.value_at(n) for n in levels]
     seeded = [_sweep_below(v, alpha, levels.start) for _ in range(2)]
     assert seeded[0].level == -10 and 0.0 not in seeded[0].state
-    assert _pass_outcome(_IalphaSweep.window, seeded[0], phis) \
-        == _pass_outcome(_per_level, seeded[1], phis)
-    # shorter inputs stop the pass early, as zip stops the loop
+    values, *left = _pass_outcome(_per_level, seeded[1], phis)
+    assert values == [apply_ialpha(v, alpha, n).hex() for n in levels]
+    assert _pass_outcome(_one_pass, seeded[0], phis)[1:] == tuple(left)
+    # shorter inputs stop the pass early, as the loop stops
     short = [_sweep_below(v, alpha, levels.start) for _ in range(2)]
-    assert _pass_outcome(_IalphaSweep.window, short[0], phis[:5]) \
-        == _pass_outcome(_per_level, short[1], phis[:5])
+    assert _pass_outcome(_one_pass, short[0], phis[:5])[1:] \
+        == _pass_outcome(_per_level, short[1], phis[:5])[1:]
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 def test_window_pass_past_the_guard_raises_at_the_same_level(alpha):
-    # p^(alpha k) leaves the double range 20 levels up: one pass raises what one level at a
-    # time raises at the first level past it, but before stepping, so it stays at the start
+    # p^(alpha k) leaves the double range 20 levels up: one advance raises what reading one
+    # level at a time raises at the first level past it, but before stepping, so it stays at
+    # the start
     v = RadialFunction.constant(2, 1.0)
     top = math.floor(700.0 / (alpha * math.log(2.0)))
     levels = range(top - 20, top + 20)
     phis = [2.0 ** -k for k in levels]
     sweeps = [_sweep_below(v, alpha, levels.start) for _ in range(3)]
     assert sweeps[0].top == top
-    got = _pass_outcome(_IalphaSweep.window, sweeps[0], phis)
+    got = _pass_outcome(_one_pass, sweeps[0], phis)
     want = _pass_outcome(_per_level, sweeps[1], phis)
     assert got[0] == want[0] and got[0][0] is MagnitudeError and want[1] == top
     assert got[1:] == (levels.start - 1, [x.hex() for x in sweeps[2].state])
@@ -356,16 +392,15 @@ def test_window_pass_past_the_guard_raises_at_the_same_level(alpha):
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 @pytest.mark.parametrize("m", (0, 1, 9, 21, 22))
 def test_advance_then_window_matches_one_window(alpha, m):
-    # advance steps as window does, forming no value: the rest of the pass is bit-identical
-    v = RadialFunction(3, -9, 12, tuple(math.sin(1.3 * k) for k in range(22)),
-                       left_tail=TailModel.power_law(0.25, 0.3), right_tail=TailModel.power_law(0.5, -1.5))
-    levels = range(-9, 13)
+    # advance steps as reading each level does, forming no value: the rest of the pass is
+    # bit-identical
+    v, levels = _SINE, range(-9, 13)
     phis = [v.value_at(n) for n in levels]
     whole, split = _sweep_below(v, alpha, levels.start), _sweep_below(v, alpha, levels.start)
-    want = whole.window(phis)[m:]
+    want = _per_level(whole, phis)[m:]
     split.advance(phis[:m])
     assert split.level == levels.start - 1 + m
-    got = split.window(phis[m:])
+    got = _per_level(split, phis[m:])
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert split.level == whole.level
     assert [x.hex() for x in split.state] == [x.hex() for x in whole.state]
