@@ -43,8 +43,6 @@ from .radial import (
     TailModel,
     check_summability,
     dump_radial,
-    level_weighted_sum_left,
-    level_weighted_sum_right,
     load_radial,
     weighted_sum_left,
     weighted_sum_right,

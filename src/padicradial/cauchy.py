@@ -20,7 +20,8 @@ in two stages:
 2. *Residual verification* (:func:`residual`).  The differential form is
    checked directly: p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)), with an
    attached uncertainty that accounts for the unknown part of u beyond
-   the computed window and for floating-point cancellation.
+   the computed window and for floating-point cancellation; the top
+   EDGE_LEVELS levels of the window are refused.
 
 Truncation policy: the integrals extend to level -infinity, but the
 march starts at a window floor K_min.  The kernel has one sign on
@@ -60,6 +61,8 @@ from .vladimirov import d_alpha, dalpha_window
 
 # the widest window [K_min, N] the floor search certifies, in levels: a work limit
 MAX_WINDOW = 100_000
+# the top levels of a window that residual refuses: their D^alpha leans on the fitted envelope
+EDGE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,6 @@ class Nonlinearity:
     lipschitz_F: float
     per_level_F: Optional[Callable[[int], float]] = None
     decay: Optional[tuple] = None
-    name: str = "custom"
 
     def __post_init__(self):
         require_finite(bound_M=self.bound_M, lipschitz_F=self.lipschitz_F)
@@ -214,10 +216,10 @@ def _radius_from_constants(c_uniform: float, lipschitz: float, p: int,
         return n_cap
     t = (math.log(0.5) - math.log(c_uniform) - math.log(lipschitz)) \
         / (alpha_minus_gamma * math.log(p))
-    n = math.floor(t + 1e-9)
+    n = min(math.floor(t + 1e-9), n_cap)
     while c_uniform * (lipschitz * p_pow(p, n * alpha_minus_gamma)) > 0.5 * (1.0 + 1e-12):
         n -= 1
-    return min(n, n_cap)
+    return n
 
 
 def choose_local_radius(problem: ProblemSpec, n_cap: int = 8) -> int:
@@ -417,10 +419,12 @@ def _level_power(p: int, e: float) -> float:
 
 
 def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
-    """Check F_l < p^(-alpha l) on levels -10..30 and beta + gamma > alpha."""
+    """Check F_l < p^(-alpha l) on levels -10..30 and beta + gamma > alpha.  F_l = 0 passes
+    also where the power underflows to 0.0, which every positive double is at least."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    witness = next((l for l in range(-10, 31)
-                    if not problem.rhs.level_lipschitz(l) < _level_power(p, -alpha * l)), None)
+    lips = ((l, problem.rhs.level_lipschitz(l)) for l in range(-10, 31))
+    witness = next((l for l, lip in lips
+                    if lip != 0.0 and not lip < _level_power(p, -alpha * l)), None)
     per_level_ok = witness is None
     decay_ok = None
     detail = ""
@@ -476,7 +480,7 @@ def _residual_fit(u: RadialFunction, alpha: float) -> tuple:
 
 
 def residual(u: RadialFunction, problem: ProblemSpec, n: int,
-             tol: float = 1e-8, buffer: int = 3) -> ResidualEstimate:
+             tol: float = 1e-8) -> ResidualEstimate:
     """p^(g n) (D^a u)(p^n) - f(p^n, u(p^n)) with a certified-ish uncertainty.
 
     u is trusted as declared on and below its window; above k_max its
@@ -485,22 +489,20 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     kernel growth max(alpha - 1, 0) plus min(0.05, alpha / 2)); the
     rounding of D^alpha (the window's bound) and that of the stored values
     (1e-15 relative each, as D^alpha amplifies it) are added.  A level
-    outside the window or closer than ``buffer`` to its top, a level whose
+    outside the window or among its top EDGE_LEVELS, a level whose
     p^(-alpha n) leaves the double range, a fitted growth at or above
     alpha, or an uncertainty above tol is refused rather than reported; a
-    negative ``buffer`` or a u over another p is a DomainError.  All that does not
-    depend on n, D^alpha on the window included, comes from one :func:`_residual_fit`
-    per (u, alpha), kept in u's one cache: every level of a solution costs O(W) in total.
+    u over another p is a DomainError.  All that does not depend on n, D^alpha on
+    the window included, comes from one :func:`_residual_fit` per (u, alpha), kept
+    in u's one cache: every level of a solution costs O(W) in total.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     if u.p != p:
         raise DomainError(f"u is a function over p = {u.p}, the problem's p is {p}")
     require_tol(tol)
-    if not buffer >= 0:
-        raise DomainError(f"buffer must be >= 0, got {buffer}")
-    if n > u.k_max - buffer:
+    if n > u.k_max - EDGE_LEVELS:
         raise IndeterminateResidualError(
-            f"level {n} is within {buffer} levels of the window edge k_max = {u.k_max}; "
+            f"level {n} is within {EDGE_LEVELS} levels of the window edge k_max = {u.k_max}; "
             "extend the solution further"
         )
     if n < u.k_min:
@@ -577,11 +579,11 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
     a, m = amplitude, abs(amplitude)
     if name == "zero":
         return Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0,
-                            per_level_F=lambda k: 0.0, decay=(1.0, beta), name="zero")
+                            per_level_F=lambda k: 0.0, decay=(1.0, beta))
     if name == "const":
         return Nonlinearity(eval=lambda k, x: a, bound_M=m if a != 0.0 else 1.0,
                             lipschitz_F=0.0, per_level_F=lambda k: 0.0,
-                            decay=None, name="const")
+                            decay=None)
     if name == "cos-decay":
 
         def f(k: int, x: float) -> float:  # p^(-beta max(k, 0)) is 1 at k <= 0
@@ -589,10 +591,9 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
 
         return Nonlinearity(eval=f, bound_M=m, lipschitz_F=m,
                             per_level_F=lambda k: m * p_pow(p, -beta * k) if k > 0 else m,
-                            decay=(m, beta), name="cos-decay")
+                            decay=(m, beta))
     if name == "bounded-sigmoid":
         return Nonlinearity(eval=lambda k, x: a * math.tanh(x / 2.0) / 2.0,
                             bound_M=m / 2.0, lipschitz_F=m / 4.0,
-                            per_level_F=lambda k: m / 4.0, decay=None,
-                            name="bounded-sigmoid")
+                            per_level_F=lambda k: m / 4.0, decay=None)
     raise DomainError(f"unknown catalog nonlinearity {name!r}")

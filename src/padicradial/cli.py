@@ -81,8 +81,8 @@ def _fmt(x: float) -> str:
 _CONFIG_KEYS = {
     "p": int, "alpha": float, "gamma": float, "u0": float,
     "rhs": str, "rhs_amplitude": float, "rhs_beta": float,
-    "tol": float, "max_iter": int, "n_override": int, "extend_to": int,
-    "buffer": int, "csv_out": str, "report_out": str, "solution_out": str,
+    "tol": float, "max_iter": int, "extend_to": int,
+    "csv_out": str, "report_out": str, "solution_out": str,
 }
 _PROBLEM_FIELDS = ("p", "alpha", "gamma", "u0")
 
@@ -184,8 +184,7 @@ def cmd_apply(args) -> int:
 
 # -- solve --------------------------------------------------------------------
 
-def _verified_solve(problem: ProblemSpec, tol: float, levels, buffer: int = 3,
-                    **options) -> tuple:
+def _verified_solve(problem: ProblemSpec, tol: float, levels, **options) -> tuple:
     """(report, hypotheses, estimates, worst) of one solve at ``tol``: the :func:`residual`
     at each level of ``levels(u)`` where it is certified at max(100 tol, 1e-9), if the
     hypotheses make residuals meaningful, and the largest |residual| of them or None."""
@@ -195,7 +194,7 @@ def _verified_solve(problem: ProblemSpec, tol: float, levels, buffer: int = 3,
     estimates = {}
     for n in levels(u) if hyp.residual_verifiable else ():
         try:
-            estimates[n] = residual(u, problem, n, tol=max(tol * 100.0, 1e-9), buffer=buffer)
+            estimates[n] = residual(u, problem, n, tol=max(tol * 100.0, 1e-9))
         except IndeterminateResidualError:
             pass
     worst = max((abs(est.value) for est in estimates.values()), default=None)
@@ -209,8 +208,7 @@ def cmd_solve(args) -> int:
     problem = ProblemSpec(**{key: cfg[key] for key in _PROBLEM_FIELDS}, rhs=rhs)
     report, hyp, estimates, worst = _verified_solve(
         problem, cfg.get("tol", 1e-10), lambda u: range(u.k_min, u.k_max + 1),
-        cfg.get("buffer", 3), max_iter=cfg.get("max_iter", 1000),
-        n_override=cfg.get("n_override"), extend_to=cfg.get("extend_to"),
+        max_iter=cfg.get("max_iter", 1000), extend_to=cfg.get("extend_to"),
     )
     u = report.solution
 
@@ -407,7 +405,7 @@ def cmd_sweep(args) -> int:
                                            beta=args.rhs_beta)
                 problem = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=args.u0, rhs=rhs)
                 report, _, estimates, worst = _verified_solve(
-                    problem, args.tol, lambda u: range(u.k_min + 1, u.k_max - 2))
+                    problem, args.tol, lambda u: range(u.k_min + 1, u.k_max + 1))
                 max_resid = _fmt(worst) if worst is not None else ""
                 row += (f",{report.local_radius_N},{report.k_min},{report.solution.k_max},"
                         f"{report.picard_iterations},{max_resid},{len(estimates)},"

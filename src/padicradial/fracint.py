@@ -60,9 +60,6 @@ from .errors import (DivergenceError, require_alpha, require_depth, require_fini
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel
 
-# Floor for the slack used when building the sigma-uniform envelope bound.
-_EPS_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class KernelConstants:
@@ -74,8 +71,8 @@ class KernelConstants:
                alpha != 1, and d_abs itself for alpha = 1 (the log kernel
                is positive on |y| < |t|).
     a_bound  : envelope constant with d_{alpha,sigma'} <= a_bound * p^(-alpha sigma')
-               for every sigma' >= theta, built at theta = the divergence
-               boundary plus the distance of sigma from it floored at 1e-6.
+               for every sigma' >= sigma: the sigma-free factor of d_abs at sigma,
+               so d_abs = a_bound * p^(-alpha sigma).
     """
 
     d_abs: float
@@ -87,14 +84,13 @@ def _domain_boundary(alpha: float) -> float:
     return max(-1.0 / alpha, -1.0)
 
 
-def _check_sigma(alpha: float, sigma: float) -> float:
+def _check_sigma(alpha: float, sigma: float) -> None:
     boundary = _domain_boundary(alpha)
     if sigma <= boundary:
         raise DivergenceError(
             "kernel integral diverges: requires sigma > max(-1/alpha, -1) "
             f"= {boundary}, got sigma = {sigma}"
         )
-    return boundary
 
 
 def _kernel_envelope(p: int, alpha: float, s: float) -> float:
@@ -126,11 +122,11 @@ def kernel_constant(p: int, alpha: float, sigma: float) -> KernelConstants:
     require_alpha(alpha)
     require_finite(sigma=sigma)
     p = Prime(p)
-    boundary = _check_sigma(alpha, sigma)
-    theta = boundary + max(sigma - boundary, _EPS_FLOOR)
-    d_abs = _kernel_envelope(p, alpha, sigma) * p_pow(p, -alpha * sigma)
+    _check_sigma(alpha, sigma)
+    a_bound = _kernel_envelope(p, alpha, sigma)
+    d_abs = a_bound * p_pow(p, -alpha * sigma)
     return KernelConstants(d_abs=d_abs, s_signed=d_abs if alpha >= 1.0 else -d_abs,
-                           a_bound=_kernel_envelope(p, alpha, theta))
+                           a_bound=a_bound)
 
 
 def kernel_constant_oracle(p: int, alpha: float, sigma: float,

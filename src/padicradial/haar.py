@@ -43,6 +43,8 @@ class Prime(int):
     def __new__(cls, value):
         if type(value) is cls:
             return value
+        if isinstance(value, float) and not value.is_integer():  # 2.5, nan and inf
+            raise DomainError(f"prime base must be an integer, got {value}")
         value = int(value)
         if value < 2:
             raise DomainError(f"prime base must be >= 2, got {value}")

@@ -169,7 +169,7 @@ class RadialFunction:
     def values_on(self, lo: int, hi: int) -> list:
         """[u(p^k) for k = lo .. hi] in a new list: the stored values sliced, tails evaluated."""
         p, k_min, k_max = self.p, self.k_min, self.k_max
-        if k_min <= lo and hi <= k_max:
+        if k_min <= lo <= hi <= k_max:
             return list(self.values[lo - k_min:hi + 1 - k_min])
         out = [self.left_tail.value_at(p, k) for k in range(lo, min(hi + 1, k_min))]
         out += self.values[max(lo - k_min, 0):max(hi + 1 - k_min, 0)]
@@ -272,16 +272,6 @@ def weighted_sum_left(u: RadialFunction, m: int, e: float) -> float:
 def weighted_sum_right(u: RadialFunction, m: int, e: float) -> float:
     """sum_{l >= m} p^(e l) u(p^l), with the above-window part in closed form."""
     return _sum(u, m, None, e)
-
-
-def level_weighted_sum_left(u: RadialFunction, m: int, e: float) -> float:
-    """sum_{k <= m} k p^(e k) u(p^k); used by the alpha = 1 summability conditions."""
-    return _sum(u, None, m, e, level_weight=True)
-
-
-def level_weighted_sum_right(u: RadialFunction, m: int, e: float) -> float:
-    """sum_{l >= m} l p^(e l) u(p^l)."""
-    return _sum(u, m, None, e, level_weight=True)
 
 
 # -- summability ------------------------------------------------------------

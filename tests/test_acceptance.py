@@ -207,7 +207,7 @@ def test_criterion_07_extension_contraction():
         return Nonlinearity(
             eval=f, bound_M=scale, lipschitz_F=scale,
             per_level_F=lambda k: scale * p_pow(p_, -alpha_ * k),
-            decay=(scale, alpha_), name="sin-halfdecay")
+            decay=(scale, alpha_))
 
     good = ProblemSpec(p=p_, alpha=alpha_, gamma=gamma_, u0=1.0, rhs=make_rhs(0.5))
     report = solve_problem(good, tol=1e-11)

@@ -153,6 +153,16 @@ def test_radius_zero_lipschitz_hits_cap():
     assert choose_local_radius(prob) == 8
 
 
+def test_radius_search_starts_at_the_cap():
+    # F = 1e-310 puts the logarithmic guess near N = 1028; the search once formed
+    # 2^(1.25 * 823) there, past the overflow guard, before capping N at 8
+    assert _radius_from_constants(1.0, 1e-310, 2, 1.25) == 8
+    rhs = Nonlinearity(eval=lambda k, x: 1e-310 * math.sin(x), bound_M=1.0, lipschitz_F=1e-310)
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+    assert choose_local_radius(prob) == 8
+    assert solve_problem(prob, extend_to=10).local_radius_N == 8
+
+
 def test_radius_infeasible():
     # N has no floor: 1e30 * 1e30 * 2^(N / 2) <= 1/2 first holds at N = -401
     assert _radius_from_constants(1e30, 1e30, 2, 0.5) == -401
@@ -643,17 +653,6 @@ def test_residual_buffer_gate():
         residual(rep.solution, prob, rep.solution.k_max)
 
 
-def test_residual_rejects_a_negative_buffer():
-    rhs = catalog_nonlinearity("cos-decay", 2)
-    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
-    u = solve_problem(prob, tol=1e-10).solution
-    with pytest.raises(DomainError, match="buffer must be >= 0, got -2"):
-        residual(u, prob, u.k_max + 1, buffer=-2)  # an IndexError before
-    with pytest.raises(DomainError, match="buffer"):
-        residual(u, prob, u.k_max - 5, buffer=-1)
-    residual(u, prob, u.k_max, buffer=0)
-
-
 def test_residual_refuses_levels_beyond_double_range():
     # at the deepest window levels the rounding bound, which grows like
     # p^(-alpha n), exceeds tol; it is computed without overflow
@@ -968,6 +967,19 @@ def test_global_hypotheses_past_the_overflow_guard(amplitude, witness):
         power = math.exp(101.2 * 10 * math.log(2.0))
         assert hyp.detail.startswith(f"per-level Lipschitz bound fails at level -10: "
                                      f"F_l = 1e+306 >= p^(-alpha l) = {power}")
+
+
+def test_global_hypotheses_pass_a_zero_lipschitz_bound_where_the_power_underflows():
+    # p^(-alpha l) = 100000007^(-40.5) underflows to 0.0 at l = 27, where F_l = 0 once failed
+    # F_l < 0.0; the true power is positive, so F_l = 0 is below it and no other level fails
+    prob = ProblemSpec(p=100000007, alpha=1.5, gamma=0.5, u0=1.0,
+                       rhs=catalog_nonlinearity("zero", 100000007))
+    hyp = check_global_hypotheses(prob)
+    assert hyp.per_level_ok and hyp.witness_level is None and hyp.residual_verifiable
+    rhs = Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=5e-324)
+    hyp = check_global_hypotheses(ProblemSpec(p=100000007, alpha=1.5, gamma=0.5, u0=1.0,
+                                              rhs=rhs))
+    assert hyp.witness_level == 27 and not hyp.per_level_ok  # a positive F_l still fails
 
 
 def test_catalog_declares_the_magnitude_of_a_negative_amplitude():

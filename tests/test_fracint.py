@@ -10,6 +10,7 @@ from padicradial.radial import RadialFunction, TailModel
 from padicradial.vladimirov import apply_dalpha
 from padicradial.fracint import (
     _IalphaSweep,
+    _kernel_envelope,
     _sweep_below,
     apply_ialpha,
     assemble_fractional_integral,
@@ -91,6 +92,16 @@ def test_kernel_envelope_bound(p, alpha):
         assert kc.d_abs * p_pow(p, alpha * sigma) <= shared * (1 + 1e-12)
         assert kc.d_abs * p_pow(p, alpha * sigma) <= kc.a_bound * (1 + 1e-12)
         assert kc.d_abs > 0
+
+
+@pytest.mark.parametrize("p, alpha, sigma", [(2, 0.5, -0.9999999), (2, 2.0, -0.4999999),
+                                             (3, 1.0, -0.99999995)])
+def test_kernel_envelope_covers_d_next_to_the_boundary(p, alpha, sigma):
+    # a_bound was once the envelope at the boundary plus 1e-6, 10 to 400 times below
+    # d_abs * p^(alpha sigma) within 1e-6 of the boundary
+    kc = kernel_constant(p, alpha, sigma)
+    assert kc.a_bound == _kernel_envelope(p, alpha, sigma)
+    assert kc.a_bound >= kc.d_abs * p_pow(p, alpha * sigma)
 
 
 def test_ialpha_zero_function():
@@ -299,6 +310,15 @@ def test_assembly_rejects_window_above_v():
     v = RadialFunction.indicator_unit_ball(2)
     with pytest.raises(DivergenceError):
         assemble_fractional_integral(v, 1.0, k_lo=5, k_hi=20)
+
+
+def test_assembly_of_a_window_wholly_below_v():
+    # the one-pass part reads v.values_on(0, -3), which once returned 9 stored values
+    v = RadialFunction(2, 0, 10, tuple(1.0 / (1 + k) for k in range(11)),
+                       left_tail=TailModel.constant(1.0))
+    iv = assemble_fractional_integral(v, 1.5, k_lo=-20, k_hi=-3)
+    assert (iv.k_min, iv.k_max) == (-20, -3)
+    assert iv.value_at(-3) == apply_ialpha(v, 1.5, -3)
 
 
 def test_kernel_constant_rejects_nan():

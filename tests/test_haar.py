@@ -19,6 +19,7 @@ from padicradial.haar import (
     sphere_shifted_power_integral,
     sphere_shifted_power_integral_oracle,
 )
+from padicradial.fracint import kernel_constant
 
 PRIMES = (2, 3, 5)
 EXPONENTS = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -33,6 +34,19 @@ def test_prime_accepts_primes():
 def test_prime_rejects_composites(bad):
     with pytest.raises(DomainError):
         Prime(bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.9, 7.000001, math.nan, math.inf, -math.inf])
+def test_prime_refuses_a_non_integral_base(bad):
+    # Prime(2.5) once truncated to 2, and nan and inf escaped as ValueError and OverflowError
+    with pytest.raises(DomainError, match="prime base must be an integer"):
+        Prime(bad)
+    with pytest.raises(DomainError):
+        kernel_constant(bad, 1.0, 0.0)
+
+
+def test_prime_keeps_an_integral_float():
+    assert Prime(7.0) == 7 and type(Prime(7.0)) is Prime
 
 
 def test_prime_of_a_prime_is_itself_and_composites_still_fail():

@@ -11,8 +11,6 @@ from padicradial.radial import (
     _sum,
     check_summability,
     dump_radial,
-    level_weighted_sum_left,
-    level_weighted_sum_right,
     load_radial,
     weighted_sum_left,
     weighted_sum_right,
@@ -114,8 +112,16 @@ def test_zero_tails_reduce_to_finite_sums():
 def test_level_weighted_sums():
     u = RadialFunction.constant(2, 1.0)
     # sum_{k<=0} k 2^k = -2; sum_{l>=1} l 2^(-l) = 2
-    assert level_weighted_sum_left(u, 0, 1.0) == pytest.approx(-2.0, rel=1e-12)
-    assert level_weighted_sum_right(u, 1, -1.0) == pytest.approx(2.0, rel=1e-12)
+    assert _sum(u, None, 0, 1.0, level_weight=True) == pytest.approx(-2.0, rel=1e-12)
+    assert _sum(u, 1, None, -1.0, level_weight=True) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_values_on_an_empty_range_that_starts_in_the_window_is_empty():
+    # lo in the window and hi below k_min - 1 once took the in-window slice, whose negative
+    # stop counts from the end: values_on(0, -3) returned 9 of the 11 stored values
+    u = RadialFunction(2, 0, 10, tuple(float(k) for k in range(11)))
+    assert u.values_on(0, -3) == [] and u.values_on(5, 2) == [] and u.values_on(0, -1) == []
+    assert u.values_on(0, 10) == list(u.values)
 
 
 _TAILS = {"zero": TailModel.zero(), "const": TailModel.constant(-0.75),

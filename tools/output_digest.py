@@ -44,14 +44,17 @@ families instead), and a ``solve`` refused deep below level 0 at
 ``--rhs-amplitude 1e308``, whose threshold p^(-alpha ell + gamma (ell + 1)) is
 past the overflow guard (exit 2 on a ContractionError that names it as 1 / c,
 c the step's factor; once on a MagnitudeError raised while formatting it),
-and six invocations at inputs that once failed otherwise: ``constants`` at a
+and eight invocations at inputs that once failed otherwise: ``constants`` at a
 sigma and at a gamma whose kernel denominator rounds to 0 (exit 2 on a
 DivergenceError; once exit 1 on a ZeroDivisionError) and a ``solve`` at that
 gamma (exit 2; once exit 3 at the work limit), ``constants`` next to
 degeneration, where C is C_0 (once 500 times below it), a ``solve`` at
 p = 100000007 whose global hypotheses pass the overflow guard (exit 0; once exit
-2 after the solve), and a ``cos-decay`` solve at a negative amplitude (exit 0;
-once refused for a negative bound_M).
+2 after the solve), a ``cos-decay`` solve at a negative amplitude (exit 0;
+once refused for a negative bound_M), ``constants`` within 1e-6 of the boundary,
+whose a_bound covers d_abs p^(alpha sigma) (once 10 times below it), and a ``zero``
+solve at p = 100000007 whose F_l = 0 passes where p^(-alpha l) underflows (a
+max_residual; once "residuals unavailable").
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -132,7 +135,8 @@ REFUSED_LATER = (
     "solve --p 3 --alpha 1 --gamma 0.5 --u0 1 --rhs cos-decay --rhs-amplitude 1e308",
 )
 # a kernel denominator that rounds to 0, C next to degeneration, global hypotheses past the
-# overflow guard, and a negative amplitude
+# overflow guard, a negative amplitude, a_bound next to the boundary, and F_l = 0 where the
+# power underflows
 ONCE_FAILING = (
     "constants --p 2 --alpha 0.5 --sigma -0.9999999999999999",
     "constants --p 2 --alpha 0.5 --gamma 0.49999999999999994",
@@ -140,6 +144,8 @@ ONCE_FAILING = (
     "constants --p 2 --alpha 0.5 --gamma 0.499999999 --nmax 2",
     "solve --p 100000007 --alpha 4 --gamma 0.5 --u0 1 --rhs cos-decay --extend-to 1",
     "solve --p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs cos-decay --rhs-amplitude -0.1",
+    "constants --p 2 --alpha 0.5 --sigma -0.9999999",
+    "solve --p 100000007 --alpha 1.5 --gamma 0.5 --u0 1 --rhs zero --extend-to 20",
 )
 
 
