@@ -45,7 +45,6 @@ from .radial import (
     dump_radial,
     load_radial,
     weighted_sum_left,
-    weighted_sum_right,
 )
 from .vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha, dalpha_window
 from .fracint import (

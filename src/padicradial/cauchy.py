@@ -37,6 +37,7 @@ than silently dropped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -51,6 +52,7 @@ from .errors import (
     NonConvergenceError,
     require_alpha,
     require_finite,
+    require_level,
     require_tol,
     require_weak_degeneration,
 )
@@ -256,15 +258,29 @@ def _truncation_constants(problem: ProblemSpec) -> tuple:
     return c, max(alpha - 1.0, 0.0), math.expm1((alpha - gamma) * lnp)
 
 
+def _scaled_power(c: float, p: int, e: float) -> float:
+    """c p^e for c > 0 (the C of :func:`_truncation_constants`, ~ M): c times p^e where
+    p^e is a normal double, else one power p^(e + log_p c), so that a huge c does not
+    scale up a p^e that underflowed to 0.0 or to a subnormal with few bits.  That power's
+    exponent, off by a few units of |e ln p| + |ln c|, is unbounded (|e ln p| < 709 in the
+    product), so its value is raised by 8 units of them: the bound stays above the sum."""
+    power = p_pow(p, e)
+    if power >= sys.float_info.min:
+        return c * power
+    lnp, lnc = math.log(p), math.log(c)
+    return p_pow(p, e + lnc / lnp) * (1.0 + 2.0 ** -50 * (abs(e) * lnp + abs(lnc) + 1.0))
+
+
 def _truncation_bound(problem: ProblemSpec, k_cut: int, start: int) -> Iterator[float]:
     """rem(n) of :func:`_truncation_constants` for n = start, start + 1, ..., one step
     each; the walk up to start forms no power."""
+    p = problem.p
     c, h, r = _truncation_constants(problem)
     e = (problem.alpha - problem.gamma) * (k_cut - 1)
-    flat = c * p_pow(problem.p, e) / r
-    walk = islice(_kernel_walk(problem.p, problem.alpha), start - k_cut, None)
+    flat = _scaled_power(c, p, e) / r
+    walk = islice(_kernel_walk(p, problem.alpha), start - k_cut, None)
     for m, (s, _) in enumerate(walk, start - k_cut + 1):
-        yield c * p_pow(problem.p, e + h * m) * s + flat
+        yield _scaled_power(c, p, e + h * m) * s + flat
 
 
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float,
@@ -288,7 +304,8 @@ def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float,
     _, total = next(islice(walk, width - 1, None))
     while True:
         e = (alpha - gamma) * (k_min - 1)
-        budget = c * p_pow(p, e + h * width) * total + width * (c * p_pow(p, e) / r)
+        budget = _scaled_power(c, p, e + h * width) * total \
+            + width * (_scaled_power(c, p, e) / r)
         if budget <= tol / 10.0 and k_min <= highest:
             return k_min, budget
         k_min -= 4
@@ -500,6 +517,7 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     if u.p != p:
         raise DomainError(f"u is a function over p = {u.p}, the problem's p is {p}")
     require_tol(tol)
+    n = require_level(n)
     if n > u.k_max - EDGE_LEVELS:
         raise IndeterminateResidualError(
             f"level {n} is within {EDGE_LEVELS} levels of the window edge k_max = {u.k_max}; "
@@ -572,18 +590,18 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
 
     cos-decay is f(p^l, x) = A p^(-beta max(l, 0)) cos(x) with per-level
     Lipschitz constants |A| p^(-beta max(l, 0)) and decay pair (|A|, beta);
-    bounded-sigmoid is a level-independent saturating nonlinearity.  The
+    bounded-sigmoid is a level-independent saturating nonlinearity.  zero, const and
+    bounded-sigmoid declare no per-level bound: lipschitz_F holds at every level.  The
     metadata declares |A|, so a negative amplitude is as admissible as a positive one.
     """
     p = Prime(p)
     a, m = amplitude, abs(amplitude)
     if name == "zero":
         return Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0,
-                            per_level_F=lambda k: 0.0, decay=(1.0, beta))
+                            decay=(1.0, beta))
     if name == "const":
         return Nonlinearity(eval=lambda k, x: a, bound_M=m if a != 0.0 else 1.0,
-                            lipschitz_F=0.0, per_level_F=lambda k: 0.0,
-                            decay=None)
+                            lipschitz_F=0.0)
     if name == "cos-decay":
 
         def f(k: int, x: float) -> float:  # p^(-beta max(k, 0)) is 1 at k <= 0
@@ -594,6 +612,5 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
                             decay=(m, beta))
     if name == "bounded-sigmoid":
         return Nonlinearity(eval=lambda k, x: a * math.tanh(x / 2.0) / 2.0,
-                            bound_M=m / 2.0, lipschitz_F=m / 4.0,
-                            per_level_F=lambda k: m / 4.0, decay=None)
+                            bound_M=m / 2.0, lipschitz_F=m / 4.0)
     raise DomainError(f"unknown catalog nonlinearity {name!r}")

@@ -334,7 +334,7 @@ def _inverse_members(p: int, alpha: float, family: str) -> list:
     """The members v of ``family`` over p that meet :func:`check_summability` at alpha,
     as Kochubei's right inverse D^alpha I^alpha v = v needs."""
     return [v for v in _test_family(p, family)
-            if check_summability(v, alpha, 0).all_applicable_hold()]
+            if check_summability(v, alpha).all_applicable_hold()]
 
 
 def _suite_right_inverse(depth: int, family: str):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of finiteness, of alpha,
-of the degeneration exponent and of an oracle's depth that several modules share.
+"""Exception types shared across the package, and the checks of finiteness, of levels,
+of alpha, of the degeneration exponent and of an oracle's depth that several modules share.
 
 The CLI maps these onto its exit codes: everything rooted at
 :class:`DomainError`, :class:`MetadataError` and :class:`MagnitudeError`
@@ -9,6 +9,7 @@ failures (exit 3).
 """
 
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -20,6 +21,17 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_level(value, name: str = "level n") -> int:
+    """``value`` as an int level: an integral float such as 2.0 is converted, as a prime
+    base is; anything else, NaN and inf included, is a :class:`DomainError`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_tol(tol: float) -> None:

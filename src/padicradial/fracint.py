@@ -56,9 +56,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (DivergenceError, require_alpha, require_depth, require_finite,
-                     require_weak_degeneration)
+                     require_level, require_weak_degeneration)
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
-from .radial import RadialFunction, TailModel
+from .radial import RadialFunction, TailModel, _require_convergent
 
 
 @dataclass(frozen=True)
@@ -225,10 +225,9 @@ def _sweep_below(u: RadialFunction, alpha: float, start: int) -> _IalphaSweep:
     a constant tail's two parts are exact negatives and a zero tail's are 0.0: both seed 0.0."""
     require_alpha(alpha)
     c = u.value_at(start - 1)  # in the left tail
+    _require_convergent(u.left_tail, "left", min(1.0, alpha),
+                        series="I^alpha (a left sum at e = min(1, alpha))")
     rho = u.left_tail.rho
-    if not rho > -min(1.0, alpha):
-        raise DivergenceError(f"I^alpha of a left tail p^(rho k) diverges: requires "
-                              f"rho > -min(1, alpha) = {-min(1.0, alpha)}, got {rho}")
     lnp = math.log(u.p)
     bc = gc = 0.0
     for x, r in ((c, rho), (-c, 0.0)):  # the tail part, then the centering
@@ -252,6 +251,7 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     overflow guard raises :class:`MagnitudeError` at the first such level.
     O(1) below u's window, O(n - k_min) above its start.
     """
+    n = require_level(n)
     start = min(n, u.k_min)
     fs = u.values_on(start, n)
     last = fs.pop()

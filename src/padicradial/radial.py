@@ -7,13 +7,14 @@ to zero / constant / power-law; that is exactly the class needed by the
 operator modules, and it makes every weighted infinite sum a geometric
 series with a closed form, so there is no truncation error at infinity.
 
-The weighted sums here, ``sum_{k<=m} p^(e k) u(p^k)``, its mirror image and
-the level-weighted ``sum k p^(e k) u(p^k)``, are one private sum over levels
-lo <= k <= hi that also centers u on a constant c and sums an open end in
-closed form.  They serve :func:`check_summability` and the D^alpha oracle;
-the operators walk u's stored values, the D^alpha walks taking only their
-seeds from ``_tail_sum``.  :meth:`RadialFunction.values_on` reads u on a
-range of levels into a new list, one slice of the stored tuple in the window.
+The weighted sums here, ``sum_{k<=m} p^(e k) u(p^k)`` and its mirror image,
+are one private sum over levels lo <= k <= hi that also centers u on a
+constant c and sums an open end in closed form; it serves the D^alpha
+oracle, and the D^alpha walks take their seeds from its tail part.  Every
+tail series converges or diverges by one rule on its rate, which also
+decides :func:`check_summability` with no sum formed.
+:meth:`RadialFunction.values_on` reads u on a range of levels into a new
+list, one slice of the stored tuple in the window.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DivergenceError, DomainError, require_alpha
+from .errors import DivergenceError, DomainError, require_alpha, require_level
 from .haar import Prime, p_pow
 
 _TAIL_KINDS = ("zero", "const", "power")
@@ -73,10 +74,6 @@ class TailModel:
             return self.c
         return self.c * p_pow(p, self.rho * k)
 
-    def absolute(self) -> "TailModel":
-        """Tail model of |u|, used by the summability checks."""
-        return TailModel(self.kind, c=abs(self.c), rho=self.rho)
-
     def to_token(self) -> str:
         if self.kind == "zero":
             return "zero"
@@ -113,6 +110,8 @@ class RadialFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Prime(self.p))
+        object.__setattr__(self, "k_min", require_level(self.k_min, "k_min"))
+        object.__setattr__(self, "k_max", require_level(self.k_max, "k_max"))
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         if self.k_min > self.k_max:
             raise DomainError(f"window requires k_min <= k_max, got [{self.k_min}, {self.k_max}]")
@@ -176,13 +175,6 @@ class RadialFunction:
         out.extend(self.right_tail.value_at(p, k) for k in range(max(lo, k_max + 1), hi + 1))
         return out
 
-    def absolute(self) -> "RadialFunction":
-        return RadialFunction(
-            self.p, self.k_min, self.k_max, tuple(abs(v) for v in self.values),
-            left_tail=self.left_tail.absolute(), right_tail=self.right_tail.absolute(),
-            value_at_zero=abs(self.value_at_zero),
-        )
-
     @cached_property
     def _residual_memo(self) -> dict:
         """alpha -> :func:`padicradial.cauchy._residual_fit` of this function: the one cache."""
@@ -191,76 +183,72 @@ class RadialFunction:
 
 # -- geometric primitives ---------------------------------------------------
 #
-# All infinite tails reduce to the four sums below, written for the ratio
-# x = p^e (or p^(e + rho)).  Left sums need x > 1, right sums x < 1.
+# All infinite tails reduce to the sum below, written for the ratio
+# x = p^e (or p^(e + rho)).
 
-def _geom_left(x: float, j: int) -> float:
-    """sum_{k <= j} x^k for x > 1."""
-    return p_pow(x, j) * x / (x - 1.0)
-
-
-def _geom_left_level(x: float, j: int) -> float:
-    """sum_{k <= j} k x^k for x > 1."""
-    r = x / (x - 1.0)
-    return p_pow(x, j) * (j * r - r / (x - 1.0))
-
-
-def _geom_right(x: float, j: int) -> float:
-    """sum_{k >= j} x^k for 0 < x < 1."""
+def _geom(x: float, j: int, side: str) -> float:
+    """sum_{k <= j} x^k for x > 1 (side "left"), sum_{k >= j} x^k for 0 < x < 1 ("right")."""
+    if side == "left":
+        return p_pow(x, j) * x / (x - 1.0)
     return p_pow(x, j) / (1.0 - x)
 
 
-def _geom_right_level(x: float, j: int) -> float:
-    """sum_{k >= j} k x^k for 0 < x < 1."""
-    return p_pow(x, j) * (j / (1.0 - x) + x / (1.0 - x) ** 2)
+def _require_convergent(tail: TailModel, side: str, e: float, c: float = 0.0,
+                        series: str = "") -> None:
+    """The one convergence rule of a tail: sum p^(e k) (tail(k) - c) over the levels beyond
+    a window on ``side`` ("left": k -> -inf, "right": k -> +inf) is geometric, of rate
+    e + rho for a power law and e for a constant or a centering c != 0, and converges iff
+    each rate is > 0 on the left and < 0 on the right; a boundary rate diverges.  Anything
+    else raises :class:`DivergenceError` naming ``series`` (the weighted sum by default)
+    and the broken inequality.
+    """
+    sign, rel = (1.0, ">") if side == "left" else (-1.0, "<")
+    if tail.kind == "power" and sign * (e + tail.rho) <= 0.0:
+        broken = f"power-law {side} tail requires e + rho {rel} 0, got e + rho = {e + tail.rho}"
+    elif (tail.kind == "const" or c != 0.0) and sign * e <= 0.0:
+        broken = f"constant {side} tail requires e {rel} 0, got e = {e}"
+    else:
+        return
+    series = series or f"{side} series sum p^(e k) u(p^k)"
+    raise DivergenceError(f"{series} diverges: {broken}")
 
 
 def _tail_sum(total: float, tail: TailModel, p: int, j: int, e: float, c: float,
-              geom, side: str, origin: int = 0) -> float:
-    """total + sum [k - s] p^(e (k - s)) (tail(k) - c) over the levels beyond j, in closed form.
+              side: str, origin: int = 0) -> float:
+    """total + sum p^(e (k - s)) (tail(k) - c) over the levels beyond j, in closed form.
 
-    ``side`` is "left" (levels k <= j, ``geom`` a _geom_left primitive,
-    rates must be > 0) or "right" (k >= j, _geom_right, rates < 0); a
-    divergent series raises.  Adding to the caller's running total keeps
-    one summation order for the plain and the centered sums.  Levels are
-    counted from s = ``origin``, so a sum scaled to its own level stays in
-    the double range however far that level lies from 0.
+    ``side`` is "left" (levels k <= j) or "right" (k >= j); a divergent
+    series raises through :func:`_require_convergent`.  Adding to the
+    caller's running total keeps one summation order for the plain and the
+    centered sums.  Levels are counted from s = ``origin``, so a sum scaled
+    to its own level stays in the double range however far that level lies
+    from 0.
     """
-    sign, rel = (1.0, ">") if side == "left" else (-1.0, "<")
+    _require_convergent(tail, side, e, c)
     shift = tail.c - c
     if tail.kind == "power":
-        rate = e + tail.rho
-        if sign * rate <= 0.0:
-            raise DivergenceError(f"{side} series sum p^(e k) u(p^k) diverges: power-law "
-                                  f"{side} tail requires e + rho {rel} 0, got e + rho = {rate}")
-        total += tail.value_at(p, origin) * geom(p_pow(p, rate), j - origin)
+        total += tail.value_at(p, origin) * _geom(p_pow(p, e + tail.rho), j - origin, side)
         shift = -c
-    if (tail.kind == "const" or shift != 0.0) and sign * e <= 0.0:
-        raise DivergenceError(f"{side} series sum p^(e k) u(p^k) diverges: constant "
-                              f"{side} tail requires e {rel} 0, got e = {e}")
     if shift != 0.0:
-        total += shift * geom(p_pow(p, e), j - origin)
+        total += shift * _geom(p_pow(p, e), j - origin, side)
     return total
 
 
 def _sum(u: RadialFunction, lo: int | None, hi: int | None, e: float,
-         level_weight: bool = False, c: float = 0.0, origin: int = 0) -> float:
-    """sum_{lo <= k <= hi} [k - s] p^(e (k - s)) (u(p^k) - c), s = ``origin``; an end given as
-    None is the tail beyond the window on that side, in closed form.  c = s = 0 gives the
+         c: float = 0.0, origin: int = 0) -> float:
+    """sum_{lo <= k <= hi} p^(e (k - s)) (u(p^k) - c), s = ``origin``; an end given as None
+    is the tail beyond the window on that side, in closed form.  c = s = 0 gives the
     plain weighted sums, and s near the range keeps a sum far from level 0 in range."""
     p = u.p
     total = 0.0
     if lo is None:
         lo = u.k_min if hi is None else min(hi + 1, u.k_min)
-        geom = _geom_left_level if level_weight else _geom_left
-        total = _tail_sum(total, u.left_tail, p, lo - 1, e, c, geom, "left", origin)
+        total = _tail_sum(total, u.left_tail, p, lo - 1, e, c, "left", origin)
     top = max(lo, u.k_max + 1) - 1 if hi is None else hi
     for k, v in zip(range(lo, top + 1), u.values_on(lo, top)):
-        w = p_pow(p, e * (k - origin))
-        total += ((k - origin) * w if level_weight else w) * (v - c)
+        total += p_pow(p, e * (k - origin)) * (v - c)
     if hi is None:
-        geom = _geom_right_level if level_weight else _geom_right
-        total = _tail_sum(total, u.right_tail, p, top + 1, e, c, geom, "right", origin)
+        total = _tail_sum(total, u.right_tail, p, top + 1, e, c, "right", origin)
     return total
 
 
@@ -269,17 +257,11 @@ def weighted_sum_left(u: RadialFunction, m: int, e: float) -> float:
     return _sum(u, None, m, e)
 
 
-def weighted_sum_right(u: RadialFunction, m: int, e: float) -> float:
-    """sum_{l >= m} p^(e l) u(p^l), with the above-window part in closed form."""
-    return _sum(u, m, None, e)
-
-
 # -- summability ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConditionCheck:
     holds: bool
-    bound: float | None = None
     detail: str = ""
 
 
@@ -287,17 +269,19 @@ class ConditionCheck:
 class SummabilityReport:
     """Outcome of the convergence conditions the operator modules assume.
 
-    cond_3_1      : sum_{k<=m} p^k |u(p^k)| < inf
-    cond_3_1_prime: sum_{l>=m} p^(-alpha l) |u(p^l)| < inf
-    cond_2_7      : sum_{k<=m} max(p^k, p^(alpha k)) |u(p^k)| < inf   (alpha != 1)
-    cond_2_8      : sum_{k<=m} |k| p^k |u(p^k)| < inf                 (alpha == 1)
-    cond_3_2      : cond_2_7 plus sum_{l>=m} |u(p^l)| < inf           (alpha != 1)
-    cond_3_3      : cond_2_8 plus sum_{l>=m} |l| |u(p^l)| < inf       (alpha == 1)
+    cond_3_1      : sum p^k |u(p^k)| < inf over the levels k -> -inf
+    cond_3_1_prime: sum p^(-alpha l) |u(p^l)| < inf over the levels l -> +inf
+    cond_2_7      : sum max(p^k, p^(alpha k)) |u(p^k)| < inf, k -> -inf  (alpha != 1)
+    cond_2_8      : sum |k| p^k |u(p^k)| < inf, k -> -inf                 (alpha == 1)
+    cond_3_2      : cond_2_7 plus sum |u(p^l)| < inf, l -> +inf           (alpha != 1)
+    cond_3_3      : cond_2_8 plus sum |l| |u(p^l)| < inf, l -> +inf       (alpha == 1)
 
-    Fields for the non-applicable alpha branch are None.  Convergence of a
-    level-weighted series is decided by the strict inequality on the
-    geometric rate: the polynomial factor never changes convergence, and
-    boundary rates are classified divergent.
+    Fields for the non-applicable alpha branch are None.  Each series splits
+    at any level into finitely many terms and a tail beyond the window, so
+    each verdict is the tail's rate alone, by :func:`_require_convergent`:
+    at k -> -inf max(p^k, p^(alpha k)) is p^(min(1, alpha) k), the factor
+    |k| never changes convergence, and boundary rates are classified
+    divergent.  A failing cond_3_2 or cond_3_3 keeps the first failing detail.
     """
 
     cond_3_1: ConditionCheck
@@ -313,40 +297,24 @@ class SummabilityReport:
         return all(c.holds for c in checks if c is not None)
 
 
-def _checked(fn) -> ConditionCheck:
+def _rate_check(tail: TailModel, side: str, e: float) -> ConditionCheck:
     try:
-        return ConditionCheck(True, fn())
+        _require_convergent(tail, side, e)
     except DivergenceError as err:
-        return ConditionCheck(False, None, str(err))
+        return ConditionCheck(False, str(err))
+    return ConditionCheck(True)
 
 
-def _both(a: ConditionCheck, b: ConditionCheck) -> ConditionCheck:
-    """Both conditions: the bounds add, and a failure keeps the first failing detail."""
-    if a.holds and b.holds:
-        return ConditionCheck(True, a.bound + b.bound)
-    return ConditionCheck(False, None, (a if not a.holds else b).detail)
-
-
-def check_summability(u: RadialFunction, alpha: float, m: int) -> SummabilityReport:
-    """Evaluate the convergence conditions for u at split level m."""
+def check_summability(u: RadialFunction, alpha: float) -> SummabilityReport:
+    """Evaluate the convergence conditions for u from its tails' kinds and rates."""
     require_alpha(alpha)
-    au = u.absolute()
-    cond_3_1 = _checked(lambda: weighted_sum_left(au, m, 1.0))
-    cond_3_1_prime = _checked(lambda: weighted_sum_right(au, m, -alpha))
-    cond_2_7 = cond_2_8 = cond_3_2 = cond_3_3 = None
-    # |k| is -k at k <= 0 and k above; max(p^k, p^(alpha k)) is p^(min(1, alpha) k) at
-    # k <= 0 and p^(max(1, alpha) k) above, where the range up to m is finite
+    cond_3_1 = _rate_check(u.left_tail, "left", 1.0)
+    cond_3_1_prime = _rate_check(u.right_tail, "right", -alpha)
+    left = _rate_check(u.left_tail, "left", min(1.0, alpha))
+    both = _rate_check(u.right_tail, "right", 0.0) if left.holds else left
     if alpha == 1.0:
-        cond_2_8 = _checked(lambda: -_sum(au, None, min(m, 0), 1.0, level_weight=True)
-                            + _sum(au, 1, m, 1.0, level_weight=True))
-        cond_3_3 = _both(cond_2_8, _checked(
-            lambda: _sum(au, max(m, 0), None, 0.0, level_weight=True)
-            - _sum(au, m, -1, 0.0, level_weight=True)))
-    else:
-        cond_2_7 = _checked(lambda: _sum(au, None, min(m, 0), min(1.0, alpha))
-                            + _sum(au, 1, m, max(1.0, alpha)))
-        cond_3_2 = _both(cond_2_7, _checked(lambda: _sum(au, m, None, 0.0)))
-    return SummabilityReport(cond_3_1, cond_3_1_prime, cond_2_7, cond_2_8, cond_3_2, cond_3_3)
+        return SummabilityReport(cond_3_1, cond_3_1_prime, None, left, None, both)
+    return SummabilityReport(cond_3_1, cond_3_1_prime, left, None, both, None)
 
 
 # -- serialization ----------------------------------------------------------

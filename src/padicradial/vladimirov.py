@@ -45,9 +45,9 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .errors import DivergenceError, MagnitudeError, require_alpha, require_depth
+from .errors import DivergenceError, MagnitudeError, require_alpha, require_depth, require_level
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
-from .radial import RadialFunction, _geom_left, _geom_right, _sum, _tail_sum
+from .radial import RadialFunction, _sum, _tail_sum
 
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 
@@ -83,9 +83,8 @@ def _walk_start(u: RadialFunction, alpha: float, lo: int, hi: int) -> tuple:
     a, b = min(lo, u.k_min), max(hi, u.k_max)
     vals = u.values if a == u.k_min and b == u.k_max else u.values_on(a, b)
     try:
-        seed_l = _tail_sum(0.0, u.left_tail, u.p, a - 1, 1.0, vals[0], _geom_left, "left", a)
-        seed_r = _tail_sum(0.0, u.right_tail, u.p, b + 1, -alpha, vals[-1], _geom_right,
-                           "right", b)
+        seed_l = _tail_sum(0.0, u.left_tail, u.p, a - 1, 1.0, vals[0], "left", a)
+        seed_r = _tail_sum(0.0, u.right_tail, u.p, b + 1, -alpha, vals[-1], "right", b)
     except DivergenceError as err:
         raise DivergenceError(f"D^alpha at levels [{lo}, {hi}]: {err}") from err
     return (coef, float(u.p), p_pow(u.p, -alpha), math.expm1(alpha * math.log(u.p)), a, vals,
@@ -102,6 +101,7 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     :class:`DivergenceError` naming the failed inequality, and a level
     whose p^(-alpha n) exceeds the double range :class:`MagnitudeError`.
     """
+    n = require_level(n)
     coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, n, n)
     pm1, i = p - 1.0, n - a  # n in vals
     for v, w in zip(vals, islice(vals, 1, i + 1)):
@@ -170,6 +170,7 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     decomposition; spheres with j > n contribute through |x - y| = p^j.
     """
     require_depth(depth)
+    n = require_level(n)
     d = d_alpha(u.p, alpha)
     p = u.p
     frac = 1.0 - 1.0 / p

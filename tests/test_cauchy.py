@@ -263,7 +263,7 @@ def test_a_picard_sweep_out_of_the_double_range_is_a_magnitude_error():
     # the scaled sweep sums about 1e306 / (1 - 2^-0.01) per level, past the double range
     prob = ProblemSpec(p=2, alpha=0.5, gamma=0.49, u0=1.0,
                        rhs=catalog_nonlinearity("cos-decay", 2, amplitude=1e306))
-    with pytest.raises(MagnitudeError, match=r"^the step at level -106978 left the double range: "
+    with pytest.raises(MagnitudeError, match=r"^the step at level -106970 left the double range: "
                                              "-inf$"):
         solve_problem(prob)
 
@@ -409,6 +409,34 @@ def test_window_floor_rejects_non_positive_tol():
     for tol in (0.0, -1e-10, math.nan):
         with pytest.raises(DomainError, match="tol"):
             _choose_window_floor(catalog_problem(), 10, tol)
+
+
+@pytest.mark.parametrize("gamma, amplitude, u0, tol, n_top, highest, k_min", [
+    (0.4, 1e306, 0.0, 1e-290, -959, -960, -2511),  # solve --extend-to -960 --tol 1e-290
+    (0.25, 1e200, 1.0, 1e-200, -533 + 36, math.inf, -1449),  # the top N + 36
+])
+def test_window_floor_budget_covers_the_sum_where_p_e_underflows(gamma, amplitude, u0, tol,
+                                                                   n_top, highest, k_min):
+    # C ~ M once multiplied a p^e that had underflowed to 0.0 or to a subnormal: the floors
+    # -995 and -1101 were certified with budget 0.0, their sums being 4.5e-18 and 1.6e-123
+    from mpmath import mp, mpf
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=gamma, u0=u0,
+                       rhs=catalog_nonlinearity("cos-decay", 2, amplitude=amplitude))
+    got, budget = _choose_window_floor(prob, n_top, tol, highest)
+    assert got == k_min and budget <= tol / 10.0
+    # sum over n in [K, n_top] of sum_{k < K} |kernel(n, k)| M p^(-gamma k), the kernel
+    # p^((a-1) n) - p^((a-1) k) summed over k < K as two geometric series, in 60 digits
+    with mp.workdps(60):
+        P, a, g, m = mpf(2), mpf(1.5), mpf(gamma), mpf(amplitude)
+        pref = (1 - P ** -a) / (P ** (a - 1) - 1) * (1 - 1 / P)
+        low_1 = P ** ((1 - g) * (k_min - 1)) / (1 - P ** (g - 1))
+        low_a = P ** ((a - g) * (k_min - 1)) / (1 - P ** (g - a))
+        want = sum(pref * m * (P ** ((a - 1) * n) * low_1 - low_a)
+                   for n in range(k_min, n_top + 1))
+        assert budget >= want and budget <= want * (1 + mpf(10) ** -11)
+    if u0 == 0.0:  # the first repro end to end: the solve certifies the same floor
+        rep = solve_problem(prob, tol=tol, extend_to=-960)
+        assert rep.k_min == k_min and rep.truncation_budget >= want
 
 
 # -- local iteration -------------------------------------------------------------
@@ -901,7 +929,7 @@ def _with_solution(call, tol):
     lambda: weighted_sum_left(RadialFunction.constant(2, 1.0), 0, math.nan),
     lambda: ball_power_integral(2, math.nan, 0),
     lambda: kernel_constant_oracle(2, math.nan, 0),
-    lambda: check_summability(RadialFunction.constant(2, 1.0), math.nan, 0),
+    lambda: check_summability(RadialFunction.constant(2, 1.0), math.nan),
     lambda: _with_solution(residual, math.nan),
     lambda: _with_solution(residual, math.inf),
     lambda: solve_problem(catalog_problem(), tol=math.nan),
@@ -987,7 +1015,8 @@ def test_catalog_declares_the_magnitude_of_a_negative_amplitude():
         neg, pos = (catalog_nonlinearity(name, 3, amplitude=a) for a in (-0.1, 0.1))
         for field in ("bound_M", "lipschitz_F", "decay"):
             assert getattr(neg, field) == getattr(pos, field)
-        assert [neg.per_level_F(k) for k in (-3, 0, 4)] == [pos.per_level_F(k) for k in (-3, 0, 4)]
+        assert [neg.level_lipschitz(k) for k in (-3, 0, 4)] == \
+            [pos.level_lipschitz(k) for k in (-3, 0, 4)]
         assert neg.eval(2, 0.5) == -pos.eval(2, 0.5)
         with pytest.raises(DomainError, match="bound_M must be positive"):
             catalog_nonlinearity(name, 3, amplitude=0.0)

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from padicradial.errors import DomainError
-from padicradial.cauchy import ProblemSpec, catalog_nonlinearity
+from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
 from padicradial.fracint import apply_ialpha, bound_constants, kernel_constant, kernel_constant_oracle
 from padicradial.radial import RadialFunction, check_summability
-from padicradial.vladimirov import d_alpha
+from padicradial.vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha
 
 _U = RadialFunction.split_power(2, 0.0, -0.5)
 
@@ -17,7 +17,7 @@ ENTRY_POINTS = {
     "apply_ialpha": lambda a: apply_ialpha(_U, a, 0),
     "bound_constants": lambda a: bound_constants(2, a, 0.0),
     "d_alpha": lambda a: d_alpha(2, a),
-    "check_summability": lambda a: check_summability(_U, a, 0),
+    "check_summability": lambda a: check_summability(_U, a),
     "ProblemSpec": lambda a: ProblemSpec(p=2, alpha=a, gamma=0.0, u0=1.0,
                                          rhs=catalog_nonlinearity("zero", 2)),
 }
@@ -28,6 +28,31 @@ ENTRY_POINTS = {
 def test_alpha_must_be_finite_and_positive(entry, alpha):
     with pytest.raises(DomainError, match="alpha"):
         ENTRY_POINTS[entry](alpha)
+
+
+def _residual_at(n):
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", 2))
+    return residual(solve_problem(prob).solution, prob, n)
+
+
+# every entry point that takes a level n
+LEVEL_ENTRY_POINTS = {
+    "apply_dalpha": lambda n: apply_dalpha(_U, 1.5, n),
+    "apply_dalpha_oracle": lambda n: apply_dalpha_oracle(_U, 1.5, n),
+    "apply_ialpha": lambda n: apply_ialpha(_U, 1.5, n),
+    "residual": _residual_at,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
+def test_levels_must_be_integers(entry):
+    # nan was a TypeError and 1.0 a ValueError from islice; an integral float is converted
+    call = LEVEL_ENTRY_POINTS[entry]
+    for bad in (1.5, math.nan, math.inf, -math.inf, "1", None):
+        with pytest.raises(DomainError, match="level n must be an integer"):
+            call(bad)
+    assert call(-2.0) == call(-2)
 
 
 def test_records_carry_only_what_is_read():

@@ -54,7 +54,12 @@ p = 100000007 whose global hypotheses pass the overflow guard (exit 0; once exit
 once refused for a negative bound_M), ``constants`` within 1e-6 of the boundary,
 whose a_bound covers d_abs p^(alpha sigma) (once 10 times below it), and a ``zero``
 solve at p = 100000007 whose F_l = 0 passes where p^(-alpha l) underflows (a
-max_residual; once "residuals unavailable").
+max_residual; once "residuals unavailable"),
+and three more: a ``--rhs-amplitude 1e306`` solve to level -960 at ``--tol 1e-290``,
+whose window floor's budget C p^e once multiplied an underflowed p^e (once k_min -995
+with truncation_budget 0), ``apply`` of ``ialpha`` to a left tail p^(-k) at alpha = 1.5,
+on the boundary rho = -min(1, alpha) (exit 2 on the I^alpha divergence), and
+``verify`` of the right-inverse suite on the ``power`` family.
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -101,10 +106,11 @@ FAILING = (
 FUNCTION = "3 -12 12 0.75 const:0.75 power:0.5:-0.8\n" + "".join(
     f"{k} {0.75 + 0.1 * ((7 * k) % 11 - 5) / (1 + abs(k))!r}\n" for k in range(-12, 13))
 # one level between a left tail 5^(440 k) and a zero right tail; level 1 given twice;
-# the indicator of the unit sphere
+# the indicator of the unit sphere; a left tail 2^(-k)
 INPUTS = {"u.txt": FUNCTION, "steep.txt": "5 0 0 0.0 power:1.0:440 zero\n0 1.0\n",
           "twice.txt": "2 0 1 0.0 zero zero\n0 1.0\n1 2.0\n1 5.0\n",
-          "sphere.txt": "2 0 0 0.0 zero zero\n0 1.0\n"}
+          "sphere.txt": "2 0 0 0.0 zero zero\n0 1.0\n",
+          "ptail.txt": "2 0 0 0.0 power:1:-1 zero\n0 1.0\n"}
 # solves past the radius cap at level -60 and the floor stop where p^(-gamma k) leaves
 # the double range: a deep window, the work limit, N near -10 200 with F = 1e306, and
 # F = 1e306 where c_uniform F overflows or a step leaves the double range
@@ -148,6 +154,10 @@ ONCE_FAILING = (
     "solve --p 100000007 --alpha 1.5 --gamma 0.5 --u0 1 --rhs zero --extend-to 20",
 )
 
+# a window floor certified where p^e alone underflows: C ~ M = 1e306 must scale it as one power
+DEEP_FLOOR = ("--p 2 --alpha 1.5 --gamma 0.4 --u0 0 --rhs cos-decay --rhs-amplitude 1e306 "
+              "--extend-to -960 --tol 1e-290")
+
 
 def invocations(tmp: Path) -> list:
     for name, text in INPUTS.items():
@@ -168,7 +178,11 @@ def invocations(tmp: Path) -> list:
         ["verify"], ["verify", "--suite", "dalpha-oracle", "--depth", "3"],
         ["apply", "--op", "dalpha", "--alpha", "1.5", "--input", str(tmp / "twice.txt")],
         ["apply", "--op", "dalpha", "--alpha", "1100", "--input", str(tmp / "sphere.txt")],
-    ] + [line.split() for line in DEEP + REFUSED + REFUSED_LATER + ONCE_FAILING]
+    ] + [line.split() for line in DEEP + REFUSED + REFUSED_LATER + ONCE_FAILING] + [
+        ["solve", *DEEP_FLOOR.split()],
+        ["apply", "--op", "ialpha", "--alpha", "1.5", "--input", str(tmp / "ptail.txt")],
+        ["verify", "--suite", "right-inverse", "--family", "power"],
+    ]
 
 
 def main() -> None:
