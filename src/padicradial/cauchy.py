@@ -340,7 +340,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
     # ftilde is 0 below the window, where the truncation budget bounds it
     sweep = _IalphaSweep(p, alpha, gamma, k_min)
     values, diags, steps = [], {}, 0
-    x = u0
+    x, stop, inf = u0, tol / 100.0, math.inf
     for n in range(k_min, top + 1):
         known, c, shift = sweep.ahead()
         lip = lip_at(n)
@@ -356,12 +356,12 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
             if not abs(fx) <= cap:  # NaN and inf fail it too
                 rhs._refuse(n, x, fx)
             x_new = base + c * (fx - shift)
-            if not abs(x_new) < math.inf:
+            if not abs(x_new) < inf:
                 raise MagnitudeError(f"the step at level {n} left the double range: {x_new}")
             fx = f(n, x_new)
             d = abs(x_new - x)
             x = x_new
-            if kappa == 0.0 or d <= tol / 100.0 * max(1.0, abs(x)):
+            if kappa == 0.0 or d <= stop * max(1.0, abs(x)):
                 break
             # a few ulps of slack cover the rounding of the two step evaluations
             if prev is not None and d > kappa * prev + 4.0 * math.ulp(max(1.0, abs(x))):
@@ -376,7 +376,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
         if not abs(fx) <= cap:
             rhs._refuse(n, x, fx)
         if n > N:  # v0: I^alpha at level n of the levels below it alone
-            diags[n] = ExtensionDiagnostic(v0=known - c * shift, kappa=kappa, iterations=iters)
+            diags[n] = ExtensionDiagnostic(known - c * shift, kappa, iters)
         elif iters > steps:
             steps = iters
         values.append(x)
@@ -511,7 +511,8 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     alpha, or an uncertainty above tol is refused rather than reported; a
     u over another p is a DomainError.  All that does not depend on n, D^alpha on
     the window included, comes from one :func:`_residual_fit` per (u, alpha), kept
-    in u's one cache: every level of a solution costs O(W) in total.
+    in u's one cache: every level of a solution costs O(W) in total.  A refusal on the
+    uncertainty carries its numbers; its message is formatted when it is read.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     if u.p != p:
@@ -527,10 +528,13 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
         raise IndeterminateResidualError(
             f"level {n} is below the window floor k_min = {u.k_min}, where u is its tail model"
         )
-    if alpha not in u._residual_memo:
-        u._residual_memo[alpha] = _residual_fit(u, alpha)
-    window, rounding, env, rho_hat, tail, d_frac, data, amp, lnp = u._residual_memo[alpha]
-    dalpha_val = window[n - u.k_min]
+    memo = u._residual_memo
+    fit = memo.get(alpha)
+    if fit is None:
+        fit = memo[alpha] = _residual_fit(u, alpha)
+    window, rounding, env, rho_hat, tail, d_frac, data, amp, lnp = fit
+    i = n - u.k_min
+    dalpha_val = window[i]
     if dalpha_val is None:
         raise IndeterminateResidualError(
             f"level {n} is too deep for the D^alpha series in double precision: "
@@ -541,17 +545,16 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
             f"fitted tail growth exponent {rho_hat} is not below alpha = {alpha}; "
             "the discarded right-tail contribution cannot be bounded"
         )
-    c = u.value_at(n)
+    c = u.values[i]
     tail_bound = d_frac * ((env + abs(c)) * tail[0] * tail[1] / tail[2])
     weight = p_pow(p, gamma * n)
-    noise = weight * (data * p_pow(p, -alpha * n) * amp + rounding[n - u.k_min]) \
+    noise = weight * (data * p_pow(p, -alpha * n) * amp + rounding[i]) \
         + 2.0 ** -53 * (2.0 + 3.0 * gamma * abs(n) * lnp) * weight * abs(dalpha_val)
     uncertainty = weight * tail_bound + noise
     if uncertainty > tol:
         raise IndeterminateResidualError(
-            f"residual uncertainty {uncertainty} at level {n} exceeds tol = {tol}; "
-            "extend the solution to higher levels"
-        )
+            "residual uncertainty {} at level {} exceeds tol = {}; "
+            "extend the solution to higher levels", uncertainty, n, tol)
     value = weight * dalpha_val - problem.rhs.eval(n, c)
     return ResidualEstimate(value=value, uncertainty=uncertainty)
 

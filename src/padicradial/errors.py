@@ -95,4 +95,13 @@ class BudgetError(RuntimeError):
 
 
 class IndeterminateResidualError(RuntimeError):
-    """The residual cannot be certified at the requested level."""
+    """The residual cannot be certified at the requested level.
+
+    Raised as ``(text,)`` or as ``(template, *values)``: the message is then
+    ``template.format(*values)``, formed only when it is read.
+    """
+
+    def __str__(self) -> str:
+        if len(self.args) > 1:
+            return self.args[0].format(*self.args[1:])
+        return super().__str__()

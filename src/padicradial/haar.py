@@ -38,6 +38,7 @@ class Prime(int):
     """A verified prime base; behaves as a plain ``int`` everywhere else.
 
     ``Prime(q)`` of a ``Prime`` q returns q itself: it passed the test when made.
+    ``ln`` is ``math.log`` of the base, formed once here for :func:`p_pow`.
     """
 
     def __new__(cls, value):
@@ -53,7 +54,9 @@ class Prime(int):
             if value % d == 0:
                 raise DomainError(f"base must be prime, got {value} = {d} * {value // d}")
             d += 1
-        return super().__new__(cls, value)
+        self = super().__new__(cls, value)
+        self.ln = math.log(value)
+        return self
 
 
 def p_pow(base: float, exponent: float) -> float:
@@ -63,8 +66,9 @@ def p_pow(base: float, exponent: float) -> float:
     Underflow (exponent * ln base far below -700) is benign and rounds to
     subnormals or zero, so deep strata of the series oracles vanish
     instead of erroring out.  A NaN exponent is a :class:`DomainError`.
+    A :class:`Prime` base gives its stored ``ln``, the same double as ``math.log``.
     """
-    t = exponent * math.log(base)
+    t = exponent * (base.ln if type(base) is Prime else math.log(base))
     if not t <= OVERFLOW_GUARD:
         if t != t:
             raise DomainError(f"power {base}**{exponent} is not a number")

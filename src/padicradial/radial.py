@@ -234,18 +234,27 @@ def _tail_sum(total: float, tail: TailModel, p: int, j: int, e: float, c: float,
     return total
 
 
+def _equals(tail: TailModel, c: float) -> bool:
+    """Whether the tail is the constant c at every level (a zero tail when c = 0)."""
+    return tail.kind != "power" and tail.c == c
+
+
 def _sum(u: RadialFunction, lo: int | None, hi: int | None, e: float,
          c: float = 0.0, origin: int = 0) -> float:
     """sum_{lo <= k <= hi} p^(e (k - s)) (u(p^k) - c), s = ``origin``; an end given as None
     is the tail beyond the window on that side, in closed form.  c = s = 0 gives the
-    plain weighted sums, and s near the range keeps a sum far from level 0 in range."""
+    plain weighted sums, and s near the range keeps a sum far from level 0 in range.
+    Levels of the range past the window whose tail equals c add exactly 0 and are
+    skipped, so a range reaching far beyond the window forms no power there."""
     p = u.p
     total = 0.0
     if lo is None:
         lo = u.k_min if hi is None else min(hi + 1, u.k_min)
         total = _tail_sum(total, u.left_tail, p, lo - 1, e, c, "left", origin)
     top = max(lo, u.k_max + 1) - 1 if hi is None else hi
-    for k, v in zip(range(lo, top + 1), u.values_on(lo, top)):
+    first = max(lo, u.k_min) if _equals(u.left_tail, c) else lo
+    last = min(top, u.k_max) if _equals(u.right_tail, c) else top
+    for k, v in zip(range(first, last + 1), u.values_on(first, last)):
         total += p_pow(p, e * (k - origin)) * (v - c)
     if hi is None:
         total = _tail_sum(total, u.right_tail, p, top + 1, e, c, "right", origin)

@@ -681,6 +681,22 @@ def test_residual_buffer_gate():
         residual(rep.solution, prob, rep.solution.k_max)
 
 
+def test_uncertainty_refusal_text_is_formatted_when_read():
+    # the refusal carries its numbers and builds the text of the f-string it replaced
+    prob = ProblemSpec(p=5, alpha=2.0, gamma=0.6, u0=1.0,
+                       rhs=catalog_nonlinearity("zero", 5))
+    u = solve_problem(prob, tol=1e-10).solution
+    text = ("residual uncertainty 2.1948611615507969e+130 at level -147 exceeds tol = 1e-08; "
+            "extend the solution to higher levels")
+    with pytest.raises(IndeterminateResidualError, match=f"^{re.escape(text)}$") as info:
+        residual(u, prob, -147)
+    err = info.value
+    assert str(err) == text and f"{err}" == text
+    assert "2.1948611615507969e+130" in repr(err) and "-147" in repr(err) and "1e-08" in repr(err)
+    # a one-argument refusal is its text as given, braces and all
+    assert str(IndeterminateResidualError("level {n} is {x}")) == "level {n} is {x}"
+
+
 def test_residual_refuses_levels_beyond_double_range():
     # at the deepest window levels the rounding bound, which grows like
     # p^(-alpha n), exceeds tol; it is computed without overflow

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,39 @@ def test_p_pow_overflow_guard():
 
 def test_p_pow_underflow_is_zero():
     assert p_pow(5, -600.0) == 0.0
+
+
+def _power_or_error(base, e):
+    try:
+        return p_pow(base, e).hex()
+    except (DomainError, MagnitudeError) as err:
+        return type(err).__name__
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_stored_ln_gives_the_powers_of_a_float_base(p):
+    # a Prime's ln is math.log of its value, so every power, every refusal at the
+    # 700 guard, every zero below exp(-745) and the NaN refusal are those of float(p)
+    q, lnp = Prime(p), math.log(p)
+    assert q.ln == lnp
+    exponents = [0.0, 1.0, -1.0, 0.5, -1.0 / 3.0, 17.25, -17.25, math.nan, -math.inf]
+    exponents += [t / lnp for t in (699.9, 700.0, 700.1, -700.0, -744.9, -745.0, -745.1, -800.0)]
+    exponents += [math.nextafter(700.0 / lnp, s) for s in (0.0, math.inf)]
+    got = [_power_or_error(q, e) for e in exponents]
+    assert got == [_power_or_error(float(p), e) for e in exponents]
+    assert got == [_power_or_error(p, e) for e in exponents]
+    assert {"MagnitudeError", "DomainError", "0x0.0p+0"} <= set(got)
+    with pytest.raises(DomainError, match="is not a number"):
+        p_pow(q, math.nan)
+
+
+def test_prime_keeps_its_ln_through_copies_and_pickles():
+    q = Prime(7)
+    assert Prime(q) is q
+    copies = [copy.copy(q), copy.deepcopy(q)]
+    copies += [pickle.loads(pickle.dumps(q, protocol=k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for r in copies:
+        assert type(r) is Prime and r == 7 and r.ln.hex() == q.ln.hex()
 
 
 @pytest.mark.parametrize("p,n,region,expected", [

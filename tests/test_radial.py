@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicradial.errors import DivergenceError, DomainError
+from padicradial.errors import DivergenceError, DomainError, MagnitudeError
 from padicradial.haar import p_pow
 from padicradial.radial import (
     RadialFunction,
@@ -99,6 +99,18 @@ def test_weighted_sum_left_divergent_constant():
 def test_weighted_sum_left_indicator():
     u = RadialFunction.indicator_unit_ball(3)
     assert weighted_sum_left(u, 5, 1.0) == pytest.approx(1.5, rel=1e-13)
+
+
+def test_sums_past_the_window_form_no_power_where_the_tail_equals_c():
+    # the levels above the indicator's window add exact zeros; 2^1010 was once formed for them
+    assert weighted_sum_left(RadialFunction.indicator_unit_ball(2), 1100, 1.0) == 2.0
+    below = RadialFunction(2, 1, 1, (1.0,), right_tail=TailModel.constant(1.0))
+    assert _sum(below, -1100, 1, -1.0) == p_pow(2, -1.0)
+    u = RadialFunction.constant(3, 2.5, k_min=-2, k_max=2)
+    assert _sum(u, -2000, 2000, 1.0, c=2.5) == 0.0
+    # a power tail is not clipped: its levels are summed and its powers formed
+    with pytest.raises(MagnitudeError):
+        _sum(RadialFunction.power(2, -0.5), 0, 1100, 1.0)
 
 
 def test_weighted_sum_right_constant():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import padicradial.radial as radial
 import padicradial.vladimirov as vladimirov
 from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
 from padicradial.errors import DivergenceError, IndeterminateResidualError, MagnitudeError
@@ -224,6 +225,20 @@ def test_dalpha_oracle_of_a_power_far_from_its_window(n):
     want = gamma_p(s + 1.0) / gamma_p(s + 1.0 - alpha) * float(p) ** ((s - alpha) * n)
     got = apply_dalpha_oracle(RadialFunction.power(p, s), alpha, n)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_dalpha_oracle_far_above_the_window_sums_no_zero_levels(monkeypatch):
+    # its completions below level n once summed every level between the window and n
+    calls = []
+
+    def counted(base, e):
+        calls.append(e)
+        return p_pow(base, e)
+
+    monkeypatch.setattr(radial, "p_pow", counted)
+    u = RadialFunction(2, -1, 1, (0.25, 1.0, 0.5), left_tail=TailModel.constant(1.0))
+    assert apply_dalpha_oracle(u, 1.5, 10 ** 6, depth=50) == 0.0  # p^(-alpha n) underflows
+    assert len(calls) <= 20
 
 
 @pytest.mark.parametrize("p,alpha,k_min", [(2, 0.5, -30), (3, 1.0, -12), (5, 2.5, 4), (7, 0.05, -3)])
