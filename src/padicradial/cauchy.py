@@ -323,6 +323,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
            reserve: int) -> SolveReport:
     """Solve the levels K_min..top in one ascending pass, the window floor chosen for
     ``reserve``: see :func:`solve_problem`."""
+    max_iter = require_level(max_iter, "max_iter")
     if not max_iter >= 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
@@ -576,6 +577,8 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 1000
     double range is a :class:`MagnitudeError`.  The window floor is chosen for target + 1,
     so the truncation budget covers every level.
     """
+    if extend_to is not None:
+        extend_to = require_level(extend_to, "extend_to")
     # never pick a local radius beyond the requested window top
     n_cap = 8 if extend_to is None else min(8, extend_to)
     N = n_override if n_override is not None else choose_local_radius(problem, n_cap=n_cap)

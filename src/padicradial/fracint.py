@@ -317,6 +317,7 @@ def assemble_fractional_integral(v: RadialFunction, alpha: float,
     O(p^(-min(alpha, 1, -rho) k_hi)).  The default k_hi = 80 keeps that
     below 1e-10 for every admissible v with rho <= -1/2 and alpha >= 1/2.
     """
+    k_lo, k_hi = require_level(k_lo, "k_lo"), require_level(k_hi, "k_hi")
     if k_lo > v.k_min:
         raise DivergenceError(
             f"assembly window must start at or below v's window (k_lo = {k_lo} "

@@ -21,8 +21,11 @@ and Rhat(n) = p^(a n) sum_{l>n} p^(-a l) (u_l - u_n), through
     D^a u(p^n) = d_a (1 - 1/p) p^(-a n) (Lhat(n) + Rhat(n)),
 
 each seeded at its end of the window (or at n, beyond it) with the
-centered tail beyond in closed form.  :func:`apply_dalpha` keeps only the
-running values, :func:`dalpha_window` every level: O(W) either way.
+centered tail beyond in closed form.  Each walk reads every value once and
+carries the one before it as the neighbour of the next step.
+:func:`apply_dalpha` keeps only the running values, :func:`dalpha_window`
+every level: O(W) either way, a single-level call included, and neither
+caches anything.
 Scaled, the intermediates stay near |u| / (p - 1) and |u| / (p^a - 1) at
 any level, where the unscaled sums leave the double range with
 p^(-(a+1) n) or p^(-a l).
@@ -43,7 +46,6 @@ form with the centered weighted sums of :mod:`padicradial.radial`.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 from .errors import DivergenceError, MagnitudeError, require_alpha, require_depth, require_level
 from .haar import DEFAULT_DEPTH, OVERFLOW_GUARD, Prime, p_pow
@@ -104,10 +106,14 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
     n = require_level(n)
     coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, n, n)
     pm1, i = p - 1.0, n - a  # n in vals
-    for v, w in zip(vals, islice(vals, 1, i + 1)):
+    v = vals[0]
+    for w in vals[1:i + 1]:
         left = left / p + (v - w) / pm1
-    for v, w in zip(reversed(vals), islice(reversed(vals), 1, len(vals) - i)):
+        v = w
+    v = vals[-1]
+    for w in vals[-2:i - len(vals) - 1:-1]:  # vals[-2] down to vals[i]
         right = q * right + (v - w) / qm1
+        v = w
     try:
         return coef * p_pow(u.p, -alpha * n) * (left + right)
     except MagnitudeError:
@@ -131,15 +137,17 @@ def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
     c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
     e = _seed_rounding(u.left_tail, a, 1.0, left, vals[0], 1.0 / pm1, lnp)
     lefts = [(left, e)]  # Lhat(a .. b) with their bounds
-    for v, w in zip(vals, islice(vals, 1, None)):
-        d = v - w
+    v = vals[0]
+    for w in vals[1:]:
+        d, v = v - w, w
         l0, left = left, left / p + d / pm1
         e = e * inv_p + _UNIT * (2.0 * abs(l0) / p + 2.0 * abs(d) / pm1 + abs(left))
         lefts.append((left, e))
     e = _seed_rounding(u.right_tail, b, -alpha, right, vals[-1], 1.0 / qm1, lnp)
     rights = [(right, e)]  # Rhat(b .. a) with their bounds
-    for v, w in zip(reversed(vals), islice(reversed(vals), 1, None)):
-        d = v - w
+    v = vals[-1]
+    for w in vals[-2::-1]:
+        d, v = v - w, w
         r0, right = right, right * q + d / qm1
         e = e * q + _UNIT * (c_q * q * abs(r0) + c_d * abs(d) / qm1 + abs(right))
         rights.append((right, e))

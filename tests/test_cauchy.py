@@ -498,6 +498,16 @@ def test_picard_rejects_max_iter_below_one(solve):
         solve(catalog_problem())
 
 
+@pytest.mark.parametrize("name, good", (("extend_to", 3), ("max_iter", 50)))
+def test_extend_to_and_max_iter_must_be_integers(name, good):
+    # extend_to = 2.5 was a ValueError from islice, max_iter = 2.5 a TypeError from range
+    prob = catalog_problem()
+    for bad in (2.5, math.nan, math.inf, "3"):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            solve_problem(prob, **{name: bad})
+    assert solve_problem(prob, **{name: float(good)}) == solve_problem(prob, **{name: good})
+
+
 # -- extension -------------------------------------------------------------------
 
 def test_extension_constant_zero_rhs():

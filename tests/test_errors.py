@@ -4,7 +4,8 @@ import pytest
 
 from padicradial.errors import DomainError
 from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
-from padicradial.fracint import apply_ialpha, bound_constants, kernel_constant, kernel_constant_oracle
+from padicradial.fracint import (apply_ialpha, assemble_fractional_integral, bound_constants,
+                                 kernel_constant, kernel_constant_oracle)
 from padicradial.radial import RadialFunction, check_summability
 from padicradial.vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha
 
@@ -42,15 +43,21 @@ LEVEL_ENTRY_POINTS = {
     "apply_dalpha_oracle": lambda n: apply_dalpha_oracle(_U, 1.5, n),
     "apply_ialpha": lambda n: apply_ialpha(_U, 1.5, n),
     "residual": _residual_at,
+    "assemble_fractional_integral(k_lo)": lambda n: assemble_fractional_integral(_U, 1.5, k_lo=n),
+    "assemble_fractional_integral(k_hi)": lambda n: assemble_fractional_integral(_U, 1.5, k_hi=n),
 }
+# the name a refusal gives the level, where it is not "level n"
+LEVEL_NAMES = {"assemble_fractional_integral(k_lo)": "k_lo",
+               "assemble_fractional_integral(k_hi)": "k_hi"}
 
 
 @pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
 def test_levels_must_be_integers(entry):
     # nan was a TypeError and 1.0 a ValueError from islice; an integral float is converted
     call = LEVEL_ENTRY_POINTS[entry]
+    name = LEVEL_NAMES.get(entry, "level n")
     for bad in (1.5, math.nan, math.inf, -math.inf, "1", None):
-        with pytest.raises(DomainError, match="level n must be an integer"):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
             call(bad)
     assert call(-2.0) == call(-2)
 

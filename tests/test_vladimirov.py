@@ -294,6 +294,12 @@ def _with_tails(u, left, right):
                           left_tail=lefts[left], right_tail=rights[right])
 
 
+def _rewindowed(u, lo, hi):
+    """u stored on [lo, hi], tail levels evaluated, with u's tails."""
+    return RadialFunction(u.p, lo, hi, u.values_on(lo, hi),
+                          left_tail=u.left_tail, right_tail=u.right_tail)
+
+
 @pytest.mark.parametrize("right", ("zero", "const", "power"))
 @pytest.mark.parametrize("left", ("zero", "const", "power"))
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.5))
@@ -305,6 +311,14 @@ def test_sub_ranges_inside_the_window_match_the_window_pass(alpha, left, right):
     assert len(values) == 31
     assert [apply_dalpha(u, alpha, n).hex() for n in range(u.k_min, u.k_max + 1)] \
         == [v.hex() for v in values]
+    # a level outside the window walks from n: it is the window pass over the window
+    # widened to n, with the same tails; in a one-level window both walks to its level
+    # are empty
+    for w in (u, _rewindowed(u, 0, 0), RadialFunction.split_power(3, 0.5, -0.5 * alpha)):
+        for n in (w.k_min - 9, w.k_min - 1, w.k_max, w.k_max + 1, w.k_max + 9):
+            lo, hi = min(n, w.k_min), max(n, w.k_max)
+            widened, _ = dalpha_window(_rewindowed(w, lo, hi), alpha)
+            assert apply_dalpha(w, alpha, n).hex() == widened[n - lo].hex()
 
 
 def _damped(x, ratio, terms):

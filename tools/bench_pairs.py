@@ -12,13 +12,15 @@ each side's median and quartiles and the number of pairs the change won
 (ties count for neither), and whether the change meets the gain rule: at
 least ten pairs, nine tenths of them won, and medians further apart than
 the parent's quartile spread.  A change median worse than the parent's by
-more than the metric's bound is flagged.
+more than the metric's bound is flagged, and so is a change that fails a
+larger share of its attempted operations than the parent, summed over all
+runs of each side: the acceptance rule rejects either.
 
 The record (every run's metrics, ``correct``, ``attempted`` and ``failed``,
-and the summary) goes into the JSON file ``--out`` under the workload's
-name, keeping the other workloads already in that file.  Standard library
-only; it reads ``BENCHMARK.json`` and runs ``bench/run.py`` as a program,
-importing nothing from either checkout.
+the summary and the failure shares) goes into the JSON file ``--out`` under
+the workload's name, keeping the other workloads already in that file.
+Standard library only; it reads ``BENCHMARK.json`` and runs ``bench/run.py``
+as a program, importing nothing from either checkout.
 """
 
 from __future__ import annotations
@@ -76,6 +78,18 @@ def summarize(spec: dict, parent: list, change: list) -> dict:
             "within_bound": -gain <= spec["bound"] * abs(pm)}
 
 
+def failure_shares(parent: list, change: list) -> dict:
+    """Each side's failed and attempted operations summed over its runs, their share,
+    and whether the change's share is the larger."""
+    out = {}
+    for side, rs in (("parent", parent), ("change", change)):
+        failed, attempted = sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)
+        out[side] = {"failed": failed, "attempted": attempted,
+                     "share": failed / attempted if attempted else 0.0}
+    out["larger"] = out["change"]["share"] > out["parent"]["share"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent source checkout")
@@ -97,6 +111,7 @@ def main(argv=None) -> int:
             print(f"pair {k + 1}/{PAIRS} {side}: {shown}", file=sys.stderr, flush=True)
 
     summary = {s["name"]: summarize(s, runs["parent"], runs["change"]) for s in specs}
+    failures = failure_shares(runs["parent"], runs["change"])
     print(f"{args.workload}, seed {args.seed}, {PAIRS} pairs of {seconds:g}-s runs")
     for name, s in summary.items():
         par, chg = s["parent"], s["change"]
@@ -105,6 +120,10 @@ def main(argv=None) -> int:
         print(f"  {name:12s} parent {par['median']:.4g} [{par['q1']:.4g}, {par['q3']:.4g}]"
               f"  change {chg['median']:.4g} [{chg['q1']:.4g}, {chg['q3']:.4g}] {s['unit']}"
               f"  won {s['won']}/{s['pairs']}{flags}")
+    par, chg = failures["parent"], failures["change"]
+    print(f"  {'failed':12s} parent {par['failed']}/{par['attempted']} ({par['share']:.2%})"
+          f"  change {chg['failed']}/{chg['attempted']} ({chg['share']:.2%})"
+          + ("  LARGER FAILED SHARE" if failures["larger"] else ""))
     incorrect = [f"{side} pair {r['pair'] + 1}" for side in runs for r in runs[side]
                  if not r["correct"]]
     if incorrect:
@@ -113,7 +132,7 @@ def main(argv=None) -> int:
     record = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
     record["workloads"][args.workload] = {
         "seed": args.seed, "pairs": PAIRS, "seconds": seconds,
-        "all_correct": not incorrect, "metrics": summary, "runs": runs}
+        "all_correct": not incorrect, "metrics": summary, "failures": failures, "runs": runs}
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 1 if incorrect else 0
 
