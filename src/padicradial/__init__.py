@@ -27,10 +27,7 @@ from .haar import (
     ball_log_integral_oracle,
     ball_power_integral,
     ball_power_integral_oracle,
-    haar_volume,
     p_pow,
-    sphere_log_integral,
-    sphere_power_integral,
     sphere_shifted_log_integral,
     sphere_shifted_log_integral_oracle,
     sphere_shifted_power_integral,

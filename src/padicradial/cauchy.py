@@ -271,18 +271,6 @@ def _scaled_power(c: float, p: int, e: float) -> float:
     return p_pow(p, e + lnc / lnp) * (1.0 + 2.0 ** -50 * (abs(e) * lnp + abs(lnc) + 1.0))
 
 
-def _truncation_bound(problem: ProblemSpec, k_cut: int, start: int) -> Iterator[float]:
-    """rem(n) of :func:`_truncation_constants` for n = start, start + 1, ..., one step
-    each; the walk up to start forms no power."""
-    p = problem.p
-    c, h, r = _truncation_constants(problem)
-    e = (problem.alpha - problem.gamma) * (k_cut - 1)
-    flat = _scaled_power(c, p, e) / r
-    walk = islice(_kernel_walk(p, problem.alpha), start - k_cut, None)
-    for m, (s, _) in enumerate(walk, start - k_cut + 1):
-        yield _scaled_power(c, p, e + h * m) * s + flat
-
-
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float,
                         highest: float = math.inf) -> tuple:
     """Lower window edge K_min at or below ``highest`` (the local radius N; n_top by default)
@@ -399,9 +387,12 @@ def picard_solve(problem: ProblemSpec, N: int, tol: float = 1e-10, max_iter: int
     part below the floor grows like p^((alpha-1) n) with the level n for alpha above 1, so
     the window floor must be chosen for the highest level that will ever integrate over it.
     ``picard_iterations`` is the most fixed-point steps any level of [K_min, N] took;
-    ``max_iter`` caps them at every level.
+    ``max_iter`` caps them at every level.  ``N`` and ``reserve_top`` are levels: an
+    integral float is converted, anything else is a :class:`DomainError` naming them.
     """
-    return _march(problem, N, N, tol, max_iter, N if reserve_top is None else max(N, reserve_top))
+    N = require_level(N, "N")
+    reserve = N if reserve_top is None else max(N, require_level(reserve_top, "reserve_top"))
+    return _march(problem, N, N, tol, max_iter, reserve)
 
 
 @dataclass(frozen=True)
@@ -561,10 +552,10 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
 
 
 def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 1000,
-                  n_override: Optional[int] = None,
                   extend_to: Optional[int] = None) -> SolveReport:
-    """Choose N, then solve every level from the window floor K_min up to the target
-    (extend_to, by default N + 35) in one ascending pass.
+    """Choose N with :func:`choose_local_radius`, capped at 8 and at extend_to, then solve
+    every level from the window floor K_min up to the target (extend_to, by default
+    N + 35) in one ascending pass.  :func:`picard_solve` is the entry point that takes N.
 
     Level n solves x = u0 + known + c (f(p^n, x) - shift) by iteration from the value at
     n - 1 (u0 below the window), (known, c, shift) read from one I^alpha sweep walked over
@@ -581,10 +572,8 @@ def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 1000
         extend_to = require_level(extend_to, "extend_to")
     # never pick a local radius beyond the requested window top
     n_cap = 8 if extend_to is None else min(8, extend_to)
-    N = n_override if n_override is not None else choose_local_radius(problem, n_cap=n_cap)
+    N = choose_local_radius(problem, n_cap=n_cap)
     target = extend_to if extend_to is not None else N + 35
-    if target < N:
-        raise DomainError(f"extension target {target} is below the local radius {N}")
     return _march(problem, N, target, tol, max_iter, target + 1)
 
 

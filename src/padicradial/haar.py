@@ -12,13 +12,16 @@ measure (1 - 1/p) p^j for j < n and p^n (1 - 2/p) for j = n (empty when
 p = 2).  These stratum masses sum to the sphere volume and drive the
 shifted integrals below.
 
-Each closed form has a truncated-series oracle (suffix ``_oracle``) that
-sums the strata directly, to a depth of at least 1 and 200 by default.
-The neglected part of every oracle is a geometric tail: after T strata the
-remainder is at most ``first_neglected_term / (1 - p**(-rate))`` for the
-stated decay rate, which is below 1e-60 at the default depth for every
-admissible argument; the oracles therefore serve as independent
-cross-checks for the closed forms at full double precision.
+There are four closed forms: |x|_p^(a-1) and log |x|_p integrated over
+B_n, and both centered on a point of S_n integrated over S_n.  Each has a
+truncated-series oracle (suffix ``_oracle``), which ``padic-radial
+verify`` compares with it, that sums the strata directly, to a depth of
+at least 1 and 200 by default.  The neglected part of every oracle is a
+geometric tail: after T strata the remainder is at most
+``first_neglected_term / (1 - p**(-rate))`` for the stated decay rate,
+which is below 1e-60 at the default depth for every admissible argument;
+the oracles therefore serve as independent cross-checks for the closed
+forms at full double precision.
 """
 
 from __future__ import annotations
@@ -87,16 +90,6 @@ def _require_convergent(what: str, a: float) -> None:
         raise DivergenceError(f"{what} diverges: requires exponent a > 0, got a = {a}")
 
 
-def haar_volume(p: int, n: int, region: str = "ball") -> float:
-    """Measure of the ball B_n (``p^n``) or the sphere S_n (``(1-1/p) p^n``)."""
-    p = Prime(p)
-    if region == "ball":
-        return p_pow(p, n)
-    if region == "sphere":
-        return (1.0 - 1.0 / p) * p_pow(p, n)
-    raise DomainError(f"region must be 'ball' or 'sphere', got {region!r}")
-
-
 def ball_power_integral(p: int, a: float, n: int) -> float:
     """Integral of |x|_p^(a-1) over the ball B_n.
 
@@ -116,12 +109,6 @@ def ball_power_integral_oracle(p: int, a: float, n: int, depth: int = DEFAULT_DE
     _require_convergent("ball power integral", a)
     frac = 1.0 - 1.0 / p
     return sum(frac * p_pow(p, a * k) for k in range(n - depth, n + 1))
-
-
-def sphere_power_integral(p: int, a: float, n: int) -> float:
-    """Integral of |x|_p^(a-1) over the sphere S_n: ``(1 - 1/p) p^(a n)``."""
-    p = Prime(p)
-    return (1.0 - 1.0 / p) * p_pow(p, a * n)
 
 
 def sphere_shifted_power_integral(p: int, a: float, n: int) -> float:
@@ -162,12 +149,6 @@ def ball_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPTH) -> floa
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
     return sum(frac * p_pow(p, k) * k * lp for k in range(n - depth, n + 1))
-
-
-def sphere_log_integral(p: int, n: int) -> float:
-    """Integral of log |x|_p over the sphere S_n: ``n ln p (1 - 1/p) p^n``."""
-    p = Prime(p)
-    return n * math.log(p) * (1.0 - 1.0 / p) * p_pow(p, n)
 
 
 def sphere_shifted_log_integral(p: int, n: int) -> float:

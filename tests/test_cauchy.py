@@ -27,7 +27,6 @@ from padicradial.cauchy import (
     ProblemSpec,
     _choose_window_floor,
     _radius_from_constants,
-    _truncation_bound,
     catalog_nonlinearity,
     check_global_hypotheses,
     choose_local_radius,
@@ -42,6 +41,25 @@ def catalog_problem(alpha=1.5, beta=2.0):
     return ProblemSpec(p=2, alpha=alpha, gamma=0.25, u0=1.0, rhs=rhs)
 
 
+def march_at(prob, N, top, tol=1e-12):
+    """The solve's march to ``top`` from a local radius N the caller chose, its floor
+    reserved for top + 1: what solve_problem runs with its own N."""
+    return cauchy._march(prob, N, top, tol, 1000, top + 1)
+
+
+def _truncation_bound(problem, k_cut, start):
+    """rem(n) of cauchy._truncation_constants for n = start, start + 1, ..., one step each:
+    the per-level oracle of the window floor's closed-form sum; the walk up to start forms
+    no power."""
+    p = problem.p
+    c, h, r = cauchy._truncation_constants(problem)
+    e = (problem.alpha - problem.gamma) * (k_cut - 1)
+    flat = cauchy._scaled_power(c, p, e) / r
+    walk = islice(cauchy._kernel_walk(p, problem.alpha), start - k_cut, None)
+    for m, (s, _) in enumerate(walk, start - k_cut + 1):
+        yield cauchy._scaled_power(c, p, e + h * m) * s + flat
+
+
 # -- metadata and problem construction ---------------------------------------
 
 def test_nonlinearity_validation():
@@ -49,6 +67,11 @@ def test_nonlinearity_validation():
         Nonlinearity(eval=lambda k, x: 0.0, bound_M=0.0, lipschitz_F=0.0)
     with pytest.raises(DomainError):
         Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=-1.0)
+    for amplitude in (0.0, -0.5):
+        message = f"^decay amplitude must be positive, got {amplitude}$"
+        with pytest.raises(DomainError, match=message):
+            Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0,
+                         decay=(amplitude, 2.0))
 
 
 def test_spot_check_rejects_wrong_bound():
@@ -144,6 +167,8 @@ def test_non_finite_parameters_rejected():
 def test_radius_from_constants_exact_boundary():
     # 2 * 1 * 2^(0.5 N) <= 1/2 exactly at N = -4
     assert _radius_from_constants(2.0, 1.0, 2, 0.5) == -4
+    # 1 * F * 2^N <= 1/2 holds up to N = 3 - 5e-10: the guess floor(t + 1e-9) is 3, one past it
+    assert _radius_from_constants(1.0, 0.5 * 2.0 ** -(3 - 5e-10), 2, 1.0) == 2
 
 
 def test_radius_zero_lipschitz_hits_cap():
@@ -286,6 +311,28 @@ def test_a_value_of_f_past_bound_m_off_the_sampled_levels_is_refused():
     with pytest.raises(MetadataError, match=r"^declared bound_M = 0.1 violated: "
                                             r"\|f\(p\^-20, \S+\)\| = 0.5$"):
         solve_problem(prob, extend_to=2)
+
+
+def test_the_last_value_of_f_at_a_level_is_checked_against_bound_m():
+    # F = 0: each level takes one step and evaluates f twice, at its start and at its
+    # result; armed after spot_check, f is 5 M at level 0 on the second call, the value the
+    # sweep would carry to every level above
+    armed, calls = [False], []
+
+    def f(k, x):
+        if armed[0] and k == 0:
+            calls.append(x)
+            if len(calls) == 2:
+                return 0.5
+        return 0.1
+
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
+                       rhs=Nonlinearity(eval=f, bound_M=0.1, lipschitz_F=0.0))
+    armed[0] = True
+    with pytest.raises(MetadataError, match=r"^declared bound_M = 0.1 violated: "
+                                            r"\|f\(p\^0, \S+\)\| = 0.5$"):
+        picard_solve(prob, 2)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
@@ -513,7 +560,7 @@ def test_extend_to_and_max_iter_must_be_integers(name, good):
 def test_extension_constant_zero_rhs():
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
                        rhs=catalog_nonlinearity("zero", 2))
-    rep = solve_problem(prob, tol=1e-12, n_override=2)
+    rep = march_at(prob, 2, 37)
     assert [d.v0 for d in rep.extension_diagnostics.values()] == [0.0] * 35
 
 
@@ -525,7 +572,7 @@ def test_extension_constant_const_rhs_matches_brute_sum(alpha):
     prob = ProblemSpec(p=p, alpha=alpha, gamma=0.0, u0=0.0,
                        rhs=catalog_nonlinearity("const", p, amplitude=lam))
     ell = 1
-    rep = solve_problem(prob, tol=1e-12, n_override=ell, extend_to=ell + 1)
+    rep = march_at(prob, ell, ell + 1)
     got = rep.extension_diagnostics[ell + 1].v0
     depth = 600
     if alpha == 1.0:
@@ -542,7 +589,7 @@ def test_extension_constant_const_rhs_matches_brute_sum(alpha):
 def test_extend_step_zero_rhs():
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
                        rhs=catalog_nonlinearity("zero", 2))
-    rep = solve_problem(prob, tol=1e-12, n_override=2, extend_to=3)
+    rep = march_at(prob, 2, 3)
     diag = rep.extension_diagnostics[3]
     assert rep.solution.value_at(3) == 1.0 and diag.kappa == 0.0 and diag.iterations == 1
 
@@ -551,7 +598,7 @@ def test_extend_step_affine_exact():
     lam = 0.25
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
                        rhs=catalog_nonlinearity("const", 2, amplitude=lam))
-    rep = solve_problem(prob, tol=1e-12, n_override=1, extend_to=2)
+    rep = march_at(prob, 1, 2)
     diag = rep.extension_diagnostics[2]
     want = 1.0 + diag.v0 + p_pow(2, 1.5) * lam * p_pow(2, -0.25 * 2)
     assert diag.iterations == 1 and diag.kappa == 0.0
@@ -571,7 +618,7 @@ def test_extend_step_contraction_violation():
                        per_level_F=lambda k: 2.0 * p_pow(p_, -alpha_ * k))
     prob = ProblemSpec(p=p_, alpha=alpha_, gamma=gamma_, u0=1.0, rhs=rhs)
     with pytest.raises(ContractionError, match="extension to level -1 .*kappa"):
-        solve_problem(prob, tol=1e-12, n_override=-10)
+        march_at(prob, -10, 25)
 
 
 def test_extend_step_detects_wrong_metadata():
@@ -587,13 +634,13 @@ def test_extend_step_detects_wrong_metadata():
     # f depends on the level, so each level's iteration starts away from its fixed point
     prob = ProblemSpec(p=2, alpha=1.5, gamma=0.0, u0=1.0,
                        rhs=Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.4))
-    honest = solve_problem(prob, tol=1e-12, n_override=-2, extend_to=1)
+    honest = march_at(prob, -2, 1)
     assert honest.extension_diagnostics[-1].iterations > 2
     lying = Nonlinearity(eval=f, bound_M=0.4, lipschitz_F=0.4,
                          per_level_F=lambda k: 1e-6)
     object.__setattr__(prob, "rhs", lying)
     with pytest.raises(MetadataError, match="ratio .* at level -12:"):
-        solve_problem(prob, tol=1e-12, n_override=-2)
+        march_at(prob, -2, 33)
 
 
 @pytest.mark.parametrize("p, alpha, gamma, u0, amplitude, beta", [
@@ -626,6 +673,39 @@ def test_continuation_evaluates_f_a_linear_number_of_times(extend_to):
     extension = sum(d.iterations for d in rep.extension_diagnostics.values())
     assert width > extend_to
     assert calls[0] - picard <= width + extension + 2
+
+
+# -- dilation ----------------------------------------------------------------------
+
+def _dilated(rhs, p, alpha, gamma, s):
+    """f_s(p^k, x) = p^((gamma - alpha) s) f(p^(k - s), x), with M, F and F_k scaled by the
+    same factor; a decay pair (A, beta) does not carry over in that form, so none is declared."""
+    scale = p_pow(p, (gamma - alpha) * s)
+    return Nonlinearity(eval=lambda k, x: scale * rhs.eval(k - s, x),
+                        bound_M=scale * rhs.bound_M, lipschitz_F=scale * rhs.lipschitz_F,
+                        per_level_F=lambda k: scale * rhs.per_level_F(k - s))
+
+
+@pytest.mark.parametrize("s", (-3, 1, 4))
+@pytest.mark.parametrize("p, alpha, gamma", [(2, 1.5, 0.25), (3, 0.5, 0.2), (7, 2.0, 0.6),
+                                             (5, 1.0, 0.0), (2, 0.3, 0.29)])
+def test_a_dilated_problem_is_solved_by_the_shifted_solution(p, alpha, gamma, s):
+    # D^alpha is homogeneous of degree alpha under t -> p^s t, so if u solves the problem
+    # with f, v_n = u_(n-s) solves it with f_s and the same u0: N moves by s, the floor by
+    # s up to its 4-level grid, and the values agree within both budgets and the steps'
+    # relative stop, on every shared level (57 to 4812 of them here)
+    tol = 1e-10
+    rhs = catalog_nonlinearity("cos-decay", p)
+    u = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0, rhs=rhs), tol=tol)
+    v = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+                                  rhs=_dilated(rhs, p, alpha, gamma, s)), tol=tol)
+    assert v.local_radius_N == u.local_radius_N + s
+    assert abs(v.k_min - (u.k_min + s)) < 4
+    assert v.solution.k_max == u.solution.k_max + s
+    budgets = u.truncation_budget + v.truncation_budget
+    for n in range(max(v.k_min, u.k_min + s), v.solution.k_max + 1):
+        old = u.solution.value_at(n - s)
+        assert abs(v.solution.value_at(n) - old) <= budgets + 2 * tol * max(1.0, abs(old)), n
 
 
 # -- global hypotheses -----------------------------------------------------------
@@ -742,6 +822,17 @@ def test_residual_refuses_levels_below_the_window():
     u = RadialFunction.constant(2, 1.0, k_min=-10, k_max=45)
     with pytest.raises(IndeterminateResidualError, match="below the window floor"):
         residual(u, prob, -11)
+
+
+def test_residual_refuses_a_fitted_growth_at_or_above_alpha():
+    # u = 2^(2.5 k) grows faster than D^1.5 can absorb above the window: the envelope's
+    # rate log_p(u(p^10) / u(p^9)) = 2.5 is not below alpha
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=catalog_nonlinearity("zero", 2))
+    u = RadialFunction(2, 0, 10, tuple(2.0 ** (2.5 * k) for k in range(11)))
+    with pytest.raises(IndeterminateResidualError,
+                       match=r"^fitted tail growth exponent 2.5 is not below alpha = 1.5; "
+                             "the discarded right-tail contribution cannot be bounded$"):
+        residual(u, prob, 5)
 
 
 def test_solved_residuals_small():

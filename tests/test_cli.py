@@ -121,6 +121,13 @@ def test_apply_unknown_op(tmp_path, capsys):
     assert code == 2
 
 
+def test_apply_missing_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "apply", "--op", "dalpha", "--alpha", "1.5", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
 @pytest.mark.parametrize("levels", ["x", "3:1", "1:", "0.5"])
 def test_apply_bad_levels_exit_2(tmp_path, capsys, levels):
     path = tmp_path / "omega.txt"
@@ -285,6 +292,31 @@ def test_solve_config_error_is_line_addressed(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_solve_config_skips_comments_blank_lines_and_empty_values(tmp_path, capsys):
+    # an empty value leaves the key at its default: extend_to is then N + 35
+    path = tmp_path / "run.cfg"
+    path.write_text("# a zero right-hand side\np = 2  # the prime\n\nalpha = 1.5\n"
+                    "gamma = 0.25\nu0 = 1.0\nrhs = zero\nextend_to =\n")
+    rep = tmp_path / "rep.json"
+    code, _, err = run(capsys, "solve", "--config", str(path), "--report-out", str(rep))
+    assert (code, err) == (0, "")
+    payload = json.loads(rep.read_text())
+    assert (payload["p"], payload["local_radius_N"], payload["k_max"]) == (2, 8, 43)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("alpha = 1.5\ngamma = 0.25\nu0 = 1.0\n", "missing required field 'p'"),
+    ("p = 2\nalpha 1.5\n", "line 2: expected 'key = value', got 'alpha 1.5'"),
+    ("p = 2\n\nbeta = 2.0\n", "line 3: unknown key 'beta'"),
+])
+def test_solve_config_refusals_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{message}\n")
+
+
 def test_solve_csv_bit_stable(tmp_path, capsys):
     cfg = solve_config(tmp_path, extend_to="8")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -335,6 +367,15 @@ def test_sweep_rows(tmp_path, capsys):
     assert len(lines) == 3
     for line in lines[1:]:
         assert line.endswith(",ok")
+
+
+def test_sweep_reports_a_failing_cell_as_a_row(capsys):
+    # alpha - gamma = 6e-7 puts the window floor past the work limit: a runtime failure of
+    # the cell, reported in its row while the sweep itself exits 0
+    code, out, err = run(capsys, "sweep", "--p-list", "2", "--alpha-list", "1e-6",
+                         "--rhs", "const")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["2,1e-06,4e-07,,,,,,,,failure: BudgetError"]
 
 
 def test_sweep_keeps_good_rows_when_a_cell_overflows(capsys):

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from padicradial.errors import DomainError
-from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
+from padicradial.cauchy import (ProblemSpec, catalog_nonlinearity, picard_solve, residual,
+                                solve_problem)
 from padicradial.fracint import (apply_ialpha, assemble_fractional_integral, bound_constants,
                                  kernel_constant, kernel_constant_oracle)
 from padicradial.radial import RadialFunction, check_summability
@@ -37,6 +38,9 @@ def _residual_at(n):
     return residual(solve_problem(prob).solution, prob, n)
 
 
+_ZERO = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=catalog_nonlinearity("zero", 2))
+
+
 # every entry point that takes a level n
 LEVEL_ENTRY_POINTS = {
     "apply_dalpha": lambda n: apply_dalpha(_U, 1.5, n),
@@ -45,18 +49,26 @@ LEVEL_ENTRY_POINTS = {
     "residual": _residual_at,
     "assemble_fractional_integral(k_lo)": lambda n: assemble_fractional_integral(_U, 1.5, k_lo=n),
     "assemble_fractional_integral(k_hi)": lambda n: assemble_fractional_integral(_U, 1.5, k_hi=n),
+    "picard_solve(N)": lambda n: picard_solve(_ZERO, n),
+    "picard_solve(reserve_top)": lambda n: picard_solve(_ZERO, -2, reserve_top=n),
 }
 # the name a refusal gives the level, where it is not "level n"
 LEVEL_NAMES = {"assemble_fractional_integral(k_lo)": "k_lo",
-               "assemble_fractional_integral(k_hi)": "k_hi"}
+               "assemble_fractional_integral(k_hi)": "k_hi",
+               "picard_solve(N)": "N", "picard_solve(reserve_top)": "reserve_top"}
+# entries whose level may be None, its default
+OPTIONAL_LEVELS = {"picard_solve(reserve_top)"}
 
 
 @pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
 def test_levels_must_be_integers(entry):
-    # nan was a TypeError and 1.0 a ValueError from islice; an integral float is converted
+    # nan was a TypeError and 1.0 a ValueError from islice; an integral float is converted.
+    # picard_solve's N = inf was a MagnitudeError, and its reserve_top = nan was replaced by N
     call = LEVEL_ENTRY_POINTS[entry]
     name = LEVEL_NAMES.get(entry, "level n")
     for bad in (1.5, math.nan, math.inf, -math.inf, "1", None):
+        if bad is None and entry in OPTIONAL_LEVELS:
+            continue
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             call(bad)
     assert call(-2.0) == call(-2)

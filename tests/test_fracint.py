@@ -263,6 +263,12 @@ def test_bound_constants_uniform(p, alpha):
         assert 0 < cn <= bc.c_uniform * (1 + 1e-12)
 
 
+def test_bound_constants_refuse_a_negative_index():
+    c_n = bound_constants(2, 1.5, 0.25).c_n
+    with pytest.raises(DivergenceError, match="^bound constant index must be >= 0, got -1$"):
+        c_n(-1)
+
+
 @pytest.mark.parametrize("p", (2, 3, 7))
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 def test_c_uniform_is_c_0_and_bounds_every_c_n_next_to_degeneration(p, alpha):

@@ -12,10 +12,7 @@ from padicradial.haar import (
     ball_log_integral_oracle,
     ball_power_integral,
     ball_power_integral_oracle,
-    haar_volume,
     p_pow,
-    sphere_log_integral,
-    sphere_power_integral,
     sphere_shifted_log_integral,
     sphere_shifted_log_integral_oracle,
     sphere_shifted_power_integral,
@@ -106,20 +103,6 @@ def test_prime_keeps_its_ln_through_copies_and_pickles():
         assert type(r) is Prime and r == 7 and r.ln.hex() == q.ln.hex()
 
 
-@pytest.mark.parametrize("p,n,region,expected", [
-    (2, 0, "ball", 1.0),
-    (3, 2, "sphere", 6.0),
-    (2, -1, "ball", 0.5),
-])
-def test_haar_volume_values(p, n, region, expected):
-    assert haar_volume(p, n, region) == pytest.approx(expected, rel=1e-13)
-
-
-def test_haar_volume_bad_region():
-    with pytest.raises(DomainError):
-        haar_volume(2, 0, "shell")
-
-
 @pytest.mark.parametrize("p,a,n,expected", [
     (2, 1.0, 0, 1.0),       # frozen from the 200-stratum sphere-sum oracle
     (3, 2.0, 1, 6.75),
@@ -184,14 +167,16 @@ def test_closed_forms_match_stratum_oracles(p, a, n):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", range(-4, 5))
 def test_ball_additivity(p, n):
-    # ball at level n = ball at level n-1 + sphere at level n
-    assert haar_volume(p, n, "ball") == pytest.approx(
-        haar_volume(p, n - 1, "ball") + haar_volume(p, n, "sphere"), rel=1e-13)
+    # ball at level n = ball at level n-1 + sphere at level n, whose integrand is constant:
+    # |x|^(a-1) = p^((a-1) n) and log |x| = n ln p over the mass (1 - 1/p) p^n; at a = 1
+    # the ball integral is the ball's volume p^n
     for a in EXPONENTS:
         assert ball_power_integral(p, a, n) == pytest.approx(
-            ball_power_integral(p, a, n - 1) + sphere_power_integral(p, a, n), rel=1e-12)
+            ball_power_integral(p, a, n - 1) + (1 - 1 / p) * p_pow(p, a * n), rel=1e-12)
+    assert ball_power_integral(p, 1.0, n) == pytest.approx(p_pow(p, n), rel=1e-13)
     assert ball_log_integral(p, n) == pytest.approx(
-        ball_log_integral(p, n - 1) + sphere_log_integral(p, n), abs=1e-12 * p_pow(p, n))
+        ball_log_integral(p, n - 1) + n * math.log(p) * (1 - 1 / p) * p_pow(p, n),
+        abs=1e-12 * p_pow(p, n))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -199,7 +184,7 @@ def test_ball_additivity(p, n):
 def test_stratum_measures_sum_to_sphere_volume(p, n):
     strata = sum((1 - 1 / p) * p_pow(p, j) for j in range(n - 300, n))
     strata += p_pow(p, n) * (1 - 2 / p)
-    assert strata == pytest.approx(haar_volume(p, n, "sphere"), rel=1e-12)
+    assert strata == pytest.approx((1 - 1 / p) * p_pow(p, n), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -219,7 +204,7 @@ def test_unscaled_log_variant_disagrees_off_center(p):
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from(PRIMES), a=st.floats(0.1, 4.0), n=st.integers(-6, 6))
 def test_ball_power_telescopes(p, a, n):
-    total = ball_power_integral(p, a, n - 1) + sphere_power_integral(p, a, n)
+    total = ball_power_integral(p, a, n - 1) + (1 - 1 / p) * p_pow(p, a * n)
     assert total == pytest.approx(ball_power_integral(p, a, n), rel=1e-12)
 
 

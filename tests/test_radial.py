@@ -55,6 +55,17 @@ def test_tail_token_round_trip():
         TailModel.from_token("power:1")
 
 
+def test_tail_refusals():
+    kinds = r"\('zero', 'const', 'power'\)"
+    with pytest.raises(DomainError, match=f"^tail kind must be one of {kinds}, got 'linear'$"):
+        TailModel("linear", 1.0)
+    with pytest.raises(DomainError, match="^tail parameters must be finite$"):
+        TailModel.power_law(1.0, math.nan)
+    with pytest.raises(DomainError, match="^malformed tail token 'const:x': could not convert "
+                                          "string to float: 'x'$"):
+        TailModel.from_token("const:x")
+
+
 def test_window_validation():
     with pytest.raises(DomainError):
         RadialFunction(2, 1, 0, (1.0, 2.0))
@@ -64,6 +75,8 @@ def test_window_validation():
         RadialFunction(2, 0, 0, (float("nan"),))
     with pytest.raises(DomainError):
         RadialFunction(4, 0, 0, (1.0,))
+    with pytest.raises(DomainError, match="^value at zero must be finite$"):
+        RadialFunction(2, 0, 0, (1.0,), value_at_zero=math.inf)
 
 
 def test_levels_must_be_integers():
@@ -336,3 +349,11 @@ def test_load_errors_are_line_addressed():
         load_radial("# a comment\n\n2 0 0 1.0 zero\n0 1\n")
     with pytest.raises(DomainError, match="line 3: could not convert"):
         load_radial("2 0 0 1.0 zero zero\n# a comment\n0 one\n")
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(DomainError, match="^empty radial function file$"):
+            load_radial(text)
+    with pytest.raises(DomainError, match="^line 2: invalid literal for int\\(\\) with base 10: "
+                                          "'0.5'$"):
+        load_radial("# a comment\n2 0.5 1 1.0 zero zero\n0 1\n")
+    with pytest.raises(DomainError, match="^line 2: expected 'k value', got '0'$"):
+        load_radial("2 0 0 1.0 zero zero\n0\n")
