@@ -45,7 +45,6 @@ from .radial import (
 )
 from .vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha, dalpha_window
 from .fracint import (
-    BoundConstants,
     KernelConstants,
     apply_ialpha,
     assemble_fractional_integral,

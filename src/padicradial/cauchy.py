@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -179,18 +179,17 @@ class SolveReport:
     solution: RadialFunction
     local_radius_N: int
     picard_iterations: int
-    extension_diagnostics: dict = field(default_factory=dict)
-    truncation_budget: float = 0.0
-    k_min: int = 0
-    q_contraction: float = 0.0
-    c_uniform: float = 0.0
+    extension_diagnostics: dict
+    truncation_budget: float
+    q_contraction: float
+    c_uniform: float
 
     def to_dict(self) -> dict:
         u = self.solution
         return {
             "p": int(u.p),
             "local_radius_N": self.local_radius_N,
-            "k_min": self.k_min,
+            "k_min": u.k_min,
             "k_max": u.k_max,
             "picard_iterations": self.picard_iterations,
             "q_contraction": self.q_contraction,
@@ -225,8 +224,9 @@ def _radius_from_constants(c_uniform: float, lipschitz: float, p: int,
 
 
 def choose_local_radius(problem: ProblemSpec, n_cap: int = 8) -> int:
-    """Local ball exponent N with contraction factor q_N <= 1/2."""
-    c = bound_constants(problem.p, problem.alpha, problem.gamma).c_uniform
+    """Local ball exponent N <= ``n_cap`` (a level) with contraction factor q_N <= 1/2."""
+    n_cap = require_level(n_cap, "n_cap")
+    c = bound_constants(problem.p, problem.alpha, problem.gamma)(0)
     return _radius_from_constants(c, problem.rhs.lipschitz_F, problem.p,
                                   problem.alpha - problem.gamma, n_cap)
 
@@ -317,7 +317,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
     rhs = problem.rhs
     f, lip_at = rhs.eval, rhs.level_lipschitz
-    c_uni = bound_constants(p, alpha, gamma).c_uniform
+    c_uni = bound_constants(p, alpha, gamma)(0)
     q = c_uni * (rhs.lipschitz_F * p_pow(p, N * (alpha - gamma)))  # c_uni * F may overflow
     if q >= 1.0:
         raise DomainError(
@@ -375,7 +375,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
     return SolveReport(
         solution=solution, local_radius_N=N, picard_iterations=steps,
         extension_diagnostics=diags, truncation_budget=budget / (1.0 - q),
-        k_min=k_min, q_contraction=q, c_uniform=c_uni,
+        q_contraction=q, c_uniform=c_uni,
     )
 
 

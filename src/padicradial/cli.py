@@ -146,10 +146,10 @@ def cmd_constants(args) -> int:
         print(f"s_signed {_fmt(kc.s_signed)}")
         print(f"a_bound {_fmt(kc.a_bound)}")
         return EXIT_OK
-    bc = bound_constants(args.p, args.alpha, args.gamma)
+    c_n = bound_constants(args.p, args.alpha, args.gamma)
     for n in range(args.nmax + 1):
-        print(f"C_{n} {_fmt(bc.c_n(n))}")
-    print(f"C {_fmt(bc.c_uniform)}")
+        print(f"C_{n} {_fmt(c_n(n))}")
+    print(f"C {_fmt(c_n(0))}")
     return EXIT_OK
 
 
@@ -232,7 +232,7 @@ def cmd_solve(args) -> int:
         _emit(dump_radial(u).splitlines(), cfg["solution_out"])
 
     print(f"N {report.local_radius_N}")
-    print(f"k_min {report.k_min}")
+    print(f"k_min {u.k_min}")
     print(f"k_max {u.k_max}")
     print(f"picard_iterations {report.picard_iterations}")
     print(f"truncation_budget {_fmt(report.truncation_budget)}")
@@ -295,9 +295,10 @@ def _suite_bounds(depth: int, family: str):
                      <= a_shared * (1.0 + 1e-12)
                      for sigma in (boundary + 0.05 + 0.07 * i for i in range(100)))
             cells.append((f"envelope-p{p}-alpha{alpha:g}", ok, ""))
-            bc = bound_constants(p, alpha, 0.4 * min(1.0, alpha))
-            ok = all(bc.c_n(n) <= bc.c_uniform * (1.0 + 1e-12) for n in range(51))
-            cells.append((f"cn-p{p}-alpha{alpha:g}", ok, f"C {bc.c_uniform:.6g}"))
+            c_n = bound_constants(p, alpha, 0.4 * min(1.0, alpha))
+            c = c_n(0)
+            ok = all(c_n(n) <= c * (1.0 + 1e-12) for n in range(51))
+            cells.append((f"cn-p{p}-alpha{alpha:g}", ok, f"C {c:.6g}"))
     return cells
 
 
@@ -407,7 +408,8 @@ def cmd_sweep(args) -> int:
                 report, _, estimates, worst = _verified_solve(
                     problem, args.tol, lambda u: range(u.k_min + 1, u.k_max + 1))
                 max_resid = _fmt(worst) if worst is not None else ""
-                row += (f",{report.local_radius_N},{report.k_min},{report.solution.k_max},"
+                u = report.solution
+                row += (f",{report.local_radius_N},{u.k_min},{u.k_max},"
                         f"{report.picard_iterations},{max_resid},{len(estimates)},"
                         f"{_fmt(report.truncation_budget)},ok")
             except PRECONDITION_ERRORS as err:

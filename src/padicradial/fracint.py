@@ -43,10 +43,10 @@ because for a < 1 the kernel and the prefactor flip sign together -
 dropping one of the two flips is the classic sign error in this
 computation.
 
-:func:`bound_constants` packages the growth constants for powers of the
-integral operator: c_n bounds |I^a phi| / (mu |t|^((n+1)(a-g))) over the
-envelope class |phi| <= mu |t|^(n a - (n+1) g); c_n falls with n, so
-c_uniform = c_0 dominates every c_n.
+:func:`bound_constants` returns the growth constants of powers of the
+integral operator as the function n -> c_n: c_n bounds |I^a phi| /
+(mu |t|^((n+1)(a-g))) over the envelope class |phi| <= mu |t|^(n a - (n+1) g);
+c_n falls with n, so the uniform constant C = c_n(0) dominates every c_n.
 """
 
 from __future__ import annotations
@@ -261,21 +261,10 @@ def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:
     return known + c * (last - shift)
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Growth constants for iterated applications of I^alpha.
-
-    c_n(n) bounds the n-th application, c_n(0) the first, on the envelope
-    |phi| <= mu |t|^(-gamma).  c_n falls strictly with n, so c_uniform is c_n(0):
-    0 < c_n(n) <= c_uniform for every n >= 0.
-    """
-
-    c_n: Callable[[int], float]
-    c_uniform: float
-
-
-def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
-    """Constants c_n and c_uniform for the weak-degeneration regime."""
+def bound_constants(p: int, alpha: float, gamma: float) -> Callable[[int], float]:
+    """n -> c_n, the growth constants of iterated I^alpha in the weak-degeneration regime:
+    c_n(n) bounds the n-th application, on |phi| <= mu |t|^(n a - (n+1) g).  c_n falls
+    strictly with n, so the uniform constant C is c_n(0): 0 < c_n(n) <= C for every n."""
     p = Prime(p)
     require_alpha(alpha)
     require_finite(gamma=gamma)
@@ -297,7 +286,7 @@ def bound_constants(p: int, alpha: float, gamma: float) -> BoundConstants:
         return q + interior(s) * p_pow(p, -alpha * s)
 
     # interior(s) and p^(-alpha s) both fall as sigma_n rises with n
-    return BoundConstants(c_n=c_n, c_uniform=c_n(0))
+    return c_n
 
 
 def assemble_fractional_integral(v: RadialFunction, alpha: float,

@@ -280,30 +280,26 @@ class SummabilityReport:
 
     cond_3_1      : sum p^k |u(p^k)| < inf over the levels k -> -inf
     cond_3_1_prime: sum p^(-alpha l) |u(p^l)| < inf over the levels l -> +inf
-    cond_2_7      : sum max(p^k, p^(alpha k)) |u(p^k)| < inf, k -> -inf  (alpha != 1)
-    cond_2_8      : sum |k| p^k |u(p^k)| < inf, k -> -inf                 (alpha == 1)
-    cond_3_2      : cond_2_7 plus sum |u(p^l)| < inf, l -> +inf           (alpha != 1)
-    cond_3_3      : cond_2_8 plus sum |l| |u(p^l)| < inf, l -> +inf       (alpha == 1)
+    cond_2_7      : sum max(p^k, p^(alpha k)) |u(p^k)| < inf, k -> -inf
+    cond_3_2      : cond_2_7 plus sum |u(p^l)| < inf, l -> +inf
 
-    Fields for the non-applicable alpha branch are None.  Each series splits
-    at any level into finitely many terms and a tail beyond the window, so
-    each verdict is the tail's rate alone, by :func:`_require_convergent`:
-    at k -> -inf max(p^k, p^(alpha k)) is p^(min(1, alpha) k), the factor
-    |k| never changes convergence, and boundary rates are classified
-    divergent.  A failing cond_3_2 or cond_3_3 keeps the first failing detail.
+    At alpha = 1, cond_2_7 and cond_3_2 are the paper's (2.8) and (3.3), whose
+    series carry a factor |k| (|l|): a geometric tail's verdict never depends on
+    it.  Each series splits at any level into finitely many terms and a tail
+    beyond the window, so each verdict is the tail's rate alone, by
+    :func:`_require_convergent`: at k -> -inf max(p^k, p^(alpha k)) is
+    p^(min(1, alpha) k), and boundary rates are classified divergent.  A failing
+    cond_3_2 keeps the first failing detail.
     """
 
     cond_3_1: ConditionCheck
     cond_3_1_prime: ConditionCheck
-    cond_2_7: ConditionCheck | None
-    cond_2_8: ConditionCheck | None
-    cond_3_2: ConditionCheck | None
-    cond_3_3: ConditionCheck | None
+    cond_2_7: ConditionCheck
+    cond_3_2: ConditionCheck
 
     def all_applicable_hold(self) -> bool:
-        checks = [self.cond_3_1, self.cond_3_1_prime, self.cond_2_7,
-                  self.cond_2_8, self.cond_3_2, self.cond_3_3]
-        return all(c.holds for c in checks if c is not None)
+        return all(c.holds for c in (self.cond_3_1, self.cond_3_1_prime,
+                                     self.cond_2_7, self.cond_3_2))
 
 
 def _rate_check(tail: TailModel, side: str, e: float) -> ConditionCheck:
@@ -321,9 +317,7 @@ def check_summability(u: RadialFunction, alpha: float) -> SummabilityReport:
     cond_3_1_prime = _rate_check(u.right_tail, "right", -alpha)
     left = _rate_check(u.left_tail, "left", min(1.0, alpha))
     both = _rate_check(u.right_tail, "right", 0.0) if left.holds else left
-    if alpha == 1.0:
-        return SummabilityReport(cond_3_1, cond_3_1_prime, None, left, None, both)
-    return SummabilityReport(cond_3_1, cond_3_1_prime, left, None, both, None)
+    return SummabilityReport(cond_3_1, cond_3_1_prime, left, both)
 
 
 # -- serialization ----------------------------------------------------------

@@ -121,9 +121,9 @@ def test_criterion_03_envelope_and_uniform_bounds():
                 assert lhs <= shared * (1 + 1e-12)
                 assert lhs <= kc.a_bound * (1 + 1e-12)
             gamma = 0.4 * min(1.0, alpha)
-            bc = bound_constants(p, alpha, gamma)
+            c_n = bound_constants(p, alpha, gamma)
             for n in range(51):
-                assert 0 < bc.c_n(n) <= bc.c_uniform * (1 + 1e-12)
+                assert 0 < c_n(n) <= c_n(0) * (1 + 1e-12)
     _ok("criterion 3: envelope bound on the 100-point sigma grid; "
         "c_n <= c_uniform for n = 0..50")
 
@@ -162,7 +162,7 @@ def _local_theory_checks(problem, tol=1e-11):
                          reserve_top=report.solution.k_max + 1)
     assert local.solution.values == report.solution.values[:len(local.solution.values)]
     scale = report.c_uniform * m / (1.0 - report.q_contraction)
-    for k in range(report.k_min, report.local_radius_N + 1):
+    for k in range(report.solution.k_min, report.local_radius_N + 1):
         dev = abs(report.solution.value_at(k) - problem.u0)
         bound = scale * p_pow(problem.p, k * (problem.alpha - problem.gamma))
         assert dev <= bound + 1e-15
@@ -174,7 +174,7 @@ def _residual_checks(problem, report, tol_gate=5e-9):
     m = problem.rhs.bound_M
     count, worst = 0, 0.0
     u = report.solution
-    for n in range(max(report.k_min + 1, -15), u.k_max - 2):
+    for n in range(max(report.solution.k_min + 1, -15), u.k_max - 2):
         try:
             est = residual(u, problem, n, tol=tol_gate)
         except IndeterminateResidualError:

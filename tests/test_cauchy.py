@@ -221,7 +221,7 @@ def test_deep_targets_certify_without_a_level_cap(p, alpha, gamma, extend_to, k_
                        rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1, beta=2.0))
     rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
     N, k_max = rep.local_radius_N, rep.solution.k_max
-    assert rep.k_min == k_min
+    assert rep.solution.k_min == k_min
     assert k_max == (extend_to if extend_to is not None else N + 35)
     assert rep.truncation_budget <= 1e-10
     # the floor's sum covers every continuation level's remainder, so the solve
@@ -353,7 +353,7 @@ def test_extend_to_minus_one_reserves_level_zero(amplitude, N, k_min):
                        rhs=catalog_nonlinearity("cos-decay", 2, amplitude=amplitude))
     rep = solve_problem(prob, tol=1e-10, extend_to=-1)
     floor, floor_sum = _choose_window_floor(prob, 0, 1e-10, N)
-    assert rep.local_radius_N == N and rep.k_min == floor == k_min
+    assert rep.local_radius_N == N and rep.solution.k_min == floor == k_min
     assert rep.truncation_budget == floor_sum / (1.0 - rep.q_contraction)
     rems = list(islice(_truncation_bound(prob, k_min, k_min), -k_min + 1))
     assert sum(rems) <= rep.truncation_budget
@@ -384,10 +384,39 @@ def test_const_solution_matches_an_independent_reference(p, alpha, gamma):
     c = reference.ialpha(reference.Radial(p, 0, [1.0], power, power), alpha, 0, 0)[0][0]
     with mp.workdps(30):
         P, rate = mpf(p), mpf(alpha) - mpf(gamma)
-        for n, u in enumerate(rep.solution.values, rep.k_min):
+        for n, u in enumerate(rep.solution.values, rep.solution.k_min):
             ref = float(1 + lam * c * P ** (rate * n))
             # the tol term covers rounding where |u| is large: at (3, 0.5, 0.2) |u| nears 1e5
             assert abs(u - ref) <= rep.truncation_budget + 1e-10 * max(1.0, abs(u)), n
+
+
+@pytest.mark.parametrize("p, alpha, gamma, lam, top", [
+    (2, 1.5, 0.25, 0.05, 3), (3, 0.8, 0.3, -0.2, 3), (5, 1.0, 0.5, 0.1, 3), (2, 0.5, 0.2, 0.3, 2)])
+def test_a_u_dependent_rhs_matches_its_exact_power_series(p, alpha, gamma, lam, top):
+    # f(p^k, x) = lam clamp(x, -R, R) is lam x wherever |u| <= R, and there the solution is
+    # u(p^n) = u0 sum_j lam^j C_j p^(j (alpha - gamma) n), C_0 = 1 and
+    # C_(j+1) = C_j c(j (alpha - gamma) - gamma): I^alpha maps |t|^(-gamma) |t|^(j (alpha -
+    # gamma)) to c |t|^((j+1) (alpha - gamma)), c(rho) = (I^alpha |t|^rho)(1) from the
+    # reference's 50-digit strata sums; 80 terms leave a remainder far below 1e-16
+    from mpmath import mp, mpf
+    reference = _reference()
+    R, u0, tol = 10.0, 1.0, 1e-10
+    rhs = Nonlinearity(eval=lambda k, x: lam * min(max(x, -R), R), bound_M=abs(lam) * R,
+                       lipschitz_F=abs(lam))
+    rep = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=u0, rhs=rhs), tol=tol,
+                        extend_to=top)
+    u = rep.solution
+    assert u.k_max == top
+    with mp.workdps(50):
+        rate, coefs = (mpf(alpha) - mpf(gamma)) * mp.log(p), [mpf(1)]
+        for j in range(79):
+            power = ("power", 1.0, j * (alpha - gamma) - gamma)
+            c = reference.ialpha(reference.Radial(p, 0, [1.0], power, power), alpha, 0, 0)[0][0]
+            coefs.append(coefs[-1] * lam * c)
+        for n, x in zip(range(u.k_min, top + 1), u.values):
+            exact = float(u0 * sum(a * mp.exp(j * rate * n) for j, a in enumerate(coefs)))
+            assert abs(exact) <= R  # the clamp never acts on the solution
+            assert abs(x - exact) <= rep.truncation_budget + tol * max(1.0, abs(x)), n
 
 
 @pytest.mark.parametrize("p, alpha, gamma, amplitude, beta", [
@@ -483,7 +512,7 @@ def test_window_floor_budget_covers_the_sum_where_p_e_underflows(gamma, amplitud
         assert budget >= want and budget <= want * (1 + mpf(10) ** -11)
     if u0 == 0.0:  # the first repro end to end: the solve certifies the same floor
         rep = solve_problem(prob, tol=tol, extend_to=-960)
-        assert rep.k_min == k_min and rep.truncation_budget >= want
+        assert rep.solution.k_min == k_min and rep.truncation_budget >= want
 
 
 # -- local iteration -------------------------------------------------------------
@@ -510,7 +539,7 @@ def test_picard_constant_rhs_closed_form():
                        rhs=catalog_nonlinearity("const", 2, amplitude=lam))
     rep = picard_solve(prob, N=3, tol=1e-12)
     coeff = power_image_coefficient(2, 1.5, -0.25)
-    for k in range(rep.k_min, 4):
+    for k in range(rep.solution.k_min, 4):
         want = 1.0 + lam * coeff * p_pow(2, 1.25 * k)
         assert rep.solution.value_at(k) == pytest.approx(want, rel=1e-11, abs=1e-13)
 
@@ -522,8 +551,8 @@ def test_picard_solve_is_the_march_stopped_at_n():
     full = solve_problem(prob, tol=1e-11)
     N = full.local_radius_N
     rep = picard_solve(prob, N, tol=1e-11, reserve_top=full.solution.k_max + 1)
-    assert rep.k_min == full.k_min and rep.solution.k_max == N
-    assert rep.solution.values == full.solution.values[:N - rep.k_min + 1]
+    assert rep.solution.k_min == full.solution.k_min and rep.solution.k_max == N
+    assert rep.solution.values == full.solution.values[:N - rep.solution.k_min + 1]
     assert rep.picard_iterations == full.picard_iterations >= 2
     assert rep.extension_diagnostics == {}
     rep = picard_solve(prob, N=1, tol=1e-11)
@@ -669,7 +698,7 @@ def test_continuation_evaluates_f_a_linear_number_of_times(extend_to):
     calls[0] = 0
     rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
     width = len(rep.solution.values)
-    picard = (rep.local_radius_N - rep.k_min + 1) * rep.picard_iterations
+    picard = (rep.local_radius_N - rep.solution.k_min + 1) * rep.picard_iterations
     extension = sum(d.iterations for d in rep.extension_diagnostics.values())
     assert width > extend_to
     assert calls[0] - picard <= width + extension + 2
@@ -700,10 +729,10 @@ def test_a_dilated_problem_is_solved_by_the_shifted_solution(p, alpha, gamma, s)
     v = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
                                   rhs=_dilated(rhs, p, alpha, gamma, s)), tol=tol)
     assert v.local_radius_N == u.local_radius_N + s
-    assert abs(v.k_min - (u.k_min + s)) < 4
+    assert abs(v.solution.k_min - (u.solution.k_min + s)) < 4
     assert v.solution.k_max == u.solution.k_max + s
     budgets = u.truncation_budget + v.truncation_budget
-    for n in range(max(v.k_min, u.k_min + s), v.solution.k_max + 1):
+    for n in range(max(v.solution.k_min, u.solution.k_min + s), v.solution.k_max + 1):
         old = u.solution.value_at(n - s)
         assert abs(v.solution.value_at(n) - old) <= budgets + 2 * tol * max(1.0, abs(old)), n
 
@@ -840,7 +869,7 @@ def test_solved_residuals_small():
     rep = solve_problem(prob, tol=1e-11)
     assert check_global_hypotheses(prob).residual_verifiable
     count, worst = 0, 0.0
-    for n in range(max(rep.k_min + 1, -15), rep.solution.k_max - 2):
+    for n in range(max(rep.solution.k_min + 1, -15), rep.solution.k_max - 2):
         try:
             est = residual(rep.solution, prob, n, tol=5e-9)
         except IndeterminateResidualError:
@@ -871,7 +900,7 @@ def test_continuity_at_zero_bound():
     prob = catalog_problem()
     rep = solve_problem(prob, tol=1e-11)
     scale = rep.c_uniform * prob.rhs.bound_M / (1 - rep.q_contraction)
-    for k in range(rep.k_min, rep.local_radius_N + 1):
+    for k in range(rep.solution.k_min, rep.local_radius_N + 1):
         dev = abs(rep.solution.value_at(k) - prob.u0)
         assert dev <= scale * p_pow(2, k * 1.25) + 1e-15
 
@@ -950,7 +979,7 @@ def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
     # it, not before
     prob = ProblemSpec(p=7, alpha=1.5, gamma=0.3, u0=1.0,
                        rhs=catalog_nonlinearity("bounded-sigmoid", 7))
-    k_min = picard_solve(prob, 0, 1e-10, 200, reserve_top=401).k_min
+    k_min = picard_solve(prob, 0, 1e-10, 200, reserve_top=401).solution.k_min
     sweep = _IalphaSweep(7, 1.5, 0.3, k_min)
     sweep.advance([0.0] * (1 - k_min))
     assert sweep.level == 0 and sweep.top == 299
@@ -1066,11 +1095,11 @@ def test_window_floor_lies_at_or_below_picards_top():
     assert _choose_window_floor(prob, 24, 1e-10)[0] == -8
     assert _choose_window_floor(prob, 24, 1e-10, -12)[0] == -12
     rep = picard_solve(prob, -12, 1e-10, reserve_top=24)
-    assert rep.k_min == -12 and rep.solution.values == (1.0,)
+    assert rep.solution.k_min == -12 and rep.solution.values == (1.0,)
     with pytest.raises(ContractionError, match="extension to level -9 "):
         solve_problem(prob)
     rep = solve_problem(prob, extend_to=-10)
-    assert rep.k_min == -17 and rep.solution.k_max == -10
+    assert rep.solution.k_min == -17 and rep.solution.k_max == -10
 
 
 def test_per_level_records_are_named_tuples():

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from padicradial.errors import DomainError
-from padicradial.cauchy import (ProblemSpec, catalog_nonlinearity, picard_solve, residual,
-                                solve_problem)
+from padicradial.cauchy import (ProblemSpec, catalog_nonlinearity, choose_local_radius,
+                                picard_solve, residual, solve_problem)
 from padicradial.fracint import (apply_ialpha, assemble_fractional_integral, bound_constants,
                                  kernel_constant, kernel_constant_oracle)
 from padicradial.radial import RadialFunction, check_summability
@@ -51,11 +51,13 @@ LEVEL_ENTRY_POINTS = {
     "assemble_fractional_integral(k_hi)": lambda n: assemble_fractional_integral(_U, 1.5, k_hi=n),
     "picard_solve(N)": lambda n: picard_solve(_ZERO, n),
     "picard_solve(reserve_top)": lambda n: picard_solve(_ZERO, -2, reserve_top=n),
+    "choose_local_radius(n_cap)": lambda n: choose_local_radius(_ZERO, n_cap=n),
 }
 # the name a refusal gives the level, where it is not "level n"
 LEVEL_NAMES = {"assemble_fractional_integral(k_lo)": "k_lo",
                "assemble_fractional_integral(k_hi)": "k_hi",
-               "picard_solve(N)": "N", "picard_solve(reserve_top)": "reserve_top"}
+               "picard_solve(N)": "N", "picard_solve(reserve_top)": "reserve_top",
+               "choose_local_radius(n_cap)": "n_cap"}
 # entries whose level may be None, its default
 OPTIONAL_LEVELS = {"picard_solve(reserve_top)"}
 
@@ -63,7 +65,8 @@ OPTIONAL_LEVELS = {"picard_solve(reserve_top)"}
 @pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
 def test_levels_must_be_integers(entry):
     # nan was a TypeError and 1.0 a ValueError from islice; an integral float is converted.
-    # picard_solve's N = inf was a MagnitudeError, and its reserve_top = nan was replaced by N
+    # picard_solve's N = inf was a MagnitudeError, and its reserve_top = nan was replaced by N;
+    # choose_local_radius returned a non-integer n_cap of a zero Lipschitz bound as N
     call = LEVEL_ENTRY_POINTS[entry]
     name = LEVEL_NAMES.get(entry, "level n")
     for bad in (1.5, math.nan, math.inf, -math.inf, "1", None):
@@ -84,3 +87,12 @@ def test_records_carry_only_what_is_read():
     assert repr(kernel_constant(2, 2.0, 0.0)).startswith("KernelConstants(d_abs=0.333333333333333")
     err = NonConvergenceError("did not converge")
     assert str(err) == "did not converge" and not hasattr(err, "diffs")
+    # the summability report once kept (2.8) and (3.3) apart from (2.7) and (3.2), one of
+    # each pair None, and SolveReport once copied its solution's k_min
+    from padicradial.cauchy import SolveReport
+    from padicradial.radial import SummabilityReport
+    assert [f.name for f in dataclasses.fields(SummabilityReport)] == [
+        "cond_3_1", "cond_3_1_prime", "cond_2_7", "cond_3_2"]
+    assert [f.name for f in dataclasses.fields(SolveReport)] == [
+        "solution", "local_radius_N", "picard_iterations", "extension_diagnostics",
+        "truncation_budget", "q_contraction", "c_uniform"]

@@ -247,24 +247,23 @@ def test_ialpha_divergence_reported():
 
 def test_bound_constants_gamma_zero():
     p, alpha = 2, 2.0
-    bc = bound_constants(p, alpha, 0.0)
+    c_n = bound_constants(p, alpha, 0.0)
     ratio = abs((1 - p_pow(p, -alpha)) / (1 - p_pow(p, alpha - 1)))
     want = p_pow(p, -alpha) + ratio * kernel_constant(p, alpha, 0.0).d_abs
-    assert bc.c_n(0) == pytest.approx(want, rel=1e-13)
+    assert c_n(0) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bound_constants_uniform(p, alpha):
     gamma = 0.4 * min(1.0, alpha)
-    bc = bound_constants(p, alpha, gamma)
+    c_n = bound_constants(p, alpha, gamma)
     for n in range(51):
-        cn = bc.c_n(n)
-        assert 0 < cn <= bc.c_uniform * (1 + 1e-12)
+        assert 0 < c_n(n) <= c_n(0) * (1 + 1e-12)
 
 
 def test_bound_constants_refuse_a_negative_index():
-    c_n = bound_constants(2, 1.5, 0.25).c_n
+    c_n = bound_constants(2, 1.5, 0.25)
     with pytest.raises(DivergenceError, match="^bound constant index must be >= 0, got -1$"):
         c_n(-1)
 
@@ -273,10 +272,9 @@ def test_bound_constants_refuse_a_negative_index():
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
 def test_c_uniform_is_c_0_and_bounds_every_c_n_next_to_degeneration(p, alpha):
     # c_n falls with n, so c_0 bounds them all with no slack; a sigma_0 clamped 1e-6 above
-    # the boundary once put c_uniform 500 times below c_0 at alpha = 0.5
-    bc = bound_constants(p, alpha, (1.0 - 1e-9) * min(1.0, alpha))
-    assert bc.c_uniform == bc.c_n(0)
-    assert all(bc.c_n(n) <= bc.c_uniform for n in range(51))
+    # the boundary once put the uniform constant 500 times below c_0 at alpha = 0.5
+    c_n = bound_constants(p, alpha, (1.0 - 1e-9) * min(1.0, alpha))
+    assert all(c_n(n) <= c_n(0) for n in range(51))
 
 
 def test_a_denominator_within_rounding_of_the_boundary_is_a_divergence():
@@ -285,7 +283,7 @@ def test_a_denominator_within_rounding_of_the_boundary_is_a_divergence():
     with pytest.raises(DivergenceError, match="within rounding of the boundary"):
         kernel_constant(2, 0.5, -0.9999999999999999)
     with pytest.raises(DivergenceError, match="within rounding of the boundary"):
-        bound_constants(2, 0.5, 0.49999999999999994)
+        bound_constants(2, 0.5, 0.49999999999999994)(0)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

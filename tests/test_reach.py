@@ -49,12 +49,26 @@ def test_unreached_names_what_the_first_runs_miss_and_whether_the_second_reach_i
     with reach.Reach([path]) as b:
         module.two()
     assert a.calls == {(str(path), 4)} and b.calls == {(str(path), 11)}
-    assert reach.unreached([path], a, b) == [
+    rows = reach.unreached([path], a, b)
+    assert rows == [
         "two.py:11 function two  tests: yes",
         "two.py:8 in sign: return -1  tests: no",
         "two.py:13 in two: return 2  tests: yes",
     ]
+    # a statement that neither set runs is not dead code: every function is called
+    assert reach.exit_code(rows) == 0
     # with both runs in the first set, nothing is left
     with reach.Reach([path]) as both:
         module.sign(-1), module.sign(1), module.two()
-    assert reach.unreached([path], both, b) == []
+    assert reach.unreached([path], both, b) == [] and reach.exit_code([]) == 0
+
+
+def test_a_function_that_neither_set_of_runs_calls_fails_the_tool(tmp_path):
+    path, module = _module(tmp_path)
+    with reach.Reach([path]) as a:
+        module.sign(1)
+    with reach.Reach([path]) as b:
+        module.sign(-1)
+    rows = reach.unreached([path], a, b)
+    assert rows[0] == "two.py:11 function two  tests: no"
+    assert reach.exit_code(rows) == 1

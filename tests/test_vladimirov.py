@@ -8,9 +8,9 @@ import padicradial.radial as radial
 import padicradial.vladimirov as vladimirov
 from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
 from padicradial.errors import DivergenceError, IndeterminateResidualError, MagnitudeError
-from padicradial.fracint import apply_ialpha
+from padicradial.fracint import _sweep_below, apply_ialpha
 from padicradial.haar import ball_power_integral, p_pow
-from padicradial.radial import RadialFunction, TailModel
+from padicradial.radial import RadialFunction, TailModel, check_summability
 from padicradial.vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha, dalpha_window
 
 PRIMES = (2, 3, 5)
@@ -437,3 +437,119 @@ def test_residual_uncertainty_covers_the_dalpha_error():
         want = weight * exact[n - u.k_min] - mpf(prob.rhs.eval(n, u.value_at(n)))
         assert float(abs(mpf(est.value) - want)) <= est.uncertainty, n
     assert reported >= 250
+
+
+# -- the dilation law of the operators --------------------------------------------
+#
+# v_k = u_(k-s) shifts u's window by s levels; then (D^a v)_n = p^(-a s) (D^a u)_(n-s) and
+# (I^a v)_n = p^(a s) (I^a u)_(n-s).  Each side is compared with the other within the
+# rounding of the computations alone, never within a fixed tolerance.
+
+def _dilated(u, s):
+    """v_k = u_(k-s): the window moved by s levels, a power tail c p^(rho k) turned into
+    c p^(-rho s) p^(rho k), constant and zero tails kept."""
+    def moved(tail):
+        if tail.kind != "power":
+            return tail
+        return TailModel.power_law(tail.c * p_pow(u.p, -tail.rho * s), tail.rho)
+
+    return RadialFunction(u.p, u.k_min + s, u.k_max + s, u.values, left_tail=moved(u.left_tail),
+                          right_tail=moved(u.right_tail), value_at_zero=u.value_at_zero)
+
+
+def _pow_units(p, e):
+    """A bound, in units of 2^-53, on the relative error of p_pow(p, e) = exp(e ln p)."""
+    return 2.0 + 2.0 * abs(e) * math.log(p)
+
+
+@st.composite
+def _dilation_case(draw, ialpha):
+    """(u, alpha, s): u over p in {2, 3, 5, 7} with dyadic window values (no subnormal
+    intermediates) and a zero, constant or power tail on each side, its rates inside what
+    the operator's convergence conditions admit; alpha may be 1."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.2, 3.0)))
+    k_min = draw(st.integers(-8, 4))
+    values = draw(st.lists(st.integers(-32, 32), min_size=1, max_size=12))
+    # the open rate intervals of the left and the right tail, 0.05 inside their boundaries
+    lows = (-min(1.0, alpha) if ialpha else -1.0) + 0.05, -2.5
+    highs = 2.5, (2.5 if ialpha else alpha - 0.05)
+    tails = []
+    for lo, hi in zip(lows, highs):
+        kind = draw(st.sampled_from(("zero", "const", "power")))
+        c = draw(st.integers(-16, 16).filter(bool)) / 8.0
+        rho = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+        tails.append({"zero": TailModel.zero(), "const": TailModel.constant(c),
+                      "power": TailModel.power_law(c, rho)}[kind])
+    u = RadialFunction(p, k_min, k_min + len(values) - 1, [x / 8.0 for x in values],
+                       left_tail=tails[0], right_tail=tails[1])
+    rep = check_summability(u, alpha)
+    assert rep.cond_2_7.holds if ialpha else rep.cond_3_1.holds and rep.cond_3_1_prime.holds
+    return u, alpha, draw(st.integers(-30, 30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_dilation_case(ialpha=False))
+def test_dalpha_of_a_dilated_function_is_the_scaled_shifted_image(case):
+    # both windows' own rounding bounds, plus that of the factor p^(-alpha s) and of the
+    # product: v's power tails hold a rounded c p^(-rho s), whose error the seed bounds of
+    # both windows cover, as they take 3 |rho| ln p units per level of their two origins
+    u, alpha, s = case
+    v = _dilated(u, s)
+    factor, unit = p_pow(u.p, -alpha * s), vladimirov._UNIT
+    (du, ru), (dv, rv) = dalpha_window(u, alpha), dalpha_window(v, alpha)
+    for n, a, ea, b, eb in zip(range(u.k_min, u.k_max + 1), du, ru, dv, rv):
+        want = factor * a
+        bound = eb + factor * ea + unit * (_pow_units(u.p, alpha * s) + 1.0) * abs(want)
+        assert abs(b - want) <= bound, (n, b, want, bound)
+
+
+def _ialpha_parts(u, alpha, n):
+    """(known, c, last, shift) of apply_ialpha(u, alpha, n) = known + c (last - shift), as
+    apply_ialpha reads them from the sweep: the value from the levels below n, the output
+    scale of u_n and u_n itself, and p^gamma u_(n-1) (gamma = 0)."""
+    start = min(n, u.k_min)
+    fs = u.values_on(start, n)
+    last = fs.pop()
+    sweep = _sweep_below(u, alpha, start)
+    sweep.advance(fs)
+    known, c, shift = sweep.ahead()
+    assert known + c * (last - shift) == apply_ialpha(u, alpha, n)
+    return known, c, last, shift
+
+
+def _ialpha_rounding_weight(u, alpha, n):
+    """|known| + |c| (|last| + |shift|): the magnitude a relative rounding of the parts of
+    apply_ialpha(u, alpha, n) is taken of."""
+    known, c, last, shift = _ialpha_parts(u, alpha, n)
+    return abs(known) + abs(c) * (abs(last) + abs(shift))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_dilation_case(ialpha=True))
+def test_ialpha_of_a_dilated_function_is_the_scaled_shifted_image(case):
+    # up to u's window top the two sweeps take the same steps on the same window values
+    # (above it each reads its own rounded right tail), so they differ only where they read
+    # the left tail, at the start and the level below it, and in their output scales.  A
+    # tail value c p^(rho k) differs from the rounded c p^(-rho s) p^(rho (k + s)) by the
+    # units of three powers, and enters linearly: as it does in the parts of I^alpha of the
+    # left tail alone (u's window set to 0).  The scales, integer powers of one rounded
+    # p^alpha, differ by s of its rounding steps; each side's last products and sum round
+    # at most 2 units of its parts
+    u, alpha, s = case
+    v = _dilated(u, s)
+    p, rho = u.p, u.left_tail.rho
+    factor, unit = p_pow(p, alpha * s), vladimirov._UNIT
+    rate_units = _pow_units(p, alpha * s) + abs(s) * _pow_units(p, alpha) + 3.0
+    left = RadialFunction(p, u.k_min, u.k_max, (0.0,) * len(u.values), left_tail=u.left_tail)
+    for n in range(u.k_min - 3, u.k_max + 1):
+        want = factor * apply_ialpha(u, alpha, n)
+        got = apply_ialpha(v, alpha, n + s)
+        start = min(n, u.k_min)
+        tail_units = max(3.0 + _pow_units(p, rho * s) + _pow_units(p, rho * k)
+                         + _pow_units(p, rho * (k + s)) for k in (start - 1, start))
+        bound = unit * (rate_units * abs(want)
+                        + 2.0 * tail_units * factor * _ialpha_rounding_weight(left, alpha, n)
+                        + 2.0 * _ialpha_rounding_weight(v, alpha, n + s)
+                        + 2.0 * factor * _ialpha_rounding_weight(u, alpha, n))
+        assert abs(got - want) <= bound, (n, got, want, bound)

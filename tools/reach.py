@@ -12,6 +12,8 @@ Traces ``src/padicradial`` with ``sys.settrace`` over two sets of runs, in one p
 Then prints each function that (a) never calls and each statement that (a) never executes,
 one line each (``file:line``, the function or the statement's text, and whether (b) reaches
 it), functions first.  Statements outside every function run at import and are not listed.
+Exits 1 if some function is dead code, called by neither (a) nor (b): a function line that
+ends in ``tests: no``; else 0.
 Run it from any directory; it takes about a minute.  Standard library only, apart from
 ``pytest`` and ``hypothesis`` for (b), which the suite needs anyway.
 """
@@ -116,6 +118,11 @@ def unreached(files, a: Reach, b: Reach) -> list:
     return rows + statement_rows
 
 
+def exit_code(rows) -> int:
+    """1 if a row of :func:`unreached` names a function that neither set of runs calls, else 0."""
+    return int(any(row.split()[1] == "function" and row.endswith("tests: no") for row in rows))
+
+
 def _load(path: Path):
     """The module at ``path``, registered under its file's stem as an import would be."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -159,7 +166,7 @@ def run_tests() -> int:
                             "--hypothesis-profile", "reach", str(ROOT)])
 
 
-def main() -> None:
+def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     files = sorted(PACKAGE.glob("*.py"))
@@ -169,8 +176,10 @@ def main() -> None:
         code = run_tests()
     if code != 0:
         print(f"note: the tier-1 suite exited {code} under tracing", file=sys.stderr)
-    print("\n".join(unreached(files, a, b)))
+    rows = unreached(files, a, b)
+    print("\n".join(rows))
+    return exit_code(rows)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
