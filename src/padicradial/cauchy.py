@@ -461,10 +461,10 @@ class ResidualEstimate(NamedTuple):
     uncertainty: float
 
 
-def _residual_fit(u: RadialFunction, alpha: float) -> tuple:
-    """What :func:`residual` needs of (u, alpha) at every level, once per pair: D^alpha and
-    its rounding bounds from :func:`dalpha_window`, the envelope above the window, rho_hat,
-    the tail factors (None if rho_hat >= alpha or D^alpha is None) and rounding constants."""
+def _residual_rows(u: RadialFunction, alpha: float, gamma: float) -> list:
+    """:func:`residual`'s answer at each level k_min + i below the top EDGE_LEVELS, in one
+    pass: (p^(g n) D^a u, uncertainty) or the text of the refusal.  The range of p^(-a n)
+    and p^(g n) is decided first, and no tail is fitted where no level is in range."""
     p = u.p
     window, rounding = dalpha_window(u, alpha)
     env = max(abs(u.value_at(k)) for k in range(u.k_max - 2, u.k_max + 1))
@@ -473,19 +473,37 @@ def _residual_fit(u: RadialFunction, alpha: float) -> tuple:
     if a_last > 1e-300 and b_last > 1e-300:
         rho_hat = max(rho_hat, math.log(a_last / b_last) / math.log(p))
     tail = None
-    if rho_hat < alpha and window[-1] is not None:  # else residual refuses every level first
+    if rho_hat < alpha and window[-1] is not None:  # else no level is in range
         x = p_pow(p, rho_hat - alpha)
         tail = (p_pow(p, -rho_hat * u.k_max), p_pow(x, u.k_max + 1), 1.0 - x)
+    unfit = (f"fitted tail growth exponent {rho_hat} is not below alpha = {alpha}; "
+             "the discarded right-tail contribution cannot be bounded")
     # rounding: the window's bound for D^alpha, plus the stored values being
     # rounded themselves, by 1e-15 max(1, |u|) each, which D^alpha amplifies by
     # at most |d_a| (1 - 1/p) p^(-a n) (p/(p-1) + 1/(p^a - 1)); p^(g n) and
     # the product add 2 + 3 g |n| ln p units
-    frac = 1.0 - 1.0 / p
-    lnp = math.log(p)
-    d = abs(d_alpha(p, alpha))
-    data = 1e-15 * max(1.0, max(map(abs, u.values))) * d * frac
+    frac, lnp, d = 1.0 - 1.0 / p, math.log(p), abs(d_alpha(p, alpha))
+    d_frac, data = d * frac, 1e-15 * max(1.0, max(map(abs, u.values))) * d * frac
     amp = p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp)
-    return window, rounding, env, rho_hat, tail, d * frac, data, amp, lnp
+    rows = []
+    for n, dalpha_val, bound, c in zip(range(u.k_min, u.k_max - EDGE_LEVELS + 1), window,
+                                       rounding, u.values):
+        # the one range rule: p^(-a n) grows with the depth below level 0, p^(g n) above it
+        e = -alpha * n if n < 0 else gamma * n
+        if e * lnp > OVERFLOW_GUARD:
+            power = "-alpha n" if n < 0 else "gamma n"
+            rows.append(f"level {n} is out of range in double precision: "
+                        f"p^({power}) = {p}**{e} exceeds the overflow guard")
+            continue
+        if tail is None:
+            rows.append(unfit)
+            continue
+        tail_bound = d_frac * ((env + abs(c)) * tail[0] * tail[1] / tail[2])
+        weight = p_pow(p, gamma * n)
+        noise = weight * (data * p_pow(p, -alpha * n) * amp + bound) \
+            + 2.0 ** -53 * (2.0 + 3.0 * gamma * abs(n) * lnp) * weight * abs(dalpha_val)
+        rows.append((weight * dalpha_val, weight * tail_bound + noise))
+    return rows
 
 
 def residual(u: RadialFunction, problem: ProblemSpec, n: int,
@@ -499,12 +517,12 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     rounding of D^alpha (the window's bound) and that of the stored values
     (1e-15 relative each, as D^alpha amplifies it) are added.  A level
     outside the window or among its top EDGE_LEVELS, a level whose
-    p^(-alpha n) leaves the double range, a fitted growth at or above
-    alpha, or an uncertainty above tol is refused rather than reported; a
-    u over another p is a DomainError.  All that does not depend on n, D^alpha on
-    the window included, comes from one :func:`_residual_fit` per (u, alpha), kept
-    in u's one cache: every level of a solution costs O(W) in total.  A refusal on the
-    uncertainty carries its numbers; its message is formatted when it is read.
+    p^(-alpha n) or p^(gamma n) passes the overflow guard, a fitted growth at or
+    above alpha, or an uncertainty above tol is refused rather than reported; a
+    u over another p is a DomainError.  Every level is decided by one
+    :func:`_residual_rows` pass per (u, alpha, gamma), kept in u's one cache, so a call
+    forms no power of p and every level of a solution costs O(W) in total.  A refusal
+    on the uncertainty carries its numbers; its message is formatted when it is read.
     """
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     if u.p != p:
@@ -514,41 +532,23 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
     if n > u.k_max - EDGE_LEVELS:
         raise IndeterminateResidualError(
             f"level {n} is within {EDGE_LEVELS} levels of the window edge k_max = {u.k_max}; "
-            "extend the solution further"
-        )
+            "extend the solution further")
     if n < u.k_min:
         raise IndeterminateResidualError(
-            f"level {n} is below the window floor k_min = {u.k_min}, where u is its tail model"
-        )
+            f"level {n} is below the window floor k_min = {u.k_min}, where u is its tail model")
     memo = u._residual_memo
-    fit = memo.get(alpha)
-    if fit is None:
-        fit = memo[alpha] = _residual_fit(u, alpha)
-    window, rounding, env, rho_hat, tail, d_frac, data, amp, lnp = fit
-    i = n - u.k_min
-    dalpha_val = window[i]
-    if dalpha_val is None:
-        raise IndeterminateResidualError(
-            f"level {n} is too deep for the D^alpha series in double precision: "
-            f"p^(-alpha n) = {p}**{-alpha * n} exceeds the overflow guard"
-        )
-    if tail is None:
-        raise IndeterminateResidualError(
-            f"fitted tail growth exponent {rho_hat} is not below alpha = {alpha}; "
-            "the discarded right-tail contribution cannot be bounded"
-        )
-    c = u.values[i]
-    tail_bound = d_frac * ((env + abs(c)) * tail[0] * tail[1] / tail[2])
-    weight = p_pow(p, gamma * n)
-    noise = weight * (data * p_pow(p, -alpha * n) * amp + rounding[i]) \
-        + 2.0 ** -53 * (2.0 + 3.0 * gamma * abs(n) * lnp) * weight * abs(dalpha_val)
-    uncertainty = weight * tail_bound + noise
+    rows = memo.get((alpha, gamma))
+    if rows is None:
+        rows = memo[alpha, gamma] = _residual_rows(u, alpha, gamma)
+    row = rows[n - u.k_min]
+    if type(row) is str:
+        raise IndeterminateResidualError(row)
+    value, uncertainty = row
     if uncertainty > tol:
         raise IndeterminateResidualError(
             "residual uncertainty {} at level {} exceeds tol = {}; "
             "extend the solution to higher levels", uncertainty, n, tol)
-    value = weight * dalpha_val - problem.rhs.eval(n, c)
-    return ResidualEstimate(value=value, uncertainty=uncertainty)
+    return ResidualEstimate(value - problem.rhs.eval(n, u.values[n - u.k_min]), uncertainty)
 
 
 def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 1000,

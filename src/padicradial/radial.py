@@ -177,7 +177,8 @@ class RadialFunction:
 
     @cached_property
     def _residual_memo(self) -> dict:
-        """alpha -> :func:`padicradial.cauchy._residual_fit` of this function: the one cache."""
+        """(alpha, gamma) -> :func:`padicradial.cauchy._residual_rows` of this function: the
+        one cache."""
         return {}
 
 

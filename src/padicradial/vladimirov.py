@@ -34,7 +34,9 @@ never by an uncentered sum, and damp by 1/p and p^(-a) < 1, so rounding
 decays along them.  The window pass bounds each value's rounding to
 first order in 2^-53 by walking the per-step bounds the same way from a
 bound on the seed, then adding the relative error of d_a, of p^(-a n)
-(1 + 3 a |n| ln p units: exp of a rounded exponent) and of the products.
+(1 + 3 a |n| ln p units: exp of a rounded exponent) and of the products,
+and where p^(-a n) or d_a (1 - 1/p) p^(-a n) is subnormal, its absolute
+rounding.
 
 :func:`apply_dalpha_oracle` sums the strata of the defining integral one
 by one (the equal-norm sphere |y| = |x| is split by |x - y| = p^j into
@@ -127,7 +129,10 @@ def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
 
     ``values[i]`` is :func:`apply_dalpha` at level k_min + i, bit for bit, or
     None where that raises :class:`MagnitudeError`; ``rounding[i]`` bounds its
-    error to first order, taking the tails as exact.  Nothing is cached.
+    error to first order, taking the tails as exact.  Where p^(-alpha n) or
+    d_a (1 - 1/p) p^(-alpha n) is subnormal, the value keeps only that subnormal's
+    bits, and the bound adds their absolute rounding,
+    2^-1074 ((|d_a (1 - 1/p)| + 1) (|Lhat + Rhat| + its bound) + 1).  Nothing is cached.
     """
     coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, u.k_min, u.k_max)
     b, pm1, lnp, inv_p = u.k_max, p - 1.0, math.log(u.p), 1.0 / p
@@ -153,7 +158,8 @@ def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
         rights.append((right, e))
     # d_a: a few units from expm1; the 1/(1-q) units are kept as margin
     c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
-    values, rounding = [], []
+    # below ``tiny`` p^(-a n) or d_a (1 - 1/p) p^(-a n) is subnormal, in steps of 2^-1074
+    values, rounding, tiny = [], [], 2.0 ** -1022 / min(1.0, abs(coef))
     for n, (l, el), (r, er) in zip(range(a, b + 1), lefts, reversed(rights)):
         try:
             scale = p_pow(u.p, -alpha * n)
@@ -163,8 +169,10 @@ def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
             continue
         v = coef * scale * (l + r)
         values.append(v)
-        rounding.append(abs(coef) * scale * (el + er)
-                        + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v))
+        bound = abs(coef) * scale * (el + er) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)
+        if scale < tiny:
+            bound += ((abs(coef) + 1.0) * (abs(l + r) + el + er) + 1.0) * 2.0 ** -1074
+        rounding.append(bound)
     return values, rounding
 
 

@@ -836,6 +836,25 @@ def test_residual_refuses_levels_beyond_double_range():
         residual(deeper, prob, -1950)
 
 
+def test_residual_refuses_a_weight_past_the_overflow_guard(monkeypatch):
+    # p^(gamma n) at level 1123 is 2**1010.7: residual once raised MagnitudeError there,
+    # after a solve that had succeeded; the one range rule of both powers refuses it
+    prob = ProblemSpec(p=2, alpha=1.0, gamma=0.9, u0=1.0,
+                       rhs=catalog_nonlinearity("cos-decay", 2))
+    u = solve_problem(prob, tol=1e-10, extend_to=1126).solution
+    assert u.k_min == -556
+    powers = []
+    monkeypatch.setattr(cauchy, "p_pow", lambda *args: powers.append(args) or p_pow(*args))
+    with pytest.raises(IndeterminateResidualError,
+                       match=re.escape("level 1123 is out of range in double precision: "
+                                       "p^(gamma n) = 2**1010.7 exceeds the overflow guard")):
+        residual(u, prob, 1123)
+    assert len(powers) > 1000  # the one pass forms the powers; a call forms none of its own
+    powers.clear()
+    assert residual(u, prob, 1122).uncertainty < 1e-8
+    assert powers == [(2, -2.0 * 1122)]  # f's own p^(-beta k)
+
+
 def test_residual_refuses_a_function_of_another_p():
     # D^alpha of a p = 2 function used to be weighted with 3^(gamma n)
     prob = ProblemSpec(p=3, alpha=1.5, gamma=0.25, u0=1.0,
@@ -996,8 +1015,8 @@ def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
 
 def test_residual_profile_fits_the_envelope_once(monkeypatch):
     calls = []
-    fit = cauchy._residual_fit
-    monkeypatch.setattr(cauchy, "_residual_fit", lambda *args: calls.append(1) or fit(*args))
+    rows = cauchy._residual_rows
+    monkeypatch.setattr(cauchy, "_residual_rows", lambda *args: calls.append(1) or rows(*args))
     rhs = catalog_nonlinearity("cos-decay", 7, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=7, alpha=1.0, gamma=0.3, u0=1.25, rhs=rhs)
     u = solve_problem(prob, tol=1e-10, extend_to=250).solution

@@ -70,6 +70,17 @@ def test_solve_negative_amplitude_declares_its_magnitude(capsys, rhs):
     assert "k_max 3" in out.splitlines()
 
 
+def test_solve_past_the_weight_guard_exit_0(capsys):
+    # the residual's weight p^(gamma n) passes the overflow guard at level 1123; the solve
+    # once succeeded and then exited 2 on a MagnitudeError from the residual
+    code, out, err = run(capsys, "solve", "--p", "2", "--alpha", "1", "--gamma", "0.9",
+                         "--u0", "1", "--rhs", "cos-decay", "--extend-to", "1126")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "k_max 1126" in lines
+    assert any(line.startswith("max_residual ") and line != "max_residual none" for line in lines)
+
+
 @pytest.mark.parametrize("nmax", ["-1", "-3"])
 def test_constants_negative_nmax_exit_2(capsys, nmax):
     # a negative --nmax once printed only the uniform constant C and exited 0

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import padicradial.radial as radial
 import padicradial.vladimirov as vladimirov
-from padicradial.cauchy import ProblemSpec, catalog_nonlinearity, residual, solve_problem
+from padicradial.cauchy import (EDGE_LEVELS, ProblemSpec, catalog_nonlinearity, residual,
+                                solve_problem)
 from padicradial.errors import DivergenceError, IndeterminateResidualError, MagnitudeError
 from padicradial.fracint import _sweep_below, apply_ialpha
 from padicradial.haar import ball_power_integral, p_pow
@@ -253,8 +254,10 @@ def test_window_pass_matches_apply_dalpha_and_the_oracle(p, alpha, k_min):
 
 
 @pytest.mark.parametrize("p,alpha,k_min", [(2, 0.5, -120), (3, 1.0, -60), (7, 0.05, -3),
-                                           (11, 2.5, -40), (101, 0.2, -100)])
+                                           (11, 2.5, -40), (101, 0.2, -100), (2, 1.0, 1040)])
 def test_window_rounding_bound_covers_the_error(p, alpha, k_min):
+    # at p = 2, alpha = 1 from level 1022 on d_a (1 - 1/p) p^(-alpha n) is subnormal: its
+    # absolute rounding once passed the bound, which was 0.0 where the error was 5e-324
     from mpmath import mpf
 
     u = _rough_function(p, alpha, k_min, 60, seed=k_min)
@@ -265,19 +268,21 @@ def test_window_rounding_bound_covers_the_error(p, alpha, k_min):
 
 
 def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
-    # the operators write nothing to u; residual keeps the window in its one memo and reads it
+    # the operators write nothing to u; residual keeps its rows in the one memo and reads them
     u = _rough_function(3, 1.5, -10, 20, seed=1)
     before = dict(vars(u))
     assert apply_dalpha(u, 1.5, 0) == apply_dalpha(u, 1.5, 0)
-    values, rounding = dalpha_window(u, 1.5)
+    values, _ = dalpha_window(u, 1.5)
     apply_ialpha(u, 1.5, 0)
     assert vars(u) == before
     prob = ProblemSpec(p=3, alpha=1.5, gamma=0.3, u0=0.0, rhs=catalog_nonlinearity("zero", 3))
     est = residual(u, prob, 0, tol=1.0)
     memo = u._residual_memo
-    assert list(memo) == [1.5] and memo[1.5][:2] == (values, rounding)
-    u._residual_memo[1.5] = ([v + 1.0 for v in values],) + memo[1.5][1:]
-    assert residual(u, prob, 0, tol=1.0).value == est.value + 1.0  # p^(gamma 0) = 1
+    rows = memo[1.5, 0.3]
+    assert list(memo) == [(1.5, 0.3)] and len(rows) == 20 - EDGE_LEVELS
+    assert rows[10] == (values[10], est.uncertainty)  # p^(gamma 0) = 1
+    rows[10] = (values[10] + 1.0, est.uncertainty)
+    assert residual(u, prob, 0, tol=1.0).value == est.value + 1.0
     assert apply_dalpha(u, 1.5, 0) == values[10]  # apply_dalpha reads nothing
 
 
@@ -360,9 +365,17 @@ def _window_by_passes(u, alpha):
     err_r = _damped(seed_r, q, [unit * (c_q * q * abs(r0) + c_d * abs(v - w) / qm1 + abs(r1))
                                 for r0, r1, v, w in zip(rights, rights[1:], down, down[1:])])
     c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
-    return values, [None if v is None else abs(coef) * w * (err_l[n - a] + err_r[b - n])
-                    + unit * (c_coef + 3.0 * abs(n) * x) * abs(v)
-                    for n, v, w in zip(range(a, b + 1), values, scale)]
+    rounding = []
+    for n, v, w, l, r in zip(range(a, b + 1), values, scale, lefts, reversed(rights)):
+        if v is None:
+            rounding.append(None)
+            continue
+        el, er = err_l[n - a], err_r[b - n]
+        bound = abs(coef) * w * (el + er) + unit * (c_coef + 3.0 * abs(n) * x) * abs(v)
+        if min(w, abs(coef) * w) < 2.0 ** -1022:  # a subnormal factor rounds by 2^-1074
+            bound += ((abs(coef) + 1.0) * (abs(l + r) + el + er) + 1.0) * 2.0 ** -1074
+        rounding.append(bound)
+    return values, rounding
 
 
 def _hex(xs):
@@ -371,11 +384,13 @@ def _hex(xs):
 
 @pytest.mark.parametrize("right", ("zero", "const", "power"))
 @pytest.mark.parametrize("left", ("zero", "const", "power"))
-@pytest.mark.parametrize("p, alpha, k_min", [(2, 1.0, -1030), (3, 0.5, -15), (7, 2.5, -8)])
+@pytest.mark.parametrize("p, alpha, k_min", [(2, 1.0, -1030), (3, 0.5, -15), (7, 2.5, -8),
+                                             (2, 1.0, 1000)])
 def test_window_walks_match_the_recurrences_pass_by_pass(p, alpha, k_min, left, right):
     # one walk per side forms each sum with its rounding bound; values and bounds are those
     # of the separate passes bit for bit, for every closed-form seed; at p = 2 the levels
-    # below -1009 are past the guard of p^(-alpha n), and are None in both
+    # below -1009 are past the guard of p^(-alpha n), and are None in both, and from level
+    # 1022 on the product d_a (1 - 1/p) p^(-alpha n) = -2^(-n) / 3 is subnormal
     u = _with_tails(_rough_function(p, alpha, k_min, 40, seed=p), left, right)
     values, rounding = dalpha_window(u, alpha)
     want_values, want_rounding = _window_by_passes(u, alpha)
@@ -437,6 +452,32 @@ def test_residual_uncertainty_covers_the_dalpha_error():
         want = weight * exact[n - u.k_min] - mpf(prob.rhs.eval(n, u.value_at(n)))
         assert float(abs(mpf(est.value) - want)) <= est.uncertainty, n
     assert reported >= 250
+
+
+def test_window_and_residuals_cover_the_error_where_the_scale_is_subnormal():
+    # p = 2, alpha = 1, gamma = 0.9, f = 0.1 to level 1110: from level 1022 on
+    # d_a (1 - 1/p) p^(-alpha n) is subnormal and keeps few bits (5 at level 1070); the
+    # window's bound once missed that rounding, and residual certified 30 levels whose
+    # value exceeded their uncertainty, -0.1 +- 2.7e-9 at level 1076 among them
+    from mpmath import mpf
+
+    prob = ProblemSpec(p=2, alpha=1.0, gamma=0.9, u0=1.0, rhs=catalog_nonlinearity("const", 2))
+    u = solve_problem(prob, tol=1e-10, extend_to=1110).solution
+    values, rounding = dalpha_window(u, prob.alpha)
+    exact = _exact_dalpha_window(u, prob.alpha)
+    for n, value, bound, want in zip(range(u.k_min, u.k_max + 1), values, rounding, exact):
+        assert float(abs(mpf(value) - want)) <= bound, n
+    reported = []
+    for n in range(u.k_min, u.k_max + 1):
+        try:
+            est = residual(u, prob, n)
+        except IndeterminateResidualError:
+            continue
+        reported.append(n)
+        weight = mpf(2) ** (mpf(prob.gamma) * n)
+        want = weight * exact[n - u.k_min] - mpf(prob.rhs.eval(n, u.value_at(n)))
+        assert float(abs(mpf(est.value) - want)) <= est.uncertainty, n
+    assert len(reported) >= 130 and reported[-1] > 1040  # subnormal-scale levels among them
 
 
 # -- the dilation law of the operators --------------------------------------------

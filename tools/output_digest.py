@@ -55,11 +55,13 @@ once refused for a negative bound_M), ``constants`` within 1e-6 of the boundary,
 whose a_bound covers d_abs p^(alpha sigma) (once 10 times below it), and a ``zero``
 solve at p = 100000007 whose F_l = 0 passes where p^(-alpha l) underflows (a
 max_residual; once "residuals unavailable"),
-and three more: a ``--rhs-amplitude 1e306`` solve to level -960 at ``--tol 1e-290``,
+and four more: a ``--rhs-amplitude 1e306`` solve to level -960 at ``--tol 1e-290``,
 whose window floor's budget C p^e once multiplied an underflowed p^e (once k_min -995
 with truncation_budget 0), ``apply`` of ``ialpha`` to a left tail p^(-k) at alpha = 1.5,
-on the boundary rho = -min(1, alpha) (exit 2 on the I^alpha divergence), and
-``verify`` of the right-inverse suite on the ``power`` family.
+on the boundary rho = -min(1, alpha) (exit 2 on the I^alpha divergence),
+``verify`` of the right-inverse suite on the ``power`` family, and a ``cos-decay``
+solve to level 1126 at gamma = 0.9, where the residual's weight p^(gamma n) passes the
+overflow guard at level 1123 (exit 0; once exit 2 on that weight, after the solve).
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -182,6 +184,7 @@ def invocations(tmp: Path) -> list:
         ["solve", *DEEP_FLOOR.split()],
         ["apply", "--op", "ialpha", "--alpha", "1.5", "--input", str(tmp / "ptail.txt")],
         ["verify", "--suite", "right-inverse", "--family", "power"],
+        "solve --p 2 --alpha 1 --gamma 0.9 --u0 1 --rhs cos-decay --extend-to 1126".split(),
     ]
 
 
