@@ -65,6 +65,8 @@ from .vladimirov import d_alpha, dalpha_window
 MAX_WINDOW = 100_000
 # the top levels of a window that residual refuses: their D^alpha leans on the fitted envelope
 EDGE_LEVELS = 3
+# builds a per-level named tuple from a tuple of its fields, without the Python-level __new__
+_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -133,17 +135,19 @@ class Nonlinearity:
                 cap = self._capped(min(self.bound_M, self.decay[0] * p_pow(p, -self.decay[1] * k)))
             f_prev = None
             step = (self.level_lipschitz(k) + tol) * dx + tol
+            low, step_low = -cap, -step
             for x in xs:
                 val = f(k, x)
-                if not abs(val) <= cap:  # NaN and inf fail it too
-                    if not abs(val) <= bound:
+                if not low <= val <= cap:  # NaN and inf fail it too
+                    if not -bound <= val <= bound:
                         self._refuse(k, x, val)
                     a, beta = self.decay
                     raise MetadataError(f"declared decay (A={a}, beta={beta}) violated at level {k}")
-                if f_prev is not None and abs(val - f_prev) > step:
+                # |df| > step, which a NaN df (two infinite samples under an infinite cap) passes
+                if f_prev is not None and ((df := val - f_prev) > step or df < step_low):
                     raise MetadataError(
                         f"declared Lipschitz bound violated near (p^{k}, {x}): "
-                        f"|df| = {abs(val - f_prev)} over dx = {dx}"
+                        f"|df| = {abs(df)} over dx = {dx}"
                     )
                 f_prev = val
 
@@ -326,10 +330,11 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
         )
     k_min, budget = _choose_window_floor(problem, reserve, tol, N)
     cap = rhs._capped(rhs.bound_M)
+    low = -cap
     # ftilde is 0 below the window, where the truncation budget bounds it
     sweep = _IalphaSweep(p, alpha, gamma, k_min)
     values, diags, steps = [], {}, 0
-    x, stop, inf = u0, tol / 100.0, math.inf
+    x, stop, inf, neg_inf = u0, tol / 100.0, math.inf, -math.inf
     for n in range(k_min, top + 1):
         known, c, shift = sweep.ahead()
         lip = lip_at(n)
@@ -342,10 +347,10 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
         base, prev = u0 + known, None
         fx = f(n, x)
         for iters in range(1, max_iter + 1):
-            if not abs(fx) <= cap:  # NaN and inf fail it too
+            if not low <= fx <= cap:  # NaN and inf fail it too
                 rhs._refuse(n, x, fx)
             x_new = base + c * (fx - shift)
-            if not abs(x_new) < inf:
+            if not neg_inf < x_new < inf:
                 raise MagnitudeError(f"the step at level {n} left the double range: {x_new}")
             fx = f(n, x_new)
             d = abs(x_new - x)
@@ -362,10 +367,10 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
         else:
             raise NonConvergenceError(
                 f"fixed point at level {n} did not converge in {max_iter} steps")
-        if not abs(fx) <= cap:
+        if not low <= fx <= cap:
             rhs._refuse(n, x, fx)
         if n > N:  # v0: I^alpha at level n of the levels below it alone
-            diags[n] = ExtensionDiagnostic(known - c * shift, kappa, iters)
+            diags[n] = _record(ExtensionDiagnostic, (known - c * shift, kappa, iters))
         elif iters > steps:
             steps = iters
         values.append(x)
@@ -466,7 +471,7 @@ def _residual_rows(u: RadialFunction, alpha: float, gamma: float) -> list:
     pass: (p^(g n) D^a u, uncertainty) or the text of the refusal.  The range of p^(-a n)
     and p^(g n) is decided first, and no tail is fitted where no level is in range."""
     p = u.p
-    window, rounding = dalpha_window(u, alpha)
+    window, rounding, scales = dalpha_window(u, alpha)
     env = max(abs(u.value_at(k)) for k in range(u.k_max - 2, u.k_max + 1))
     rho_hat = max(alpha - 1.0, 0.0) + min(0.05, alpha / 2.0)  # the fallback, below alpha
     a_last, b_last = abs(u.value_at(u.k_max)), abs(u.value_at(u.k_max - 1))
@@ -481,13 +486,13 @@ def _residual_rows(u: RadialFunction, alpha: float, gamma: float) -> list:
     # rounding: the window's bound for D^alpha, plus the stored values being
     # rounded themselves, by 1e-15 max(1, |u|) each, which D^alpha amplifies by
     # at most |d_a| (1 - 1/p) p^(-a n) (p/(p-1) + 1/(p^a - 1)); p^(g n) and
-    # the product add 2 + 3 g |n| ln p units
+    # the product add 2 + 3 g |n| ln p units; p^(-a n) is the window's own
     frac, lnp, d = 1.0 - 1.0 / p, math.log(p), abs(d_alpha(p, alpha))
     d_frac, data = d * frac, 1e-15 * max(1.0, max(map(abs, u.values))) * d * frac
     amp = p / (p - 1.0) + 1.0 / math.expm1(alpha * lnp)
-    rows = []
-    for n, dalpha_val, bound, c in zip(range(u.k_min, u.k_max - EDGE_LEVELS + 1), window,
-                                       rounding, u.values):
+    rows, fabs = [], abs
+    for n, dalpha_val, bound, c, scale in zip(range(u.k_min, u.k_max - EDGE_LEVELS + 1),
+                                              window, rounding, u.values, scales):
         # the one range rule: p^(-a n) grows with the depth below level 0, p^(g n) above it
         e = -alpha * n if n < 0 else gamma * n
         if e * lnp > OVERFLOW_GUARD:
@@ -498,10 +503,10 @@ def _residual_rows(u: RadialFunction, alpha: float, gamma: float) -> list:
         if tail is None:
             rows.append(unfit)
             continue
-        tail_bound = d_frac * ((env + abs(c)) * tail[0] * tail[1] / tail[2])
+        tail_bound = d_frac * ((env + fabs(c)) * tail[0] * tail[1] / tail[2])
         weight = p_pow(p, gamma * n)
-        noise = weight * (data * p_pow(p, -alpha * n) * amp + bound) \
-            + 2.0 ** -53 * (2.0 + 3.0 * gamma * abs(n) * lnp) * weight * abs(dalpha_val)
+        noise = weight * (data * scale * amp + bound) \
+            + 2.0 ** -53 * (2.0 + 3.0 * gamma * fabs(n) * lnp) * weight * fabs(dalpha_val)
         rows.append((weight * dalpha_val, weight * tail_bound + noise))
     return rows
 
@@ -548,7 +553,8 @@ def residual(u: RadialFunction, problem: ProblemSpec, n: int,
         raise IndeterminateResidualError(
             "residual uncertainty {} at level {} exceeds tol = {}; "
             "extend the solution to higher levels", uncertainty, n, tol)
-    return ResidualEstimate(value - problem.rhs.eval(n, u.values[n - u.k_min]), uncertainty)
+    return _record(ResidualEstimate,
+                   (value - problem.rhs.eval(n, u.values[n - u.k_min]), uncertainty))
 
 
 def solve_problem(problem: ProblemSpec, tol: float = 1e-10, max_iter: int = 1000,

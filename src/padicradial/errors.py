@@ -47,10 +47,13 @@ class DivergenceError(DomainError):
     """
 
 
-def require_depth(depth: int) -> None:
-    """Raise :class:`DivergenceError` unless an oracle's depth is at least 1."""
+def require_depth(depth: int) -> int:
+    """``depth`` as an int by the rule of :func:`require_level` (a :class:`DomainError`
+    naming the oracle depth), then :class:`DivergenceError` unless it is at least 1."""
+    depth = require_level(depth, "oracle depth")
     if depth < 1:
         raise DivergenceError(f"oracle depth must be >= 1, got {depth}")
+    return depth
 
 
 class DegenerationError(DomainError):

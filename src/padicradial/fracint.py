@@ -141,7 +141,7 @@ def kernel_constant_oracle(p: int, alpha: float, sigma: float,
     p = Prime(p)
     require_alpha(alpha)
     require_finite(sigma=sigma)
-    require_depth(depth)
+    depth = require_depth(depth)
     _check_sigma(alpha, sigma)
     frac = 1.0 - 1.0 / p
     if alpha == 1.0:

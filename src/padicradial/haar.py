@@ -21,14 +21,17 @@ geometric tail: after T strata the remainder is at most
 ``first_neglected_term / (1 - p**(-rate))`` for the stated decay rate,
 which is below 1e-60 at the default depth for every admissible argument;
 the oracles therefore serve as independent cross-checks for the closed
-forms at full double precision.
+forms at full double precision.  Every level n and depth is an integer: an
+integral float such as 3.0 is converted, anything else, NaN and inf
+included, is a :class:`DomainError`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DivergenceError, DomainError, MagnitudeError, require_depth, require_finite
+from .errors import (DivergenceError, DomainError, MagnitudeError, require_depth, require_finite,
+                     require_level)
 
 # |exponent * ln p| above this would leave the double range; hard error
 # rather than a silent inf/0.
@@ -98,6 +101,7 @@ def ball_power_integral(p: int, a: float, n: int) -> float:
     exactly when a > 0.
     """
     p = Prime(p)
+    n = require_level(n)
     _require_convergent("ball power integral", a)
     return (1.0 - 1.0 / p) / (1.0 - p_pow(p, -a)) * p_pow(p, a * n)
 
@@ -105,7 +109,8 @@ def ball_power_integral(p: int, a: float, n: int) -> float:
 def ball_power_integral_oracle(p: int, a: float, n: int, depth: int = DEFAULT_DEPTH) -> float:
     """Truncated stratum sum for :func:`ball_power_integral` (``depth + 1`` spheres)."""
     p = Prime(p)
-    require_depth(depth)
+    depth = require_depth(depth)
+    n = require_level(n)
     _require_convergent("ball power integral", a)
     frac = 1.0 - 1.0 / p
     return sum(frac * p_pow(p, a * k) for k in range(n - depth, n + 1))
@@ -119,6 +124,7 @@ def sphere_shifted_power_integral(p: int, a: float, n: int) -> float:
     (p - 2 + p^-a) / (p (1 - p^-a)) * p^(a n), finite exactly when a > 0.
     """
     p = Prime(p)
+    n = require_level(n)
     _require_convergent("shifted sphere power integral", a)
     return (p - 2.0 + p_pow(p, -a)) / (p * (1.0 - p_pow(p, -a))) * p_pow(p, a * n)
 
@@ -128,7 +134,8 @@ def sphere_shifted_power_integral_oracle(
 ) -> float:
     """Truncated distance-stratum sum for :func:`sphere_shifted_power_integral`."""
     p = Prime(p)
-    require_depth(depth)
+    depth = require_depth(depth)
+    n = require_level(n)
     _require_convergent("shifted sphere power integral", a)
     frac = 1.0 - 1.0 / p
     total = sum(frac * p_pow(p, a * k) for k in range(n - depth, n))
@@ -139,13 +146,15 @@ def sphere_shifted_power_integral_oracle(
 def ball_log_integral(p: int, n: int) -> float:
     """Integral of log |x|_p over the ball B_n: ``(n - 1/(p-1)) p^n ln p``."""
     p = Prime(p)
+    n = require_level(n)
     return (n - 1.0 / (p - 1.0)) * p_pow(p, n) * math.log(p)
 
 
 def ball_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPTH) -> float:
     """Truncated stratum sum for :func:`ball_log_integral`."""
     p = Prime(p)
-    require_depth(depth)
+    depth = require_depth(depth)
+    n = require_level(n)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
     return sum(frac * p_pow(p, k) * k * lp for k in range(n - depth, n + 1))
@@ -161,6 +170,7 @@ def sphere_shifted_log_integral(p: int, n: int) -> float:
     scale with it), so the scaled form is used here.
     """
     p = Prime(p)
+    n = require_level(n)
     lp = math.log(p)
     return p_pow(p, n) * ((1.0 - 1.0 / p) * n * lp - lp / (p - 1.0))
 
@@ -168,7 +178,8 @@ def sphere_shifted_log_integral(p: int, n: int) -> float:
 def sphere_shifted_log_integral_oracle(p: int, n: int, depth: int = DEFAULT_DEPTH) -> float:
     """Truncated distance-stratum sum for :func:`sphere_shifted_log_integral`."""
     p = Prime(p)
-    require_depth(depth)
+    depth = require_depth(depth)
+    n = require_level(n)
     frac = 1.0 - 1.0 / p
     lp = math.log(p)
     total = sum(frac * p_pow(p, j) * j * lp for j in range(n - depth, n))

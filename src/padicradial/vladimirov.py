@@ -24,8 +24,8 @@ each seeded at its end of the window (or at n, beyond it) with the
 centered tail beyond in closed form.  Each walk reads every value once and
 carries the one before it as the neighbour of the next step.
 :func:`apply_dalpha` keeps only the running values, :func:`dalpha_window`
-every level: O(W) either way, a single-level call included, and neither
-caches anything.
+every level, with the p^(-a n) that joined it: O(W) either way, a
+single-level call included, and neither caches anything.
 Scaled, the intermediates stay near |u| / (p - 1) and |u| / (p^a - 1) at
 any level, where the unscaled sums leave the double range with
 p^(-(a+1) n) or p^(-a l).
@@ -124,56 +124,63 @@ def apply_dalpha(u: RadialFunction, alpha: float, n: int) -> float:
 
 
 def dalpha_window(u: RadialFunction, alpha: float) -> tuple:
-    """(values, rounding) of D^alpha u on the window in O(W): one walk per side forms
-    Lhat or Rhat with its rounding bound, and one pass over the levels joins them.
+    """(values, rounding, scales) of D^alpha u on the window in O(W): one walk per side
+    forms Lhat or Rhat with its rounding bound, and one pass over the levels joins them.
 
     ``values[i]`` is :func:`apply_dalpha` at level k_min + i, bit for bit, or
     None where that raises :class:`MagnitudeError`; ``rounding[i]`` bounds its
-    error to first order, taking the tails as exact.  Where p^(-alpha n) or
+    error to first order, taking the tails as exact; ``scales[i]`` is the join's
+    p^(-alpha n), or None there too.  Where p^(-alpha n) or
     d_a (1 - 1/p) p^(-alpha n) is subnormal, the value keeps only that subnormal's
     bits, and the bound adds their absolute rounding,
     2^-1074 ((|d_a (1 - 1/p)| + 1) (|Lhat + Rhat| + its bound) + 1).  Nothing is cached.
     """
     coef, p, q, qm1, a, vals, left, right = _walk_start(u, alpha, u.k_min, u.k_max)
-    b, pm1, lnp, inv_p = u.k_max, p - 1.0, math.log(u.p), 1.0 / p
+    b, pm1, lnp, inv_p, unit, fabs = u.k_max, p - 1.0, math.log(u.p), 1.0 / p, _UNIT, abs
     # per step, damped as the value is: the rounding of each operation on the magnitudes
     # at hand, with q and 1/(p^a - 1) themselves off by 1 + 3x and 1 + 2x/(1-q) units
     x = alpha * lnp
     c_q, c_d = 2.0 + 3.0 * x, 3.0 + 2.0 * x / (1.0 - q)
     e = _seed_rounding(u.left_tail, a, 1.0, left, vals[0], 1.0 / pm1, lnp)
-    lefts = [(left, e)]  # Lhat(a .. b) with their bounds
+    lefts, errs_l = [left], [e]  # Lhat(a .. b) and their bounds
     v = vals[0]
     for w in vals[1:]:
         d, v = v - w, w
         l0, left = left, left / p + d / pm1
-        e = e * inv_p + _UNIT * (2.0 * abs(l0) / p + 2.0 * abs(d) / pm1 + abs(left))
-        lefts.append((left, e))
+        e = e * inv_p + unit * (2.0 * fabs(l0) / p + 2.0 * fabs(d) / pm1 + fabs(left))
+        lefts.append(left)
+        errs_l.append(e)
     e = _seed_rounding(u.right_tail, b, -alpha, right, vals[-1], 1.0 / qm1, lnp)
-    rights = [(right, e)]  # Rhat(b .. a) with their bounds
+    rights, errs_r = [right], [e]  # Rhat(b .. a) and their bounds
     v = vals[-1]
     for w in vals[-2::-1]:
         d, v = v - w, w
         r0, right = right, right * q + d / qm1
-        e = e * q + _UNIT * (c_q * q * abs(r0) + c_d * abs(d) / qm1 + abs(right))
-        rights.append((right, e))
+        e = e * q + unit * (c_q * q * fabs(r0) + c_d * fabs(d) / qm1 + fabs(right))
+        rights.append(right)
+        errs_r.append(e)
     # d_a: a few units from expm1; the 1/(1-q) units are kept as margin
     c_coef = 9.0 + (1.0 + 3.0 * x) / (1.0 - q) + 6.0 * (alpha + 1.0) * lnp
     # below ``tiny`` p^(-a n) or d_a (1 - 1/p) p^(-a n) is subnormal, in steps of 2^-1074
-    values, rounding, tiny = [], [], 2.0 ** -1022 / min(1.0, abs(coef))
-    for n, (l, el), (r, er) in zip(range(a, b + 1), lefts, reversed(rights)):
+    values, rounding, scales = [], [], []
+    abs_coef, base, tiny = fabs(coef), u.p, 2.0 ** -1022 / min(1.0, fabs(coef))
+    for n, l, el, r, er in zip(range(a, b + 1), lefts, errs_l, reversed(rights),
+                               reversed(errs_r)):
         try:
-            scale = p_pow(u.p, -alpha * n)
+            scale = p_pow(base, -alpha * n)
         except MagnitudeError:
             values.append(None)
             rounding.append(None)
+            scales.append(None)
             continue
         v = coef * scale * (l + r)
-        values.append(v)
-        bound = abs(coef) * scale * (el + er) + _UNIT * (c_coef + 3.0 * abs(n) * x) * abs(v)
+        bound = abs_coef * scale * (el + er) + unit * (c_coef + 3.0 * fabs(n) * x) * fabs(v)
         if scale < tiny:
-            bound += ((abs(coef) + 1.0) * (abs(l + r) + el + er) + 1.0) * 2.0 ** -1074
+            bound += ((abs_coef + 1.0) * (fabs(l + r) + el + er) + 1.0) * 2.0 ** -1074
+        values.append(v)
         rounding.append(bound)
-    return values, rounding
+        scales.append(scale)
+    return values, rounding, scales
 
 
 def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
@@ -185,7 +192,7 @@ def apply_dalpha_oracle(u: RadialFunction, alpha: float, n: int,
     j < n land in the |x - y| = p^j stratum of the equal-norm sphere's
     decomposition; spheres with j > n contribute through |x - y| = p^j.
     """
-    require_depth(depth)
+    depth = require_depth(depth)
     n = require_level(n)
     d = d_alpha(u.p, alpha)
     p = u.p

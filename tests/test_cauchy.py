@@ -136,6 +136,50 @@ def test_spot_check_names_the_cap_a_sample_breaks(value, message):
         bad.spot_check(2)
 
 
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_spot_check_admits_its_bounds_exactly_on_both_sides(sign):
+    # a sample at +-cap and a neighbour difference of +-step pass; one ulp beyond each is
+    # refused with the message of the cap or bound it breaks
+    xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
+    dx = xs[1] - xs[0]
+    step = (1.0 + 1e-9) * dx + 1e-9  # F = 1
+    # bound_M = 1 and the decay's envelope at level 2, each plus the slack 1e-9 max(1, bound_M)
+    cap_0 = 1.0 + 1e-9
+    cap_2 = min(1.0, 0.5 * p_pow(2, -2.0 * 2)) + 1e-9
+
+    def nonlinearity(at_0, at_2, spike):
+        # at_0 on level 0, at_2 on level 2, and a spike at x = 0 of level -1 between zeros
+        def f(k, x):
+            if k == 0:
+                return at_0
+            if k == 2:
+                return at_2
+            return spike if k == -1 and x == 0.0 else 0.0
+        return Nonlinearity(eval=f, bound_M=1.0, lipschitz_F=1.0, decay=(0.5, 2.0))
+
+    def beyond(x):
+        return math.nextafter(x, math.inf)
+
+    nonlinearity(sign * cap_0, sign * cap_2, sign * step).spot_check(2)
+    refusals = [
+        (nonlinearity(sign * beyond(cap_0), 0.0, 0.0),
+         f"declared bound_M = 1.0 violated: |f(p^0, -8.0)| = {beyond(cap_0)}"),
+        (nonlinearity(0.0, sign * beyond(cap_2), 0.0),
+         "declared decay (A=0.5, beta=2.0) violated at level 2"),
+        # past the decay's cap the refusal names bound_M only beyond its own cap
+        (nonlinearity(0.0, sign * cap_0, 0.0),
+         "declared decay (A=0.5, beta=2.0) violated at level 2"),
+        (nonlinearity(0.0, sign * beyond(cap_0), 0.0),
+         f"declared bound_M = 1.0 violated: |f(p^2, -8.0)| = {beyond(cap_0)}"),
+        (nonlinearity(0.0, 0.0, sign * beyond(step)),
+         f"declared Lipschitz bound violated near (p^-1, 0.0): |df| = {beyond(step)} "
+         f"over dx = {dx}"),
+    ]
+    for bad, message in refusals:
+        with pytest.raises(MetadataError, match=f"^{re.escape(message)}$"):
+            bad.spot_check(2)
+
+
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
 def test_degeneration_gate(alpha):
     rhs = catalog_nonlinearity("zero", 2)
@@ -1145,7 +1189,11 @@ def test_per_level_records_are_named_tuples():
         "10": ("-0x1.17cd0a5ab491ap+2", "0x1.9999999999998p-13", 4),
         "36": ("-0x1.2165951583fabp+15", "0x1.21a1851ff6309p-32", 2)}
     assert all(list(d) == ["v0", "kappa", "iterations"] for d in diags.values())
-    assert isinstance(residual(rep.solution, prob, 0), cauchy.ResidualEstimate)
+    # the package builds both positionally: the type, repr and equality of a record by name
+    for built, record in ((residual(rep.solution, prob, 0), cauchy.ResidualEstimate),
+                          (rep.extension_diagnostics[2], cauchy.ExtensionDiagnostic)):
+        by_name = record(**built._asdict())
+        assert type(built) is record and repr(built) == repr(by_name) and built == by_name
 
 
 @pytest.mark.parametrize("amplitude, witness", [(1e306, -10), (1e303, -9)])

@@ -7,6 +7,10 @@ from padicradial.cauchy import (ProblemSpec, catalog_nonlinearity, choose_local_
                                 picard_solve, residual, solve_problem)
 from padicradial.fracint import (apply_ialpha, assemble_fractional_integral, bound_constants,
                                  kernel_constant, kernel_constant_oracle)
+from padicradial.haar import (ball_log_integral, ball_log_integral_oracle, ball_power_integral,
+                              ball_power_integral_oracle, sphere_shifted_log_integral,
+                              sphere_shifted_log_integral_oracle, sphere_shifted_power_integral,
+                              sphere_shifted_power_integral_oracle)
 from padicradial.radial import RadialFunction, check_summability
 from padicradial.vladimirov import apply_dalpha, apply_dalpha_oracle, d_alpha
 
@@ -41,8 +45,21 @@ def _residual_at(n):
 _ZERO = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=catalog_nonlinearity("zero", 2))
 
 
+# the Haar closed forms and their oracles, each at its level n
+HAAR_LEVEL_ENTRY_POINTS = {
+    "ball_power_integral": lambda n: ball_power_integral(3, 1.5, n),
+    "ball_power_integral_oracle": lambda n: ball_power_integral_oracle(3, 1.5, n),
+    "sphere_shifted_power_integral": lambda n: sphere_shifted_power_integral(3, 1.5, n),
+    "sphere_shifted_power_integral_oracle":
+        lambda n: sphere_shifted_power_integral_oracle(3, 1.5, n),
+    "ball_log_integral": lambda n: ball_log_integral(3, n),
+    "ball_log_integral_oracle": lambda n: ball_log_integral_oracle(3, n),
+    "sphere_shifted_log_integral": lambda n: sphere_shifted_log_integral(3, n),
+    "sphere_shifted_log_integral_oracle": lambda n: sphere_shifted_log_integral_oracle(3, n),
+}
 # every entry point that takes a level n
 LEVEL_ENTRY_POINTS = {
+    **HAAR_LEVEL_ENTRY_POINTS,
     "apply_dalpha": lambda n: apply_dalpha(_U, 1.5, n),
     "apply_dalpha_oracle": lambda n: apply_dalpha_oracle(_U, 1.5, n),
     "apply_ialpha": lambda n: apply_ialpha(_U, 1.5, n),
@@ -75,6 +92,40 @@ def test_levels_must_be_integers(entry):
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             call(bad)
     assert call(-2.0) == call(-2)
+
+
+@pytest.mark.parametrize("entry", sorted(HAAR_LEVEL_ENTRY_POINTS))
+def test_haar_levels_are_converted_bit_for_bit(entry):
+    # the Haar forms took n unchecked: 2.5 gave a number, inf a MagnitudeError, nan a
+    # DomainError about 2**nan, and every oracle a TypeError from range, even at 3.0
+    call = HAAR_LEVEL_ENTRY_POINTS[entry]
+    assert call(3.0).hex() == call(3).hex()
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="level n must be an integer"):
+            call(bad)
+
+
+# every oracle, each at its depth
+DEPTH_ENTRY_POINTS = {
+    "ball_power_integral_oracle": lambda d: ball_power_integral_oracle(3, 1.5, 2, depth=d),
+    "sphere_shifted_power_integral_oracle":
+        lambda d: sphere_shifted_power_integral_oracle(3, 1.5, 2, depth=d),
+    "ball_log_integral_oracle": lambda d: ball_log_integral_oracle(3, 2, depth=d),
+    "sphere_shifted_log_integral_oracle":
+        lambda d: sphere_shifted_log_integral_oracle(3, 2, depth=d),
+    "apply_dalpha_oracle": lambda d: apply_dalpha_oracle(_U, 1.5, 0, depth=d),
+    "kernel_constant_oracle": lambda d: kernel_constant_oracle(2, 1.5, 0.0, depth=d),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEPTH_ENTRY_POINTS))
+def test_oracle_depths_must_be_integers(entry):
+    # depth 2.5, nan and inf once reached range, a TypeError; -inf was refused as below 1
+    call = DEPTH_ENTRY_POINTS[entry]
+    for bad in (2.5, math.nan, math.inf, -math.inf, "3"):
+        with pytest.raises(DomainError, match="oracle depth must be an integer"):
+            call(bad)
+    assert call(3.0).hex() == call(3).hex()
 
 
 def test_records_carry_only_what_is_read():

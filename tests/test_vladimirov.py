@@ -245,10 +245,11 @@ def test_dalpha_oracle_far_above_the_window_sums_no_zero_levels(monkeypatch):
 @pytest.mark.parametrize("p,alpha,k_min", [(2, 0.5, -30), (3, 1.0, -12), (5, 2.5, 4), (7, 0.05, -3)])
 def test_window_pass_matches_apply_dalpha_and_the_oracle(p, alpha, k_min):
     u = _rough_function(p, alpha, k_min, 25, seed=p)
-    values, rounding = dalpha_window(u, alpha)
-    assert len(values) == len(rounding) == len(u.values)
-    for n, value in zip(range(u.k_min, u.k_max + 1), values):
+    values, rounding, scales = dalpha_window(u, alpha)
+    assert len(values) == len(rounding) == len(scales) == len(u.values)
+    for n, value, scale in zip(range(u.k_min, u.k_max + 1), values, scales):
         assert value == apply_dalpha(u, alpha, n)  # bit for bit
+        assert scale == p_pow(p, -alpha * n)
         oracle = apply_dalpha_oracle(u, alpha, n)
         assert abs(value - oracle) <= 1e-10 * (1 + abs(value))
 
@@ -261,7 +262,7 @@ def test_window_rounding_bound_covers_the_error(p, alpha, k_min):
     from mpmath import mpf
 
     u = _rough_function(p, alpha, k_min, 60, seed=k_min)
-    values, rounding = dalpha_window(u, alpha)
+    values, rounding, _ = dalpha_window(u, alpha)
     exact = _exact_dalpha_window(u, alpha)
     for value, bound, want in zip(values, rounding, exact):
         assert float(abs(mpf(value) - want)) <= bound
@@ -272,7 +273,7 @@ def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
     u = _rough_function(3, 1.5, -10, 20, seed=1)
     before = dict(vars(u))
     assert apply_dalpha(u, 1.5, 0) == apply_dalpha(u, 1.5, 0)
-    values, _ = dalpha_window(u, 1.5)
+    values, _, _ = dalpha_window(u, 1.5)
     apply_ialpha(u, 1.5, 0)
     assert vars(u) == before
     prob = ProblemSpec(p=3, alpha=1.5, gamma=0.3, u0=0.0, rhs=catalog_nonlinearity("zero", 3))
@@ -312,7 +313,7 @@ def test_sub_ranges_inside_the_window_match_the_window_pass(alpha, left, right):
     # every level of the window, both ends included, is the single-level walk bit for bit,
     # for every closed-form seed of the walks
     u = _with_tails(_rough_function(3, alpha, -15, 31, seed=4), left, right)
-    values, _ = dalpha_window(u, alpha)
+    values, _, _ = dalpha_window(u, alpha)
     assert len(values) == 31
     assert [apply_dalpha(u, alpha, n).hex() for n in range(u.k_min, u.k_max + 1)] \
         == [v.hex() for v in values]
@@ -322,7 +323,7 @@ def test_sub_ranges_inside_the_window_match_the_window_pass(alpha, left, right):
     for w in (u, _rewindowed(u, 0, 0), RadialFunction.split_power(3, 0.5, -0.5 * alpha)):
         for n in (w.k_min - 9, w.k_min - 1, w.k_max, w.k_max + 1, w.k_max + 9):
             lo, hi = min(n, w.k_min), max(n, w.k_max)
-            widened, _ = dalpha_window(_rewindowed(w, lo, hi), alpha)
+            widened, _, _ = dalpha_window(_rewindowed(w, lo, hi), alpha)
             assert apply_dalpha(w, alpha, n).hex() == widened[n - lo].hex()
 
 
@@ -338,7 +339,8 @@ def _damped(x, ratio, terms):
 def _window_by_passes(u, alpha):
     """dalpha_window composed pass by pass from the recurrences of the module docstring:
     Lhat up, Rhat down, p^(-alpha n) per level, the values, then each side's per-step
-    rounding terms walked as the values are and joined with the scale."""
+    rounding terms walked as the values are and joined with the scale; (values, rounding,
+    scales) as dalpha_window returns them."""
     coef, p, q, qm1, a, vals, left, right = vladimirov._walk_start(u, alpha, u.k_min, u.k_max)
     b, pm1, lnp, unit = u.k_max, p - 1.0, math.log(u.p), vladimirov._UNIT
     lefts = [left]
@@ -375,7 +377,7 @@ def _window_by_passes(u, alpha):
         if min(w, abs(coef) * w) < 2.0 ** -1022:  # a subnormal factor rounds by 2^-1074
             bound += ((abs(coef) + 1.0) * (abs(l + r) + el + er) + 1.0) * 2.0 ** -1074
         rounding.append(bound)
-    return values, rounding
+    return values, rounding, scale
 
 
 def _hex(xs):
@@ -392,9 +394,10 @@ def test_window_walks_match_the_recurrences_pass_by_pass(p, alpha, k_min, left, 
     # below -1009 are past the guard of p^(-alpha n), and are None in both, and from level
     # 1022 on the product d_a (1 - 1/p) p^(-alpha n) = -2^(-n) / 3 is subnormal
     u = _with_tails(_rough_function(p, alpha, k_min, 40, seed=p), left, right)
-    values, rounding = dalpha_window(u, alpha)
-    want_values, want_rounding = _window_by_passes(u, alpha)
+    values, rounding, scales = dalpha_window(u, alpha)
+    want_values, want_rounding, want_scales = _window_by_passes(u, alpha)
     assert _hex(values) == _hex(want_values) and _hex(rounding) == _hex(want_rounding)
+    assert _hex(scales) == _hex(want_scales)
     assert (None in values) == (k_min == -1030) and values.count(None) == rounding.count(None)
 
 
@@ -454,6 +457,24 @@ def test_residual_uncertainty_covers_the_dalpha_error():
     assert reported >= 250
 
 
+def test_residual_values_are_the_weighted_single_level_formula_bit_for_bit():
+    # the pass shares p^(-alpha n) with the window's join; every certified value is still
+    # p^(gamma n) D^alpha u - f formed level by level
+    prob = _deep_problem()
+    u = solve_problem(prob, tol=1e-10, extend_to=250).solution
+    p, alpha, gamma = prob.p, prob.alpha, prob.gamma
+    reported = 0
+    for n, u_n in zip(range(u.k_min, u.k_max + 1), u.values):
+        try:
+            est = residual(u, prob, n)
+        except IndeterminateResidualError:
+            continue
+        reported += 1
+        want = p_pow(p, gamma * n) * apply_dalpha(u, alpha, n) - prob.rhs.eval(n, u_n)
+        assert est.value.hex() == want.hex(), n
+    assert reported >= 250
+
+
 def test_window_and_residuals_cover_the_error_where_the_scale_is_subnormal():
     # p = 2, alpha = 1, gamma = 0.9, f = 0.1 to level 1110: from level 1022 on
     # d_a (1 - 1/p) p^(-alpha n) is subnormal and keeps few bits (5 at level 1070); the
@@ -463,7 +484,7 @@ def test_window_and_residuals_cover_the_error_where_the_scale_is_subnormal():
 
     prob = ProblemSpec(p=2, alpha=1.0, gamma=0.9, u0=1.0, rhs=catalog_nonlinearity("const", 2))
     u = solve_problem(prob, tol=1e-10, extend_to=1110).solution
-    values, rounding = dalpha_window(u, prob.alpha)
+    values, rounding, _ = dalpha_window(u, prob.alpha)
     exact = _exact_dalpha_window(u, prob.alpha)
     for n, value, bound, want in zip(range(u.k_min, u.k_max + 1), values, rounding, exact):
         assert float(abs(mpf(value) - want)) <= bound, n
@@ -538,7 +559,7 @@ def test_dalpha_of_a_dilated_function_is_the_scaled_shifted_image(case):
     u, alpha, s = case
     v = _dilated(u, s)
     factor, unit = p_pow(u.p, -alpha * s), vladimirov._UNIT
-    (du, ru), (dv, rv) = dalpha_window(u, alpha), dalpha_window(v, alpha)
+    (du, ru, _), (dv, rv, _) = dalpha_window(u, alpha), dalpha_window(v, alpha)
     for n, a, ea, b, eb in zip(range(u.k_min, u.k_max + 1), du, ru, dv, rv):
         want = factor * a
         bound = eb + factor * ea + unit * (_pow_units(u.p, alpha * s) + 1.0) * abs(want)

@@ -61,7 +61,10 @@ with truncation_budget 0), ``apply`` of ``ialpha`` to a left tail p^(-k) at alph
 on the boundary rho = -min(1, alpha) (exit 2 on the I^alpha divergence),
 ``verify`` of the right-inverse suite on the ``power`` family, and a ``cos-decay``
 solve to level 1126 at gamma = 0.9, where the residual's weight p^(gamma n) passes the
-overflow guard at level 1123 (exit 0; once exit 2 on that weight, after the solve).
+overflow guard at level 1123 (exit 0; once exit 2 on that weight, after the solve),
+and the deep ``cos-decay`` solve at p = 7, alpha = 1 to level 250 that the ``solve-deep``
+benchmark workload is shaped after: 257 of its CSV's 275 rows carry a residual and its
+uncertainty, so the residual pass shows in the digest level by level.
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -185,6 +188,8 @@ def invocations(tmp: Path) -> list:
         ["apply", "--op", "ialpha", "--alpha", "1.5", "--input", str(tmp / "ptail.txt")],
         ["verify", "--suite", "right-inverse", "--family", "power"],
         "solve --p 2 --alpha 1 --gamma 0.9 --u0 1 --rhs cos-decay --extend-to 1126".split(),
+        ("solve --p 7 --alpha 1 --gamma 0.3 --u0 1.25 --rhs cos-decay --rhs-amplitude 0.075 "
+         "--rhs-beta 2.5 --extend-to 250").split(),
     ]
 
 
