@@ -40,6 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import islice
+from types import MethodType
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -73,9 +74,9 @@ _record = tuple.__new__
 class Nonlinearity:
     """Right-hand side f with its certified metadata.
 
-    eval(k, x) returns f(p^k, x).  The metadata is declared by the caller
-    and trusted; ``spot_check`` samples roughly a thousand grid points and
-    rejects declarations that the samples violate by more than 1e-9.
+    eval(k, x) returns f(p^k, x); :meth:`at_level` reads it one level at a time.  The
+    metadata is declared by the caller and trusted; ``spot_check`` samples a grid of up
+    to 25 x 41 points and rejects declarations that the samples violate by more than 1e-9.
 
     bound_M     : global bound |f| <= M (must be positive).
     lipschitz_F : global Lipschitz constant in the state variable.
@@ -108,6 +109,20 @@ class Nonlinearity:
             return self.lipschitz_F
         return min(self.lipschitz_F, self.per_level_F(k))
 
+    def at_level(self, k: int) -> tuple:
+        """(g, F_k) of level k: g(x) is eval(k, x) and F_k is level_lipschitz(k), bit for bit.
+        An eval of :func:`catalog_nonlinearity` carries ``_levels = (view, per_level_F)``:
+        view(k) is (g, per_level_F(k)), with inf for a None per_level_F, the level's factor
+        formed once and one g shared by the levels that share it.  Any other eval, or one
+        given another per_level_F, is read with k bound, as the bound method
+        ``MethodType(eval, k)``: g(x) calls eval(k, x), at the cost of a direct call."""
+        f = self.eval
+        view, per_level_F = getattr(f, "_levels", (None, None))
+        if view is not None and per_level_F is self.per_level_F:
+            g, bound = view(k)
+            return g, min(self.lipschitz_F, bound)
+        return MethodType(f, k), self.level_lipschitz(k)
+
     def _refuse(self, k: int, x: float, val: float) -> None:
         """Raise the MetadataError of a value f(p^k, x) = val past bound_M."""
         if not math.isfinite(val):
@@ -120,24 +135,30 @@ class Nonlinearity:
         return bound + 1e-9 * max(1.0, self.bound_M)
 
     def spot_check(self, p: int) -> None:
-        """Sample eval at 41 points of [-8, 8] on levels -12..12 and reject metadata
-        that the samples violate by more than 1e-9.  Each sample is tested once against
-        its level's cap, bound_M or on levels >= 1 the decay envelope where tighter."""
+        """Sample each level -12..12 at 41 points of [-8, 8] through :meth:`at_level`, and
+        reject metadata that the samples violate by more than 1e-9.  Each sample is tested
+        once against its level's cap, bound_M or on levels >= 1 the decay envelope where
+        tighter.  A level whose g, F_k and cap are those of a level already sampled would
+        repeat its tests exactly, and is not sampled again: only the catalog's views repeat."""
         p = Prime(p)
         tol = 1e-9
         xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
-        f = self.eval
         bound = self._capped(self.bound_M)
         dx = xs[1] - xs[0]
+        sampled = set()  # holds each sampled g, so no other g can take its id
         for k in range(-12, 13):
             cap = bound
             if self.decay is not None and k >= 1:
                 cap = self._capped(min(self.bound_M, self.decay[0] * p_pow(p, -self.decay[1] * k)))
+            g, lip = self.at_level(k)
+            if (g, lip, cap) in sampled:
+                continue
+            sampled.add((g, lip, cap))
             f_prev = None
-            step = (self.level_lipschitz(k) + tol) * dx + tol
+            step = (lip + tol) * dx + tol
             low, step_low = -cap, -step
             for x in xs:
-                val = f(k, x)
+                val = g(x)
                 if not low <= val <= cap:  # NaN and inf fail it too
                     if not -bound <= val <= bound:
                         self._refuse(k, x, val)
@@ -320,7 +341,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     p, alpha, gamma, u0 = problem.p, problem.alpha, problem.gamma, problem.u0
     rhs = problem.rhs
-    f, lip_at = rhs.eval, rhs.level_lipschitz
+    at_level = rhs.at_level
     c_uni = bound_constants(p, alpha, gamma)(0)
     q = c_uni * (rhs.lipschitz_F * p_pow(p, N * (alpha - gamma)))  # c_uni * F may overflow
     if q >= 1.0:
@@ -337,7 +358,7 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
     x, stop, inf, neg_inf = u0, tol / 100.0, math.inf, -math.inf
     for n in range(k_min, top + 1):
         known, c, shift = sweep.ahead()
-        lip = lip_at(n)
+        f, lip = at_level(n)
         kappa = c * lip
         if kappa >= 1.0:  # ell = n - 1
             raise ContractionError(
@@ -345,14 +366,14 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
                 f"(per-level Lipschitz bound {lip} is not below p^(-alpha ell) p^(gamma (ell+1)) "
                 f"= {1.0 / c})")
         base, prev = u0 + known, None
-        fx = f(n, x)
+        fx = f(x)
         for iters in range(1, max_iter + 1):
             if not low <= fx <= cap:  # NaN and inf fail it too
                 rhs._refuse(n, x, fx)
             x_new = base + c * (fx - shift)
             if not neg_inf < x_new < inf:
                 raise MagnitudeError(f"the step at level {n} left the double range: {x_new}")
-            fx = f(n, x_new)
+            fx = f(x_new)
             d = abs(x_new - x)
             x = x_new
             if kappa == 0.0 or d <= stop * max(1.0, abs(x)):
@@ -436,9 +457,12 @@ def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
     """Check F_l < p^(-alpha l) on levels -10..30 and beta + gamma > alpha.  F_l = 0 passes
     also where the power underflows to 0.0, which every positive double is at least."""
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
-    lips = ((l, problem.rhs.level_lipschitz(l)) for l in range(-10, 31))
-    witness = next((l for l, lip in lips
-                    if lip != 0.0 and not lip < _level_power(p, -alpha * l)), None)
+    witness = None
+    for l in range(-10, 31):
+        lip = problem.rhs.level_lipschitz(l)
+        if lip != 0.0 and not lip < (power := _level_power(p, -alpha * l)):
+            witness = l
+            break
     per_level_ok = witness is None
     decay_ok = None
     detail = ""
@@ -452,8 +476,7 @@ def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
         detail = "no decay metadata declared"
     if witness is not None:
         detail = (f"per-level Lipschitz bound fails at level {witness}: "
-                  f"F_l = {problem.rhs.level_lipschitz(witness)} >= "
-                  f"p^(-alpha l) = {_level_power(p, -alpha * witness)}"
+                  f"F_l = {lip} >= p^(-alpha l) = {power}"
                   + ("; " + detail if detail else ""))
     return GlobalHypothesesReport(
         per_level_ok=per_level_ok, witness_level=witness, decay_ok=decay_ok,
@@ -591,27 +614,40 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
 
     cos-decay is f(p^l, x) = A p^(-beta max(l, 0)) cos(x) with per-level
     Lipschitz constants |A| p^(-beta max(l, 0)) and decay pair (|A|, beta);
-    bounded-sigmoid is a level-independent saturating nonlinearity.  zero, const and
-    bounded-sigmoid declare no per-level bound: lipschitz_F holds at every level.  The
-    metadata declares |A|, so a negative amplitude is as admissible as a positive one.
+    bounded-sigmoid is a level-independent saturating nonlinearity.  Each eval carries
+    its per-level view for :meth:`Nonlinearity.at_level`: cos-decay forms the factor
+    A p^(-beta l) of a level l >= 1 once, for g and F_l alike, and its per_level_F reads
+    it there; its levels l <= 0 share one view, as every level of zero, const and
+    bounded-sigmoid does, which declare no per_level_F: lipschitz_F holds at every level.
+    The metadata declares |A|, so a negative amplitude is as admissible as a positive one.
     """
     p = Prime(p)
     a, m = amplitude, abs(amplitude)
-    if name == "zero":
-        return Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0,
-                            decay=(1.0, beta))
-    if name == "const":
-        return Nonlinearity(eval=lambda k, x: a, bound_M=m if a != 0.0 else 1.0,
-                            lipschitz_F=0.0)
     if name == "cos-decay":
 
-        def f(k: int, x: float) -> float:  # p^(-beta max(k, 0)) is 1 at k <= 0
+        def f(k: int, x: float) -> float:  # view(k)'s g at x in one call, as residual reads it
             return (a * p_pow(p, -beta * k) if k > 0 else a) * math.cos(x)
 
-        return Nonlinearity(eval=f, bound_M=m, lipschitz_F=m,
-                            per_level_F=lambda k: m * p_pow(p, -beta * k) if k > 0 else m,
+        def view(k: int) -> tuple:  # p^(-beta max(k, 0)) is 1 at k <= 0
+            if k <= 0:
+                return flat
+            s = a * p_pow(p, -beta * k)
+            return (lambda x: s * math.cos(x)), abs(s)  # |a P| is |a| P exactly
+
+        per_level_F = lambda k: view(k)[1]
+        flat = (MethodType(f, 0), m)
+        f._levels = (view, per_level_F)
+        return Nonlinearity(eval=f, bound_M=m, lipschitz_F=m, per_level_F=per_level_F,
                             decay=(m, beta))
-    if name == "bounded-sigmoid":
-        return Nonlinearity(eval=lambda k, x: a * math.tanh(x / 2.0) / 2.0,
-                            bound_M=m / 2.0, lipschitz_F=m / 4.0)
-    raise DomainError(f"unknown catalog nonlinearity {name!r}")
+    if name == "zero":
+        f, meta = (lambda k, x: 0.0), dict(bound_M=1.0, lipschitz_F=0.0, decay=(1.0, beta))
+    elif name == "const":
+        f, meta = (lambda k, x: a), dict(bound_M=m if a != 0.0 else 1.0, lipschitz_F=0.0)
+    elif name == "bounded-sigmoid":
+        f = lambda k, x: a * math.tanh(x / 2.0) / 2.0
+        meta = dict(bound_M=m / 2.0, lipschitz_F=m / 4.0)
+    else:
+        raise DomainError(f"unknown catalog nonlinearity {name!r}")
+    flat = (MethodType(f, 0), math.inf)  # f reads no k: one view, bounded by lipschitz_F alone
+    f._levels = (lambda k: flat, None)
+    return Nonlinearity(eval=f, **meta)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 from dataclasses import replace
@@ -1233,6 +1234,89 @@ def test_catalog_declares_the_magnitude_of_a_negative_amplitude():
         assert neg.eval(2, 0.5) == -pos.eval(2, 0.5)
         with pytest.raises(DomainError, match="bound_M must be positive"):
             catalog_nonlinearity(name, 3, amplitude=0.0)
+
+
+_CATALOG_CASES = [("zero", 0.1), ("const", 0.1), ("cos-decay", 0.1), ("cos-decay", -0.3),
+                  ("bounded-sigmoid", 0.1)]
+
+
+@pytest.mark.parametrize("p", (2, 3, 7))
+@pytest.mark.parametrize("name, amplitude", _CATALOG_CASES)
+def test_catalog_views_are_eval_and_level_lipschitz_bit_for_bit(name, amplitude, p):
+    rng = random.Random(f"{name} {amplitude} {p}")
+    xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)] + \
+        [rng.uniform(-50.0, 50.0) for _ in range(20)] + [0.0, -0.0, 1e-300, 1e300]
+    rhs = catalog_nonlinearity(name, p, amplitude=amplitude, beta=2.0)
+    m = abs(amplitude)
+    for k in range(-30, 301):
+        g, lip = rhs.at_level(k)
+        assert [g(x).hex() for x in xs] == [rhs.eval(k, x).hex() for x in xs]
+        assert lip.hex() == rhs.level_lipschitz(k).hex()
+        if name == "cos-decay":  # the per_level_F the catalog declared before its views
+            declared = m * p_pow(p, -2.0 * k) if k > 0 else m
+            assert rhs.per_level_F(k).hex() == declared.hex()
+            assert lip.hex() == min(m, declared).hex()
+        else:
+            assert rhs.per_level_F is None and lip == rhs.lipschitz_F
+    # under another per_level_F the eval is read with k bound, and F_k is level_lipschitz
+    other = replace(rhs, per_level_F=lambda k: 1e-6 * (k + 40))
+    for k in (-12, 0, 5):
+        g, lip = other.at_level(k)
+        assert lip == other.level_lipschitz(k) == min(other.lipschitz_F, 1e-6 * (k + 40))
+        assert [g(x).hex() for x in xs] == [rhs.eval(k, x).hex() for x in xs]
+
+
+def test_catalog_levels_that_share_a_factor_share_one_view():
+    for name in ("zero", "const", "bounded-sigmoid"):
+        rhs = catalog_nonlinearity(name, 3)
+        assert len({rhs.at_level(k) for k in range(-12, 40)}) == 1
+    rhs = catalog_nonlinearity("cos-decay", 3)
+    assert len({rhs.at_level(k) for k in range(-12, 1)}) == 1
+    assert len({rhs.at_level(k)[0] for k in range(-12, 13)}) == 13
+
+
+def _spot_check_refusal(rhs, p):
+    with pytest.raises(MetadataError) as err:
+        rhs.spot_check(p)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("name, amplitude", _CATALOG_CASES)
+@pytest.mark.parametrize("field", ("bound_M", "lipschitz_F", "decay", "decay_A", "decay_late"))
+def test_spot_check_of_shared_views_keeps_every_refusal(name, amplitude, p, field):
+    # understated metadata on a catalog eval is refused with the message, naming the level,
+    # of the full 25 x 41 grid, which an eval without views is still sampled on
+    rhs = catalog_nonlinearity(name, p, amplitude=amplitude, beta=2.0)
+    understated = {
+        "bound_M": {"bound_M": rhs.bound_M / 2.0},
+        "lipschitz_F": {"lipschitz_F": rhs.lipschitz_F / 2.0},
+        "decay": {"decay": (rhs.bound_M, 2.5)},
+        "decay_A": {"decay": (rhs.bound_M / 4.0, 2.0)},
+        "decay_late": {"decay": (4.0 * rhs.bound_M, 2.5)},
+    }[field]
+    bad = replace(rhs, **understated)
+    counted, calls = _counted(rhs.eval)
+    grid = replace(bad, eval=counted)
+    if name == "zero" or (name == "const" and field == "lipschitz_F"):
+        bad.spot_check(p)  # f = 0 meets every bound; a constant meets F = 0
+        grid.spot_check(p)
+        assert len(calls) == 25 * 41
+        return
+    message = _spot_check_refusal(bad, p)
+    assert _spot_check_refusal(grid, p) == message
+    level = int(re.search(r"(?:level |p\^)(-?\d+)", message).group(1))
+    assert calls[-1][0] == level
+    if name == "cos-decay" and field == "decay_late":  # past distinct views of levels >= 1
+        assert level == {2: 5, 3: 3}[p]
+
+
+@pytest.mark.parametrize("name, amplitude", _CATALOG_CASES)
+def test_spot_check_samples_a_replaced_catalog_eval_on_the_whole_grid(name, amplitude):
+    rhs = catalog_nonlinearity(name, 3, amplitude=amplitude)
+    counted, calls = _counted(rhs.eval)
+    replace(rhs, eval=counted).spot_check(3)
+    assert len(calls) == 25 * 41 and len(set(calls)) == len(calls)
 
 
 def test_contraction_refusal_deep_below_level_zero_names_a_threshold_past_the_double_range():
