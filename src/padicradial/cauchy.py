@@ -74,9 +74,10 @@ _record = tuple.__new__
 class Nonlinearity:
     """Right-hand side f with its certified metadata.
 
-    eval(k, x) returns f(p^k, x); :meth:`at_level` reads it one level at a time.  The
-    metadata is declared by the caller and trusted; ``spot_check`` samples a grid of up
-    to 25 x 41 points and rejects declarations that the samples violate by more than 1e-9.
+    eval(k, x) returns f(p^k, x); :meth:`at_level` reads it one level at a time, by a view
+    chosen once, when the Nonlinearity is made.  The metadata is declared by the caller and
+    trusted; ``spot_check`` samples a grid of up to 25 x 41 points and rejects declarations
+    that the samples violate by more than 1e-9.
 
     bound_M     : global bound |f| <= M (must be positive).
     lipschitz_F : global Lipschitz constant in the state variable.
@@ -102,26 +103,22 @@ class Nonlinearity:
             if not a > 0:
                 raise DomainError(f"decay amplitude must be positive, got {a}")
             object.__setattr__(self, "decay", (float(a), float(beta)))
-
-    def level_lipschitz(self, k: int) -> float:
-        """min(F, F_k): both are declared bounds on level k."""
-        if self.per_level_F is None:
-            return self.lipschitz_F
-        return min(self.lipschitz_F, self.per_level_F(k))
+        # the level view k -> (g, bound on F_k), not a field, so replace chooses it anew:
+        # eval with k bound; catalog_nonlinearity sets its own on the instance it makes
+        f, per_level_F = self.eval, self.per_level_F
+        if per_level_F is None:
+            view = lambda k: (MethodType(f, k), math.inf)
+        else:
+            view = lambda k: (MethodType(f, k), per_level_F(k))
+        object.__setattr__(self, "_view", view)
 
     def at_level(self, k: int) -> tuple:
-        """(g, F_k) of level k: g(x) is eval(k, x) and F_k is level_lipschitz(k), bit for bit.
-        An eval of :func:`catalog_nonlinearity` carries ``_levels = (view, per_level_F)``:
-        view(k) is (g, per_level_F(k)), with inf for a None per_level_F, the level's factor
-        formed once and one g shared by the levels that share it.  Any other eval, or one
-        given another per_level_F, is read with k bound, as the bound method
-        ``MethodType(eval, k)``: g(x) calls eval(k, x), at the cost of a direct call."""
-        f = self.eval
-        view, per_level_F = getattr(f, "_levels", (None, None))
-        if view is not None and per_level_F is self.per_level_F:
-            g, bound = view(k)
-            return g, min(self.lipschitz_F, bound)
-        return MethodType(f, k), self.level_lipschitz(k)
+        """(g, F_k) of level k: g(x) is eval(k, x) bit for bit, and F_k is lipschitz_F or
+        min(lipschitz_F, per_level_F(k)).  g is the bound method ``MethodType(eval, k)``,
+        whose call is eval(k, x), unless the Nonlinearity is one that
+        :func:`catalog_nonlinearity` made, whose view forms each level factor once."""
+        g, bound = self._view(k)
+        return g, min(self.lipschitz_F, bound)
 
     def _refuse(self, k: int, x: float, val: float) -> None:
         """Raise the MetadataError of a value f(p^k, x) = val past bound_M."""
@@ -459,7 +456,7 @@ def check_global_hypotheses(problem: ProblemSpec) -> GlobalHypothesesReport:
     p, alpha, gamma = problem.p, problem.alpha, problem.gamma
     witness = None
     for l in range(-10, 31):
-        lip = problem.rhs.level_lipschitz(l)
+        lip = problem.rhs.at_level(l)[1]
         if lip != 0.0 and not lip < (power := _level_power(p, -alpha * l)):
             witness = l
             break
@@ -614,15 +611,19 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
 
     cos-decay is f(p^l, x) = A p^(-beta max(l, 0)) cos(x) with per-level
     Lipschitz constants |A| p^(-beta max(l, 0)) and decay pair (|A|, beta);
-    bounded-sigmoid is a level-independent saturating nonlinearity.  Each eval carries
-    its per-level view for :meth:`Nonlinearity.at_level`: cos-decay forms the factor
-    A p^(-beta l) of a level l >= 1 once, for g and F_l alike, and its per_level_F reads
-    it there; its levels l <= 0 share one view, as every level of zero, const and
-    bounded-sigmoid does, which declare no per_level_F: lipschitz_F holds at every level.
-    The metadata declares |A|, so a negative amplitude is as admissible as a positive one.
+    bounded-sigmoid is a level-independent saturating nonlinearity.  Each Nonlinearity
+    made carries the catalog's view for :meth:`Nonlinearity.at_level`, which
+    ``dataclasses.replace`` drops: cos-decay forms the factor A p^(-beta l) of a level
+    l >= 1 once, for g and F_l alike, and its per_level_F reads it there; its levels l <= 0
+    share one view, as every level of zero, const and bounded-sigmoid does, which declare
+    no per_level_F: lipschitz_F holds at every level.  The metadata declares |A|, so a
+    negative amplitude is as admissible as a positive one; a non-finite amplitude or beta
+    is a DomainError for every name, also one whose f does not read it.
     """
     p = Prime(p)
+    require_finite(amplitude=amplitude, decay_beta=beta)
     a, m = amplitude, abs(amplitude)
+    view = lambda k: flat  # an f that reads no k: one view at every level
     if name == "cos-decay":
 
         def f(k: int, x: float) -> float:  # view(k)'s g at x in one call, as residual reads it
@@ -634,12 +635,8 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
             s = a * p_pow(p, -beta * k)
             return (lambda x: s * math.cos(x)), abs(s)  # |a P| is |a| P exactly
 
-        per_level_F = lambda k: view(k)[1]
-        flat = (MethodType(f, 0), m)
-        f._levels = (view, per_level_F)
-        return Nonlinearity(eval=f, bound_M=m, lipschitz_F=m, per_level_F=per_level_F,
-                            decay=(m, beta))
-    if name == "zero":
+        meta = dict(bound_M=m, lipschitz_F=m, per_level_F=lambda k: view(k)[1], decay=(m, beta))
+    elif name == "zero":
         f, meta = (lambda k, x: 0.0), dict(bound_M=1.0, lipschitz_F=0.0, decay=(1.0, beta))
     elif name == "const":
         f, meta = (lambda k, x: a), dict(bound_M=m if a != 0.0 else 1.0, lipschitz_F=0.0)
@@ -648,6 +645,7 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
         meta = dict(bound_M=m / 2.0, lipschitz_F=m / 4.0)
     else:
         raise DomainError(f"unknown catalog nonlinearity {name!r}")
-    flat = (MethodType(f, 0), math.inf)  # f reads no k: one view, bounded by lipschitz_F alone
-    f._levels = (lambda k: flat, None)
-    return Nonlinearity(eval=f, **meta)
+    rhs = Nonlinearity(eval=f, **meta)
+    flat = (MethodType(f, 0), rhs.lipschitz_F)  # F_k = F there: cos-decay's levels <= 0 too
+    object.__setattr__(rhs, "_view", view)
+    return rhs

@@ -974,6 +974,17 @@ def test_catalog_rejects_unknown():
         catalog_nonlinearity("chaos", 2)
 
 
+@pytest.mark.parametrize("name", ["zero", "const", "cos-decay", "bounded-sigmoid"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_catalog_refuses_a_non_finite_parameter_for_every_name(name, bad):
+    # zero reads no amplitude and const and bounded-sigmoid read no beta; each was once
+    # accepted there, non-finite, with no error
+    with pytest.raises(DomainError, match="^amplitude must be finite"):
+        catalog_nonlinearity(name, 2, amplitude=bad)
+    with pytest.raises(DomainError, match="^decay_beta must be finite"):
+        catalog_nonlinearity(name, 2, beta=bad)
+
+
 def test_bounded_sigmoid_solves():
     # a level-independent Lipschitz constant only extends while
     # p^(alpha l) F p^(-gamma (l+1)) stays below 1, so stop at level 4
@@ -1229,8 +1240,7 @@ def test_catalog_declares_the_magnitude_of_a_negative_amplitude():
         neg, pos = (catalog_nonlinearity(name, 3, amplitude=a) for a in (-0.1, 0.1))
         for field in ("bound_M", "lipschitz_F", "decay"):
             assert getattr(neg, field) == getattr(pos, field)
-        assert [neg.level_lipschitz(k) for k in (-3, 0, 4)] == \
-            [pos.level_lipschitz(k) for k in (-3, 0, 4)]
+        assert [neg.at_level(k)[1] for k in (-3, 0, 4)] == [pos.at_level(k)[1] for k in (-3, 0, 4)]
         assert neg.eval(2, 0.5) == -pos.eval(2, 0.5)
         with pytest.raises(DomainError, match="bound_M must be positive"):
             catalog_nonlinearity(name, 3, amplitude=0.0)
@@ -1240,30 +1250,87 @@ _CATALOG_CASES = [("zero", 0.1), ("const", 0.1), ("cos-decay", 0.1), ("cos-decay
                   ("bounded-sigmoid", 0.1)]
 
 
+def _declared_F(rhs, k):
+    """F_k as Nonlinearity declares it: lipschitz_F, or min(lipschitz_F, per_level_F(k))."""
+    if rhs.per_level_F is None:
+        return rhs.lipschitz_F
+    return min(rhs.lipschitz_F, rhs.per_level_F(k))
+
+
 @pytest.mark.parametrize("p", (2, 3, 7))
 @pytest.mark.parametrize("name, amplitude", _CATALOG_CASES)
 def test_catalog_views_are_eval_and_level_lipschitz_bit_for_bit(name, amplitude, p):
+    # at_level(k) is (eval(k, .), F_k) bit for bit, F_k the level's declared Lipschitz bound,
+    # on the catalog's view and on the view that replace chooses anew
     rng = random.Random(f"{name} {amplitude} {p}")
-    xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)] + \
-        [rng.uniform(-50.0, 50.0) for _ in range(20)] + [0.0, -0.0, 1e-300, 1e300]
+    grid = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
+    xs = grid + [rng.uniform(-50.0, 50.0) for _ in range(20)] + [0.0, -0.0, 1e-300, 1e300]
     rhs = catalog_nonlinearity(name, p, amplitude=amplitude, beta=2.0)
     m = abs(amplitude)
     for k in range(-30, 301):
         g, lip = rhs.at_level(k)
         assert [g(x).hex() for x in xs] == [rhs.eval(k, x).hex() for x in xs]
-        assert lip.hex() == rhs.level_lipschitz(k).hex()
+        assert lip.hex() == _declared_F(rhs, k).hex()
         if name == "cos-decay":  # the per_level_F the catalog declared before its views
             declared = m * p_pow(p, -2.0 * k) if k > 0 else m
             assert rhs.per_level_F(k).hex() == declared.hex()
             assert lip.hex() == min(m, declared).hex()
         else:
             assert rhs.per_level_F is None and lip == rhs.lipschitz_F
-    # under another per_level_F the eval is read with k bound, and F_k is level_lipschitz
+    # under another per_level_F or a smaller lipschitz_F the eval is read with k bound, and
+    # F_k follows the new metadata
     other = replace(rhs, per_level_F=lambda k: 1e-6 * (k + 40))
-    for k in (-12, 0, 5):
+    smaller = replace(rhs, lipschitz_F=rhs.lipschitz_F / 8.0)
+    for k in range(-30, 301, 7):
         g, lip = other.at_level(k)
-        assert lip == other.level_lipschitz(k) == min(other.lipschitz_F, 1e-6 * (k + 40))
+        assert lip == min(other.lipschitz_F, 1e-6 * (k + 40))
         assert [g(x).hex() for x in xs] == [rhs.eval(k, x).hex() for x in xs]
+        g, lip = smaller.at_level(k)
+        assert lip.hex() == _declared_F(smaller, k).hex() and lip <= rhs.lipschitz_F / 8.0
+        assert [g(x).hex() for x in xs] == [rhs.eval(k, x).hex() for x in xs]
+    # a replaced eval sees every spot_check sample, the whole 25 x 41 grid, and every value
+    # of the march: each level's steps, the last at the value the solution keeps
+    counted, calls = _counted(rhs.eval)
+    traced = replace(rhs, eval=counted)
+    traced.spot_check(p)
+    assert sorted(calls) == sorted((k, x) for k in range(-12, 13) for x in grid)
+    prob = ProblemSpec(p=p, alpha=1.5, gamma=0.25, u0=1.0, rhs=traced)
+    calls.clear()
+    rep = solve_problem(prob, extend_to=2)
+    u = rep.solution
+    assert u.values == solve_problem(replace(prob, rhs=rhs), extend_to=2).solution.values
+    at = {}
+    for k, x in calls:
+        at.setdefault(k, []).append(x)
+    assert list(at) == list(range(u.k_min, u.k_max + 1))
+    for k, seen in at.items():
+        assert seen[-1] == u.values[k - u.k_min] and len(seen) >= 2
+        diag = rep.extension_diagnostics.get(k)
+        assert len(seen) == diag.iterations + 1 if diag else len(seen) <= rep.picard_iterations + 1
+
+
+def test_at_level_reads_no_attribute_of_eval_once_made():
+    # the view is chosen when the Nonlinearity is made; no level looks the eval up again
+    class Eval:
+        lookups = 0
+
+        def __getattribute__(self, name):
+            Eval.lookups += 1
+            return object.__getattribute__(self, name)
+
+        def __call__(self, k, x):
+            return 0.05 * math.cos(x)
+
+    f = Eval()
+    for per_level_F in (None, lambda k: 0.05):
+        rhs = Nonlinearity(eval=f, bound_M=0.05, lipschitz_F=0.1, per_level_F=per_level_F)
+        Eval.lookups = 0
+        for k in range(-40, 41):
+            g, lip = rhs.at_level(k)
+            assert g(0.5) == f(k, 0.5) and lip == (0.1 if per_level_F is None else 0.05)
+        prob = ProblemSpec(p=3, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+        solve_problem(prob, extend_to=2)
+        assert Eval.lookups == 0
 
 
 def test_catalog_levels_that_share_a_factor_share_one_view():
@@ -1296,6 +1363,7 @@ def test_spot_check_of_shared_views_keeps_every_refusal(name, amplitude, p, fiel
         "decay_late": {"decay": (4.0 * rhs.bound_M, 2.5)},
     }[field]
     bad = replace(rhs, **understated)
+    object.__setattr__(bad, "_view", rhs._view)  # replace drops the catalog's shared views
     counted, calls = _counted(rhs.eval)
     grid = replace(bad, eval=counted)
     if name == "zero" or (name == "const" and field == "lipschitz_F"):

@@ -70,6 +70,18 @@ def test_solve_negative_amplitude_declares_its_magnitude(capsys, rhs):
     assert "k_max 3" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--p", "2", "--alpha", "1.5", "--gamma", "0.25", "--u0", "1", "--rhs", "zero",
+      "--rhs-amplitude", "nan"], "amplitude must be finite"),
+    (["sweep", "--rhs", "const", "--rhs-beta", "inf"], "decay_beta must be finite"),
+])
+def test_catalog_parameter_that_f_ignores_non_finite_exit_2(capsys, argv, message):
+    # zero reads no amplitude and const no beta; both runs once exited 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_solve_past_the_weight_guard_exit_0(capsys):
     # the residual's weight p^(gamma n) passes the overflow guard at level 1123; the solve
     # once succeeded and then exited 2 on a MagnitudeError from the residual

@@ -64,7 +64,10 @@ solve to level 1126 at gamma = 0.9, where the residual's weight p^(gamma n) pass
 overflow guard at level 1123 (exit 0; once exit 2 on that weight, after the solve),
 and the deep ``cos-decay`` solve at p = 7, alpha = 1 to level 250 that the ``solve-deep``
 benchmark workload is shaped after: 257 of its CSV's 275 rows carry a residual and its
-uncertainty, so the residual pass shows in the digest level by level.
+uncertainty, so the residual pass shows in the digest level by level,
+and two runs given a non-finite catalog parameter that their f does not read:
+``solve --rhs zero --rhs-amplitude nan`` and ``sweep --rhs const --rhs-beta inf``
+(exit 2; once exit 0).
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
 with its type and message on stderr, as the console script would exit.
@@ -190,6 +193,8 @@ def invocations(tmp: Path) -> list:
         "solve --p 2 --alpha 1 --gamma 0.9 --u0 1 --rhs cos-decay --extend-to 1126".split(),
         ("solve --p 7 --alpha 1 --gamma 0.3 --u0 1.25 --rhs cos-decay --rhs-amplitude 0.075 "
          "--rhs-beta 2.5 --extend-to 250").split(),
+        "solve --p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs zero --rhs-amplitude nan".split(),
+        "sweep --rhs const --rhs-beta inf".split(),
     ]
 
 
