@@ -24,12 +24,20 @@ in two stages:
    EDGE_LEVELS levels of the window are refused.
 
 Truncation policy: the integrals extend to level -infinity, but the
-march starts at a window floor K_min.  The kernel has one sign on
-|y| < |x|, so the sup of a neglected sub-window contribution over
-|ftilde| <= M p^(-g k) is the kernel's own sum, two damped geometric
-walks with no branch at a = 1 (:func:`_truncation_constants`).  K_min is
-lowered until that bound, summed over every level up to one above the
-final window top, is below tol / 10, within a work limit of MAX_WINDOW
+march starts at a window floor K_min.  Where f(p^k, .) is declared one
+function on the levels k <= L (``Nonlinearity.flat_to``), the sweep is
+seeded at K_min - 1 with the exact state of the first-order tail
+ftilde_k = f0 p^(-g k), f0 = f(p^(K_min - 1), u0), with K_min <= min(N, L + 1),
+and the solution's left tail is u0 + f0 c(-g) p^((a - g) k), the closed form
+of its I^a.  By the a-priori envelope |u_k - u0| <= C M / (1 - q_N)
+p^((a - g) k) what the seed drops is at most M' p^(-g' k), with
+M' = F C M / (1 - q_N) and g' = 2 g - a: second order, decaying twice as fast.
+An undeclared f is seeded with 0, and drops |ftilde| <= M p^(-g k) itself.
+The kernel has one sign on |y| < |x|, so the sup of a neglected sub-window
+contribution over either envelope is the kernel's own sum, two damped
+geometric walks with no branch at a = 1 (:func:`_truncation_constants`).
+K_min is lowered until that bound, summed over every level up to one above
+the final window top, is below tol / 10, within a work limit of MAX_WINDOW
 levels; the sum over (1 - q_N) is reported as ``truncation_budget`` rather
 than silently dropped.
 """
@@ -37,6 +45,7 @@ than silently dropped.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -59,7 +68,7 @@ from .errors import (
 )
 from .haar import OVERFLOW_GUARD, Prime, p_pow
 from .radial import RadialFunction, TailModel
-from .fracint import _IalphaSweep, bound_constants
+from .fracint import _IalphaSweep, _power_state, bound_constants, power_image_coefficient
 from .vladimirov import d_alpha, dalpha_window
 
 # the widest window [K_min, N] the floor search certifies, in levels: a work limit
@@ -83,6 +92,9 @@ class Nonlinearity:
     lipschitz_F : global Lipschitz constant in the state variable.
     per_level_F : optional k -> F_k with |f(p^k, x) - f(p^k, y)| <= F_k |x - y|.
     decay       : optional (A, beta) with |f(p^l, x)| <= A p^(-beta l) for l >= 1.
+    flat_to     : optional level L such that f(p^k, .) is one function for every k <= L
+                  (math.inf: at every level).  The march then takes ftilde below its floor
+                  as the exact first-order tail f(p^L', u0) p^(-gamma k), L' = K_min - 1.
     """
 
     eval: Callable[[int, float], float]
@@ -90,6 +102,7 @@ class Nonlinearity:
     lipschitz_F: float
     per_level_F: Optional[Callable[[int], float]] = None
     decay: Optional[tuple] = None
+    flat_to: Optional[float] = None
 
     def __post_init__(self):
         require_finite(bound_M=self.bound_M, lipschitz_F=self.lipschitz_F)
@@ -97,6 +110,8 @@ class Nonlinearity:
             raise DomainError(f"bound_M must be positive, got {self.bound_M}")
         if self.lipschitz_F < 0:
             raise DomainError(f"lipschitz_F must be >= 0, got {self.lipschitz_F}")
+        if self.flat_to is not None and self.flat_to != math.inf:
+            object.__setattr__(self, "flat_to", require_level(self.flat_to, "flat_to"))
         if self.decay is not None:
             a, beta = self.decay
             require_finite(decay_amplitude=a, decay_beta=beta)
@@ -136,12 +151,16 @@ class Nonlinearity:
         reject metadata that the samples violate by more than 1e-9.  Each sample is tested
         once against its level's cap, bound_M or on levels >= 1 the decay envelope where
         tighter.  A level whose g, F_k and cap are those of a level already sampled would
-        repeat its tests exactly, and is not sampled again: only the catalog's views repeat."""
+        repeat its tests exactly, and is not sampled again: only the catalog's views repeat.
+        Every sampled level <= flat_to must give the same values bit for bit, those of level
+        min(flat_to, 12): a level that differs from the first of them is refused."""
         p = Prime(p)
         tol = 1e-9
         xs = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
         bound = self._capped(self.bound_M)
         dx = xs[1] - xs[0]
+        flat_to = -math.inf if self.flat_to is None else self.flat_to
+        flat = None  # (level, the bytes of its values): the first sampled level <= flat_to
         sampled = set()  # holds each sampled g, so no other g can take its id
         for k in range(-12, 13):
             cap = bound
@@ -151,9 +170,9 @@ class Nonlinearity:
             if (g, lip, cap) in sampled:
                 continue
             sampled.add((g, lip, cap))
-            f_prev = None
             step = (lip + tol) * dx + tol
             low, step_low = -cap, -step
+            row = []
             for x in xs:
                 val = g(x)
                 if not low <= val <= cap:  # NaN and inf fail it too
@@ -162,12 +181,19 @@ class Nonlinearity:
                     a, beta = self.decay
                     raise MetadataError(f"declared decay (A={a}, beta={beta}) violated at level {k}")
                 # |df| > step, which a NaN df (two infinite samples under an infinite cap) passes
-                if f_prev is not None and ((df := val - f_prev) > step or df < step_low):
+                if row and ((df := val - row[-1]) > step or df < step_low):
                     raise MetadataError(
                         f"declared Lipschitz bound violated near (p^{k}, {x}): "
                         f"|df| = {abs(df)} over dx = {dx}"
                     )
-                f_prev = val
+                row.append(val)
+            if k <= flat_to:  # compared bit for bit
+                row = struct.pack(f"{len(row)}d", *row)
+                flat = flat or (k, row)
+                if row != flat[1]:
+                    raise MetadataError(
+                        f"declared flat_to = {self.flat_to} violated: f(p^{k}, .) differs from "
+                        f"f(p^{flat[0]}, .) on the sampled points")
 
 
 @dataclass(frozen=True)
@@ -266,50 +292,52 @@ def _kernel_walk(p: int, alpha: float) -> Iterator[tuple]:
         yield s, total
 
 
-def _truncation_constants(problem: ProblemSpec) -> tuple:
+def _truncation_constants(p: int, alpha: float, gamma: float, bound: float) -> tuple:
     """(C, h, r) with rem(n) = C p^(e + h m) S_m + C p^e / r, e = (a - g)(k_cut - 1),
     m = n - k_cut + 1, S_m as :func:`_kernel_walk` scales it: the exact sup of the part
-    of (I^a ftilde)(p^n) that lies below k_cut, over |ftilde_k| <= M p^(-g k).  The
-    kernel g(n - k) has one sign, so summing |g(j)| p^(g j) over j > n - k_cut splits
-    into two geometric series: C = M (1 - p^-a)(1 - 1/p) / (1 - p^(g-1)),
-    h = max(a - 1, 0) and r = p^(a - g) - 1.  None of them depends on k_cut."""
-    p, alpha, gamma = problem.p, problem.alpha, problem.gamma
+    of (I^a phi)(p^n) that lies below k_cut, over |phi_k| <= M p^(-g k), M = ``bound``,
+    for any g < min(1, a).  The kernel g(n - k) has one sign, so summing |g(j)| p^(g j)
+    over j > n - k_cut splits into two geometric series:
+    C = M (1 - p^-a)(1 - 1/p) / (1 - p^(g-1)), h = max(a - 1, 0) and r = p^(a - g) - 1.
+    None of them depends on k_cut."""
     lnp = math.log(p)
-    c = problem.rhs.bound_M * math.expm1(-alpha * lnp) * (1.0 - 1.0 / p) \
-        / math.expm1((gamma - 1.0) * lnp)
+    c = bound * math.expm1(-alpha * lnp) * (1.0 - 1.0 / p) / math.expm1((gamma - 1.0) * lnp)
     return c, max(alpha - 1.0, 0.0), math.expm1((alpha - gamma) * lnp)
 
 
 def _scaled_power(c: float, p: int, e: float) -> float:
-    """c p^e for c > 0 (the C of :func:`_truncation_constants`, ~ M): c times p^e where
-    p^e is a normal double, else one power p^(e + log_p c), so that a huge c does not
-    scale up a p^e that underflowed to 0.0 or to a subnormal with few bits.  That power's
+    """c p^e for c >= 0 (the C of :func:`_truncation_constants`, ~ M): c times p^e where
+    p^e is a normal double or c is 0, else one power p^(e + log_p c), so that a huge c does
+    not scale up a p^e that underflowed to 0.0 or to a subnormal with few bits.  That power's
     exponent, off by a few units of |e ln p| + |ln c|, is unbounded (|e ln p| < 709 in the
     product), so its value is raised by 8 units of them: the bound stays above the sum."""
     power = p_pow(p, e)
-    if power >= sys.float_info.min:
+    if power >= sys.float_info.min or c == 0.0:
         return c * power
     lnp, lnc = math.log(p), math.log(c)
     return p_pow(p, e + lnc / lnp) * (1.0 + 2.0 ** -50 * (abs(e) * lnp + abs(lnc) + 1.0))
 
 
 def _choose_window_floor(problem: ProblemSpec, n_top: int, tol: float,
-                        highest: float = math.inf) -> tuple:
+                        highest: float = math.inf, dropped: Optional[tuple] = None) -> tuple:
     """Lower window edge K_min at or below ``highest`` (the local radius N; n_top by default)
     with total certified truncation <= tol / 10.
 
-    The budget of a candidate K is rem(n) of :func:`_truncation_constants` summed
-    over [K, n_top], C p^(e + h W) D_W + W C p^e / r with W = n_top - K + 1, read
-    from :func:`_kernel_walk`.  K_min steps down 4 levels at a time, so each
-    candidate costs 4 steps of the walk.  The budget decays like p^((alpha - gamma) K),
-    so gamma near alpha or a tiny alpha can ask for millions of levels:
-    a window wider than MAX_WINDOW is a BudgetError, met after 25 000 candidates.
+    ``dropped`` = (M, g) bounds what the march drops below the floor by M p^(-g k):
+    (bound_M, gamma), ftilde itself, by default.  The budget of a candidate K is rem(n) of
+    :func:`_truncation_constants` at (M, g) summed over [K, n_top],
+    C p^(e + h W) D_W + W C p^e / r with W = n_top - K + 1, read from :func:`_kernel_walk`.
+    K_min steps down 4 levels at a time, so each candidate costs 4 steps of the walk.  The
+    budget decays like p^((alpha - g) K), so g near alpha or a tiny alpha can ask for
+    millions of levels: a window wider than MAX_WINDOW is a BudgetError, met after
+    25 000 candidates.
     """
     require_tol(tol)
-    p, alpha, gamma = problem.p, problem.alpha, problem.gamma
+    p, alpha = problem.p, problem.alpha
+    bound, gamma = dropped or (problem.rhs.bound_M, problem.gamma)
     k_min = min(n_top, 0) - 8
     width = n_top - k_min + 1
-    c, h, r = _truncation_constants(problem)
+    c, h, r = _truncation_constants(p, alpha, gamma, bound)
     walk = _kernel_walk(p, alpha)
     _, total = next(islice(walk, width - 1, None))
     while True:
@@ -346,11 +374,23 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
             f"local contraction factor q_N = {q} >= 1 at N = {N}; "
             "choose a more negative local radius"
         )
-    k_min, budget = _choose_window_floor(problem, reserve, tol, N)
+    # where f is one function on the levels <= L, ftilde_k is f0 p^(-gamma k),
+    # f0 = f(p^(K_min - 1), u0), below the floor to first order: by the a-priori envelope
+    # |u_k - u0| <= C M / (1 - q) p^((alpha - gamma) k) the rest is at most
+    # F C M / (1 - q) p^((alpha - 2 gamma) k).  Else, and where that constant overflows,
+    # ftilde is taken as 0 there.
+    bound = rhs.lipschitz_F * c_uni * rhs.bound_M / (1.0 - q)
+    if rhs.flat_to is None or bound == math.inf:
+        dropped, highest = None, N
+    else:
+        dropped, highest = (bound, 2.0 * gamma - alpha), min(N, rhs.flat_to + 1)
+    k_min, budget = _choose_window_floor(problem, reserve, tol, highest, dropped)
     cap = rhs._capped(rhs.bound_M)
     low = -cap
-    # ftilde is 0 below the window, where the truncation budget bounds it
-    sweep = _IalphaSweep(p, alpha, gamma, k_min)
+    f0 = 0.0 if dropped is None else at_level(k_min - 1)[0](u0)
+    if not low <= f0 <= cap:
+        rhs._refuse(k_min - 1, u0, f0)
+    sweep = _IalphaSweep(p, alpha, gamma, k_min, (*_power_state(p, alpha, f0, -gamma), f0))
     values, diags, steps = [], {}, 0
     x, stop, inf, neg_inf = u0, tol / 100.0, math.inf, -math.inf
     for n in range(k_min, top + 1):
@@ -393,7 +433,10 @@ def _march(problem: ProblemSpec, N: int, top: int, tol: float, max_iter: int,
             steps = iters
         values.append(x)
         sweep.advance((fx,))
-    solution = RadialFunction(p, k_min, top, tuple(values), left_tail=TailModel.constant(u0),
+    # below the floor u is u0 + I^alpha of the seed, in closed form
+    left = TailModel.power_law(f0 * power_image_coefficient(p, alpha, -gamma), alpha - gamma,
+                               u0) if f0 else TailModel.constant(u0)
+    solution = RadialFunction(p, k_min, top, tuple(values), left_tail=left,
                               right_tail=TailModel.zero(), value_at_zero=u0)
     return SolveReport(
         solution=solution, local_radius_N=N, picard_iterations=steps,
@@ -616,7 +659,9 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
     ``dataclasses.replace`` drops: cos-decay forms the factor A p^(-beta l) of a level
     l >= 1 once, for g and F_l alike, and its per_level_F reads it there; its levels l <= 0
     share one view, as every level of zero, const and bounded-sigmoid does, which declare
-    no per_level_F: lipschitz_F holds at every level.  The metadata declares |A|, so a
+    no per_level_F: lipschitz_F holds at every level.  Each declares the levels on which its
+    f is one function: flat_to = 0 for cos-decay, math.inf for the others, so every solve
+    of a catalog f starts from the seeded tail.  The metadata declares |A|, so a
     negative amplitude is as admissible as a positive one; a non-finite amplitude or beta
     is a DomainError for every name, also one whose f does not read it.
     """
@@ -635,14 +680,17 @@ def catalog_nonlinearity(name: str, p: int, amplitude: float = 0.1,
             s = a * p_pow(p, -beta * k)
             return (lambda x: s * math.cos(x)), abs(s)  # |a P| is |a| P exactly
 
-        meta = dict(bound_M=m, lipschitz_F=m, per_level_F=lambda k: view(k)[1], decay=(m, beta))
+        meta = dict(bound_M=m, lipschitz_F=m, per_level_F=lambda k: view(k)[1], decay=(m, beta),
+                    flat_to=0)
     elif name == "zero":
-        f, meta = (lambda k, x: 0.0), dict(bound_M=1.0, lipschitz_F=0.0, decay=(1.0, beta))
+        f = lambda k, x: 0.0
+        meta = dict(bound_M=1.0, lipschitz_F=0.0, decay=(1.0, beta), flat_to=math.inf)
     elif name == "const":
-        f, meta = (lambda k, x: a), dict(bound_M=m if a != 0.0 else 1.0, lipschitz_F=0.0)
+        f = lambda k, x: a
+        meta = dict(bound_M=m if a != 0.0 else 1.0, lipschitz_F=0.0, flat_to=math.inf)
     elif name == "bounded-sigmoid":
         f = lambda k, x: a * math.tanh(x / 2.0) / 2.0
-        meta = dict(bound_M=m / 2.0, lipschitz_F=m / 4.0)
+        meta = dict(bound_M=m / 2.0, lipschitz_F=m / 4.0, flat_to=math.inf)
     else:
         raise DomainError(f"unknown catalog nonlinearity {name!r}")
     rhs = Nonlinearity(eval=f, **meta)

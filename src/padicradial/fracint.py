@@ -29,10 +29,13 @@ left tail in closed form: sum_j g(j) z^j = -z p^-a / ((1 - z/p)(1 - z p^-a))
 is a product of two geometric series, so a tail part c p^(rho k) adds
 c p^(rho n) b to Bc(n) and c p^(rho n) b / (p^(-1-rho) - 1) to Gc(n),
 b = 1 / (p^(a+rho) - 1); the centering -u_n is the part with rho = 0, and
-both converge iff rho > -min(1, a).  For the solver's ftilde_k =
-p^(-g k) f_k the walks, scaled by p^(g n) too, take f itself, with ratios
-p^(g-a) and p^(g-1) and differences p^g f_n - f_{n+1}; the one power of p
-left is the output scale p^((a-g) n), an integer power of one rounded p^(a-g).
+both converge iff rho > -min(1, a).  A tail's constant part adds nothing.
+For the solver's ftilde_k = p^(-g k) f_k the walks, scaled by p^(g n) too,
+take f itself, with ratios p^(g-a) and p^(g-1) and differences
+p^g f_n - f_{n+1}; the one power of p left is the output scale p^((a-g) n),
+an integer power of one rounded p^(a-g).  Its seed below the floor is the
+same closed form (:func:`_power_state`) of the tail ftilde_k = f0 p^(-g k):
+scaled to its level, the power f0 with rho = -g.
 
 Applied to a pure power |y|^(a sigma) the interior kernel integral is
 homogeneous of degree a (sigma + 1) in |t|, with a t-independent
@@ -220,15 +223,12 @@ class _IalphaSweep:
         self.state = (bc, gc, last)
 
 
-def _sweep_below(u: RadialFunction, alpha: float, start: int) -> _IalphaSweep:
-    """A sweep seeded with u's left tail to stand just below ``start``, at or below u's window;
-    a constant tail's two parts are exact negatives and a zero tail's are 0.0: both seed 0.0."""
-    require_alpha(alpha)
-    c = u.value_at(start - 1)  # in the left tail
-    _require_convergent(u.left_tail, "left", min(1.0, alpha),
-                        series="I^alpha (a left sum at e = min(1, alpha))")
-    rho = u.left_tail.rho
-    lnp = math.log(u.p)
+def _power_state(p: int, alpha: float, c: float, rho: float) -> tuple:
+    """(Bc, Gc) at a level L of the power c p^(rho (k - L)) on the levels k <= L, scaled to
+    L as the sweep keeps them, in closed form; rho > -min(1, alpha).  The two parts, the
+    power and its centering -c, are exact negatives at rho = 0, and 0.0 at c = 0: both
+    give 0.0."""
+    lnp = math.log(p)
     bc = gc = 0.0
     for x, r in ((c, rho), (-c, 0.0)):  # the tail part, then the centering
         t = (alpha + r) * lnp
@@ -238,7 +238,19 @@ def _sweep_below(u: RadialFunction, alpha: float, start: int) -> _IalphaSweep:
             b = -x * math.exp(-t) / math.expm1(-t)
         bc += b
         gc += b / math.expm1(-(1.0 + r) * lnp)
-    return _IalphaSweep(u.p, alpha, 0.0, start, (bc, gc, c))
+    return bc, gc
+
+
+def _sweep_below(u: RadialFunction, alpha: float, start: int) -> _IalphaSweep:
+    """A sweep seeded with u's left tail to stand just below ``start``, at or below u's window:
+    the state of its power part, as I^alpha annihilates its constant part."""
+    require_alpha(alpha)
+    tail = u.left_tail
+    last = u.value_at(start - 1)  # in the left tail
+    _require_convergent(tail, "left", min(1.0, alpha),
+                        series="I^alpha (a left sum at e = min(1, alpha))")
+    c = tail.c * p_pow(u.p, tail.rho * (start - 1)) if tail.offset else last
+    return _IalphaSweep(u.p, alpha, 0.0, start, (*_power_state(u.p, alpha, c, tail.rho), last))
 
 
 def apply_ialpha(u: RadialFunction, alpha: float, n: int) -> float:

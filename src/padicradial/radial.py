@@ -3,9 +3,10 @@
 A radial function u is stored by its values on a finite level window
 [k_min, k_max] (``values[i] = u(p^(k_min + i))``) together with a
 :class:`TailModel` on each side and the value u(0).  Tails are limited
-to zero / constant / power-law; that is exactly the class needed by the
-operator modules, and it makes every weighted infinite sum a geometric
-series with a closed form, so there is no truncation error at infinity.
+to zero / constant / power-law, the last with a constant part; that is
+exactly the class needed by the operator modules and the solver, and it
+makes every weighted infinite sum a sum of geometric series with a closed
+form, so there is no truncation error at infinity.
 
 The weighted sums here, ``sum_{k<=m} p^(e k) u(p^k)`` and its mirror image,
 are one private sum over levels lo <= k <= hi that also centers u on a
@@ -34,25 +35,33 @@ class TailModel:
     """Analytic description of u(p^k) outside the stored window.
 
     kind ``zero``: identically 0; ``const``: the constant ``c``;
-    ``power``: ``c * p^(rho k)``.  A constant or a power law with c = 0
-    normalizes to zero.  A constant is a power law with rho = 0 (its rho
-    is set to 0) but is kept distinct so constant tails stay exact.
+    ``power``: ``offset + c * p^(rho k)``, with a constant part ``offset`` (0 by
+    default).  A power law with c = 0 normalizes to the constant ``offset``, and a
+    constant with c = 0 to zero.  A constant is a power law with rho = 0 (its rho is
+    set to 0) but is kept distinct so constant tails stay exact; only a power law
+    carries an offset.
     """
 
     kind: str
     c: float = 0.0
     rho: float = 0.0
+    offset: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _TAIL_KINDS:
             raise DomainError(f"tail kind must be one of {_TAIL_KINDS}, got {self.kind!r}")
+        if self.kind == "power" and self.c == 0.0 and self.offset != 0.0:
+            object.__setattr__(self, "kind", "const")
+            object.__setattr__(self, "c", float(self.offset))
         if self.c == 0.0:
             object.__setattr__(self, "kind", "zero")
         if self.kind != "power":  # the power law with rho = 0, which the operators rely on
             object.__setattr__(self, "rho", 0.0)
+            object.__setattr__(self, "offset", 0.0)
         if self.kind == "zero":
             object.__setattr__(self, "c", 0.0)
-        if not (math.isfinite(self.c) and math.isfinite(self.rho)):
+        if not (math.isfinite(self.c) and math.isfinite(self.rho)
+                and math.isfinite(self.offset)):
             raise DomainError("tail parameters must be finite")
 
     @staticmethod
@@ -64,21 +73,24 @@ class TailModel:
         return TailModel("const", c=float(c))
 
     @staticmethod
-    def power_law(c: float, rho: float) -> "TailModel":
-        return TailModel("power", c=float(c), rho=float(rho))
+    def power_law(c: float, rho: float, offset: float = 0.0) -> "TailModel":
+        return TailModel("power", c=float(c), rho=float(rho), offset=float(offset))
 
     def value_at(self, p: int, k: int) -> float:
         if self.kind == "zero":
             return 0.0
         if self.kind == "const":
             return self.c
-        return self.c * p_pow(p, self.rho * k)
+        v = self.c * p_pow(p, self.rho * k)
+        return self.offset + v if self.offset else v  # 0.0 + -0.0 would lose the sign
 
     def to_token(self) -> str:
         if self.kind == "zero":
             return "zero"
         if self.kind == "const":
             return f"const:{self.c!r}"
+        if self.offset:
+            return f"power:{self.c!r}:{self.rho!r}:{self.offset!r}"
         return f"power:{self.c!r}:{self.rho!r}"
 
     @staticmethod
@@ -89,8 +101,8 @@ class TailModel:
                 return TailModel.zero()
             if parts[0] == "const" and len(parts) == 2:
                 return TailModel.constant(float(parts[1]))
-            if parts[0] == "power" and len(parts) == 3:
-                return TailModel.power_law(float(parts[1]), float(parts[2]))
+            if parts[0] == "power" and len(parts) in (3, 4):
+                return TailModel.power_law(*map(float, parts[1:]))
         except ValueError as err:
             raise DomainError(f"malformed tail token {token!r}: {err}") from err
         raise DomainError(f"malformed tail token {token!r}")
@@ -198,15 +210,15 @@ def _require_convergent(tail: TailModel, side: str, e: float, c: float = 0.0,
                         series: str = "") -> None:
     """The one convergence rule of a tail: sum p^(e k) (tail(k) - c) over the levels beyond
     a window on ``side`` ("left": k -> -inf, "right": k -> +inf) is geometric, of rate
-    e + rho for a power law and e for a constant or a centering c != 0, and converges iff
-    each rate is > 0 on the left and < 0 on the right; a boundary rate diverges.  Anything
-    else raises :class:`DivergenceError` naming ``series`` (the weighted sum by default)
-    and the broken inequality.
+    e + rho for a power law and e for a constant, an offset or a centering c != 0, and
+    converges iff each rate is > 0 on the left and < 0 on the right; a boundary rate
+    diverges.  Anything else raises :class:`DivergenceError` naming ``series`` (the
+    weighted sum by default) and the broken inequality.
     """
     sign, rel = (1.0, ">") if side == "left" else (-1.0, "<")
     if tail.kind == "power" and sign * (e + tail.rho) <= 0.0:
         broken = f"power-law {side} tail requires e + rho {rel} 0, got e + rho = {e + tail.rho}"
-    elif (tail.kind == "const" or c != 0.0) and sign * e <= 0.0:
+    elif (tail.kind == "const" or c != 0.0 or tail.offset != 0.0) and sign * e <= 0.0:
         broken = f"constant {side} tail requires e {rel} 0, got e = {e}"
     else:
         return
@@ -227,9 +239,10 @@ def _tail_sum(total: float, tail: TailModel, p: int, j: int, e: float, c: float,
     """
     _require_convergent(tail, side, e, c)
     shift = tail.c - c
-    if tail.kind == "power":
-        total += tail.value_at(p, origin) * _geom(p_pow(p, e + tail.rho), j - origin, side)
-        shift = -c
+    if tail.kind == "power":  # the power part, then the offset's part with the centering
+        total += tail.c * p_pow(p, tail.rho * origin) * _geom(p_pow(p, e + tail.rho),
+                                                              j - origin, side)
+        shift = tail.offset - c
     if shift != 0.0:
         total += shift * _geom(p_pow(p, e), j - origin, side)
     return total

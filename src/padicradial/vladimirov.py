@@ -69,14 +69,15 @@ def d_alpha(p: int, alpha: float) -> float:
 
 def _seed_rounding(tail, origin: int, e: float, seed: float, c: float, g: float,
                    lnp: float) -> float:
-    """Rounding bound of a closed-form seed with weights summing to g: its tail
-    part is at most |seed| + |c| g, its centering part |c| g, each off by a
-    few units plus 3 |exponent ln p| per power of p, times 1 / (1 - p^-r)
-    for a geometric sum of ratio p^-r."""
+    """Rounding bound of a closed-form seed with weights summing to g: its constant part,
+    a power tail's offset less the centering c (one rounding; |c| without an offset, as a
+    constant tail is charged too), is |offset - c| g, and its power part at most |seed|
+    plus that, each off by a few units plus 3 |exponent ln p| per power of p, times
+    1 / (1 - p^-r) for a geometric sum of ratio p^-r."""
     damp = max(-1.0 / math.expm1(-abs(r) * lnp) for r in (e, e + tail.rho))
     rho = abs(tail.rho)
     units = 10.0 + 4.0 * (1.0 + rho + abs(e)) * lnp + 3.0 * rho * abs(origin) * lnp
-    return _UNIT * units * damp * (abs(seed) + 2.0 * abs(c) * g)
+    return _UNIT * units * damp * (abs(seed) + 2.0 * abs(tail.offset - c) * g)
 
 
 def _walk_start(u: RadialFunction, alpha: float, lo: int, hi: int) -> tuple:

@@ -48,17 +48,35 @@ def march_at(prob, N, top, tol=1e-12):
     return cauchy._march(prob, N, top, tol, 1000, top + 1)
 
 
-def _truncation_bound(problem, k_cut, start):
+def _truncation_bound(problem, k_cut, start, dropped=None):
     """rem(n) of cauchy._truncation_constants for n = start, start + 1, ..., one step each:
-    the per-level oracle of the window floor's closed-form sum; the walk up to start forms
-    no power."""
+    the per-level oracle of the window floor's closed-form sum, at ``dropped`` = (M, g),
+    (bound_M, gamma) by default; the walk up to start forms no power."""
     p = problem.p
-    c, h, r = cauchy._truncation_constants(problem)
-    e = (problem.alpha - problem.gamma) * (k_cut - 1)
+    bound, gamma = dropped or (problem.rhs.bound_M, problem.gamma)
+    c, h, r = cauchy._truncation_constants(p, problem.alpha, gamma, bound)
+    e = (problem.alpha - gamma) * (k_cut - 1)
     flat = cauchy._scaled_power(c, p, e) / r
     walk = islice(cauchy._kernel_walk(p, problem.alpha), start - k_cut, None)
     for m, (s, _) in enumerate(walk, start - k_cut + 1):
         yield cauchy._scaled_power(c, p, e + h * m) * s + flat
+
+
+def _march_floor(problem, rep):
+    """(highest, dropped) that the march of ``rep`` passed to _choose_window_floor: (N, None)
+    for an undeclared f; else K_min <= min(N, L + 1), and below the floor
+    |ftilde_k - f0 p^(-gamma k)| <= F C M / (1 - q) p^(-(2 gamma - alpha) k)."""
+    rhs = problem.rhs
+    if rhs.flat_to is None:
+        return rep.local_radius_N, None
+    bound = rhs.lipschitz_F * rep.c_uniform * rhs.bound_M / (1.0 - rep.q_contraction)
+    return (min(rep.local_radius_N, rhs.flat_to + 1),
+            (bound, 2.0 * problem.gamma - problem.alpha))
+
+
+def _undeclared(rhs):
+    """rhs with no flat_to: its march takes ftilde as 0 below the floor."""
+    return replace(rhs, flat_to=None)
 
 
 # -- metadata and problem construction ---------------------------------------
@@ -73,6 +91,13 @@ def test_nonlinearity_validation():
         with pytest.raises(DomainError, match=message):
             Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0,
                          decay=(amplitude, 2.0))
+    # flat_to is a level or math.inf; an integral float is converted
+    for bad in (math.nan, -math.inf, 2.5, "3"):
+        with pytest.raises(DomainError, match="flat_to must be an integer"):
+            Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0, flat_to=bad)
+    for good, kept in ((3.0, 3), (-7, -7), (math.inf, math.inf)):
+        rhs = Nonlinearity(eval=lambda k, x: 0.0, bound_M=1.0, lipschitz_F=0.0, flat_to=good)
+        assert rhs.flat_to == kept and type(rhs.flat_to) is type(kept)
 
 
 def test_spot_check_rejects_wrong_bound():
@@ -101,6 +126,26 @@ def _counted(eval_):
         calls.append((k, x))
         return eval_(k, x)
     return counted, calls
+
+
+@pytest.mark.parametrize("flat_to", (-20, 3, 4, 12, math.inf))
+def test_spot_check_refuses_a_wrong_flat_to(flat_to):
+    # f(p^k, .) is one function up to level 3 and half of it above: flat_to = 3 holds, as
+    # does any flat_to below the sampled levels -12..12; a higher one is refused at level 4,
+    # the first sampled level whose values differ
+    f = lambda k, x: 0.1 * math.cos(x) * (1.0 if k <= 3 else 0.5)
+    rhs = Nonlinearity(eval=f, bound_M=0.1, lipschitz_F=0.1, flat_to=flat_to)
+    if flat_to <= 3:
+        rhs.spot_check(2)
+        return
+    message = f"declared flat_to = {flat_to} violated: f(p^4, .) differs from f(p^-12, .)"
+    with pytest.raises(MetadataError, match=re.escape(message)):
+        rhs.spot_check(2)
+    # a difference in the last bit, or in the sign of a zero, is refused too
+    for level_4 in (lambda v: math.nextafter(v, math.inf), lambda v: -v):
+        g = lambda k, x: level_4(0.1 * math.sin(x)) if k == 4 and x == 0.0 else 0.1 * math.sin(x)
+        with pytest.raises(MetadataError, match=re.escape("f(p^4, .) differs from f(p^-12, .)")):
+            Nonlinearity(eval=g, bound_M=0.1, lipschitz_F=0.1, flat_to=flat_to).spot_check(2)
 
 
 def test_spot_check_reads_the_decay_samples_from_the_grid():
@@ -262,20 +307,25 @@ def test_window_budget_closed_form_matches_level_sum(p, alpha, gamma):
     (2, 0.3, 0.18, None, -364),
 ])
 def test_deep_targets_certify_without_a_level_cap(p, alpha, gamma, extend_to, k_min):
-    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
-                       rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1, beta=2.0))
-    rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
-    N, k_max = rep.local_radius_N, rep.solution.k_max
-    assert rep.solution.k_min == k_min
-    assert k_max == (extend_to if extend_to is not None else N + 35)
-    assert rep.truncation_budget <= 1e-10
-    # the floor's sum covers every continuation level's remainder, so the solve
-    # reports picard_solve's budget for the same top as it is
-    floor, floor_sum = _choose_window_floor(prob, k_max + 1, 1e-10)
-    rems = list(islice(_truncation_bound(prob, k_min, N + 1), k_max - N))
-    assert floor == k_min and max(rems) <= floor_sum <= 1e-11
-    assert rep.truncation_budget == picard_solve(
-        prob, N, 1e-10, reserve_top=k_max + 1).truncation_budget
+    # k_min is the floor of the undeclared f, which takes ftilde as 0 below it; the catalog's
+    # flat_to = 0 seeds the march, whose second-order floor lies at the seeded level
+    seeded = {3: -44, 2: -80 if alpha == 1.5 else -172}[p]
+    f = catalog_nonlinearity("cos-decay", p, amplitude=0.1, beta=2.0)
+    for rhs, floor_at in ((_undeclared(f), k_min), (f, seeded)):
+        prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0, rhs=rhs)
+        rep = solve_problem(prob, tol=1e-10, extend_to=extend_to)
+        N, k_max = rep.local_radius_N, rep.solution.k_max
+        assert rep.solution.k_min == floor_at
+        assert k_max == (extend_to if extend_to is not None else N + 35)
+        assert rep.truncation_budget <= 1e-10
+        # the floor's sum covers every continuation level's remainder, so the solve
+        # reports picard_solve's budget for the same top as it is
+        highest, dropped = _march_floor(prob, rep)
+        floor, floor_sum = _choose_window_floor(prob, k_max + 1, 1e-10, highest, dropped)
+        rems = list(islice(_truncation_bound(prob, floor_at, N + 1, dropped), k_max - N))
+        assert floor == floor_at and max(rems) <= floor_sum <= 1e-11
+        assert rep.truncation_budget == picard_solve(
+            prob, N, 1e-10, reserve_top=k_max + 1).truncation_budget
 
 
 @pytest.mark.parametrize("rhs, alpha, gamma", [
@@ -286,11 +336,31 @@ def test_window_floor_stops_at_the_work_limit(rhs, alpha, gamma):
     # with alpha - gamma at 1e-9 or 1e-6 the budget decays like p^((alpha - gamma) K), so
     # the floor would lie millions of levels down; the search refuses past MAX_WINDOW
     # levels, naming the limit and the bound at the last candidate, 99 997 levels wide
+    # (an undeclared f: with its flat_to, F = 0 makes the seed exact, see below)
     prob = ProblemSpec(p=2, alpha=alpha, gamma=gamma, u0=1.0,
-                       rhs=catalog_nonlinearity(rhs, 2))
+                       rhs=_undeclared(catalog_nonlinearity(rhs, 2)))
     limit = f"work limit of {cauchy.MAX_WINDOW} window levels "
     with pytest.raises(BudgetError, match=re.escape(limit) + r"\(bound \S+ at K_min = -99952\)"):
         solve_problem(prob, tol=1e-10)
+
+
+@pytest.mark.parametrize("rhs, alpha, gamma", [
+    ("zero", 0.5, 0.5 - 1e-9),
+    ("const", 1e-6, 0.0),
+])
+def test_a_seed_with_no_second_order_solves_where_the_work_limit_refused(rhs, alpha, gamma):
+    # the problems above with their catalog flat_to: F = 0, so the seed f(p^(K_min - 1), u0)
+    # p^(-gamma k) is ftilde below the floor exactly, the budget is exactly 0.0 and the floor
+    # is the first candidate; I^alpha annihilates the constant ftilde of gamma = 0, so both
+    # solutions are u0 at every level, on the window and in the tail
+    prob = ProblemSpec(p=2, alpha=alpha, gamma=gamma, u0=1.0, rhs=catalog_nonlinearity(rhs, 2))
+    rep = solve_problem(prob, tol=1e-10)
+    u = rep.solution
+    assert rep.truncation_budget == 0.0 and (u.k_min, u.k_max) == (-8, 43)
+    assert set(u.values) == {1.0} and u.left_tail == TailModel.constant(1.0)
+    # a zero constant scales a p^e that underflowed to exactly 0.0, forming no log(0)
+    for e in (-1000.0, -1100.0):
+        assert cauchy._scaled_power(0.0, 2, e) == 0.0
 
 
 @pytest.mark.parametrize("p, alpha, gamma, rhs, N, width", [
@@ -302,13 +372,17 @@ def test_window_floor_stops_at_the_work_limit(rhs, alpha, gamma):
 ])
 def test_deep_regimes_solve_within_the_work_limit(p, alpha, gamma, rhs, N, width):
     # a tiny alpha, gamma at 0.99 min(1, alpha), and N far below level -60 all certify; each
-    # window reaches past the level where p^(-gamma k) or p^((alpha - 1) k) leaves the double
-    # range, which the level-scaled sweep never forms
-    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
-                       rhs=catalog_nonlinearity(rhs, p))
-    rep = solve_problem(prob, tol=1e-10)
-    assert rep.local_radius_N == N and len(rep.solution.values) == width
-    assert rep.truncation_budget <= 1e-10
+    # window of the undeclared f (width) reaches past the level where p^(-gamma k) or
+    # p^((alpha - 1) k) leaves the double range, which the level-scaled sweep never forms.
+    # The seeded march of the catalog's f needs the seeded width: cos-decay's second-order
+    # floor lies about half as deep, and const's seed is exact
+    seeded = {0.05: 884, 1.7: 114, 0.3: 7952}[alpha] if rhs == "cos-decay" else 52
+    f = catalog_nonlinearity(rhs, p)
+    for rhs, levels in ((_undeclared(f), width), (f, seeded)):
+        rep = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0, rhs=rhs),
+                            tol=1e-10)
+        assert rep.local_radius_N == N and len(rep.solution.values) == levels
+        assert rep.truncation_budget <= 1e-10
 
 
 def test_q_is_formed_in_the_radius_searchs_order():
@@ -356,6 +430,13 @@ def test_a_value_of_f_past_bound_m_off_the_sampled_levels_is_refused():
     with pytest.raises(MetadataError, match=r"^declared bound_M = 0.1 violated: "
                                             r"\|f\(p\^-20, \S+\)\| = 0.5$"):
         solve_problem(prob, extend_to=2)
+    # the seed's value f(p^(K_min - 1), u0), at a u0 = 20 off the sampled points, too
+    rhs = Nonlinearity(eval=lambda k, x: 0.1 if abs(x) <= 8.0 else 0.5, bound_M=0.1,
+                       lipschitz_F=0.0, flat_to=math.inf)
+    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=20.0, rhs=rhs)
+    with pytest.raises(MetadataError, match=r"^declared bound_M = 0.1 violated: "
+                                            r"\|f\(p\^-9, 20.0\)\| = 0.5$"):
+        solve_problem(prob, extend_to=2)
 
 
 def test_the_last_value_of_f_at_a_level_is_checked_against_bound_m():
@@ -393,46 +474,89 @@ def test_a_non_finite_f_above_the_sampled_levels_is_refused(bad):
 
 @pytest.mark.parametrize("amplitude, N, k_min", [(5.0, -3, -56), (0.1, -1, -48)])
 def test_extend_to_minus_one_reserves_level_zero(amplitude, N, k_min):
-    # target + 1 = 0 is a level to reserve, not "no reserve": the floor covers level 0
-    prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0,
-                       rhs=catalog_nonlinearity("cos-decay", 2, amplitude=amplitude))
-    rep = solve_problem(prob, tol=1e-10, extend_to=-1)
-    floor, floor_sum = _choose_window_floor(prob, 0, 1e-10, N)
-    assert rep.local_radius_N == N and rep.solution.k_min == floor == k_min
-    assert rep.truncation_budget == floor_sum / (1.0 - rep.q_contraction)
-    rems = list(islice(_truncation_bound(prob, k_min, k_min), -k_min + 1))
-    assert sum(rems) <= rep.truncation_budget
+    # target + 1 = 0 is a level to reserve, not "no reserve": the floor covers level 0, at
+    # k_min for the undeclared f and at the seeded level for the catalog's
+    seeded = {5.0: -24, 0.1: -16}[amplitude]
+    f = catalog_nonlinearity("cos-decay", 2, amplitude=amplitude)
+    for rhs, floor_at in ((_undeclared(f), k_min), (f, seeded)):
+        prob = ProblemSpec(p=2, alpha=1.5, gamma=0.25, u0=1.0, rhs=rhs)
+        rep = solve_problem(prob, tol=1e-10, extend_to=-1)
+        highest, dropped = _march_floor(prob, rep)
+        floor, floor_sum = _choose_window_floor(prob, 0, 1e-10, highest, dropped)
+        assert rep.local_radius_N == N == highest and rep.solution.k_min == floor == floor_at
+        assert rep.truncation_budget == floor_sum / (1.0 - rep.q_contraction)
+        rems = list(islice(_truncation_bound(prob, floor_at, floor_at, dropped), -floor_at + 1))
+        assert sum(rems) <= rep.truncation_budget
 
 
-def _reference():
-    """bench/reference.py, the package-independent mpmath reference, loaded read-only."""
+def _reference(name="reference"):
+    """bench/reference.py, the package-independent mpmath reference, or another module of
+    the benchmark, loaded read-only."""
     import importlib.util
     from pathlib import Path
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("reference", path)
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+# the nine solve-deep cells and every eighth sweep-grid cell of the benchmark's seed 5
+_WORKLOADS = _reference("workloads")
+_BENCH_CELLS = _WORKLOADS.deep_cells(5) + _WORKLOADS.sweep_cells(5)[::8]
+
+
+@pytest.mark.parametrize("cell", _BENCH_CELLS, ids=lambda cell: cell.label())
+def test_the_seeded_march_agrees_with_a_march_from_200_levels_deeper(cell, monkeypatch):
+    # the march of the undeclared f from 200 levels below the seeded floor, its budget the
+    # floor's sum at (bound_M, gamma) there: on every level of its window, the seeded
+    # solution's and its stored left tail below the seeded floor, the two differ by at most
+    # both budgets and the steps' relative stop
+    tol = 1e-10
+    rhs = catalog_nonlinearity(cell.rhs, cell.p, amplitude=cell.amplitude, beta=cell.beta)
+    prob = ProblemSpec(p=cell.p, alpha=cell.alpha, gamma=cell.gamma, u0=cell.u0, rhs=rhs)
+    rep = solve_problem(prob, tol=tol, extend_to=cell.extend_to)
+    u = rep.solution
+    floor = u.k_min - 200
+
+    def deeper(problem, n_top, tol, highest=math.inf, dropped=None):
+        assert dropped is None
+        return floor, sum(islice(_truncation_bound(problem, floor, floor), n_top - floor + 1))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cauchy, "_choose_window_floor", deeper)
+        deep = solve_problem(replace(prob, rhs=_undeclared(rhs)), tol=tol, extend_to=u.k_max)
+    v = deep.solution
+    assert (v.k_min, v.k_max) == (floor, u.k_max) and deep.truncation_budget <= 1e-11
+    budgets = rep.truncation_budget + deep.truncation_budget
+    for n, x in zip(range(floor, u.k_max + 1), v.values):
+        assert abs(u.value_at(n) - x) <= budgets + tol * max(1.0, abs(x)), n
 
 
 @pytest.mark.parametrize("p, alpha, gamma", [(2, 0.05, 0.025), (2, 0.3, 0.297), (3, 0.5, 0.2)])
 def test_const_solution_matches_an_independent_reference(p, alpha, gamma):
     # for f = lam, u(p^n) = u0 + lam c(-gamma) p^((alpha - gamma) n) exactly, with
-    # c(-gamma) = (I^alpha |t|^(-gamma))(1) from the reference's 50-digit strata sums
+    # c(-gamma) = (I^alpha |t|^(-gamma))(1) from the reference's 50-digit strata sums; the
+    # seed is exact, so the window floor is the first candidate, and the stored left tail,
+    # u0 + lam c(-gamma) p^((alpha - gamma) k), holds on 100 levels below it too
     from mpmath import mp, mpf
     reference = _reference()
     lam = 0.1
     prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
                        rhs=catalog_nonlinearity("const", p, amplitude=lam))
     rep = solve_problem(prob, tol=1e-10)
+    u = rep.solution
+    assert rep.truncation_budget == 0.0 and u.k_min == min(u.k_max, 0) - 8
     power = ("power", 1.0, -gamma)
     c = reference.ialpha(reference.Radial(p, 0, [1.0], power, power), alpha, 0, 0)[0][0]
     with mp.workdps(30):
         P, rate = mpf(p), mpf(alpha) - mpf(gamma)
-        for n, u in enumerate(rep.solution.values, rep.solution.k_min):
+        for n in range(u.k_min - 100, u.k_max + 1):
+            x = u.value_at(n)
             ref = float(1 + lam * c * P ** (rate * n))
             # the tol term covers rounding where |u| is large: at (3, 0.5, 0.2) |u| nears 1e5
-            assert abs(u - ref) <= rep.truncation_budget + 1e-10 * max(1.0, abs(u)), n
+            assert abs(x - ref) <= rep.truncation_budget + 1e-10 * max(1.0, abs(x)), n
 
 
 @pytest.mark.parametrize("p, alpha, gamma, lam, top", [
@@ -442,34 +566,39 @@ def test_a_u_dependent_rhs_matches_its_exact_power_series(p, alpha, gamma, lam, 
     # u(p^n) = u0 sum_j lam^j C_j p^(j (alpha - gamma) n), C_0 = 1 and
     # C_(j+1) = C_j c(j (alpha - gamma) - gamma): I^alpha maps |t|^(-gamma) |t|^(j (alpha -
     # gamma)) to c |t|^((j+1) (alpha - gamma)), c(rho) = (I^alpha |t|^rho)(1) from the
-    # reference's 50-digit strata sums; 80 terms leave a remainder far below 1e-16
+    # reference's 50-digit strata sums; 80 terms leave a remainder far below 1e-16.  Declared
+    # flat at every level, the march starts from the seed lam u0 p^(-gamma k) below its floor
     from mpmath import mp, mpf
     reference = _reference()
     R, u0, tol = 10.0, 1.0, 1e-10
-    rhs = Nonlinearity(eval=lambda k, x: lam * min(max(x, -R), R), bound_M=abs(lam) * R,
-                       lipschitz_F=abs(lam))
-    rep = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=u0, rhs=rhs), tol=tol,
-                        extend_to=top)
-    u = rep.solution
-    assert u.k_max == top
     with mp.workdps(50):
         rate, coefs = (mpf(alpha) - mpf(gamma)) * mp.log(p), [mpf(1)]
         for j in range(79):
             power = ("power", 1.0, j * (alpha - gamma) - gamma)
             c = reference.ialpha(reference.Radial(p, 0, [1.0], power, power), alpha, 0, 0)[0][0]
             coefs.append(coefs[-1] * lam * c)
-        for n, x in zip(range(u.k_min, top + 1), u.values):
-            exact = float(u0 * sum(a * mp.exp(j * rate * n) for j, a in enumerate(coefs)))
-            assert abs(exact) <= R  # the clamp never acts on the solution
-            assert abs(x - exact) <= rep.truncation_budget + tol * max(1.0, abs(x)), n
+    for flat_to in (None, math.inf):
+        rhs = Nonlinearity(eval=lambda k, x: lam * min(max(x, -R), R), bound_M=abs(lam) * R,
+                           lipschitz_F=abs(lam), flat_to=flat_to)
+        rep = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=u0, rhs=rhs),
+                            tol=tol, extend_to=top)
+        u = rep.solution
+        assert u.k_max == top
+        with mp.workdps(50):
+            for n in range(u.k_min - 20, top + 1):  # the left tail's levels too
+                x = u.value_at(n)
+                exact = float(u0 * sum(a * mp.exp(j * rate * n) for j, a in enumerate(coefs)))
+                assert abs(exact) <= R  # the clamp never acts on the solution
+                assert abs(x - exact) <= rep.truncation_budget + tol * max(1.0, abs(x)), n
 
 
 @pytest.mark.parametrize("p, alpha, gamma, amplitude, beta", [
     (2, 1.5, 0.25, 0.1, 2.0), (3, 0.5, 0.2, 0.1, 2.0), (2, 1.3, 0.4, 0.3, 1.5)])
 def test_march_matches_a_60_digit_forward_substitution(p, alpha, gamma, amplitude, beta):
-    # the truncated system (ftilde = 0 below K_min) solved level by level in mpmath, from the
-    # reference's kernel and right-hand side: each level's scalar equation
-    # x = u0 + S_n + p^(alpha (n - 1)) p^(-gamma n) f(p^n, x) iterated to 1e-50
+    # the truncated system (ftilde = f0 p^(-gamma k) below K_min, f0 = f(p^(K_min - 1), u0),
+    # the seed) solved level by level in mpmath, from the reference's kernel and right-hand
+    # side: each level's scalar equation x = u0 + S_n + p^(alpha (n - 1)) p^(-gamma n) f(p^n, x)
+    # iterated to 1e-50, the sums S_n started from the seed's closed form
     from mpmath import mp, mpf
     reference = _reference()
     tol = 1e-10
@@ -480,7 +609,10 @@ def test_march_matches_a_60_digit_forward_substitution(p, alpha, gamma, amplitud
     with mp.workdps(reference.working_dps(p, alpha, u.k_min, u.k_max) + 10):
         P, a, g = mpf(p), mpf(alpha), mpf(gamma)
         coef = reference.interior_prefactor(p, alpha) * (1 - 1 / P)
-        s1 = sa = mpf(0)  # sum over k < n of p^k ftilde_k and p^(alpha k) ftilde_k
+        # sum over k < n of p^k ftilde_k and p^(alpha k) ftilde_k, at n = K_min the seed's
+        f0 = reference.rhs_value("cos-decay", p, amplitude, beta, u.k_min - 1, prob.u0)
+        s1 = f0 * P ** ((1 - g) * u.k_min) / (P ** (1 - g) - 1)
+        sa = f0 * P ** ((a - g) * u.k_min) / (P ** (a - g) - 1)
         x = mpf(prob.u0)
         for n, got in enumerate(u.values, u.k_min):
             base = prob.u0 + coef * (P ** ((a - 1) * n) * s1 - sa)
@@ -500,30 +632,36 @@ def test_march_matches_a_60_digit_forward_substitution(p, alpha, gamma, amplitud
 @pytest.mark.parametrize("alpha", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.5])
 @pytest.mark.parametrize("p", [2, 7])
 def test_truncation_bound_is_the_exact_sum_below_the_floor(p, alpha):
-    # sum_{k < K} |kernel(n, k)| M p^(-gamma k) in 50 digits, with the log kernel at alpha = 1
+    # sum_{k < K} |kernel(n, k)| M p^(-g k) in 50 digits, with the log kernel at alpha = 1,
+    # at g = gamma and at the seeded floor's g = 2 gamma - alpha (0.1 down to -1.9 here)
     from mpmath import mp, mpf
-    gamma, k_cut = 0.3, -20
-    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
+    k_cut = -20
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=0.3, u0=1.0,
                        rhs=catalog_nonlinearity("cos-decay", p, amplitude=0.1))
-    got = list(islice(_truncation_bound(prob, k_cut, k_cut), 31))
-    with mp.workdps(50):
-        P, a, g, m = mpf(p), mpf(alpha), mpf(gamma), mpf("0.1")
-        ks = range(k_cut - 400, k_cut)  # the rest is below 1e-24 of the sum
-        pref = (1 - 1 / P) if alpha == 1.0 else (1 - P ** -a) / (1 - P ** (a - 1)) * (1 - 1 / P)
-        for n in (k_cut, k_cut + 1, k_cut + 5, k_cut + 30):
-            kernel = ((1 - 1 / P) * (n - k) if alpha == 1.0
-                      else P ** ((a - 1) * n) - P ** ((a - 1) * k) for k in ks)
-            want = sum(abs(pref * t) * P ** k * m * P ** (-g * k) for t, k in zip(kernel, ks))
-            assert abs(got[n - k_cut] - want) <= 1e-13 * want, n
+    for gamma in (0.3, 0.6 - alpha):
+        got = list(islice(_truncation_bound(prob, k_cut, k_cut, (0.1, gamma)), 31))
+        with mp.workdps(50):
+            P, a, g, m = mpf(p), mpf(alpha), mpf(gamma), mpf("0.1")
+            ks = range(k_cut - 400, k_cut)  # the rest is below 1e-24 of the sum
+            pref = ((1 - 1 / P) if alpha == 1.0
+                    else (1 - P ** -a) / (1 - P ** (a - 1)) * (1 - 1 / P))
+            for n in (k_cut, k_cut + 1, k_cut + 5, k_cut + 30):
+                kernel = ((1 - 1 / P) * (n - k) if alpha == 1.0
+                          else P ** ((a - 1) * n) - P ** ((a - 1) * k) for k in ks)
+                want = sum(abs(pref * t) * P ** k * m * P ** (-g * k)
+                           for t, k in zip(kernel, ks))
+                assert abs(got[n - k_cut] - want) <= 1e-13 * want, (gamma, n)
 
 
 @pytest.mark.parametrize("p, k_min", [(2, -76), (7, -28)])
 def test_window_floor_is_continuous_through_alpha_one(p, k_min):
-    # the budget is continuous in alpha, with no 1 / |alpha - 1| next to alpha = 1
+    # the budget is continuous in alpha, with no 1 / |alpha - 1| next to alpha = 1: k_min
+    # for ftilde itself, and the seeded solve's second-order floor too
     for alpha in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
         prob = ProblemSpec(p=p, alpha=alpha, gamma=0.4, u0=1.0,
                            rhs=catalog_nonlinearity("cos-decay", p))
         assert _choose_window_floor(prob, choose_local_radius(prob) + 36, 1e-10)[0] == k_min
+        assert solve_problem(prob).solution.k_min == {2: -36, 7: -12}[p]
 
 
 def test_window_floor_rejects_non_positive_tol():
@@ -753,11 +891,13 @@ def test_continuation_evaluates_f_a_linear_number_of_times(extend_to):
 
 def _dilated(rhs, p, alpha, gamma, s):
     """f_s(p^k, x) = p^((gamma - alpha) s) f(p^(k - s), x), with M, F and F_k scaled by the
-    same factor; a decay pair (A, beta) does not carry over in that form, so none is declared."""
+    same factor and flat_to moved by s; a decay pair (A, beta) does not carry over in that
+    form, so none is declared."""
     scale = p_pow(p, (gamma - alpha) * s)
     return Nonlinearity(eval=lambda k, x: scale * rhs.eval(k - s, x),
                         bound_M=scale * rhs.bound_M, lipschitz_F=scale * rhs.lipschitz_F,
-                        per_level_F=lambda k: scale * rhs.per_level_F(k - s))
+                        per_level_F=lambda k: scale * rhs.per_level_F(k - s),
+                        flat_to=rhs.flat_to + s)
 
 
 @pytest.mark.parametrize("s", (-3, 1, 4))
@@ -766,15 +906,17 @@ def _dilated(rhs, p, alpha, gamma, s):
 def test_a_dilated_problem_is_solved_by_the_shifted_solution(p, alpha, gamma, s):
     # D^alpha is homogeneous of degree alpha under t -> p^s t, so if u solves the problem
     # with f, v_n = u_(n-s) solves it with f_s and the same u0: N moves by s, the floor by
-    # s up to its 4-level grid, and the values agree within both budgets and the steps'
-    # relative stop, on every shared level (57 to 4812 of them here)
+    # s up to its 4-level grid (or to the search's first candidate min(k_max, 0) - 8, where
+    # the moved floor would lie above it), and the values agree within both budgets and the
+    # steps' relative stop, on every shared level (45 to 2324 of them here)
     tol = 1e-10
     rhs = catalog_nonlinearity("cos-decay", p)
     u = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0, rhs=rhs), tol=tol)
     v = solve_problem(ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.0,
                                   rhs=_dilated(rhs, p, alpha, gamma, s)), tol=tol)
     assert v.local_radius_N == u.local_radius_N + s
-    assert abs(v.solution.k_min - (u.solution.k_min + s)) < 4
+    first = min(v.solution.k_max, 0) - 8
+    assert abs(v.solution.k_min - min(u.solution.k_min + s, first)) < 4
     assert v.solution.k_max == u.solution.k_max + s
     budgets = u.truncation_budget + v.truncation_budget
     for n in range(max(v.solution.k_min, u.solution.k_min + s), v.solution.k_max + 1):
@@ -846,9 +988,10 @@ def test_residual_buffer_gate():
 
 
 def test_uncertainty_refusal_text_is_formatted_when_read():
-    # the refusal carries its numbers and builds the text of the f-string it replaced
+    # the refusal carries its numbers and builds the text of the f-string it replaced (an
+    # undeclared zero, whose window reaches down to level -147)
     prob = ProblemSpec(p=5, alpha=2.0, gamma=0.6, u0=1.0,
-                       rhs=catalog_nonlinearity("zero", 5))
+                       rhs=_undeclared(catalog_nonlinearity("zero", 5)))
     u = solve_problem(prob, tol=1e-10).solution
     text = ("residual uncertainty 2.1948611615507969e+130 at level -147 exceeds tol = 1e-08; "
             "extend the solution to higher levels")
@@ -887,7 +1030,7 @@ def test_residual_refuses_a_weight_past_the_overflow_guard(monkeypatch):
     prob = ProblemSpec(p=2, alpha=1.0, gamma=0.9, u0=1.0,
                        rhs=catalog_nonlinearity("cos-decay", 2))
     u = solve_problem(prob, tol=1e-10, extend_to=1126).solution
-    assert u.k_min == -556
+    assert u.k_min == -288
     powers = []
     monkeypatch.setattr(cauchy, "p_pow", lambda *args: powers.append(args) or p_pow(*args))
     with pytest.raises(IndeterminateResidualError,
@@ -1037,7 +1180,8 @@ def test_guarded_powers_per_solve_do_not_scale_with_picard_iterations():
 @pytest.mark.parametrize("alpha", (1.5, 1.0, 0.5))
 def test_continuation_reuses_picards_power_tables(alpha):
     # a solve builds one sweep and walks it from the window floor to the target, however
-    # deep the window; it once built a second one for the levels above N
+    # deep the window; it once built a second one for the levels above N.  The other sweep
+    # is power_image_coefficient's one level, the coefficient of the seeded left tail
     rhs = catalog_nonlinearity("cos-decay", 3, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=3, alpha=alpha, gamma=0.3, u0=1.0, rhs=rhs)
     for extend_to in (30, 60):
@@ -1045,7 +1189,7 @@ def test_continuation_reuses_picards_power_tables(alpha):
             return solve_problem(prob, tol=1e-10, extend_to=extend_to)
         rep, sweeps = _guarded_powers(solve, funcs=(_IalphaSweep.__init__,))
         assert rep.solution.k_max == extend_to and len(rep.extension_diagnostics) > extend_to - 10
-        assert sweeps == 1
+        assert sweeps == 2
 
 
 def test_picard_keeps_its_tables_when_the_continuations_pass_the_guard():
@@ -1076,7 +1220,7 @@ def test_residual_profile_fits_the_envelope_once(monkeypatch):
     rhs = catalog_nonlinearity("cos-decay", 7, amplitude=0.075, beta=2.5)
     prob = ProblemSpec(p=7, alpha=1.0, gamma=0.3, u0=1.25, rhs=rhs)
     u = solve_problem(prob, tol=1e-10, extend_to=250).solution
-    assert 270 <= len(u.values) <= 280
+    assert 260 <= len(u.values) <= 270
     reported = 0
     for n in range(u.k_min, u.k_max + 1):
         try:
@@ -1266,6 +1410,7 @@ def test_catalog_views_are_eval_and_level_lipschitz_bit_for_bit(name, amplitude,
     grid = [-8.0 + 16.0 * i / 40.0 for i in range(41)]
     xs = grid + [rng.uniform(-50.0, 50.0) for _ in range(20)] + [0.0, -0.0, 1e-300, 1e300]
     rhs = catalog_nonlinearity(name, p, amplitude=amplitude, beta=2.0)
+    assert rhs.flat_to == (0 if name == "cos-decay" else math.inf)
     m = abs(amplitude)
     for k in range(-30, 301):
         g, lip = rhs.at_level(k)
@@ -1302,6 +1447,7 @@ def test_catalog_views_are_eval_and_level_lipschitz_bit_for_bit(name, amplitude,
     at = {}
     for k, x in calls:
         at.setdefault(k, []).append(x)
+    assert at.pop(u.k_min - 1) == [prob.u0]  # the seed, f(p^(K_min - 1), u0), kept by replace
     assert list(at) == list(range(u.k_min, u.k_max + 1))
     for k, seen in at.items():
         assert seen[-1] == u.values[k - u.k_min] and len(seen) >= 2

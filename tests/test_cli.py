@@ -251,9 +251,11 @@ def test_solve_residual_column_bounded(tmp_path, capsys):
 
 
 def test_solve_prints_the_floor_budget(tmp_path, capsys):
-    # the floor's bound summed up to k_max + 1, over 1 - q: each level counted once
+    # the floor's bound summed up to k_max + 1, over 1 - q: each level counted once; the
+    # bound is the second-order one of the seeded march, from k_min = -28
     code, out, _ = run(capsys, "solve", "--config", str(solve_config(tmp_path)))
-    assert code == 0 and "\ntruncation_budget 1.03319762773e-11\n" in out
+    assert code == 0 and "\ntruncation_budget 7.02893523308e-14\n" in out
+    assert "\nk_min -28\n" in out
 
 
 def test_solve_gamma_gate_exit_2(tmp_path, capsys):
@@ -265,11 +267,24 @@ def test_solve_gamma_gate_exit_2(tmp_path, capsys):
 
 def test_solve_uncertifiable_window_floor_exit_3(capsys):
     # gamma close to alpha: the truncation budget cannot be met within the work
-    # limit on the window width, a runtime failure
+    # limit on the window width, a runtime failure (cos-decay: its F > 0 leaves a
+    # second-order part below the seeded floor)
     code, _, err = run(capsys, "solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.499999999",
-                       "--u0", "1", "--rhs", "zero")
+                       "--u0", "1", "--rhs", "cos-decay")
     assert code == 3
     assert "work limit of 100000 window levels" in err
+
+
+def test_solve_a_zero_rhs_next_to_degeneration_exit_0(capsys):
+    # the same problem with f = 0 once met the work limit too; its seed is exact, so the
+    # floor is the first candidate, the budget 0 and u = u0 at every level
+    code, out, err = run(capsys, "solve", "--p", "2", "--alpha", "0.5", "--gamma", "0.499999999",
+                         "--u0", "1", "--rhs", "zero")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:] if line[:1] in "-0123456789"]
+    assert [int(r[0]) for r in rows] == list(range(-8, 44))
+    assert {r[2] for r in rows} == {"1"}
+    assert "\nk_min -8\n" in out and "\ntruncation_budget 0\n" in out
 
 
 def test_solve_overflowing_c_uniform_f_exit_3(capsys):
@@ -394,9 +409,10 @@ def test_sweep_rows(tmp_path, capsys):
 
 def test_sweep_reports_a_failing_cell_as_a_row(capsys):
     # alpha - gamma = 6e-7 puts the window floor past the work limit: a runtime failure of
-    # the cell, reported in its row while the sweep itself exits 0
+    # the cell, reported in its row while the sweep itself exits 0 (cos-decay: a const f
+    # is its own exact seed, and solves)
     code, out, err = run(capsys, "sweep", "--p-list", "2", "--alpha-list", "1e-6",
-                         "--rhs", "const")
+                         "--rhs", "cos-decay")
     assert (code, err) == (0, "")
     assert out.splitlines()[1:] == ["2,1e-06,4e-07,,,,,,,,failure: BudgetError"]
 

@@ -141,7 +141,7 @@ def _ialpha_mpmath(u, alpha, n, depth=300):
 
         def value(k):
             if k < u.k_min and tail.kind == "power":
-                return mpf(tail.c) * p ** (mpf(tail.rho) * k)
+                return mpf(tail.offset) + mpf(tail.c) * p ** (mpf(tail.rho) * k)
             return mpf(u.value_at(k))
 
         diag = p ** (a * (n - 1)) * value(n)
@@ -187,6 +187,23 @@ def test_ialpha_keeps_a_normal_result_with_subnormal_intermediates():
     u = RadialFunction(5, 0, 0, [2.2250738585072014e-308])
     want, scale = _ialpha_mpmath(u, 1.0, 4)
     assert _within_mpmath_bound(apply_ialpha(u, 1.0, 4), want, scale)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+def test_ialpha_of_an_offset_tail_matches_mpmath(p, alpha):
+    # I^alpha annihilates the offset of offset + c p^(rho k), so the sweep is seeded with
+    # the state of the power part alone, and steps from the tail's full value; levels below,
+    # at and above the window's floor, apply_ialpha and assembly alike
+    values = (1.25, 1.5, 0.75, -0.5, 1.0, 2.0)
+    for rho in (-0.3, 0.4):
+        u = RadialFunction(p, -3, 2, values, left_tail=TailModel.power_law(-0.3, rho, 1.125))
+        levels = range(-8, 4)
+        assembled = assemble_fractional_integral(u, alpha, -8, 3).values
+        for n, got in zip(levels, assembled):
+            want, scale = _ialpha_mpmath(u, alpha, n)
+            assert _within_mpmath_bound(apply_ialpha(u, alpha, n), want, scale), (rho, n)
+            assert got == apply_ialpha(u, alpha, n)
 
 
 def test_ialpha_power_law_golden():

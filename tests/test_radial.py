@@ -35,6 +35,18 @@ def test_eval_window_and_tails():
 
 def test_power_tail_with_zero_coefficient_normalizes():
     assert TailModel.power_law(0.0, 2.0).kind == "zero"
+    # with an offset it is that constant, and with a zero offset zero
+    assert TailModel.power_law(-0.0, 2.0, 1.5) == TailModel.constant(1.5)
+    assert TailModel.power_law(0.0, 2.0, -0.0) == TailModel.zero()
+    assert TailModel.constant(2.0) == TailModel("const", 2.0, 0.0, 7.0)  # no offset on a constant
+
+
+def test_an_offset_free_power_tail_keeps_its_signed_zero():
+    # offset + c p^(rho k) is c p^(rho k) itself without an offset: 0.0 + -0.0 would be 0.0
+    tail = TailModel.power_law(-1.0, 1.0)
+    assert math.copysign(1.0, tail.value_at(2, -1100)) == -1.0
+    shifted = TailModel.power_law(-1.0, 1.0, 0.5)
+    assert shifted.value_at(2, -1100) == 0.5 and shifted.value_at(2, 1) == -1.5
 
 
 def test_constant_tail_of_zero_normalizes():
@@ -49,10 +61,16 @@ def test_constant_tail_of_zero_normalizes():
 
 
 def test_tail_token_round_trip():
-    for tail in (TailModel.zero(), TailModel.constant(-2.5), TailModel.power_law(1.5, -0.75)):
+    for tail in (TailModel.zero(), TailModel.constant(-2.5), TailModel.power_law(1.5, -0.75),
+                 TailModel.power_law(1.5, -0.75, 0.1)):
         assert TailModel.from_token(tail.to_token()) == tail
-    with pytest.raises(DomainError):
-        TailModel.from_token("power:1")
+    # a power tail's token names its offset only when it has one
+    assert TailModel.power_law(1.5, -0.75).to_token() == "power:1.5:-0.75"
+    assert TailModel.power_law(1.5, -0.75, 0.1).to_token() == "power:1.5:-0.75:0.1"
+    assert TailModel.from_token("power:0:2:0.25") == TailModel.constant(0.25)
+    for token in ("power:1", "power:1:2:3:4", "const:1:2"):
+        with pytest.raises(DomainError, match="^malformed tail token"):
+            TailModel.from_token(token)
 
 
 def test_tail_refusals():
@@ -61,6 +79,10 @@ def test_tail_refusals():
         TailModel("linear", 1.0)
     with pytest.raises(DomainError, match="^tail parameters must be finite$"):
         TailModel.power_law(1.0, math.nan)
+    for offset in (math.nan, math.inf):
+        for c in (1.0, 0.0):
+            with pytest.raises(DomainError, match="^tail parameters must be finite$"):
+                TailModel.power_law(c, 0.5, offset)
     with pytest.raises(DomainError, match="^malformed tail token 'const:x': could not convert "
                                           "string to float: 'x'$"):
         TailModel.from_token("const:x")
@@ -156,7 +178,8 @@ def test_values_on_an_empty_range_that_starts_in_the_window_is_empty():
 
 
 _TAILS = {"zero": TailModel.zero(), "const": TailModel.constant(-0.75),
-          "power": TailModel.power_law(1.5, 0.5), "decay": TailModel.power_law(-2.0, -1.25)}
+          "power": TailModel.power_law(1.5, 0.5), "decay": TailModel.power_law(-2.0, -1.25),
+          "offset": TailModel.power_law(-2.0, -1.25, 0.625)}
 
 
 @pytest.mark.parametrize("left", sorted(_TAILS))
@@ -202,6 +225,29 @@ def test_open_end_sums_split_at_any_level():
             assert _sum(u, None, None, e, origin=origin) == pytest.approx(
                 _sum(u, None, m, e, origin=origin) + _sum(u, m + 1, None, e, origin=origin),
                 rel=1e-13)
+
+
+def test_an_offset_tail_sums_as_its_constant_and_power_parts():
+    # offset + c p^(rho k) beyond the window: the closed form of each part, centered on c'
+    # and counted from an origin, against 400 of the series' terms
+    u = RadialFunction(2, -2, 2, (1.0, -2.0, 0.5, 4.0, -1.0),
+                       left_tail=TailModel.power_law(0.5, 1.0, -0.75),
+                       right_tail=TailModel.power_law(-3.0, -2.0, 0.25))
+    for c, origin in ((0.0, 0), (1.25, 3), (-0.75, -4)):
+        for m in (-6, 0, 5):
+            left = _sum(u, None, m, 0.5, c=c, origin=origin)
+            right = _sum(u, m, None, -0.5, c=c, origin=origin)
+            assert left == pytest.approx(_sum(u, m - 400, m, 0.5, c=c, origin=origin),
+                                         rel=1e-13, abs=1e-13)
+            assert right == pytest.approx(_sum(u, m, m + 400, -0.5, c=c, origin=origin),
+                                          rel=1e-13, abs=1e-13)
+    # the offset is a constant part: it needs e < 0 on the right, where the power alone
+    # converges at e + rho = -2 < 0, and e > 0 on the left
+    assert check_summability(u, 1.5).cond_3_2.detail == (
+        "right series sum p^(e k) u(p^k) diverges: constant right tail requires e < 0, "
+        "got e = 0.0")
+    with pytest.raises(DivergenceError, match="constant left tail requires e > 0"):
+        _sum(u, None, 0, 0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -324,6 +370,9 @@ def test_serialization_round_trip():
     text = dump_radial(u)
     v = load_radial(text)
     assert v == u
+    u = dataclasses.replace(u, left_tail=TailModel.power_law(-0.25, 0.5, 1.0))
+    assert dump_radial(u).startswith("2 -1 1 1.0 power:-0.25:0.5:1.0 power:3.0:-1.0\n")
+    assert load_radial(dump_radial(u)) == u
 
 
 def test_load_errors_are_line_addressed():

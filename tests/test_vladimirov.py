@@ -166,9 +166,12 @@ def _exact_dalpha_window(u, alpha):
         lt, rt = u.left_tail, u.right_tail
         lrate = 1 + (lt.rho if lt.kind == "power" else 0)
         rrate = (rt.rho if rt.kind == "power" else 0) - a
-        # sum_{k < k_min} p^k u_k and sum_{l > k_max} p^(-a l) u_l in closed form
-        left = mpf(lt.c) * p ** (lrate * u.k_min) / (p ** lrate - 1)
-        right = mpf(rt.c) * p ** (rrate * (u.k_max + 1)) / (1 - p ** rrate)
+        # sum_{k < k_min} p^k u_k and sum_{l > k_max} p^(-a l) u_l in closed form, a power
+        # tail's offset summed at the rate of a constant
+        left = (mpf(lt.c) * p ** (lrate * u.k_min) / (p ** lrate - 1)
+                + mpf(lt.offset) * p ** u.k_min / (p - 1))
+        right = (mpf(rt.c) * p ** (rrate * (u.k_max + 1)) / (1 - p ** rrate)
+                 + mpf(rt.offset) * p ** (-a * (u.k_max + 1)) / (1 - p ** -a))
         vals = [mpf(v) for v in u.values]
         lefts, rights = [], [None] * len(vals)
         for i, v in enumerate(vals):
@@ -262,10 +265,20 @@ def test_window_rounding_bound_covers_the_error(p, alpha, k_min):
     from mpmath import mpf
 
     u = _rough_function(p, alpha, k_min, 60, seed=k_min)
-    values, rounding, _ = dalpha_window(u, alpha)
-    exact = _exact_dalpha_window(u, alpha)
-    for value, bound, want in zip(values, rounding, exact):
-        assert float(abs(mpf(value) - want)) <= bound
+    # the same window between power tails with an offset: offset + c p^(rho k) on each side,
+    # the left one offset + c p^(k/2) with an offset of 8 or so whose power part cancels it
+    # at the floor, where the tail meets the window's first value
+    rng = random.Random(-k_min)
+    offset = rng.uniform(4.0, 8.0)
+    left = TailModel.power_law((u.values[0] - offset) * p_pow(p, -0.5 * (k_min - 1)), 0.5,
+                               offset)
+    right = TailModel.power_law(u.right_tail.c, u.right_tail.rho, rng.uniform(-1.0, 1.0))
+    offsets = RadialFunction(p, u.k_min, u.k_max, u.values, left_tail=left, right_tail=right)
+    for w in (u, offsets):
+        values, rounding, _ = dalpha_window(w, alpha)
+        exact = _exact_dalpha_window(w, alpha)
+        for value, bound, want in zip(values, rounding, exact):
+            assert float(abs(mpf(value) - want)) <= bound
 
 
 def test_window_is_cached_and_apply_dalpha_bypasses_the_cache():
@@ -424,7 +437,7 @@ def test_residual_profile_sums_the_seeds_once(monkeypatch):
     monkeypatch.setattr(vladimirov, "_sum", counted(vladimirov._sum, "sums"))
     prob = _deep_problem()
     u = solve_problem(prob, tol=1e-10, extend_to=250).solution
-    assert len(u.values) >= 270
+    assert len(u.values) >= 260
     reported = 0
     for n in range(u.k_min, u.k_max + 1):
         try:
@@ -455,6 +468,37 @@ def test_residual_uncertainty_covers_the_dalpha_error():
         want = weight * exact[n - u.k_min] - mpf(prob.rhs.eval(n, u.value_at(n)))
         assert float(abs(mpf(est.value) - want)) <= est.uncertainty, n
     assert reported >= 250
+
+
+# the nine slots (p, alpha, gamma, extend_to) of the solve-deep benchmark workload
+_DEEP_SLOTS = ((2, 0.5, 0.2, 200), (2, 1.0, 0.3, 250), (2, 1.5, 0.25, 170),
+               (3, 0.5, 0.2, 220), (3, 1.0, 0.3, 250), (3, 1.5, 0.3, 170),
+               (7, 0.5, 0.2, 250), (7, 1.0, 0.3, 250), (7, 1.5, 0.3, 150))
+
+
+@pytest.mark.parametrize("p, alpha, gamma, extend_to", _DEEP_SLOTS)
+def test_residual_certifies_no_level_outside_its_uncertainty_on_a_seeded_window(
+        p, alpha, gamma, extend_to):
+    # the seeded march stores the left tail u0 + f0 c(-gamma) p^((alpha - gamma) k), which
+    # D^alpha reads at every level; each certified residual lies within its uncertainty of
+    # p^(gamma n) D^alpha u - f from the mpmath series, at the window's floor too
+    from mpmath import mpf
+
+    rhs = catalog_nonlinearity("cos-decay", p, amplitude=0.075, beta=2.5)
+    prob = ProblemSpec(p=p, alpha=alpha, gamma=gamma, u0=1.25, rhs=rhs)
+    u = solve_problem(prob, tol=1e-10, extend_to=extend_to).solution
+    assert u.left_tail.kind == "power" and u.left_tail.offset == 1.25
+    exact = _exact_dalpha_window(u, alpha)
+    reported = []
+    for n in range(u.k_min, u.k_max + 1):
+        try:
+            est = residual(u, prob, n)
+        except IndeterminateResidualError:
+            continue
+        reported.append(n)
+        want = mpf(p) ** (mpf(gamma) * n) * exact[n - u.k_min] - mpf(rhs.eval(n, u.value_at(n)))
+        assert float(abs(mpf(est.value) - want)) <= est.uncertainty, n
+    assert len(reported) >= 90  # from 92 of 195 levels at (7, 1.5, 0.3) to 277 of 283
 
 
 def test_residual_values_are_the_weighted_single_level_formula_bit_for_bit():
@@ -513,7 +557,7 @@ def _dilated(u, s):
     def moved(tail):
         if tail.kind != "power":
             return tail
-        return TailModel.power_law(tail.c * p_pow(u.p, -tail.rho * s), tail.rho)
+        return TailModel.power_law(tail.c * p_pow(u.p, -tail.rho * s), tail.rho, tail.offset)
 
     return RadialFunction(u.p, u.k_min + s, u.k_max + s, u.values, left_tail=moved(u.left_tail),
                           right_tail=moved(u.right_tail), value_at_zero=u.value_at_zero)

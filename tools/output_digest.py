@@ -67,10 +67,15 @@ benchmark workload is shaped after: 257 of its CSV's 275 rows carry a residual a
 uncertainty, so the residual pass shows in the digest level by level,
 and two runs given a non-finite catalog parameter that their f does not read:
 ``solve --rhs zero --rhs-amplitude nan`` and ``sweep --rhs const --rhs-beta inf``
-(exit 2; once exit 0).
+(exit 2; once exit 0),
+and a ``const`` solve at gamma = 0.297, whose exact seed collapses the window from
+18 124 levels to 52, with ``--solution-out``: its left tail token
+``power:<c>:<rho>:<offset>`` is read back by ``apply`` of ``dalpha`` and of ``ialpha``
+to that file, on levels below its window too.
 Each line is the digest of the exit code, stdout, stderr and written files,
 then the arguments; an exception that escapes the CLI counts as exit code 1
-with its type and message on stderr, as the console script would exit.
+with its type and message on stderr, as the console script would exit.  The solution
+file of that last solve is kept, so the two runs after it hash it again.
 Two versions of the package whose outputs are bit for bit the same print
 the same lines; run it once with ``--src`` pointing at the other version's
 ``src/`` to compare.  Standard library only.
@@ -165,6 +170,8 @@ ONCE_FAILING = (
 # a window floor certified where p^e alone underflows: C ~ M = 1e306 must scale it as one power
 DEEP_FLOOR = ("--p 2 --alpha 1.5 --gamma 0.4 --u0 0 --rhs cos-decay --rhs-amplitude 1e306 "
               "--extend-to -960 --tol 1e-290")
+# the solution file that the last runs read: kept after the solve that writes it
+KEPT = "seeded.txt"
 
 
 def invocations(tmp: Path) -> list:
@@ -195,7 +202,10 @@ def invocations(tmp: Path) -> list:
          "--rhs-beta 2.5 --extend-to 250").split(),
         "solve --p 2 --alpha 1.5 --gamma 0.25 --u0 1 --rhs zero --rhs-amplitude nan".split(),
         "sweep --rhs const --rhs-beta inf".split(),
-    ]
+        ["solve", *"--p 2 --alpha 0.3 --gamma 0.297 --u0 1 --rhs const".split(),
+         "--solution-out", str(tmp / KEPT)],
+    ] + [["apply", "--op", op, "--alpha", "0.3", "--input", str(tmp / KEPT), "--levels=-70:50"]
+         for op in ("dalpha", "ialpha")]
 
 
 def main() -> None:
@@ -218,7 +228,8 @@ def main() -> None:
             for path in sorted(tmp.glob("*")):
                 if path.name not in INPUTS:
                     digest.update(path.name.encode() + b"\n" + path.read_bytes())
-                    path.unlink()
+                    if path.name != KEPT:
+                        path.unlink()
             shown = " ".join(a.replace(name, "$TMP") for a in argv)
             print(digest.hexdigest(), shown)
 
